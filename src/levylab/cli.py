@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import (ExperimentConfig, RunSection, canonical_json, load_config,
                      parse_config, _require)
-from .errors import ConfigError, NumericalBlowupError, ThresholdError
+from .errors import ConfigError, InputError, NumericalBlowupError, ThresholdError
 from .model import check_conditions, theorem_constants
 from .integrator import integrate
 from .noise import sample_noise
@@ -179,7 +179,7 @@ def run_stability(cfg: ExperimentConfig, threads: int = 1) -> int:
         rate, r2 = fit_decay_rate(curve)
         payload.update(fitted_rate=rate, r_squared=r2,
                        rate_stderr=fit_rate_stderr(curve))
-    except Exception as exc:  # insufficient points is a report, not a failure
+    except InputError as exc:  # insufficient points is a report, not a failure
         payload["fit_error"] = str(exc)
     ub = ultimate_bound_check(model, horizon, run.n_paths,
                               float(ex.get("ultimate_y0", ex["y0a"])),
@@ -245,7 +245,7 @@ def run_example61(cfg: ExperimentConfig, threads: int = 1) -> int:
     try:
         rate, r2 = fit_decay_rate(curve)
         payload["stability"].update(fitted_rate=rate, r_squared=r2)
-    except Exception as exc:
+    except InputError as exc:
         payload["stability"]["fit_error"] = str(exc)
     if "csv" in cfg.formats:
         os.makedirs(cfg.out_dir, exist_ok=True)

@@ -362,9 +362,9 @@ def coefficient_shift_bounds(model: SdeModel, tau: float, radius: float,
     c, j = model.coefficients, model.jumps
     i1 = coef_bound(c.drift) ** 2
     i2 = (coef_bound(c.diffusion) * model.wiener.operator_norm_qhalf) ** 2
-    i3 = (j.small_rate * c.small_jump.mark_sq_factor(j.small_sampler, model.galerkin)
+    i3 = (j.small_rate * c.small_jump.mark_abs_factor(j.small_sampler, 2, model.galerkin)
           * coef_bound(c.small_jump) ** 2)
-    i4 = (j.large_rate * c.large_jump.mark_sq_factor(j.large_sampler, model.galerkin)
+    i4 = (j.large_rate * c.large_jump.mark_abs_factor(j.large_sampler, 2, model.galerkin)
           * coef_bound(c.large_jump) ** 2)
     return {"i1": i1, "i2": i2, "i3": i3, "i4": i4}
 
