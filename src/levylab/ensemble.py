@@ -7,12 +7,16 @@ independent of chunking and thread count, and two ensembles launched
 with the same master seed are driven by the *same* noise realization
 path-for-path (the coupling used by every gap experiment).
 
-Jumps are not grid-refined here (that is what :func:`levylab.integrator.
-integrate` does for single paths).  A jump at time ``s`` inside a step
-``[u, v]`` is applied with its exact semigroup decay ``exp(-Lam (v-s))``
-to the state flowed from ``u`` to ``s`` without the intra-step noise;
-this keeps weak order one and is placement-exact for state-independent
-jump coefficients.
+Each step is the kernel of :func:`levylab.integrator.step_kernel` on the
+(n_paths, dim) batch, with its tables built once per ensemble.  Jumps are
+not grid-refined here (that is what :func:`levylab.integrator.integrate`
+does for single paths).  A jump at time ``s`` inside a step ``[u, v]`` is
+evaluated at the state flowed from ``u`` to ``s`` without the intra-step
+noise and added with its exact semigroup decay ``exp(-Lam (v-s))``; a
+later jump of the same path in the same step flows on from the undecayed
+post-jump state.  This keeps weak order one and is placement-exact for
+state-independent jump coefficients.  Each chunk tabulates the jump
+profiles and both decay factors at its event times once.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalBlowupError
-from .integrator import JUMP_LARGE, JUMP_SMALL
+from .errors import InputError
+from .integrator import (JUMP_LARGE, JUMP_SMALL, check_finite, refined_grid,
+                         step_kernel)
 from .model import SdeModel
 from .noise import sample_jumps, sample_wiener_increments
 
@@ -53,38 +58,22 @@ class EnsembleResult:
         return sq.mean(axis=1), sq.std(axis=1, ddof=1) / np.sqrt(self.n_paths)
 
 
-def _build_grid(t0: float, t1: float, max_step: float, obs_times):
-    n = max(1, int(np.ceil((t1 - t0) / max_step - 1e-12)))
-    grid = np.linspace(t0, t1, n + 1)
-    obs = np.unique(np.asarray(obs_times, dtype=float))
-    if obs.size and (obs.min() < t0 - 1e-9 or obs.max() > t1 + 1e-9):
-        raise InputError("observation times must lie inside the window")
-    grid = np.unique(np.concatenate([grid, obs]))
-    obs_idx = np.searchsorted(grid, obs)
-    return grid, obs_idx
+def _jump_kernel(model: SdeModel, grid, window, seeds):
+    """Tabulate the jump events of a chunk once and return ``add_jumps(i, y,
+    y_new, drift)``: ``y_new`` plus the jumps inside step ``i``, in place.
 
-
-def _chunk_events(model: SdeModel, window, seeds, grid):
-    """Collect all jump events of a chunk, binned by grid interval.
-
-    Returns arrays sorted by (interval, path, time) plus slice offsets
-    per interval.
-    """
+    Per event, sorted by (step, path, time): its profile row, ``lead`` (the
+    time since the path's previous jump in the step, or since the step
+    start ``u``), ``exp(-Lam lead)`` and ``exp(-Lam (v-s))``."""
     times, paths, kinds, marks = [], [], [], []
     for local_idx, seed in enumerate(seeds):
         st, sm, lt, lm = sample_jumps(model.jumps, window, seed)
         for t_arr, m_arr, kind in ((st, sm, JUMP_SMALL), (lt, lm, JUMP_LARGE)):
-            if t_arr.size:
-                times.append(t_arr)
-                paths.append(np.full(t_arr.size, local_idx))
-                kinds.append(np.full(t_arr.size, kind, dtype=np.int8))
-                marks.append(np.atleast_2d(m_arr.T).T if m_arr.ndim == 1 else m_arr)
-    if not times:
-        z = np.zeros(0)
-        return z, z.astype(int), z.astype(np.int8), np.zeros((0, 1)), np.zeros(grid.size, dtype=int)
-    times = np.concatenate(times)
-    paths = np.concatenate(paths)
-    kinds = np.concatenate(kinds)
+            times.append(t_arr)
+            paths.append(np.full(t_arr.size, local_idx))
+            kinds.append(np.full(t_arr.size, kind, dtype=np.int8))
+            marks.append(np.atleast_2d(m_arr.T).T if m_arr.ndim == 1 else m_arr)
+    times, paths, kinds = (np.concatenate(a) for a in (times, paths, kinds))
     mark_dim = max(m.shape[1] for m in marks)
     marks = np.concatenate([m if m.shape[1] == mark_dim else
                             np.pad(m, ((0, 0), (0, mark_dim - m.shape[1]))) for m in marks])
@@ -93,82 +82,63 @@ def _chunk_events(model: SdeModel, window, seeds, grid):
     times, paths, kinds, marks, interval = (times[order], paths[order], kinds[order],
                                             marks[order], interval[order])
     offsets = np.searchsorted(interval, np.arange(grid.size))
-    return times, paths, kinds, marks, offsets
+    pos = np.arange(times.size)
+    first = np.ones(times.size, dtype=bool)
+    first[1:] = (paths[1:] != paths[:-1]) | (interval[1:] != interval[:-1])
+    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    lead = times - np.where(first, grid[interval], np.roll(times, 1))
+    lam, c = model.semigroup.rates, model.coefficients
+    dec_in = np.exp(-np.outer(lead, lam))
+    dec_out = np.exp(-np.outer(grid[interval + 1] - times, lam))
+    coefs = [(kind, coef, coef.profile_table(times),
+              marks[:, 0] if coef.mark_mode == "scalar" else marks)
+             for kind, coef in ((JUMP_SMALL, c.small_jump), (JUMP_LARGE, c.large_jump))]
+
+    def _apply_jumps(sel, pre):
+        """Raw increments of the events ``sel`` at their pre-jump states,
+        and the same increments decayed from the jump times to the step end."""
+        raw = np.zeros_like(pre)
+        for kind, coef, prof, mk in coefs:
+            mask = kinds[sel] == kind
+            if np.any(mask):
+                rows = sel[mask]
+                raw[mask] = coef.apply_mark(prof[rows], pre[mask], mk[rows], model.galerkin)
+        return raw, dec_out[sel] * raw
+
+    def add_jumps(i, y, y_new, drift):
+        lo, hi = offsets[i], offsets[i + 1]
+        step_rank = rank[lo:hi]
+        # round r holds the (r+1)-th jump of each path in this step; it
+        # starts from the previous round's undecayed post-jump state
+        for r in range(step_rank.max(initial=-1) + 1):
+            sel = lo + np.flatnonzero(step_rank == r)
+            p = paths[sel]
+            start = y[p] if r == 0 else post[np.searchsorted(post_paths, p)]
+            pre = dec_in[sel] * start + lead[sel][:, None] * drift[p]
+            raw, dec = _apply_jumps(sel, pre)
+            y_new[p] += dec
+            post, post_paths = pre + raw, p
+        return y_new
+
+    return add_jumps
 
 
-def _apply_jumps(model, lam, t_end, s, pre, kinds, marks):
-    """Jump increments decayed from the jump time to the interval end."""
-    incr = np.zeros_like(pre)
-    for kind, coef in ((JUMP_SMALL, model.coefficients.small_jump),
-                       (JUMP_LARGE, model.coefficients.large_jump)):
-        mask = kinds == kind
-        if np.any(mask):
-            mk = marks[mask]
-            mk = mk[:, 0] if (coef.mark_mode == "scalar" and mk.ndim == 2) else mk
-            incr[mask] = coef.value(s[mask], pre[mask], mk, model.galerkin)
-    return np.exp(-np.outer(t_end - s, lam)) * incr
-
-
-def _run_chunk(model: SdeModel, grid, obs_idx, y0_chunk, seeds, window):
-    lam = model.semigroup.rates
-    a = model.wiener.drift
-    n_steps = grid.size - 1
+def _run_chunk(model: SdeModel, step, grid, obs_idx, y0_chunk, seeds, window):
     y = y0_chunk.copy()
-    n_obs = len(obs_idx)
-    out = np.empty((n_obs, y.shape[0], y.shape[1]))
+    out = np.empty((len(obs_idx), y.shape[0], y.shape[1]))
+    out[obs_idx == 0] = y
     obs_lookup = {int(g): k for k, g in enumerate(obs_idx)}
-    if 0 in obs_lookup:
-        out[obs_lookup[0]] = y
 
     dw = np.stack([sample_wiener_increments(model.wiener, grid, s) for s in seeds], axis=1)
-    ev_t, ev_p, ev_k, ev_m, ev_off = _chunk_events(model, window, seeds, grid)
+    add_jumps = _jump_kernel(model, grid, window, seeds)
 
-    dts = np.diff(grid)
-    for i in range(n_steps):
-        t, dt = grid[i], dts[i]
-        decay = np.exp(-lam * dt)
-        phi1 = -np.expm1(-lam * dt) / lam
-        gdiag = model.diffusion_diag(t, y)
-        drift = model.drift_value(t, y) + gdiag * a + model.compensator_drift(t, y)
-        y_new = decay * y + phi1 * drift + decay * (gdiag * dw[i])
-
-        lo, hi = ev_off[i], ev_off[i + 1]
-        if hi > lo:
-            s = ev_t[lo:hi]
-            p = ev_p[lo:hi]
-            first_paths, first_pos = np.unique(p, return_index=True)
-            sel = lo + first_pos
-            s1, p1 = ev_t[sel], ev_p[sel]
-            dt1 = s1 - t
-            pre = np.exp(-np.outer(dt1, lam)) * y[p1] + dt1[:, None] * drift[p1]
-            dec_incr = _apply_jumps(model, lam, grid[i + 1], s1, pre, ev_k[sel], ev_m[sel])
-            y_new[p1] += dec_incr
-            if hi - lo > first_paths.size:
-                # rare: several jumps of one path in one step, chain them
-                state = {int(pp): (float(ss), prr + _undecay(model, lam, grid[i + 1], ss, dd))
-                         for pp, ss, prr, dd in zip(p1, s1, pre, dec_incr)}
-                rest = [j for j in range(lo, hi) if j not in set(sel)]
-                for j in rest:
-                    pp, ss = int(ev_p[j]), float(ev_t[j])
-                    s_prev, y_prev = state[pp]
-                    pre_j = np.exp(-lam * (ss - s_prev)) * y_prev + (ss - s_prev) * drift[pp]
-                    incr = _apply_jumps(model, lam, grid[i + 1], np.array([ss]),
-                                        pre_j[None, :], ev_k[j:j + 1], ev_m[j:j + 1])
-                    y_new[pp] += incr[0]
-                    state[pp] = (ss, pre_j + incr[0] * np.exp(lam * (grid[i + 1] - ss)))
-        y = y_new
-        if not np.all(np.isfinite(y)):
-            bad = np.where(~np.isfinite(y).all(axis=1))[0]
-            raise NumericalBlowupError(grid[i + 1],
-                                       f"path {int(bad[0])} non-finite at t = {grid[i+1]:g}")
+    for i in range(grid.size - 1):
+        y = add_jumps(i, y, *step(i, y, dw[i]))
+        check_finite(y, grid[i + 1])
         k = obs_lookup.get(i + 1)
         if k is not None:
             out[k] = y
     return out
-
-
-def _undecay(model, lam, t_end, s, decayed_incr):
-    return decayed_incr * np.exp(lam * (t_end - s))
 
 
 def simulate_ensemble(model: SdeModel, window, y0, n_paths: int, max_step: float,
@@ -181,7 +151,11 @@ def simulate_ensemble(model: SdeModel, window, y0, n_paths: int, max_step: float
     thread count only affects wall time.
     """
     t0, t1 = float(window[0]), float(window[1])
-    grid, obs_idx = _build_grid(t0, t1, max_step, obs_times)
+    obs = np.unique(np.asarray(obs_times, dtype=float))
+    if obs.size and (obs.min() < t0 - 1e-9 or obs.max() > t1 + 1e-9):
+        raise InputError("observation times must lie inside the window")
+    grid = refined_grid(t0, t1, max_step, obs)
+    obs_idx = np.searchsorted(grid, obs)
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim == 0:
         y0 = np.full((n_paths, model.dim), float(y0))
@@ -191,11 +165,12 @@ def simulate_ensemble(model: SdeModel, window, y0, n_paths: int, max_step: float
         raise InputError("y0 must broadcast to (n_paths, dim)")
 
     bounds = [(lo, min(lo + CHUNK, n_paths)) for lo in range(0, n_paths, CHUNK)]
+    step = step_kernel(model, grid)
 
     def work(bound):
         lo, hi = bound
         seeds = [_path_seed(seed, p) for p in range(lo, hi)]
-        return _run_chunk(model, grid, obs_idx, y0[lo:hi], seeds, (t0, t1))
+        return _run_chunk(model, step, grid, obs_idx, y0[lo:hi], seeds, (t0, t1))
 
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

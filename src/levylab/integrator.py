@@ -1,20 +1,23 @@
-"""Cadlag path simulation on a jump-adapted grid.
+"""Cadlag path simulation on a jump-adapted grid, and the one
+exponential-Euler step kernel that both path drivers run.
 
-The scheme is an exponential Euler step between jumps with the drift
-integrated by the exact integrating factor of the linear part:
+:func:`step_kernel` tabulates once per grid the semigroup factors of every
+step and the drift, diffusion and small-jump profile values at every step
+start, and returns the step (Hochbruck & Ostermann, Acta Numerica 2010)
 
     Y(t+dt) = e^(-Lam dt) Y + Lam^-1 (1 - e^(-Lam dt)) D(t, Y)
-              + e^(-Lam dt) g(t, Y) dW,
+              + e^(-Lam dt) g(t, Y) dW
 
-where ``Lam`` is the diagonal decay matrix and ``D`` collects the drift
-coefficient, the Wiener drift vector routed through the diffusion, and
-the small-jump compensator.  The grid is the uniform ``max_step`` grid
-refined by every jump time of the frozen noise realization; at a jump
-time the increment ``F`` or ``G`` evaluated at the left limit is applied
-without an extra semigroup factor (the jump-adapted grid makes the
-neglected factor 1 + O(step)).  Weak order one; the deterministic drift
-part is O(step)-accurate with constant ``sup|f'|/(2 lambda_min)`` thanks
-to the integrating factor.
+for one state (dim,) or a batch (n_paths, dim).  ``Lam`` is the diagonal
+decay matrix and ``D`` collects the drift coefficient, the Wiener drift
+vector routed through the diffusion, and the small-jump compensator.
+:func:`integrate` runs it for one path on the uniform ``max_step`` grid
+refined by every jump time of the frozen noise realization (Bruti-Liberati
+& Platen, J. Comput. Appl. Math. 2007); at a jump time the increment ``F``
+or ``G`` evaluated at the left limit is applied without an extra semigroup
+factor (the jump-adapted grid makes the neglected factor 1 + O(step)).
+Weak order one; the deterministic drift part is O(step)-accurate with
+constant ``sup|f'|/(2 lambda_min)`` thanks to the integrating factor.
 """
 
 from __future__ import annotations
@@ -32,6 +35,26 @@ from .noise import (JumpMeasureSpec, NoiseRealization, WienerSpec)
 from .profiles import harmonic_profile, reciprocal_profile, trig_reciprocal_profile
 
 JUMP_NONE, JUMP_SMALL, JUMP_LARGE = 0, 1, 2
+
+
+def step_kernel(model: SdeModel, grid: np.ndarray):
+    """Tabulate the steps of ``grid`` once and return ``step(i, y, dw) ->
+    (y_new, drift)`` over step ``i`` for ``y`` and ``dw`` of shape (dim,) or
+    (n_paths, dim); ``drift`` is ``D`` at the step start."""
+    neg_ldt = -np.outer(np.diff(grid), model.semigroup.rates)
+    decay, phi1 = np.exp(neg_ldt), -np.expm1(neg_ldt) / model.semigroup.rates
+    c, gal, a = model.coefficients, model.galerkin, model.wiener.drift
+    f_tab, g_tab, comp_tab = (coef.profile_table(grid[:-1])
+                              for coef in (c.drift, c.diffusion, c.small_jump))
+
+    def step(i: int, y: np.ndarray, dw: np.ndarray):
+        gdiag = c.diffusion.apply(g_tab[i], y, gal)
+        drift = (c.drift.apply(f_tab[i], y, gal) + gdiag * a
+                 + model.compensator_apply(comp_tab[i], y))
+        d = decay[i]
+        return d * y + phi1[i] * drift + d * (gdiag * dw), drift
+
+    return step
 
 
 @dataclass
@@ -52,13 +75,6 @@ class SamplePath:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def value_at(self, t: float) -> np.ndarray:
-        """State at the last grid node <= t (cadlag evaluation)."""
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        if i < 0:
-            raise InputError(f"t = {t:g} precedes the path start")
-        return self.values[i]
-
     def restrict(self, t0: float, t1: float) -> "SamplePath":
         keep = (self.times >= t0 - 1e-12) & (self.times <= t1 + 1e-12)
         return SamplePath(self.times[keep], self.values[keep],
@@ -74,19 +90,38 @@ class SamplePath:
                          + ",".join(repr(float(v)) for v in row[:m]) + "\n")
 
 
-def _merged_grid(t0: float, t1: float, max_step: float, noise: NoiseRealization):
-    """Uniform grid refined by jump times; returns (times, events) with
-    events[i] the list of (kind, mark) applied at times[i]."""
+def refined_grid(t0: float, t1: float, max_step: float, nodes) -> np.ndarray:
+    """Uniform grid on [t0, t1], steps at most ``max_step``, refined by ``nodes``."""
     n = max(1, int(np.ceil((t1 - t0) / max_step - 1e-12)))
-    base = np.linspace(t0, t1, n + 1)
-    events: dict[float, list] = {}
-    for times, marks, kind in ((noise.small_times, noise.small_marks, JUMP_SMALL),
-                               (noise.large_times, noise.large_marks, JUMP_LARGE)):
+    return np.unique(np.concatenate([np.linspace(t0, t1, n + 1), nodes]))
+
+
+def _merged_grid(model: SdeModel, t0: float, t1: float, max_step: float,
+                 noise: NoiseRealization):
+    """Uniform grid refined by jump times; returns (grid, jumps) with
+    jumps[i] the list of (kind, coefficient, mark, profile row) at grid[i]."""
+    c = model.coefficients
+    found = []
+    for times, marks, kind, coef in (
+            (noise.small_times, noise.small_marks, JUMP_SMALL, c.small_jump),
+            (noise.large_times, noise.large_marks, JUMP_LARGE, c.large_jump)):
         inside = (times > t0) & (times < t1)
-        for t, m in zip(times[inside], marks[inside]):
-            events.setdefault(float(t), []).append((kind, m))
-    grid = np.unique(np.concatenate([base, np.fromiter(events, dtype=float)]))
-    return grid, events
+        found += [(t, kind, coef, m, row) for t, m, row in
+                  zip(times[inside], marks[inside], coef.profile_table(times[inside]))]
+    grid = refined_grid(t0, t1, max_step, [t for t, *_ in found])
+    jumps: dict[int, list] = {}
+    for t, *event in found:
+        jumps.setdefault(int(np.searchsorted(grid, t)), []).append(event)
+    return grid, jumps
+
+
+def check_finite(y: np.ndarray, t: float):
+    """Raise :class:`NumericalBlowupError` naming the first non-finite entry
+    of a state (its component) or of a batch (its path and component)."""
+    if not np.isfinite(y).all():
+        at = zip(("path", "component")[-y.ndim:], np.argwhere(~np.isfinite(y))[0])
+        raise NumericalBlowupError(t, ", ".join(f"{n} {k}" for n, k in at)
+                                   + f" non-finite at t = {t:g}")
 
 
 def integrate(model: SdeModel, noise: NoiseRealization, t0: float, t1: float,
@@ -96,6 +131,7 @@ def integrate(model: SdeModel, noise: NoiseRealization, t0: float, t1: float,
     The noise realization must cover the window; Wiener increments are
     drawn deterministically from the realization's stream for the grid
     built here, so identical arguments reproduce the path bit for bit.
+    A non-finite state raises :class:`NumericalBlowupError` naming its component.
     """
     if max_step <= 0:
         raise InputError("max_step must be positive")
@@ -109,10 +145,9 @@ def integrate(model: SdeModel, noise: NoiseRealization, t0: float, t1: float,
     if not np.all(np.isfinite(y)):
         raise InputError("initial state must be finite")
 
-    grid, events = _merged_grid(t0, t1, max_step, noise)
+    grid, jumps = _merged_grid(model, t0, t1, max_step, noise)
+    step = step_kernel(model, grid)
     dW = noise.wiener_increments(grid)
-    lam = model.semigroup.rates
-    a = model.wiener.drift
 
     n = grid.size
     values = np.empty((n, model.dim))
@@ -121,24 +156,13 @@ def integrate(model: SdeModel, noise: NoiseRealization, t0: float, t1: float,
     values[0] = left[0] = y
 
     for i in range(n - 1):
-        t, dt = grid[i], grid[i + 1] - grid[i]
-        decay = np.exp(-lam * dt)
-        phi1 = -np.expm1(-lam * dt) / lam
-        gdiag = model.diffusion_diag(t, y)
-        drift = model.drift_value(t, y) + gdiag * a + model.compensator_drift(t, y)
-        y = decay * y + phi1 * drift + decay * (gdiag * dW[i])
-        t_next = grid[i + 1]
+        y = step(i, y, dW[i])[0]
         left[i + 1] = y
-        if not np.all(np.isfinite(y)):
-            raise NumericalBlowupError(t_next)
-        for kind, mark in events.get(float(t_next), ()):
-            if kind == JUMP_SMALL:
-                y = y + model.small_jump_value(t_next, y, mark)
-            else:
-                y = y + model.large_jump_value(t_next, y, mark)
+        check_finite(y, grid[i + 1])
+        for kind, coef, mark, row in jumps.get(i + 1, ()):
+            y = y + coef.apply_mark(row, y, mark, model.galerkin)
             flags[i + 1] = kind
-            if not np.all(np.isfinite(y)):
-                raise NumericalBlowupError(t_next)
+            check_finite(y, grid[i + 1])
         values[i + 1] = y
 
     return SamplePath(times=grid, values=values, left_limits=left, jump_flags=flags)

@@ -117,9 +117,7 @@ def ones_map(scale=1.0) -> StateMap:
 
 def _broadcast_profile(pv: np.ndarray, target_ndim: int) -> np.ndarray:
     pv = np.asarray(pv, dtype=float)
-    while pv.ndim < target_ndim:
-        pv = pv[..., None]
-    return pv
+    return pv.reshape(pv.shape + (1,) * (target_ndim - pv.ndim)) if pv.ndim else pv
 
 
 @dataclass(frozen=True)
@@ -134,18 +132,38 @@ class Coefficient:
     terms: tuple[tuple[TimeProfile, StateMap], ...]
     pointwise: bool = False
 
-    def value(self, t, y: np.ndarray, galerkin: GalerkinSpec | None = None) -> np.ndarray:
+    def profile_table(self, times) -> np.ndarray:
+        """Profile values at ``times``: shape ``times.shape + (n_terms,)``.
+
+        Profiles depend on t only, so a driver tabulates them once per
+        grid and hands the rows to :meth:`apply`.
+        """
+        t = np.asarray(times, dtype=float)
+        table = np.empty(t.shape + (len(self.terms),))
+        for k, (prof, _) in enumerate(self.terms):
+            table[..., k] = prof(t)
+        return table
+
+    def apply(self, pvals, y, galerkin: GalerkinSpec | None = None) -> np.ndarray:
+        """Coefficient at state ``y`` given its profile values ``pvals``
+        (one row of :meth:`profile_table`, or one row per leading state)."""
         y = np.asarray(y, dtype=float)
         if self.pointwise and galerkin is not None:
-            u = galerkin.to_phys(y)
-            acc = np.zeros_like(u)
-            for prof, smap in self.terms:
-                acc += _broadcast_profile(prof(t), u.ndim) * smap(u)
-            return galerkin.to_modes(acc)
-        acc = np.zeros_like(y)
-        for prof, smap in self.terms:
-            acc += _broadcast_profile(prof(t), y.ndim) * smap(y)
+            return galerkin.to_modes(self._combine(pvals, galerkin.to_phys(y)))
+        return self._combine(pvals, y)
+
+    def _combine(self, pvals, u: np.ndarray) -> np.ndarray:
+        pvals = np.asarray(pvals, dtype=float)
+        if pvals.ndim > 1:   # one row per leading state: broadcast over the rest
+            pvals = pvals.reshape(pvals.shape[:-1] + (1,) * (u.ndim - pvals.ndim + 1)
+                                  + pvals.shape[-1:])
+        acc = np.zeros(u.shape)
+        for k, (_, smap) in enumerate(self.terms):
+            acc += pvals[..., k] * smap(u)
         return acc
+
+    def value(self, t, y: np.ndarray, galerkin: GalerkinSpec | None = None) -> np.ndarray:
+        return self.apply(self.profile_table(t), y, galerkin)
 
     def lip_bound(self) -> float:
         return sum(p.sup_bound() * s.lip for p, s in self.terms)
@@ -170,31 +188,37 @@ class JumpCoefficient(Coefficient):
         if self.mark_mode not in _MARK_MODES:
             raise InputError(f"unknown mark mode {self.mark_mode!r}")
 
-    def value(self, t, y, mark, galerkin: GalerkinSpec | None = None) -> np.ndarray:
+    def apply_mark(self, pvals, y, mark, galerkin: GalerkinSpec | None = None) -> np.ndarray:
+        """J(t, y, mark) given the profile values ``pvals`` at t."""
         if self.mark_mode == "pointwise_product":
-            if galerkin is None:
-                raise InputError("pointwise_product marks need a Galerkin spec")
-            u = galerkin.to_phys(np.asarray(y, dtype=float))
-            acc = np.zeros_like(u)
-            for prof, smap in self.terms:
-                acc += _broadcast_profile(prof(t), u.ndim) * smap(u)
-            return galerkin.to_modes(acc * galerkin.to_phys(np.asarray(mark, dtype=float)))
-        base = Coefficient.value(self, t, y, galerkin)
+            base = self._node_base(pvals, y, galerkin)
+            return galerkin.to_modes(base * galerkin.to_phys(np.asarray(mark, dtype=float)))
+        base = self.apply(pvals, y, galerkin)
         if self.mark_mode == "ignore":
             return base
         return base * _broadcast_profile(np.asarray(mark, dtype=float), base.ndim)
 
-    def mean_value(self, t, y, sampler: MarkSampler | None,
+    def _node_base(self, pvals, y, galerkin: GalerkinSpec | None) -> np.ndarray:
+        """State part of a pointwise_product coefficient at the nodes."""
+        if galerkin is None:
+            raise InputError("pointwise_product marks need a Galerkin spec")
+        return self._combine(pvals, galerkin.to_phys(np.asarray(y, dtype=float)))
+
+    def apply_mean(self, pvals, y, sampler: MarkSampler | None,
                    galerkin: GalerkinSpec | None = None) -> np.ndarray:
-        """E_mark[ J(t, y, mark) ]; exact because J is linear in the mark."""
+        """E_mark[ J(t, y, mark) ] given the profile values at t; exact
+        because J is linear in the mark."""
         if self.mark_mode == "ignore":
-            return Coefficient.value(self, t, y, galerkin)
+            return self.apply(pvals, y, galerkin)
         if sampler is None:
             return np.zeros_like(np.asarray(y, dtype=float))
         mean = sampler.mean()
         if self.mark_mode == "scalar":
-            return Coefficient.value(self, t, y, galerkin) * mean
-        return self.value(t, y, np.asarray(mean, dtype=float), galerkin)
+            return self.apply(pvals, y, galerkin) * mean
+        return self.apply_mark(pvals, y, np.asarray(mean, dtype=float), galerkin)
+
+    def value(self, t, y, mark, galerkin: GalerkinSpec | None = None) -> np.ndarray:
+        return self.apply_mark(self.profile_table(t), y, mark, galerkin)
 
     def sq_moment(self, t, y1, y2, rate: float, sampler: MarkSampler | None,
                   galerkin: GalerkinSpec | None = None) -> np.ndarray:
@@ -205,22 +229,26 @@ class JumpCoefficient(Coefficient):
         ``y1`` (0-d for a single state).  Pass ``y2=None`` for the
         at-zero moment with y1 the state.  The mark factors out in closed
         form except for vector marks, which use the exact finite-rank
-        quadrature.
+        quadrature; their state part at the nodes does not depend on the
+        mark, so it is computed once per state.
         """
         if rate == 0.0 or sampler is None:
             return np.zeros(np.shape(y1)[:-1])
+        pvals = self.profile_table(t)
         if self.mark_mode in ("ignore", "scalar"):
-            base = Coefficient.value(self, t, y1, galerkin)
+            base = self.apply(pvals, y1, galerkin)
             if y2 is not None:
-                base = base - Coefficient.value(self, t, y2, galerkin)
+                base = base - self.apply(pvals, y2, galerkin)
             factor = 1.0 if self.mark_mode == "ignore" else sampler.abs_moment(2)
             return rate * factor * np.sum(np.square(base), axis=-1)
         nodes, weights = sampler.quadrature()
+        base1 = self._node_base(pvals, y1, galerkin)
+        base2 = None if y2 is None else self._node_base(pvals, y2, galerkin)
         acc = 0.0
-        for x, w in zip(nodes, weights):
-            d = self.value(t, y1, x, galerkin)
-            if y2 is not None:
-                d = d - self.value(t, y2, x, galerkin)
+        for xn, w in zip(galerkin.to_phys(np.asarray(nodes, dtype=float)), weights):
+            d = galerkin.to_modes(base1 * xn)
+            if base2 is not None:
+                d = d - galerkin.to_modes(base2 * xn)
             acc = acc + w * np.sum(np.square(d), axis=-1)
         return rate * acc
 
@@ -353,10 +381,14 @@ class SdeModel:
 
     def compensator_drift(self, t, y):
         """-small_rate * E_mark[F(t, y, .)], exact via registry means."""
+        return self.compensator_apply(self.coefficients.small_jump.profile_table(t), y)
+
+    def compensator_apply(self, pvals, y):
+        """:meth:`compensator_drift` given the small-jump profile values at t."""
         if self.jumps.small_rate == 0.0:
             return np.zeros_like(np.asarray(y, dtype=float))
-        mean = self.coefficients.small_jump.mean_value(
-            t, y, self.jumps.small_sampler, self.galerkin)
+        mean = self.coefficients.small_jump.apply_mean(
+            pvals, y, self.jumps.small_sampler, self.galerkin)
         return -self.jumps.small_rate * mean
 
     def shifted(self, tau: float) -> "SdeModel":

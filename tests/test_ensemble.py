@@ -62,9 +62,20 @@ def test_agrees_with_reference_integrator_statistically_with_jumps():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_blowup_raises_with_time():
     from test_integrator import _huge_forcing_model
-    with pytest.raises(L.NumericalBlowupError):
+    with pytest.raises(L.NumericalBlowupError) as err:
         simulate_ensemble(_huge_forcing_model(), (0.0, 3.0), 0.0, 4, 0.1, 0,
                           np.array([3.0]))
+    assert "path 0, component 0 non-finite" in str(err.value)
+
+
+def test_stiff_many_mode_ensemble_has_no_false_blowup():
+    # 128 modes: lambda dt reaches 8e2, so exp(-lambda dt) underflows to 0.
+    # A step holding several jumps of one path must chain them without
+    # multiplying that 0 by an overflowing exp(+lambda dt).
+    m = L.presets.example62_model(n_modes=128)
+    res = simulate_ensemble(m, (0.0, 0.5), 0.0, 256, 0.005, 1, np.array([0.5]))
+    assert np.all(np.isfinite(res.states))
+    assert np.max(np.abs(res.states)) < 1.0
 
 
 def test_per_path_y0_array():

@@ -125,6 +125,7 @@ def test_blowup_reports_time():
     with pytest.raises(NumericalBlowupError) as err:
         L.integrate(m, noise, 0.0, 3.0, [0.0], 0.1)
     assert 0.0 < err.value.time <= 3.0
+    assert str(err.value) == f"component 0 non-finite at t = {err.value.time:g}"
 
 
 def test_noise_window_must_cover_integration_window():

@@ -81,3 +81,30 @@ def test_recurrence_class_metadata():
     assert profs["diffusion"].recurrence_class == "levitan"
     assert profs["small_jump"].recurrence_class == "constant"
     assert profs["large_jump"].recurrence_class == "almost_automorphic"
+
+
+def test_profile_table_matches_direct_evaluation_bitwise():
+    # the drivers read profile values from tables built once per grid; each
+    # entry must carry the same bits as evaluating the profile at that time
+    profiles = [
+        L.constant_profile(0.3),
+        L.periodic_profile(0.7, 2.0, 0.3),
+        L.harmonic_profile(amps=(0.125, 0.125), freqs=(1.0, np.sqrt(3.0)),
+                           phases=(0.0, np.pi / 2.0)),
+        L.reciprocal_profile(1.0 / 3.0, 2.0, (1.0,), (np.sqrt(2.0),)),
+        # denominator 2 + 2 sin(t - pi/2) is exactly 0 at t = 0
+        L.trig_reciprocal_profile("cos", 0.2, 2.0, (1.0, 1.0), (1.0, 1.0),
+                                  (-np.pi / 2.0, -np.pi / 2.0)),
+        L.trig_reciprocal_profile("sin", 0.25, 3.0, (1.0, 1.0), (1.0, np.pi)),
+        L.clipped_ramp_profile(1.5, 0.5),
+        L.harmonic_profile(amps=(1.0, 0.5), freqs=(1.0, np.sqrt(2.0))).shifted(0.7),
+    ]
+    coef = L.coefficient(*((p, L.linear_map(1.0)) for p in profiles))
+    t = np.concatenate([np.linspace(-6.0, 6.0, 1201), [0.0, 2.0 * np.pi, 1e-300]])
+    with np.errstate(invalid="ignore"):
+        table = coef.profile_table(t)
+        assert table.shape == (t.size, len(profiles))
+        for k, prof in enumerate(profiles):
+            direct = np.array([prof(ti) for ti in t])
+            assert np.array_equal(table[:, k].view(np.int64), direct.view(np.int64)), k
+    assert table[t.size - 3, 4] == 0.0      # the guarded zero denominator
