@@ -14,6 +14,7 @@ a failed condition check), 4 numerical blowup.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -22,7 +23,7 @@ import numpy as np
 from .config import (ExperimentConfig, RunSection, canonical_json, load_config,
                      parse_config, _require)
 from .errors import ConfigError, InputError, NumericalBlowupError, ThresholdError
-from .model import check_conditions, theorem_constants
+from .model import check_conditions, stability_margin, theorem_constants
 from .integrator import integrate
 from .noise import sample_noise
 from .presets import example61_model, example62_model
@@ -55,6 +56,32 @@ def _write(out_dir: str, name: str, text: str) -> str:
     return path
 
 
+def _write_csv(cfg: ExperimentConfig, name: str, table) -> None:
+    """Write ``table`` (anything with ``to_csv(path)``) when CSV output is on."""
+    if "csv" in cfg.formats:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        path = os.path.join(cfg.out_dir, name)
+        table.to_csv(path)
+        print(f"wrote {path}")
+
+
+def _bounded_moment(model, run: RunSection, n_obs: int):
+    """Pullback plan, observation times, and E|Y|^2 with its standard error
+    over a bounded-solution ensemble on the run window."""
+    plan = pullback_plan(model, run.tolerance)
+    obs = np.linspace(run.window[0], run.window[1], n_obs)
+    res = bounded_ensemble(model, run.window, run.tolerance, run.n_paths,
+                           run.seed, obs, run.step)
+    msq, se = res.mean_sq_norm()
+    return plan, res.times, msq, se
+
+
+def _ball_summary(plan, msq, se) -> dict:
+    return {"t_pull": plan.t_pull, "margin": plan.margin, "radius": plan.radius,
+            "max_second_moment": float(msq.max()),
+            "within_ball": bool(np.all(msq <= plan.radius**2 + 3 * se))}
+
+
 def _check_payload(model) -> tuple[dict, bool]:
     report = check_conditions(model)
     tc = theorem_constants(model)
@@ -63,7 +90,7 @@ def _check_payload(model) -> tuple[dict, bool]:
     return payload, report.all_passed
 
 
-def run_check(cfg: ExperimentConfig, threads: int = 1) -> int:
+def run_check(cfg: ExperimentConfig) -> int:
     _require(cfg.experiment, "experiment", {"kind"}, {"require"})
     payload, ok = _check_payload(cfg.model)
     wanted = cfg.experiment.get("require")
@@ -73,7 +100,7 @@ def run_check(cfg: ExperimentConfig, threads: int = 1) -> int:
     return 0 if ok else 3
 
 
-def run_simulate(cfg: ExperimentConfig, threads: int = 1) -> int:
+def run_simulate(cfg: ExperimentConfig) -> int:
     _require(cfg.experiment, "experiment", {"kind", "y0"}, set())
     t0, t1 = cfg.run.window
     model = cfg.model
@@ -81,10 +108,7 @@ def run_simulate(cfg: ExperimentConfig, threads: int = 1) -> int:
     y0 = np.broadcast_to(np.asarray(cfg.experiment["y0"], dtype=float),
                          (model.dim,))
     path = integrate(model, noise, t0, t1, y0, cfg.run.step)
-    if "csv" in cfg.formats:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        path.to_csv(os.path.join(cfg.out_dir, "path.csv"))
-        print(f"wrote {os.path.join(cfg.out_dir, 'path.csv')}")
+    _write_csv(cfg, "path.csv", path)
     summary = {"window": list(cfg.run.window), "step": cfg.run.step,
                "seed": cfg.run.seed, "n_grid": int(path.times.size),
                "n_small_jumps": int(np.sum(path.jump_flags == 1)),
@@ -94,26 +118,16 @@ def run_simulate(cfg: ExperimentConfig, threads: int = 1) -> int:
     return 0
 
 
-def run_bounded(cfg: ExperimentConfig, threads: int = 1) -> int:
+def run_bounded(cfg: ExperimentConfig) -> int:
     _require(cfg.experiment, "experiment", {"kind"}, {"n_obs"})
     model, run = cfg.model, cfg.run
-    plan = pullback_plan(model, run.tolerance)
     path = bounded_solution(model, run.window, run.tolerance, run.seed, run.step)
+    _write_csv(cfg, "bounded_path.csv", path)
+    plan, times, msq, se = _bounded_moment(model, run,
+                                           int(cfg.experiment.get("n_obs", 21)))
     if "csv" in cfg.formats:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        path.to_csv(os.path.join(cfg.out_dir, "bounded_path.csv"))
-        print(f"wrote {os.path.join(cfg.out_dir, 'bounded_path.csv')}")
-    n_obs = int(cfg.experiment.get("n_obs", 21))
-    obs = np.linspace(run.window[0], run.window[1], n_obs)
-    res = bounded_ensemble(model, run.window, run.tolerance, run.n_paths,
-                           run.seed, obs, run.step, threads=threads)
-    msq, se = res.mean_sq_norm()
-    if "csv" in cfg.formats:
-        with open(os.path.join(cfg.out_dir, "bounded_moment.csv"), "w") as fh:
-            fh.write("t,second_moment,se\n")
-            for t, m, s in zip(res.times, msq, se):
-                fh.write(f"{float(t)!r},{float(m)!r},{float(s)!r}\n")
-        print(f"wrote {os.path.join(cfg.out_dir, 'bounded_moment.csv')}")
+        _write(cfg.out_dir, "bounded_moment.csv", "t,second_moment,se\n" + "".join(
+            f"{float(t)!r},{float(m)!r},{float(s)!r}\n" for t, m, s in zip(times, msq, se)))
     summary = {"t_pull": plan.t_pull, "margin": plan.margin, "tol": plan.tol,
                "radius": plan.radius, "n_paths": run.n_paths,
                "max_second_moment": float(msq.max()),
@@ -125,7 +139,7 @@ def run_bounded(cfg: ExperimentConfig, threads: int = 1) -> int:
     return 0
 
 
-def run_recurrence(cfg: ExperimentConfig, threads: int = 1) -> int:
+def run_recurrence(cfg: ExperimentConfig) -> int:
     _require(cfg.experiment, "experiment", {"kind", "epsilon"},
              {"scan_window", "tau_step", "sup_horizon", "coefficient", "tau",
               "t_grid_n", "n_boot"})
@@ -151,29 +165,22 @@ def run_recurrence(cfg: ExperimentConfig, threads: int = 1) -> int:
                              int(ex.get("t_grid_n", 5)))
         dist = distributional_almost_period_test(
             model, float(tau), t_grid, run.n_paths, run.seed, tol=run.tolerance,
-            max_step=run.step, n_boot=int(ex.get("n_boot", 20)), threads=threads)
-        if "csv" in cfg.formats:
-            os.makedirs(cfg.out_dir, exist_ok=True)
-            dist.to_csv(os.path.join(cfg.out_dir, "distributional.csv"))
-            print(f"wrote {os.path.join(cfg.out_dir, 'distributional.csv')}")
+            max_step=run.step, n_boot=int(ex.get("n_boot", 20)))
+        _write_csv(cfg, "distributional.csv", dist)
         payload["distributional"] = {"tau": dist.tau, "max_beta": dist.max_beta,
                                      "passed": dist.passed, "positive": dist.positive}
     _write(cfg.out_dir, "recurrence_report.json", canonical_json(payload))
     return 0
 
 
-def run_stability(cfg: ExperimentConfig, threads: int = 1) -> int:
+def run_stability(cfg: ExperimentConfig) -> int:
     _require(cfg.experiment, "experiment", {"kind", "y0a", "y0b"},
              {"horizon", "ultimate_y0"})
     ex, run, model = cfg.experiment, cfg.run, cfg.model
     horizon = float(ex.get("horizon", run.window[1] - run.window[0]))
     curve = gap_experiment(model, float(ex["y0a"]), float(ex["y0b"]), horizon,
-                           run.n_paths, run.seed, max_step=run.step,
-                           threads=threads)
-    if "csv" in cfg.formats:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        curve.to_csv(os.path.join(cfg.out_dir, "stability_gap.csv"))
-        print(f"wrote {os.path.join(cfg.out_dir, 'stability_gap.csv')}")
+                           run.n_paths, run.seed, max_step=run.step)
+    _write_csv(cfg, "stability_gap.csv", curve)
     payload = {"gap0": float(curve.gap[0])}
     try:
         rate, r2 = fit_decay_rate(curve)
@@ -183,18 +190,17 @@ def run_stability(cfg: ExperimentConfig, threads: int = 1) -> int:
         payload["fit_error"] = str(exc)
     ub = ultimate_bound_check(model, horizon, run.n_paths,
                               float(ex.get("ultimate_y0", ex["y0a"])),
-                              run.seed, max_step=run.step, threads=threads)
+                              run.seed, max_step=run.step)
     payload["ultimate_bound"] = ub.to_dict()
-    from .model import stability_margin as _margin
-    payload["margin"] = _margin(model.K, model.omega,
-                                model.coefficients.lipschitz_L, model.b)
+    payload["margin"] = stability_margin(model.K, model.omega,
+                                         model.coefficients.lipschitz_L, model.b)
     payload["definitions"] = {"margin": "w - 5 (1/w + 4 + 2b/w) K^2 L^2",
                               "ultimate_bound": "limsup E|Y|^2 < r + 1"}
     _write(cfg.out_dir, "stability_summary.json", canonical_json(payload))
     return 0
 
 
-def run_example61(cfg: ExperimentConfig, threads: int = 1) -> int:
+def run_example61(cfg: ExperimentConfig) -> int:
     _require(cfg.experiment, "experiment", {"kind"},
              {"b", "small_rate", "forcing", "A0", "epsilon", "scan_window",
               "tau_step", "sup_horizon", "n_boot"})
@@ -211,15 +217,8 @@ def run_example61(cfg: ExperimentConfig, threads: int = 1) -> int:
         _write(cfg.out_dir, "example61_summary.json", canonical_json(payload))
         return 3
 
-    plan = pullback_plan(model, run.tolerance)
-    obs = np.linspace(run.window[0], run.window[1], 21)
-    res = bounded_ensemble(model, run.window, run.tolerance, run.n_paths,
-                           run.seed, obs, run.step, threads=threads)
-    msq, se = res.mean_sq_norm()
-    payload["bounded"] = {"t_pull": plan.t_pull, "margin": plan.margin,
-                          "radius": plan.radius,
-                          "max_second_moment": float(msq.max()),
-                          "within_ball": bool(np.all(msq <= plan.radius**2 + 3 * se))}
+    plan, _, msq, se = _bounded_moment(model, run, 21)
+    payload["bounded"] = _ball_summary(plan, msq, se)
 
     scan = almost_periods([p for p, _ in model.coefficients.drift.terms],
                           float(ex.get("epsilon", 0.05)),
@@ -232,13 +231,12 @@ def run_example61(cfg: ExperimentConfig, threads: int = 1) -> int:
                          run.window[0] + min(4.0, run.window[1] - run.window[0]), 5)
     dist = distributional_almost_period_test(
         model, tau, t_grid, run.n_paths, run.seed, tol=run.tolerance,
-        max_step=run.step, n_boot=int(ex.get("n_boot", 20)), threads=threads)
+        max_step=run.step, n_boot=int(ex.get("n_boot", 20)))
     payload["distributional"] = {"tau": dist.tau, "max_beta": dist.max_beta,
                                  "passed": dist.passed}
 
     curve = gap_experiment(model, 1.0, 3.0, min(10.0, run.window[1] - run.window[0]),
-                           run.n_paths, run.seed, max_step=run.step,
-                           threads=threads)
+                           run.n_paths, run.seed, max_step=run.step)
     bound_ok = bool(np.all(curve.gap <= 5.0 * curve.gap[0]
                            * np.exp(-plan.margin * curve.times) + 3.0 * curve.se))
     payload["stability"] = {"gap0": float(curve.gap[0]), "bound_satisfied": bound_ok}
@@ -247,17 +245,13 @@ def run_example61(cfg: ExperimentConfig, threads: int = 1) -> int:
         payload["stability"].update(fitted_rate=rate, r_squared=r2)
     except InputError as exc:
         payload["stability"]["fit_error"] = str(exc)
-    if "csv" in cfg.formats:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        curve.to_csv(os.path.join(cfg.out_dir, "example61_gap.csv"))
-        dist.to_csv(os.path.join(cfg.out_dir, "example61_distributional.csv"))
-        print(f"wrote {os.path.join(cfg.out_dir, 'example61_gap.csv')}")
-        print(f"wrote {os.path.join(cfg.out_dir, 'example61_distributional.csv')}")
+    _write_csv(cfg, "example61_gap.csv", curve)
+    _write_csv(cfg, "example61_distributional.csv", dist)
     _write(cfg.out_dir, "example61_summary.json", canonical_json(payload))
     return 0 if (payload["bounded"]["within_ball"] and bound_ok and dist.passed) else 3
 
 
-def run_example62(cfg: ExperimentConfig, threads: int = 1) -> int:
+def run_example62(cfg: ExperimentConfig) -> int:
     _require(cfg.experiment, "experiment", {"kind"},
              {"n_modes", "b", "small_rate", "q_base", "q_decay"})
     ex, run = cfg.experiment, cfg.run
@@ -277,23 +271,15 @@ def run_example62(cfg: ExperimentConfig, threads: int = 1) -> int:
         return 3
 
     # zero-noise single-mode decay control
-    from .presets import example62_model as _build
-    m1 = _build(n_modes=1, b=0.0, small_rate=0.0, q_base=0.0, drift_scale=0.0)
+    m1 = example62_model(n_modes=1, b=0.0, small_rate=0.0, q_base=0.0, drift_scale=0.0)
     noise = sample_noise(m1.wiener, m1.jumps, (0.0, 0.5), run.seed)
     path = integrate(m1, noise, 0.0, 0.5, [1.0], run.step)
     exact = float(np.exp(-np.pi**2 * 0.5))
     payload["mode_decay"] = {"relative_error":
                              abs(float(path.values[-1, 0]) - exact) / exact}
 
-    obs = np.linspace(run.window[0], run.window[1], 11)
-    res = bounded_ensemble(model, run.window, run.tolerance, run.n_paths,
-                           run.seed, obs, run.step, threads=threads)
-    msq, se = res.mean_sq_norm()
-    plan = pullback_plan(model, run.tolerance)
-    payload["bounded"] = {"t_pull": plan.t_pull, "margin": plan.margin,
-                          "radius": plan.radius,
-                          "max_second_moment": float(msq.max()),
-                          "within_ball": bool(np.all(msq <= plan.radius**2 + 3 * se))}
+    plan, _, msq, se = _bounded_moment(model, run, 11)
+    payload["bounded"] = _ball_summary(plan, msq, se)
     _write(cfg.out_dir, "example62_summary.json", canonical_json(payload))
     return 0 if payload["bounded"]["within_ball"] else 3
 
@@ -322,7 +308,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON experiment configuration")
     parser.add_argument("--seed", type=int, help="override run.seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for path ensembles")
+                        help="ignored; ensembles run on one thread")
     parser.add_argument("--out", help="override output.directory")
     args = parser.parse_args(argv)
 
@@ -338,18 +324,12 @@ def main(argv=None) -> int:
                               f"{cfg.experiment.get('kind')!r}, command is "
                               f"{args.command!r}")
         if args.seed is not None:
-            cfg = ExperimentConfig(model=cfg.model,
-                                   run=RunSection(cfg.run.window, cfg.run.step,
-                                                  cfg.run.n_paths, args.seed,
-                                                  cfg.run.tolerance),
-                                   experiment=cfg.experiment,
-                                   out_dir=cfg.out_dir, formats=cfg.formats,
-                                   raw=cfg.raw)
+            if args.seed < 0:
+                raise ConfigError(f"--seed: expected an integer >= 0, got {args.seed}")
+            cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, seed=args.seed))
         if args.out:
-            cfg = ExperimentConfig(model=cfg.model, run=cfg.run,
-                                   experiment=cfg.experiment, out_dir=args.out,
-                                   formats=cfg.formats, raw=cfg.raw)
-        return _RUNNERS[args.command](cfg, threads=max(1, args.threads))
+            cfg = dataclasses.replace(cfg, out_dir=args.out)
+        return _RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ parameters.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -41,11 +42,29 @@ def _require(section: dict, path: str, keys: set[str], optional: set[str] = froz
         raise ConfigError(f"{path}.{sorted(missing)[0]}: required key missing")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(section: dict, path: str, key: str):
     v = section[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    if not _is_number(v):
         raise ConfigError(f"{path}.{key}: expected a number, got {type(v).__name__}")
     return float(v)
+
+
+def _positive(section: dict, path: str, key: str, default=None) -> float:
+    v = _number(section, path, key) if key in section else default
+    if not (math.isfinite(v) and v > 0):
+        raise ConfigError(f"{path}.{key}: expected a finite number > 0, got {v!r}")
+    return v
+
+
+def _count(section: dict, path: str, key: str, least: int) -> int:
+    v = section[key]
+    if not (isinstance(v, int) and not isinstance(v, bool) and v >= least):
+        raise ConfigError(f"{path}.{key}: expected an integer >= {least}, got {v!r}")
+    return v
 
 
 def parse_profile(d: dict, path: str) -> TimeProfile:
@@ -210,20 +229,24 @@ def parse_config(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ConfigError("top level: expected an object")
     _require(d, "config", {"run", "experiment"}, {"model", "output"})
-    rn = d["run"]
-    _require(rn, "run", {"window", "step", "n_paths", "seed"}, {"tolerance"})
-    w = rn["window"]
-    if not (isinstance(w, list) and len(w) == 2 and w[0] < w[1]):
-        raise ConfigError("run.window: expected [t0, t1] with t0 < t1")
-    run = RunSection(window=(float(w[0]), float(w[1])),
-                     step=_number(rn, "run", "step"),
-                     n_paths=int(rn["n_paths"]), seed=int(rn["seed"]),
-                     tolerance=float(rn.get("tolerance", 0.02)))
     ex = d["experiment"]
     if not isinstance(ex, dict) or "kind" not in ex:
         raise ConfigError("experiment.kind: required key missing")
     if ex["kind"] not in EXPERIMENT_KINDS:
         raise ConfigError(f"experiment.kind: unknown kind {ex['kind']!r}")
+    rn = d["run"]
+    _require(rn, "run", {"window", "step", "n_paths", "seed"}, {"tolerance"})
+    w = rn["window"]
+    if not (isinstance(w, list) and len(w) == 2
+            and all(_is_number(v) and math.isfinite(v) for v in w) and w[0] < w[1]):
+        raise ConfigError("run.window: expected [t0, t1] of finite numbers with t0 < t1")
+    # every kind but check and simulate reports a Monte Carlo standard error
+    min_paths = 1 if ex["kind"] in ("check", "simulate") else 2
+    run = RunSection(window=(float(w[0]), float(w[1])),
+                     step=_positive(rn, "run", "step"),
+                     n_paths=_count(rn, "run", "n_paths", min_paths),
+                     seed=_count(rn, "run", "seed", 0),
+                     tolerance=_positive(rn, "run", "tolerance", 0.02))
     model = None
     if ex["kind"] not in ("example61", "example62"):
         if "model" not in d:

@@ -2,8 +2,9 @@
 
 Paths are advanced together on a shared grid (uniform ``max_step`` nodes
 plus any requested observation times); each path owns an independent
-noise stream keyed by ``(master_seed, path_index)``, so results are
-independent of chunking and thread count, and two ensembles launched
+noise stream keyed by ``(master_seed, path_index)``, so a path's states
+do not depend on the other paths or on chunking (bit for bit without a
+Galerkin transform, to rounding with one), and two ensembles launched
 with the same master seed are driven by the *same* noise realization
 path-for-path (the coupling used by every gap experiment).
 
@@ -21,7 +22,6 @@ profiles and both decay factors at its event times once.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +32,7 @@ from .integrator import (JUMP_LARGE, JUMP_SMALL, check_finite, refined_grid,
 from .model import SdeModel
 from .noise import sample_jumps, sample_wiener_increments
 
-CHUNK = 1024   # fixed so that results never depend on the thread count
+CHUNK = 1024   # paths per chunk; bounds the (n_steps, CHUNK, dim) Wiener block
 
 
 def _path_seed(master: int, index: int) -> np.random.SeedSequence:
@@ -142,13 +142,12 @@ def _run_chunk(model: SdeModel, step, grid, obs_idx, y0_chunk, seeds, window):
 
 
 def simulate_ensemble(model: SdeModel, window, y0, n_paths: int, max_step: float,
-                      seed: int, obs_times, threads: int = 1) -> EnsembleResult:
+                      seed: int, obs_times) -> EnsembleResult:
     """Simulate ``n_paths`` independent paths and record the states at
     ``obs_times`` (snapped into the shared grid).
 
     ``y0`` may be a scalar, a state vector, or an (n_paths, dim) array.
-    Determinism: the result is a pure function of the arguments; the
-    thread count only affects wall time.
+    Determinism: the result is a pure function of the arguments.
     """
     t0, t1 = float(window[0]), float(window[1])
     obs = np.unique(np.asarray(obs_times, dtype=float))
@@ -164,19 +163,11 @@ def simulate_ensemble(model: SdeModel, window, y0, n_paths: int, max_step: float
     if y0.shape != (n_paths, model.dim):
         raise InputError("y0 must broadcast to (n_paths, dim)")
 
-    bounds = [(lo, min(lo + CHUNK, n_paths)) for lo in range(0, n_paths, CHUNK)]
     step = step_kernel(model, grid)
-
-    def work(bound):
-        lo, hi = bound
-        seeds = [_path_seed(seed, p) for p in range(lo, hi)]
-        return _run_chunk(model, step, grid, obs_idx, y0[lo:hi], seeds, (t0, t1))
-
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, bounds))
-    else:
-        parts = [work(b) for b in bounds]
+    parts = [_run_chunk(model, step, grid, obs_idx, y0[lo:lo + CHUNK],
+                        [_path_seed(seed, p) for p in range(lo, min(lo + CHUNK, n_paths))],
+                        (t0, t1))
+             for lo in range(0, n_paths, CHUNK)]
     states = np.concatenate(parts, axis=1)
     return EnsembleResult(times=grid[obs_idx], states=states,
                           seed=int(seed), max_step=float(max_step))
@@ -198,18 +189,15 @@ class GapCurve:
 
 
 def coupled_gap(model_a: SdeModel, model_b: SdeModel, y0a, y0b, window,
-                n_paths: int, max_step: float, seed: int, obs_times,
-                threads: int = 1) -> GapCurve:
+                n_paths: int, max_step: float, seed: int, obs_times) -> GapCurve:
     """Mean-square gap between two runs driven by the same noise.
 
     Per-time ensemble mean of |Y_a - Y_b|^2 with its Monte Carlo standard
     error; the coupling is synchronous (identical Wiener increments and
     jump events path-for-path via the shared master seed).
     """
-    res_a = simulate_ensemble(model_a, window, y0a, n_paths, max_step, seed,
-                              obs_times, threads)
-    res_b = simulate_ensemble(model_b, window, y0b, n_paths, max_step, seed,
-                              obs_times, threads)
+    res_a = simulate_ensemble(model_a, window, y0a, n_paths, max_step, seed, obs_times)
+    res_b = simulate_ensemble(model_b, window, y0b, n_paths, max_step, seed, obs_times)
     sq = np.sum((res_a.states - res_b.states) ** 2, axis=2)
     gap = sq.mean(axis=1)
     se = sq.std(axis=1, ddof=1) / np.sqrt(n_paths) if n_paths > 1 else np.zeros_like(gap)

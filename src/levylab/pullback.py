@@ -87,20 +87,19 @@ def bounded_solution(model: SdeModel, window, tol: float, seed: int,
 
 def bounded_ensemble(model: SdeModel, window, tol: float, n_paths: int,
                      seed: int, obs_times, max_step: float = 1e-2,
-                     start_state=None, threads: int = 1,
-                     t_pull: float | None = None) -> EnsembleResult:
+                     start_state=None, t_pull: float | None = None) -> EnsembleResult:
     """Ensemble of independent bounded-solution paths observed on the window."""
     t0, t1 = float(window[0]), float(window[1])
     plan = pullback_plan(model, tol, start_state)
     t_pull = plan.t_pull if t_pull is None else float(t_pull)
     y0 = np.zeros(model.dim) if start_state is None else np.asarray(start_state, float)
     return simulate_ensemble(model, (t0 - t_pull, t1), y0, n_paths,
-                             max_step, seed, obs_times, threads)
+                             max_step, seed, obs_times)
 
 
 def forgetting_check(model: SdeModel, window, seed: int, y0a, y0b,
                      n_paths: int = 256, max_step: float = 1e-2,
-                     n_obs: int = 41, threads: int = 1) -> GapCurve:
+                     n_obs: int = 41) -> GapCurve:
     """Same-noise squared gap between two initial conditions over time.
 
     The curve is the empirical version of the contraction estimate: it
@@ -110,4 +109,4 @@ def forgetting_check(model: SdeModel, window, seed: int, y0a, y0b,
     t0, t1 = float(window[0]), float(window[1])
     obs = np.linspace(t0, t1, n_obs)
     return coupled_gap(model, model, y0a, y0b, (t0, t1), n_paths, max_step,
-                       seed, obs, threads)
+                       seed, obs)

@@ -309,8 +309,7 @@ def distributional_almost_period_test(model: SdeModel, tau: float, t_grid,
                                       n_paths: int, seed: int, *,
                                       tol: float = 0.02, max_step: float = 5e-3,
                                       n_boot: int = 30, max_support: int = 400,
-                                      observables=None, threads: int = 1
-                                      ) -> DistributionalReport:
+                                      observables=None) -> DistributionalReport:
     """Compare the law of the bounded solution at t with the law at t + tau.
 
     Builds ``n_paths`` independent bounded solutions by pullback, then at
@@ -321,7 +320,7 @@ def distributional_almost_period_test(model: SdeModel, tau: float, t_grid,
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     obs = np.unique(np.concatenate([t_grid, t_grid + tau]))
     res = bounded_ensemble(model, (t_grid[0], t_grid[-1] + tau), tol, n_paths,
-                           seed, obs, max_step, threads=threads)
+                           seed, obs, max_step)
     coords = observables if observables is not None else list(range(min(model.dim, 3)))
 
     def states_at(t):
@@ -390,8 +389,7 @@ class ShiftCouplingResult:
 
 def shift_coupling_gap(model: SdeModel, tau: float, window, n_paths: int,
                        seed: int, *, tol: float = 0.02, max_step: float = 5e-3,
-                       n_obs: int = 41, sup_horizon: float = 60.0,
-                       threads: int = 1) -> ShiftCouplingResult:
+                       n_obs: int = 41, sup_horizon: float = 60.0) -> ShiftCouplingResult:
     """Integrate, against the same noise, the bounded solutions of the
     tau-shifted and unshifted coefficient quadruples, and compare the
     measured sup mean-square gap with its explicit bound.
@@ -399,10 +397,9 @@ def shift_coupling_gap(model: SdeModel, tau: float, window, n_paths: int,
     t0, t1 = float(window[0]), float(window[1])
     obs = np.linspace(t0, t1, n_obs)
     plan = pullback_plan(model, tol)
-    res_a = bounded_ensemble(model, (t0, t1), tol, n_paths, seed, obs,
-                             max_step, threads=threads)
+    res_a = bounded_ensemble(model, (t0, t1), tol, n_paths, seed, obs, max_step)
     res_b = bounded_ensemble(model.shifted(tau), (t0, t1), tol, n_paths, seed,
-                             obs, max_step, threads=threads)
+                             obs, max_step)
     sq = np.sum((res_a.states - res_b.states) ** 2, axis=2)
     gap = sq.mean(axis=1)
     se = sq.std(axis=1, ddof=1) / np.sqrt(n_paths)

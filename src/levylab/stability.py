@@ -21,12 +21,24 @@ from .model import SdeModel, compute_radius, stability_margin
 
 
 def gap_experiment(model: SdeModel, y0a, y0b, horizon: float, n_paths: int,
-                   seed: int, max_step: float = 5e-3, n_obs: int = 51,
-                   threads: int = 1) -> GapCurve:
+                   seed: int, max_step: float = 5e-3, n_obs: int = 51) -> GapCurve:
     """Per-time ensemble mean of |Y_a(t) - Y_b(t)|^2 under same-noise coupling."""
     obs = np.linspace(0.0, horizon, n_obs)
     return coupled_gap(model, model, y0a, y0b, (0.0, horizon), n_paths,
-                       max_step, seed, obs, threads)
+                       max_step, seed, obs)
+
+
+def _log_linear_fit(curve: GapCurve, se_factor: float):
+    """Least-squares line through log(gap) vs t over the points where the
+    gap exceeds ``se_factor`` times its standard error: ``(t, log gap,
+    residuals, slope)``."""
+    mask = (curve.gap > 0) & (curve.gap > se_factor * curve.se)
+    t, g = curve.times[mask], np.log(curve.gap[mask])
+    if t.size < 5:
+        raise InputError(f"only {t.size} usable points; need at least 5 "
+                         "above the noise floor for a rate fit")
+    coef = np.polyfit(t, g, 1)
+    return t, g, g - np.polyval(coef, t), float(coef[0])
 
 
 def fit_decay_rate(curve: GapCurve, se_factor: float = 10.0):
@@ -37,28 +49,16 @@ def fit_decay_rate(curve: GapCurve, se_factor: float = 10.0):
     curve is deterministic).  Returns ``(rate, r_squared)`` with the rate
     sign-flipped so decay is positive.
     """
-    mask = (curve.gap > 0) & (curve.gap > se_factor * curve.se)
-    t, g = curve.times[mask], np.log(curve.gap[mask])
-    if t.size < 5:
-        raise InputError(f"only {t.size} usable points; need at least 5 "
-                         "above the noise floor for a rate fit")
-    coef = np.polyfit(t, g, 1)
-    resid = g - np.polyval(coef, t)
+    _, g, resid, slope = _log_linear_fit(curve, se_factor)
     ss_tot = float(np.sum((g - g.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return -float(coef[0]), r2
+    return -slope, r2
 
 
 def fit_rate_stderr(curve: GapCurve, se_factor: float = 10.0) -> float:
     """Standard error of the fitted decay rate (ordinary LS formula)."""
-    mask = (curve.gap > 0) & (curve.gap > se_factor * curve.se)
-    t, g = curve.times[mask], np.log(curve.gap[mask])
-    if t.size < 5:
-        raise InputError("insufficient data for a rate fit")
-    coef = np.polyfit(t, g, 1)
-    resid = g - np.polyval(coef, t)
-    dof = max(t.size - 2, 1)
-    s2 = float(np.sum(resid**2)) / dof
+    t, _, resid, _ = _log_linear_fit(curve, se_factor)
+    s2 = float(np.sum(resid**2)) / max(t.size - 2, 1)
     sxx = float(np.sum((t - t.mean()) ** 2))
     return float(np.sqrt(s2 / sxx))
 
@@ -76,8 +76,8 @@ class UltimateBoundReport:
 
 
 def ultimate_bound_check(model: SdeModel, horizon: float, n_paths: int, y0,
-                         seed: int, max_step: float = 5e-3, n_obs_tail: int = 11,
-                         threads: int = 1) -> UltimateBoundReport:
+                         seed: int, max_step: float = 5e-3,
+                         n_obs_tail: int = 11) -> UltimateBoundReport:
     """Estimate E|Y(t)|^2 over the final 20% of the horizon from start y0.
 
     Passes when the estimate plus three standard errors stays below
@@ -90,8 +90,7 @@ def ultimate_bound_check(model: SdeModel, horizon: float, n_paths: int, y0,
     if margin <= 0:
         raise InputError("stability margin must be positive for a meaningful tail")
     obs = np.linspace(0.8 * horizon, horizon, n_obs_tail)
-    res = simulate_ensemble(model, (0.0, horizon), y0, n_paths, max_step, seed,
-                            obs, threads)
+    res = simulate_ensemble(model, (0.0, horizon), y0, n_paths, max_step, seed, obs)
     sq = np.sum(res.states**2, axis=2)        # (n_obs, n_paths)
     per_path = sq.mean(axis=0)                # time-average first: paths stay iid
     est = float(per_path.mean())

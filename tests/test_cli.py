@@ -223,3 +223,34 @@ def test_example62_bundle(tmp_path):
 def test_command_config_kind_mismatch(tmp_path):
     cfg = _write_cfg(tmp_path, "c.json", _base_cfg("check", tmp_path))
     assert main(["simulate", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_paths", 0), ("n_paths", -5), ("n_paths", 1), ("step", 0.0),
+    ("step", -1.0), ("step", float("nan")), ("tolerance", 0.0),
+    ("tolerance", -1.0), ("seed", -1), ("seed", "abc"), ("window", ["a", "b"]),
+    ("window", [0.0, float("inf")]),
+])
+def test_bad_run_section_exits_2(tmp_path, capsys, key, value):
+    d = {"run": {"window": [0.0, 2.0], "step": 0.05, "n_paths": 10, "seed": 1,
+                 "tolerance": 0.1, key: value},
+         "experiment": {"kind": "example61"},
+         "output": {"directory": str(tmp_path / "o")}}
+    cfg = _write_cfg(tmp_path, "c.json", d)
+    assert main(["example61", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: run.{key}:")
+    assert "Traceback" not in err
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "c.json", _base_cfg("simulate", tmp_path, y0=1.0))
+    assert main(["simulate", "--config", cfg, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --seed:")
+
+
+@pytest.mark.parametrize("kind, extra", [("simulate", {"y0": 1.0}), ("check", {})])
+def test_one_path_accepted_without_standard_errors(tmp_path, kind, extra):
+    d = _base_cfg(kind, tmp_path, **extra)
+    d["run"]["n_paths"] = 1
+    assert main([kind, "--config", _write_cfg(tmp_path, "c.json", d)]) == 0

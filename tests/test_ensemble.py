@@ -5,16 +5,37 @@ import numpy as np
 import pytest
 
 import levylab as L
+from levylab import ensemble
 from levylab.ensemble import _path_seed, simulate_ensemble
 
 
-def test_ensemble_reproducible_and_thread_invariant():
+def test_ensemble_reproducible():
     m = L.presets.example61_model()
     obs = np.linspace(0, 3, 7)
-    a = simulate_ensemble(m, (0.0, 3.0), 1.0, 64, 0.01, 5, obs, threads=1)
-    b = simulate_ensemble(m, (0.0, 3.0), 1.0, 64, 0.01, 5, obs, threads=4)
+    a = simulate_ensemble(m, (0.0, 3.0), 1.0, 64, 0.01, 5, obs)
+    b = simulate_ensemble(m, (0.0, 3.0), 1.0, 64, 0.01, 5, obs)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.times, b.times)
+
+
+@pytest.mark.parametrize("model, atol", [(L.presets.example61_model(), 0.0),
+                                         (L.presets.example62_model(n_modes=8), 1e-15)],
+                         ids=["example61", "heat8"])
+def test_paths_do_not_depend_on_chunking(model, atol, monkeypatch):
+    # a path's states are a function of (seed, path index): the first paths
+    # of a run that spans two chunks match a run of just those paths, and
+    # smaller chunks give the same states.  Scalar models match bit for bit.
+    # Galerkin transforms of a one-row batch (a one-path chunk, or a step in
+    # which one path jumps) take numpy's matrix-vector route, whose rounding
+    # differs from the matrix-matrix one, so the heat model matches to
+    # rounding only.
+    obs = np.linspace(0.0, 0.5, 3)
+    big = simulate_ensemble(model, (0.0, 0.5), 0.5, ensemble.CHUNK + 3, 0.01, 4, obs)
+    small = simulate_ensemble(model, (0.0, 0.5), 0.5, 3, 0.01, 4, obs)
+    np.testing.assert_allclose(small.states, big.states[:, :3], rtol=0, atol=atol)
+    monkeypatch.setattr(ensemble, "CHUNK", 2)
+    split = simulate_ensemble(model, (0.0, 0.5), 0.5, 5, 0.01, 4, obs)
+    np.testing.assert_allclose(split.states, big.states[:, :5], rtol=0, atol=atol)
 
 
 def test_same_seed_couples_noise_across_runs():
