@@ -7,8 +7,9 @@ the experiment section) and writes CSV data plus one canonical summary
 JSON whose floats are formatted at 17 significant digits, so identical
 configs produce byte-identical summaries.
 
-Exit codes: 0 success, 2 config error, 3 threshold violation (including
-a failed condition check), 4 numerical blowup.
+Exit codes: 0 success, 2 config error (or an input the library rejects),
+3 threshold violation (including a failed condition check), 4 numerical
+blowup.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import sys
 import numpy as np
 
 from .config import (ExperimentConfig, RunSection, canonical_json, load_config,
-                     parse_config, _require)
-from .errors import ConfigError, InputError, NumericalBlowupError, ThresholdError
+                     parse_config)
+from .errors import (ConfigError, HorizonError, InfeasibleError, InputError,
+                     NumericalBlowupError, ThresholdError)
 from .model import check_conditions, stability_margin, theorem_constants
 from .integrator import integrate
 from .noise import sample_noise
@@ -91,9 +93,8 @@ def _check_payload(model) -> tuple[dict, bool]:
 
 
 def run_check(cfg: ExperimentConfig) -> int:
-    _require(cfg.experiment, "experiment", {"kind"}, {"require"})
     payload, ok = _check_payload(cfg.model)
-    wanted = cfg.experiment.get("require")
+    wanted = cfg.experiment["require"]
     if wanted is not None:
         ok = all(payload["conditions"][name] for name in wanted)
     _write(cfg.out_dir, "check_summary.json", canonical_json(payload))
@@ -101,12 +102,10 @@ def run_check(cfg: ExperimentConfig) -> int:
 
 
 def run_simulate(cfg: ExperimentConfig) -> int:
-    _require(cfg.experiment, "experiment", {"kind", "y0"}, set())
     t0, t1 = cfg.run.window
     model = cfg.model
     noise = sample_noise(model.wiener, model.jumps, (t0, t1), cfg.run.seed)
-    y0 = np.broadcast_to(np.asarray(cfg.experiment["y0"], dtype=float),
-                         (model.dim,))
+    y0 = np.broadcast_to(cfg.experiment["y0"], (model.dim,))
     path = integrate(model, noise, t0, t1, y0, cfg.run.step)
     _write_csv(cfg, "path.csv", path)
     summary = {"window": list(cfg.run.window), "step": cfg.run.step,
@@ -119,12 +118,10 @@ def run_simulate(cfg: ExperimentConfig) -> int:
 
 
 def run_bounded(cfg: ExperimentConfig) -> int:
-    _require(cfg.experiment, "experiment", {"kind"}, {"n_obs"})
     model, run = cfg.model, cfg.run
     path = bounded_solution(model, run.window, run.tolerance, run.seed, run.step)
     _write_csv(cfg, "bounded_path.csv", path)
-    plan, times, msq, se = _bounded_moment(model, run,
-                                           int(cfg.experiment.get("n_obs", 21)))
+    plan, times, msq, se = _bounded_moment(model, run, cfg.experiment["n_obs"])
     if "csv" in cfg.formats:
         _write(cfg.out_dir, "bounded_moment.csv", "t,second_moment,se\n" + "".join(
             f"{float(t)!r},{float(m)!r},{float(s)!r}\n" for t, m, s in zip(times, msq, se)))
@@ -140,32 +137,24 @@ def run_bounded(cfg: ExperimentConfig) -> int:
 
 
 def run_recurrence(cfg: ExperimentConfig) -> int:
-    _require(cfg.experiment, "experiment", {"kind", "epsilon"},
-             {"scan_window", "tau_step", "sup_horizon", "coefficient", "tau",
-              "t_grid_n", "n_boot"})
     ex, run, model = cfg.experiment, cfg.run, cfg.model
-    which = ex.get("coefficient", "drift")
-    coef = getattr(model.coefficients, which, None)
-    if coef is None:
-        raise ConfigError(f"experiment.coefficient: unknown coefficient {which!r}")
-    profiles = [p for p, _ in coef.terms]
+    which = ex["coefficient"]
+    profiles = [p for p, _ in getattr(model.coefficients, which).terms]
     if not profiles:
         raise ConfigError(f"experiment.coefficient: {which} has no profiles to scan")
-    report = almost_periods(profiles, float(ex["epsilon"]),
-                            float(ex.get("scan_window", 200.0)),
-                            float(ex.get("tau_step", 0.05)),
-                            float(ex.get("sup_horizon", 30.0)))
+    report = almost_periods(profiles, ex["epsilon"], ex["scan_window"], ex["tau_step"],
+                            ex["sup_horizon"])
     payload = {"scan": report.to_dict()}
-    tau = ex.get("tau")
+    tau = ex["tau"]
     if tau is None and len(report.taus) > 1:
         tau = max(report.taus)
     if tau:
         t_grid = np.linspace(run.window[0],
                              run.window[0] + min(4.0, run.window[1] - run.window[0]),
-                             int(ex.get("t_grid_n", 5)))
+                             ex["t_grid_n"])
         dist = distributional_almost_period_test(
-            model, float(tau), t_grid, run.n_paths, run.seed, tol=run.tolerance,
-            max_step=run.step, n_boot=int(ex.get("n_boot", 20)))
+            model, tau, t_grid, run.n_paths, run.seed, tol=run.tolerance,
+            max_step=run.step, n_boot=ex["n_boot"])
         _write_csv(cfg, "distributional.csv", dist)
         payload["distributional"] = {"tau": dist.tau, "max_beta": dist.max_beta,
                                      "passed": dist.passed, "positive": dist.positive}
@@ -174,11 +163,9 @@ def run_recurrence(cfg: ExperimentConfig) -> int:
 
 
 def run_stability(cfg: ExperimentConfig) -> int:
-    _require(cfg.experiment, "experiment", {"kind", "y0a", "y0b"},
-             {"horizon", "ultimate_y0"})
     ex, run, model = cfg.experiment, cfg.run, cfg.model
-    horizon = float(ex.get("horizon", run.window[1] - run.window[0]))
-    curve = gap_experiment(model, float(ex["y0a"]), float(ex["y0b"]), horizon,
+    horizon = ex["horizon"] or run.window[1] - run.window[0]
+    curve = gap_experiment(model, ex["y0a"], ex["y0b"], horizon,
                            run.n_paths, run.seed, max_step=run.step)
     _write_csv(cfg, "stability_gap.csv", curve)
     payload = {"gap0": float(curve.gap[0])}
@@ -188,8 +175,8 @@ def run_stability(cfg: ExperimentConfig) -> int:
                        rate_stderr=fit_rate_stderr(curve))
     except InputError as exc:  # insufficient points is a report, not a failure
         payload["fit_error"] = str(exc)
-    ub = ultimate_bound_check(model, horizon, run.n_paths,
-                              float(ex.get("ultimate_y0", ex["y0a"])),
+    ultimate_y0 = ex["y0a"] if ex["ultimate_y0"] is None else ex["ultimate_y0"]
+    ub = ultimate_bound_check(model, horizon, run.n_paths, ultimate_y0,
                               run.seed, max_step=run.step)
     payload["ultimate_bound"] = ub.to_dict()
     payload["margin"] = stability_margin(model.K, model.omega,
@@ -201,17 +188,9 @@ def run_stability(cfg: ExperimentConfig) -> int:
 
 
 def run_example61(cfg: ExperimentConfig) -> int:
-    _require(cfg.experiment, "experiment", {"kind"},
-             {"b", "small_rate", "forcing", "A0", "epsilon", "scan_window",
-              "tau_step", "sup_horizon", "n_boot"})
     ex, run = cfg.experiment, cfg.run
-    b = float(ex.get("b", 1.0))
-    if b > 1.0:
-        raise ConfigError("experiment.b: the worked example requires b <= 1 "
-                          "for its moment conditions")
-    model = example61_model(b=b, small_rate=float(ex.get("small_rate", 1.0)),
-                            A0=float(ex.get("A0", 1.0)),
-                            forcing=float(ex.get("forcing", 0.0)))
+    model = example61_model(b=ex["b"], small_rate=ex["small_rate"], A0=ex["A0"],
+                            forcing=ex["forcing"])
     payload, ok = _check_payload(model)
     if not ok:
         _write(cfg.out_dir, "example61_summary.json", canonical_json(payload))
@@ -220,18 +199,15 @@ def run_example61(cfg: ExperimentConfig) -> int:
     plan, _, msq, se = _bounded_moment(model, run, 21)
     payload["bounded"] = _ball_summary(plan, msq, se)
 
-    scan = almost_periods([p for p, _ in model.coefficients.drift.terms],
-                          float(ex.get("epsilon", 0.05)),
-                          float(ex.get("scan_window", 200.0)),
-                          float(ex.get("tau_step", 0.05)),
-                          float(ex.get("sup_horizon", 30.0)))
+    scan = almost_periods([p for p, _ in model.coefficients.drift.terms], ex["epsilon"],
+                          ex["scan_window"], ex["tau_step"], ex["sup_horizon"])
     payload["almost_periods"] = scan.to_dict()
     tau = max(scan.taus) if len(scan.taus) > 1 else 2 * np.pi
     t_grid = np.linspace(run.window[0],
                          run.window[0] + min(4.0, run.window[1] - run.window[0]), 5)
     dist = distributional_almost_period_test(
         model, tau, t_grid, run.n_paths, run.seed, tol=run.tolerance,
-        max_step=run.step, n_boot=int(ex.get("n_boot", 20)))
+        max_step=run.step, n_boot=ex["n_boot"])
     payload["distributional"] = {"tau": dist.tau, "max_beta": dist.max_beta,
                                  "passed": dist.passed}
 
@@ -252,14 +228,9 @@ def run_example61(cfg: ExperimentConfig) -> int:
 
 
 def run_example62(cfg: ExperimentConfig) -> int:
-    _require(cfg.experiment, "experiment", {"kind"},
-             {"n_modes", "b", "small_rate", "q_base", "q_decay"})
     ex, run = cfg.experiment, cfg.run
-    model = example62_model(n_modes=int(ex.get("n_modes", 8)),
-                            b=float(ex.get("b", 0.5)),
-                            small_rate=float(ex.get("small_rate", 1.0)),
-                            q_base=float(ex.get("q_base", 0.09)),
-                            q_decay=float(ex.get("q_decay", 2.0)))
+    model = example62_model(n_modes=ex["n_modes"], b=ex["b"], small_rate=ex["small_rate"],
+                            q_base=ex["q_base"], q_decay=ex["q_decay"])
     payload, ok = _check_payload(model)
     payload["spectrum"] = {"omega": model.omega,
                            "eigenvalues": [float(v) for v in model.semigroup.eigenvalues],
@@ -319,9 +290,9 @@ def main(argv=None) -> int:
             cfg = parse_config(dict(_EXAMPLE_DEFAULTS[args.command]))
         else:
             raise ConfigError(f"--config is required for '{args.command}'")
-        if cfg.experiment.get("kind") != args.command:
+        if cfg.experiment["kind"] != args.command:
             raise ConfigError(f"experiment.kind: config says "
-                              f"{cfg.experiment.get('kind')!r}, command is "
+                              f"{cfg.experiment['kind']!r}, command is "
                               f"{args.command!r}")
         if args.seed is not None:
             if args.seed < 0:
@@ -330,7 +301,7 @@ def main(argv=None) -> int:
         if args.out:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
         return _RUNNERS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, InputError, InfeasibleError, HorizonError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ThresholdError as exc:

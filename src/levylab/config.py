@@ -4,9 +4,10 @@ A single JSON file drives every run: a ``model`` section naming registry
 profiles, state maps and mark samplers with explicit parameters, a
 ``run`` section (window, step, paths, seed, tolerance), an ``experiment``
 section choosing the subcommand behavior, and an ``output`` section.
-Validation is strict: unknown keys are rejected with their full path and
-physical quantities (K, omega, Lipschitz constant, growth constant,
-jump rates) have no defaults.
+Each section has a schema mapping every key to ``(check, default)``;
+``_section`` checks them all before anything runs, and each error names
+the full path of one key.  Physical quantities (K, omega, Lipschitz
+constant, growth constant, jump rates) have no defaults.
 
 The ``example61`` and ``example62`` experiment kinds may omit the model
 section; the presets supply it and accept overrides from the experiment
@@ -16,194 +17,244 @@ parameters.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Any
 
 from .errors import ConfigError
 from .galerkin import GalerkinSpec
-from .model import (CoefficientSet, SdeModel, SemigroupSpec, StateMap,
-                    coefficient, jump_coefficient)
-from .noise import JumpMeasureSpec, MarkSampler, WienerSpec
-from .profiles import (TimeProfile, clipped_ramp_profile, constant_profile,
-                       harmonic_profile, reciprocal_profile,
-                       trig_reciprocal_profile)
+from .model import (CONDITION_NAMES, MARK_MODES, STATE_KINDS, CoefficientSet,
+                    SdeModel, SemigroupSpec, StateMap, coefficient, jump_coefficient)
+from .noise import (JumpMeasureSpec, WienerSpec, exp_tail_marks, finite_rank_marks,
+                    point_mass_marks, uniform_shell_marks)
+from .profiles import (OUTERS, clipped_ramp_profile, constant_profile,
+                       harmonic_profile, reciprocal_profile, trig_reciprocal_profile)
 
-EXPERIMENT_KINDS = ("check", "simulate", "bounded", "recurrence", "stability",
-                    "example61", "example62")
-
-
-def _require(section: dict, path: str, keys: set[str], optional: set[str] = frozenset()):
-    unknown = set(section) - keys - set(optional)
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
-    missing = keys - set(section)
-    if missing:
-        raise ConfigError(f"{path}.{sorted(missing)[0]}: required key missing")
+REQUIRED = object()     # the default of a key that must be given
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+# -- checks: each takes (value, key path) and returns the typed value -------
+
+def _fail(path: str, what: str, v):
+    raise ConfigError(f"{path}: expected {what}, got {v!r}")
 
 
-def _number(section: dict, path: str, key: str):
-    v = section[key]
-    if not _is_number(v):
-        raise ConfigError(f"{path}.{key}: expected a number, got {type(v).__name__}")
-    return float(v)
+def _finite(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
-def _positive(section: dict, path: str, key: str, default=None) -> float:
-    v = _number(section, path, key) if key in section else default
-    if not (math.isfinite(v) and v > 0):
-        raise ConfigError(f"{path}.{key}: expected a finite number > 0, got {v!r}")
-    return v
+def _number(bound="", holds=lambda x: True):
+    """A finite number for which ``holds`` is true (``bound`` says so); a float."""
+    def check(v, path):
+        if not (_finite(v) and holds(v)):
+            _fail(path, f"a finite number {bound}".rstrip(), v)
+        return float(v)
+    return check
 
 
-def _count(section: dict, path: str, key: str, least: int) -> int:
-    v = section[key]
-    if not (isinstance(v, int) and not isinstance(v, bool) and v >= least):
-        raise ConfigError(f"{path}.{key}: expected an integer >= {least}, got {v!r}")
-    return v
+def _integer(least: int):
+    def check(v, path):
+        if not (isinstance(v, int) and not isinstance(v, bool) and v >= least):
+            _fail(path, f"an integer >= {least}", v)
+        return v
+    return check
 
 
-def parse_profile(d: dict, path: str) -> TimeProfile:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError(f"{path}: profile needs a 'kind'")
-    kind = d["kind"]
-    if kind == "constant":
-        _require(d, path, {"kind", "value"})
-        return constant_profile(_number(d, path, "value"))
-    if kind == "harmonic":
-        _require(d, path, {"kind", "amps", "freqs"}, {"phases", "recurrence_class"})
-        return harmonic_profile(d["amps"], d["freqs"], d.get("phases"),
-                                d.get("recurrence_class", "quasi_periodic"))
-    if kind == "reciprocal":
-        _require(d, path, {"kind", "amp", "offset", "inner_amps", "inner_freqs"},
-                 {"inner_phases", "recurrence_class"})
-        return reciprocal_profile(d["amp"], d["offset"], d["inner_amps"],
-                                  d["inner_freqs"], d.get("inner_phases"),
-                                  d.get("recurrence_class", "levitan"))
-    if kind == "trig_reciprocal":
-        _require(d, path, {"kind", "outer", "amp", "offset", "inner_amps",
-                           "inner_freqs"}, {"inner_phases", "recurrence_class"})
-        return trig_reciprocal_profile(d["outer"], d["amp"], d["offset"],
-                                       d["inner_amps"], d["inner_freqs"],
-                                       d.get("inner_phases"),
-                                       d.get("recurrence_class", "levitan"))
-    if kind == "clipped_ramp":
-        _require(d, path, {"kind", "bound"}, {"scale"})
-        return clipped_ramp_profile(d["bound"], d.get("scale", 1.0))
-    raise ConfigError(f"{path}.kind: unknown profile kind {kind!r}")
+def _list(item, nonempty=False):
+    """A list whose entries each pass ``item``; a tuple."""
+    def check(v, path):
+        if not (isinstance(v, list) and (v or not nonempty)):
+            _fail(path, "a non-empty list" if nonempty else "a list", v)
+        return tuple(item(x, f"{path}[{i}]") for i, x in enumerate(v))
+    return check
 
 
-def parse_state_map(d: dict, path: str) -> StateMap:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError(f"{path}: state map needs a 'kind'")
-    _require(d, path, {"kind"}, {"scale", "bound"})
-    try:
-        return StateMap(kind=d["kind"], scale=float(d.get("scale", 1.0)),
-                        bound=float(d.get("bound", 1.0)))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _one_of(names):
+    def check(v, path):
+        if not (isinstance(v, str) and v in names):
+            _fail(path, "one of " + ", ".join(names), v)
+        return v
+    return check
 
 
-def parse_marks(d: dict, path: str) -> MarkSampler:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError(f"{path}: mark sampler needs a 'kind'")
-    kind = d["kind"]
-    try:
-        if kind == "uniform_shell":
-            _require(d, path, {"kind", "lo", "hi"}, {"signed"})
-            return MarkSampler(kind=kind, lo=_number(d, path, "lo"),
-                               hi=_number(d, path, "hi"), signed=bool(d.get("signed", False)))
-        if kind == "point_mass":
-            _require(d, path, {"kind", "value"})
-            v = d["value"]
-            atom = tuple(v) if isinstance(v, list) else (float(v),)
-            return MarkSampler(kind=kind, atoms=(atom,), probs=(1.0,))
-        if kind == "exp_tail":
-            _require(d, path, {"kind", "scale"}, {"cut", "signed"})
-            return MarkSampler(kind=kind, scale=_number(d, path, "scale"),
-                               cut=float(d.get("cut", 1.0)), signed=bool(d.get("signed", False)))
-        if kind == "finite_rank":
-            _require(d, path, {"kind", "atoms", "probs"})
-            atoms = tuple(tuple(float(x) for x in a) for a in d["atoms"])
-            return MarkSampler(kind=kind, atoms=atoms,
-                               probs=tuple(float(p) for p in d["probs"]))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown mark sampler kind {kind!r}")
+def _instance(cls, what: str):
+    def check(v, path):
+        if not isinstance(v, cls):
+            _fail(path, what, v)
+        return v
+    return check
 
 
-def _parse_coefficient(d: dict, path: str, jump: bool):
+def _window(v, path):
+    if not (isinstance(v, list) and len(v) == 2 and all(map(_finite, v)) and v[0] < v[1]):
+        _fail(path, "[t0, t1] of finite numbers with t0 < t1", v)
+    return float(v[0]), float(v[1])
+
+
+def _object(schema: dict, build=dict):
+    """An object checked against ``schema`` and passed to ``build`` by key;
+    ``build`` raises ConfigError about one of its keys, ValueError otherwise."""
+    def check(v, path):
+        fields = _section(v, path, schema)
+        try:
+            return build(**fields)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}.{exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return check
+
+
+def _kinded(table: dict):
+    """An object whose ``kind`` picks its ``(constructor, schema)`` in ``table``."""
+    def check(v, path):
+        if not isinstance(v, dict):
+            _fail(path, "an object", v)
+        build, schema = table[_one_of(table)(v.get("kind"), f"{path}.kind")]
+        return _object(schema, build)({k: x for k, x in v.items() if k != "kind"}, path)
+    return check
+
+
+def _section(d, path: str, schema: dict) -> dict:
+    """Check the mapping ``d`` against ``schema``; every key typed, defaults
+    filled in.  A null value stands for a key whose default is null."""
     if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    _require(d, path, {"terms"}, {"mark_mode", "pointwise"} if jump else {"pointwise"})
-    terms = []
-    for i, td in enumerate(d["terms"]):
-        _require(td, f"{path}.terms[{i}]", {"profile", "state_map"})
-        terms.append((parse_profile(td["profile"], f"{path}.terms[{i}].profile"),
-                      parse_state_map(td["state_map"], f"{path}.terms[{i}].state_map")))
-    if jump:
-        return jump_coefficient(*terms, mark_mode=d.get("mark_mode", "ignore"),
-                                pointwise=bool(d.get("pointwise", False)))
-    return coefficient(*terms, pointwise=bool(d.get("pointwise", False)))
+        _fail(path, "an object", d)
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(d) - set(schema))
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown key")
+    missing = [k for k, (_, default) in schema.items() if default is REQUIRED and k not in d]
+    if missing:
+        raise ConfigError(f"{prefix}{missing[0]}: required key missing")
+    out = {}
+    for key, (check, default) in schema.items():
+        v = d.get(key, default)
+        out[key] = None if v is None and default is None else check(v, prefix + key)
+    return out
 
 
-def parse_model(d: dict, path: str = "model") -> SdeModel:
-    _require(d, path, {"semigroup", "wiener", "jumps", "coefficients"}, {"galerkin"})
-    sg = d["semigroup"]
-    _require(sg, f"{path}.semigroup", {"eigenvalues", "K", "omega"})
-    semigroup = SemigroupSpec(eigenvalues=tuple(float(x) for x in sg["eigenvalues"]),
-                              K=_number(sg, f"{path}.semigroup", "K"),
-                              omega=_number(sg, f"{path}.semigroup", "omega"))
-    wn = d["wiener"]
-    _require(wn, f"{path}.wiener", {"mode_variances"}, {"drift"})
-    wiener = WienerSpec(mode_variances=tuple(float(x) for x in wn["mode_variances"]),
-                        drift_a=tuple(float(x) for x in wn["drift"]) if wn.get("drift") else None)
-    jm = d["jumps"]
-    _require(jm, f"{path}.jumps", {"small_rate", "large_rate"},
-             {"small_marks", "large_marks", "truncation_delta", "moment_p"})
-    small_rate = _number(jm, f"{path}.jumps", "small_rate")
-    large_rate = _number(jm, f"{path}.jumps", "large_rate")
-    try:
-        jumps = JumpMeasureSpec(
-            small_rate=small_rate,
-            small_sampler=parse_marks(jm["small_marks"], f"{path}.jumps.small_marks")
-            if small_rate > 0 else None,
-            truncation_delta=float(jm.get("truncation_delta", 0.1)),
-            large_rate=large_rate,
-            large_sampler=parse_marks(jm["large_marks"], f"{path}.jumps.large_marks")
-            if large_rate > 0 else None,
-            moment_p=float(jm.get("moment_p", 2.05)))
-    except ValueError as exc:
-        raise ConfigError(f"{path}.jumps: {exc}") from exc
-    cf = d["coefficients"]
-    _require(cf, f"{path}.coefficients",
-             {"drift", "diffusion", "small_jump", "large_jump", "A0", "lipschitz_L"},
-             {"moment_p"})
-    try:
-        coeffs = CoefficientSet(
-            drift=_parse_coefficient(cf["drift"], f"{path}.coefficients.drift", False),
-            diffusion=_parse_coefficient(cf["diffusion"], f"{path}.coefficients.diffusion", False),
-            small_jump=_parse_coefficient(cf["small_jump"], f"{path}.coefficients.small_jump", True),
-            large_jump=_parse_coefficient(cf["large_jump"], f"{path}.coefficients.large_jump", True),
-            A0=_number(cf, f"{path}.coefficients", "A0"),
-            lipschitz_L=_number(cf, f"{path}.coefficients", "lipschitz_L"),
-            moment_p=float(cf.get("moment_p", 2.05)))
-        galerkin = None
-        if d.get("galerkin"):
-            g = d["galerkin"]
-            _require(g, f"{path}.galerkin", {"n_modes"}, {"collocation_points"})
-            galerkin = GalerkinSpec(n_modes=int(g["n_modes"]),
-                                    collocation_points=int(g.get("collocation_points", 0)))
-        return SdeModel(semigroup=semigroup, coefficients=coeffs, wiener=wiener,
-                        jumps=jumps, galerkin=galerkin)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+_REAL = _number()
+_NONNEG = _number(">= 0", lambda x: x >= 0)
+_POSITIVE = _number("> 0", lambda x: x > 0)
+_STRING = _instance(str, "a string")
+_BOOL = _instance(bool, "true or false")
+_NUMBERS = _list(_REAL)
+_SOME_NUMBERS = _list(_REAL, nonempty=True)
+
+
+def _vector(v, path):
+    """A number or a non-empty list of numbers; a tuple."""
+    return _SOME_NUMBERS(v, path) if isinstance(v, list) else (_REAL(v, path),)
+
+
+# -- the model section --------------------------------------------------------
+
+_RECIPROCAL = {"amp": (_REAL, REQUIRED), "offset": (_REAL, REQUIRED),
+               "inner_amps": (_NUMBERS, REQUIRED), "inner_freqs": (_NUMBERS, REQUIRED),
+               "inner_phases": (_NUMBERS, None), "recurrence_class": (_STRING, "levitan")}
+_PROFILES = {
+    "constant": (constant_profile, {"value": (_REAL, REQUIRED)}),
+    "harmonic": (harmonic_profile, {
+        "amps": (_NUMBERS, REQUIRED), "freqs": (_NUMBERS, REQUIRED),
+        "phases": (_NUMBERS, None), "recurrence_class": (_STRING, "quasi_periodic")}),
+    "reciprocal": (reciprocal_profile, _RECIPROCAL),
+    "trig_reciprocal": (trig_reciprocal_profile, {"outer": (_one_of(OUTERS), REQUIRED),
+                                                  **_RECIPROCAL}),
+    "clipped_ramp": (clipped_ramp_profile, {"bound": (_REAL, REQUIRED),
+                                            "scale": (_REAL, 1.0)}),
+}
+
+_MARKS = {
+    "uniform_shell": (uniform_shell_marks, {"lo": (_NONNEG, REQUIRED), "hi": (_REAL, REQUIRED),
+                                            "signed": (_BOOL, False)}),
+    "point_mass": (point_mass_marks, {"value": (_vector, REQUIRED)}),
+    "exp_tail": (exp_tail_marks, {"scale": (_POSITIVE, REQUIRED), "cut": (_NONNEG, 1.0),
+                                  "signed": (_BOOL, False)}),
+    "finite_rank": (finite_rank_marks, {"atoms": (_list(_vector, nonempty=True), REQUIRED),
+                                        "probs": (_list(_NONNEG, nonempty=True), REQUIRED)}),
+}
+
+
+def _jumps(small_marks, large_marks, **kw):
+    samplers = {}
+    for size, marks in (("small", small_marks), ("large", large_marks)):
+        if kw[f"{size}_rate"] > 0:
+            if marks is None:
+                raise ConfigError(f"{size}_marks: required when {size}_rate > 0")
+            samplers[f"{size}_sampler"] = marks
+    return JumpMeasureSpec(**kw, **samplers)
+
+
+_TERMS = _list(_object({"profile": (_kinded(_PROFILES), REQUIRED),
+                        "state_map": (_object({"kind": (_one_of(STATE_KINDS), REQUIRED),
+                                               "scale": (_REAL, 1.0),
+                                               "bound": (_REAL, 1.0)}, StateMap), REQUIRED)},
+                       lambda profile, state_map: (profile, state_map)))
+_COEFFICIENT = _object({"terms": (_TERMS, REQUIRED), "pointwise": (_BOOL, False)},
+                       lambda terms, pointwise: coefficient(*terms, pointwise=pointwise))
+_JUMP_COEFFICIENT = _object(
+    {"terms": (_TERMS, REQUIRED), "mark_mode": (_one_of(MARK_MODES), "ignore"),
+     "pointwise": (_BOOL, False)},
+    lambda terms, **kw: jump_coefficient(*terms, **kw))
+
+_MODEL = {
+    "semigroup": (_object({"eigenvalues": (_SOME_NUMBERS, REQUIRED),
+                           "K": (_REAL, REQUIRED), "omega": (_REAL, REQUIRED)},
+                          SemigroupSpec), REQUIRED),
+    "wiener": (_object({"mode_variances": (_list(_NONNEG, nonempty=True), REQUIRED),
+                        "drift": (_NUMBERS, None)},
+                       lambda mode_variances, drift: WienerSpec(mode_variances, drift or None)),
+               REQUIRED),
+    "jumps": (_object({"small_rate": (_NONNEG, REQUIRED), "small_marks": (_kinded(_MARKS), None),
+                       "large_rate": (_NONNEG, REQUIRED), "large_marks": (_kinded(_MARKS), None),
+                       "truncation_delta": (_REAL, 0.1), "moment_p": (_REAL, 2.05)},
+                      _jumps), REQUIRED),
+    "coefficients": (_object({"drift": (_COEFFICIENT, REQUIRED),
+                              "diffusion": (_COEFFICIENT, REQUIRED),
+                              "small_jump": (_JUMP_COEFFICIENT, REQUIRED),
+                              "large_jump": (_JUMP_COEFFICIENT, REQUIRED),
+                              "A0": (_NONNEG, REQUIRED), "lipschitz_L": (_NONNEG, REQUIRED),
+                              "moment_p": (_REAL, 2.05)}, CoefficientSet), REQUIRED),
+    "galerkin": (_object({"n_modes": (_integer(1), REQUIRED),
+                          "collocation_points": (_integer(0), 0)}, GalerkinSpec), None),
+}
+
+
+# -- the run, experiment and output sections ----------------------------------
+
+_SCAN = {"epsilon": (_POSITIVE, 0.05), "scan_window": (_POSITIVE, 200.0),
+         "tau_step": (_POSITIVE, 0.05), "sup_horizon": (_POSITIVE, 30.0),
+         "n_boot": (_integer(1), 20)}
+
+# every experiment kind with the keys of its section besides ``kind``
+EXPERIMENTS = {
+    "check": {"require": (_list(_one_of(CONDITION_NAMES)), None)},
+    "simulate": {"y0": (_vector, REQUIRED)},
+    "bounded": {"n_obs": (_integer(1), 21)},
+    "recurrence": {**_SCAN, "epsilon": (_POSITIVE, REQUIRED),
+                   "coefficient": (_one_of(("drift", "diffusion", "small_jump", "large_jump")),
+                                   "drift"),
+                   "tau": (_NONNEG, None), "t_grid_n": (_integer(1), 5)},
+    "stability": {"y0a": (_REAL, REQUIRED), "y0b": (_REAL, REQUIRED),
+                  "horizon": (_POSITIVE, None), "ultimate_y0": (_REAL, None)},
+    # b <= 1 keeps the worked example's moment conditions
+    "example61": {"b": (_number("in [0, 1]", lambda x: 0 <= x <= 1), 1.0),
+                  "small_rate": (_NONNEG, 1.0), "A0": (_NONNEG, 1.0), "forcing": (_REAL, 0.0),
+                  **_SCAN},
+    "example62": {"n_modes": (_integer(1), 8), "b": (_NONNEG, 0.5),
+                  "small_rate": (_NONNEG, 1.0), "q_base": (_NONNEG, 0.09),
+                  "q_decay": (_REAL, 2.0)},
+}
+
+# every kind but check and simulate reports a Monte Carlo standard error
+_RUN = {kind: {"window": (_window, REQUIRED), "step": (_POSITIVE, REQUIRED),
+               "n_paths": (_integer(1 if kind in ("check", "simulate") else 2), REQUIRED),
+               "seed": (_integer(0), REQUIRED), "tolerance": (_POSITIVE, 0.02)}
+        for kind in EXPERIMENTS}
+_OUTPUT = {"directory": (_STRING, "out"),
+           "formats": (_list(_one_of(("csv", "json"))), ["csv", "json"])}
 
 
 @dataclass(frozen=True)
@@ -219,50 +270,28 @@ class RunSection:
 class ExperimentConfig:
     model: SdeModel | None
     run: RunSection
-    experiment: dict
+    experiment: dict        # every key of its kind, typed, defaults filled in
     out_dir: str
     formats: tuple[str, ...]
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def parse_config(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
-        raise ConfigError("top level: expected an object")
-    _require(d, "config", {"run", "experiment"}, {"model", "output"})
-    ex = d["experiment"]
-    if not isinstance(ex, dict) or "kind" not in ex:
-        raise ConfigError("experiment.kind: required key missing")
-    if ex["kind"] not in EXPERIMENT_KINDS:
-        raise ConfigError(f"experiment.kind: unknown kind {ex['kind']!r}")
-    rn = d["run"]
-    _require(rn, "run", {"window", "step", "n_paths", "seed"}, {"tolerance"})
-    w = rn["window"]
-    if not (isinstance(w, list) and len(w) == 2
-            and all(_is_number(v) and math.isfinite(v) for v in w) and w[0] < w[1]):
-        raise ConfigError("run.window: expected [t0, t1] of finite numbers with t0 < t1")
-    # every kind but check and simulate reports a Monte Carlo standard error
-    min_paths = 1 if ex["kind"] in ("check", "simulate") else 2
-    run = RunSection(window=(float(w[0]), float(w[1])),
-                     step=_positive(rn, "run", "step"),
-                     n_paths=_count(rn, "run", "n_paths", min_paths),
-                     seed=_count(rn, "run", "seed", 0),
-                     tolerance=_positive(rn, "run", "tolerance", 0.02))
-    model = None
-    if ex["kind"] not in ("example61", "example62"):
-        if "model" not in d:
-            raise ConfigError("model: required for this experiment kind")
-        model = parse_model(d["model"])
-    elif "model" in d and d["model"] is not None:
-        model = parse_model(d["model"])
-    out = d.get("output", {})
-    _require(out, "output", set(), {"directory", "formats"})
-    formats = tuple(out.get("formats", ["csv", "json"]))
-    for f in formats:
-        if f not in ("csv", "json"):
-            raise ConfigError(f"output.formats: unknown format {f!r}")
-    return ExperimentConfig(model=model, run=run, experiment=dict(ex),
-                            out_dir=out.get("directory", "out"),
-                            formats=formats, raw=d)
+        _fail("config", "an object", d)
+    ex = d.get("experiment")
+    kind = _one_of(EXPERIMENTS)(ex.get("kind") if isinstance(ex, dict) else None,
+                                "experiment.kind")
+    c = _section(d, "", {
+        "experiment": (_object({"kind": (_STRING, REQUIRED), **EXPERIMENTS[kind]}), REQUIRED),
+        "run": (_object(_RUN[kind], RunSection), REQUIRED),
+        "model": (_object(_MODEL, SdeModel),
+                  None if kind in ("example61", "example62") else REQUIRED),
+        "output": (_object(_OUTPUT), {})})
+    ex, model = c["experiment"], c["model"]
+    if kind == "simulate" and len(ex["y0"]) not in (1, model.dim):
+        _fail("experiment.y0", f"a number or a list of 1 or {model.dim} numbers", ex["y0"])
+    return ExperimentConfig(model=model, run=c["run"], experiment=ex,
+                            out_dir=c["output"]["directory"], formats=c["output"]["formats"])
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -31,8 +31,8 @@ from .galerkin import GalerkinSpec
 from .noise import JumpMeasureSpec, MarkSampler, WienerSpec
 from .profiles import TimeProfile
 
-_STATE_KINDS = ("linear", "sine", "cosine", "clipped", "ones")
-_MARK_MODES = ("ignore", "scalar", "pointwise_product")
+STATE_KINDS = ("linear", "sine", "cosine", "clipped", "ones")
+MARK_MODES = ("ignore", "scalar", "pointwise_product")
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,7 @@ class StateMap:
     bound: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _STATE_KINDS:
+        if self.kind not in STATE_KINDS:
             raise InputError(f"unknown state map kind {self.kind!r}")
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
@@ -70,12 +70,6 @@ class StateMap:
     @property
     def lip(self) -> float:
         return 0.0 if self.kind == "ones" else abs(self.scale)
-
-    def zero_value(self, dim: int) -> np.ndarray:
-        """S(0) as a vector in R^dim."""
-        if self.kind in ("cosine", "ones"):
-            return np.full(dim, self.scale)
-        return np.zeros(dim)
 
     def l2_bound(self, radius: float, dim: int, ones_norm: float | None = None) -> float:
         """sup of ||S(y)|| over the centered L2 ball of the given radius.
@@ -185,7 +179,7 @@ class JumpCoefficient(Coefficient):
     mark_mode: str = "ignore"
 
     def __post_init__(self):
-        if self.mark_mode not in _MARK_MODES:
+        if self.mark_mode not in MARK_MODES:
             raise InputError(f"unknown mark mode {self.mark_mode!r}")
 
     def apply_mark(self, pvals, y, mark, galerkin: GalerkinSpec | None = None) -> np.ndarray:
@@ -595,7 +589,7 @@ def compat_gap_bound(K: float, omega: float, L: float, b: float,
     with c = 1 - (8 K^2 L^2 / w^2)(1 + 2w + 2b), which is positive under
     the uniform-shift threshold.
     """
-    c = 1.0 - 8.0 * K**2 * L**2 / omega**2 * (1.0 + 2.0 * omega + 2.0 * b)
+    c = compat_c(K, omega, L, b)
     if c <= 0.0:
         raise ThresholdError(
             f"gap constant c = {c:.6g} is not positive; the uniform-shift "
@@ -684,8 +678,8 @@ class Condition(NamedTuple):
     slack: float
 
 
-_CONDITION_NAMES = ("e1", "e1p", "e2", "e2p", "e3", "thm_existence",
-                    "cond_L", "cond_L11", "cond_lmin", "theta2_lt_1", "thetap_lt_1")
+CONDITION_NAMES = ("e1", "e1p", "e2", "e2p", "e3", "thm_existence",
+                   "cond_L", "cond_L11", "cond_lmin", "theta2_lt_1", "thetap_lt_1")
 
 
 @dataclass(frozen=True)
@@ -706,11 +700,11 @@ class ConditionReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(getattr(self, n).passed for n in _CONDITION_NAMES)
+        return all(getattr(self, n).passed for n in CONDITION_NAMES)
 
     def to_dict(self) -> dict:
         out = {}
-        for n in _CONDITION_NAMES:
+        for n in CONDITION_NAMES:
             cond = getattr(self, n)
             out[n] = bool(cond.passed)
             out[f"{n}_slack"] = float(cond.slack)

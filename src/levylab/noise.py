@@ -353,9 +353,6 @@ class NoiseRealization:
     def wiener_increments(self, grid) -> np.ndarray:
         return sample_wiener_increments(self.wiener_spec, grid, self.seed)
 
-    def jump_times(self) -> np.ndarray:
-        return np.sort(np.concatenate([self.small_times, self.large_times]))
-
     def to_csv(self, path):
         """Debug dump: time, kind, mark components."""
         rows = []

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 _KINDS = ("constant", "harmonic", "reciprocal", "trig_reciprocal", "clipped_ramp")
-_OUTERS = ("sin", "cos")
+OUTERS = ("sin", "cos")
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ class TimeProfile:
         if not (len(self.amps) == len(self.freqs) == len(self.phases)):
             raise ValueError("amps, freqs, phases must have equal length")
         if self.kind in ("reciprocal", "trig_reciprocal"):
-            if self.outer not in _OUTERS:
-                raise ValueError(f"outer must be one of {_OUTERS}")
+            if self.outer not in OUTERS:
+                raise ValueError(f"outer must be one of {OUTERS}")
             margin = self.offset - sum(abs(a) for a in self.amps)
             if self.kind == "reciprocal" and margin <= 0.0:
                 raise ValueError(

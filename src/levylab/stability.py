@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import GapCurve, coupled_gap, simulate_ensemble
-from .errors import InputError
+from .errors import InputError, ThresholdError
 from .model import SdeModel, compute_radius, stability_margin
 
 
@@ -88,7 +88,7 @@ def ultimate_bound_check(model: SdeModel, horizon: float, n_paths: int, y0,
     r = compute_radius(model.K, model.omega, c.lipschitz_L, c.A0, model.b)
     margin = stability_margin(model.K, model.omega, c.lipschitz_L, model.b)
     if margin <= 0:
-        raise InputError("stability margin must be positive for a meaningful tail")
+        raise ThresholdError("stability margin must be positive for a meaningful tail")
     obs = np.linspace(0.8 * horizon, horizon, n_obs_tail)
     res = simulate_ensemble(model, (0.0, horizon), y0, n_paths, max_step, seed, obs)
     sq = np.sum(res.states**2, axis=2)        # (n_obs, n_paths)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from levylab.cli import main
+from levylab.config import EXPERIMENTS, parse_config
+from levylab.errors import ConfigError
 
 
 def _scalar_model_dict(b=1.0, lipschitz=0.25):
@@ -254,3 +256,84 @@ def test_one_path_accepted_without_standard_errors(tmp_path, kind, extra):
     d = _base_cfg(kind, tmp_path, **extra)
     d["run"]["n_paths"] = 1
     assert main([kind, "--config", _write_cfg(tmp_path, "c.json", d)]) == 0
+
+
+# a valid experiment section per kind: the required keys only
+_REQUIRED_KEYS = {"check": {}, "simulate": {"y0": [1.0]}, "bounded": {},
+                  "recurrence": {"epsilon": 0.05}, "stability": {"y0a": 1.0, "y0b": 3.0},
+                  "example61": {}, "example62": {}}
+_DROP = object()
+
+
+def _valid_cfg(kind, tmp_path):
+    d = _base_cfg(kind, tmp_path, **_REQUIRED_KEYS[kind])
+    if kind.startswith("example"):
+        del d["model"]
+    return d
+
+
+@pytest.mark.parametrize("kind, key, value, named", [
+    # these ended in a traceback
+    ("example61", "experiment.n_boot", 0, None),
+    ("example62", "experiment.n_modes", 0, None),
+    ("bounded", "experiment.n_obs", "x", None),
+    ("bounded", "experiment.n_obs", 0, None),
+    ("recurrence", "experiment.epsilon", "abc", None),
+    ("recurrence", "experiment.tau_step", 0, None),
+    ("recurrence", "experiment.tau", -1.0, None),
+    ("check", "experiment.require", ["nope"], "experiment.require[0]"),
+    ("check", "experiment.require", "e1", None),
+    ("simulate", "experiment.y0", "a", None),
+    ("simulate", "experiment.y0", [1.0, 2.0], None),
+    ("stability", "experiment.y0a", "a", None),
+    ("stability", "experiment.horizon", -1, None),
+    ("example61", "experiment.b", "x", None),
+    ("example61", "experiment.small_rate", -1, None),
+    ("example62", "experiment.q_base", -1, None),
+    ("check", "model.semigroup.eigenvalues", "ab", None),
+    ("check", "model.coefficients.drift.terms", 5, None),
+    ("check", "model.jumps.small_marks", _DROP, None),
+    # these were coerced or ignored
+    ("example61", "experiment.scan_window", -5, None),
+    ("example61", "experiment.b", True, None),
+    ("example61", "experiment.A0", -1, None),
+    ("example62", "experiment.n_modes", 2.7, None),
+    ("example62", "experiment.n_modes", "4", None),
+    ("check", "model.jumps.small_rate", float("nan"), None),
+    ("check", "model.jumps.small_marks.signed", 1, None),
+    # this message named its path three times
+    ("check", "model.jumps.small_marks.lo", "x", None),
+])
+def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, kind, key, value, named):
+    d = _valid_cfg(kind, tmp_path)
+    *parents, last = key.split(".")
+    node = d
+    for part in parents:
+        node = node[part]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    assert main([kind, "--config", _write_cfg(tmp_path, "c.json", d)]) == 2
+    err = capsys.readouterr().err
+    named = named or key
+    assert err.startswith(f"config error: {named}:")
+    assert err.count(named) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, key", [(k, key) for k in EXPERIMENTS for key in EXPERIMENTS[k]])
+def test_every_experiment_key_is_checked(tmp_path, kind, key):
+    d = _valid_cfg(kind, tmp_path)
+    cfg = parse_config(d)
+    assert set(cfg.experiment) == {"kind", *EXPERIMENTS[kind]}
+    d["experiment"][key] = {"not": "a value of any experiment key"}
+    with pytest.raises(ConfigError, match=rf"^experiment\.{key}: "):
+        parse_config(d)
+
+
+def test_stability_beyond_margin_is_a_threshold_violation(tmp_path, capsys):
+    d = _base_cfg("stability", tmp_path, y0a=1.0, y0b=3.0, horizon=1.0)
+    d["model"] = _scalar_model_dict(lipschitz=0.5)
+    assert main(["stability", "--config", _write_cfg(tmp_path, "c.json", d)]) == 3
+    assert capsys.readouterr().err.startswith("threshold violation:")
