@@ -45,8 +45,8 @@ print(f"  within the ball at every grid time: "
       f"{bool(np.all(msq <= plan61.radius**2 + 3 * se))}")
 
 # 3. Same-noise forgetting: two starts, one realization.
-curve = L.forgetting_check(model61, (0.0, 6.0), seed=5, y0a=1.0, y0b=3.0,
-                           n_paths=400, max_step=0.005)
+curve = L.gap_experiment(model61, y0a=1.0, y0b=3.0, horizon=6.0, n_paths=400,
+                         seed=5, max_step=0.005, n_obs=41)
 bound = 5.0 * curve.gap[0] * np.exp(-plan61.margin * curve.times)
 print(f"\nforgetting check: gap(0) = {curve.gap[0]:.3f}; curve under "
       f"5 gap(0) exp(-margin t) + 3 SE everywhere: "

@@ -32,7 +32,7 @@ from .model import (Coefficient, CoefficientSet, Condition, ConditionReport,
 from .integrator import (SamplePath, build_heat_model, heat_lipschitz, integrate)
 from .ensemble import EnsembleResult, GapCurve, coupled_gap, simulate_ensemble
 from .pullback import (PullbackPlan, bounded_ensemble, bounded_solution,
-                       forgetting_check, pullback_horizon, pullback_plan)
+                       pullback_horizon, pullback_plan)
 from .recurrence import (DistributionalReport, EmpiricalLaw, RecurrenceReport,
                          ShiftCouplingResult, almost_periods, bebutov_distance,
                          bl_distance, bl_two_sample, coefficient_shift_bounds,

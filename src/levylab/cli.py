@@ -78,6 +78,15 @@ def _bounded_moment(model, run: RunSection, n_obs: int):
     return plan, res.times, msq, se
 
 
+def _law_test(model, run: RunSection, tau: float, n_times: int, n_boot: int):
+    """Law test of t against t + tau at n_times times in the first min(4, window) units."""
+    t0, t1 = run.window
+    t_grid = np.linspace(t0, t0 + min(4.0, t1 - t0), n_times)
+    return distributional_almost_period_test(model, tau, t_grid, run.n_paths, run.seed,
+                                             tol=run.tolerance, max_step=run.step,
+                                             n_boot=n_boot)
+
+
 def _ball_summary(plan, msq, se) -> dict:
     return {"t_pull": plan.t_pull, "margin": plan.margin, "radius": plan.radius,
             "max_second_moment": float(msq.max()),
@@ -149,12 +158,7 @@ def run_recurrence(cfg: ExperimentConfig) -> int:
     if tau is None and len(report.taus) > 1:
         tau = max(report.taus)
     if tau:
-        t_grid = np.linspace(run.window[0],
-                             run.window[0] + min(4.0, run.window[1] - run.window[0]),
-                             ex["t_grid_n"])
-        dist = distributional_almost_period_test(
-            model, tau, t_grid, run.n_paths, run.seed, tol=run.tolerance,
-            max_step=run.step, n_boot=ex["n_boot"])
+        dist = _law_test(model, run, tau, ex["t_grid_n"], ex["n_boot"])
         _write_csv(cfg, "distributional.csv", dist)
         payload["distributional"] = {"tau": dist.tau, "max_beta": dist.max_beta,
                                      "passed": dist.passed, "positive": dist.positive}
@@ -203,11 +207,7 @@ def run_example61(cfg: ExperimentConfig) -> int:
                           ex["scan_window"], ex["tau_step"], ex["sup_horizon"])
     payload["almost_periods"] = scan.to_dict()
     tau = max(scan.taus) if len(scan.taus) > 1 else 2 * np.pi
-    t_grid = np.linspace(run.window[0],
-                         run.window[0] + min(4.0, run.window[1] - run.window[0]), 5)
-    dist = distributional_almost_period_test(
-        model, tau, t_grid, run.n_paths, run.seed, tol=run.tolerance,
-        max_step=run.step, n_boot=ex["n_boot"])
+    dist = _law_test(model, run, tau, 5, ex["n_boot"])
     payload["distributional"] = {"tau": dist.tau, "max_beta": dist.max_beta,
                                  "passed": dist.passed}
 

@@ -48,14 +48,17 @@ class EnsembleResult:
     seed: int
     max_step: float
 
-    @property
-    def n_paths(self) -> int:
-        return self.states.shape[1]
-
     def mean_sq_norm(self):
         """(E |Y(t)|^2 estimate, standard error) per observation time."""
-        sq = np.sum(self.states**2, axis=2)
-        return sq.mean(axis=1), sq.std(axis=1, ddof=1) / np.sqrt(self.n_paths)
+        return mean_and_se(np.sum(self.states**2, axis=2))
+
+
+def mean_and_se(samples: np.ndarray):
+    """Mean over the last (path) axis and its Monte Carlo standard error,
+    which is 0 for a single path."""
+    n = samples.shape[-1]
+    se = samples.std(axis=-1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(samples.shape[:-1])
+    return samples.mean(axis=-1), se
 
 
 def _jump_kernel(model: SdeModel, grid, window, seeds):
@@ -198,7 +201,5 @@ def coupled_gap(model_a: SdeModel, model_b: SdeModel, y0a, y0b, window,
     """
     res_a = simulate_ensemble(model_a, window, y0a, n_paths, max_step, seed, obs_times)
     res_b = simulate_ensemble(model_b, window, y0b, n_paths, max_step, seed, obs_times)
-    sq = np.sum((res_a.states - res_b.states) ** 2, axis=2)
-    gap = sq.mean(axis=1)
-    se = sq.std(axis=1, ddof=1) / np.sqrt(n_paths) if n_paths > 1 else np.zeros_like(gap)
+    gap, se = mean_and_se(np.sum((res_a.states - res_b.states) ** 2, axis=2))
     return GapCurve(times=res_a.times, gap=gap, se=se)

@@ -261,9 +261,6 @@ class JumpCoefficient(Coefficient):
         probs = np.asarray(sampler.probs, dtype=float)
         return float(np.sum(probs * sups**k))
 
-    def shifted(self, tau: float) -> "JumpCoefficient":
-        return replace(self, terms=tuple((p.shifted(tau), s) for p, s in self.terms))
-
 
 def coefficient(*terms, pointwise=False) -> Coefficient:
     return Coefficient(terms=tuple(terms), pointwise=pointwise)
@@ -334,6 +331,17 @@ class SdeModel:
             raise InputError("noise and semigroup dimensions disagree")
         if self.galerkin is not None and self.galerkin.n_modes != self.semigroup.dim:
             raise InputError("Galerkin mode count must match the semigroup")
+        for which in ("small", "large"):
+            coef, rate, sampler = self._jump(which)
+            if rate == 0.0 or coef.mark_mode == "ignore":
+                continue
+            if coef.mark_mode == "pointwise_product" and self.galerkin is None:
+                raise InputError(f"{which}_jump: mark_mode 'pointwise_product' "
+                                 "needs a Galerkin spec")
+            want = 1 if coef.mark_mode == "scalar" else self.dim
+            if sampler.dim != want:
+                raise InputError(f"{which}_jump: mark_mode {coef.mark_mode!r} needs "
+                                 f"{which} marks of dimension {want}, got {sampler.dim}")
 
     # -- shorthand ------------------------------------------------------
 
@@ -367,18 +375,9 @@ class SdeModel:
     def diffusion_diag(self, t, y):
         return self.coefficients.diffusion.value(t, y, self.galerkin)
 
-    def small_jump_value(self, t, y, x):
-        return self.coefficients.small_jump.value(t, y, x, self.galerkin)
-
-    def large_jump_value(self, t, y, x):
-        return self.coefficients.large_jump.value(t, y, x, self.galerkin)
-
-    def compensator_drift(self, t, y):
-        """-small_rate * E_mark[F(t, y, .)], exact via registry means."""
-        return self.compensator_apply(self.coefficients.small_jump.profile_table(t), y)
-
     def compensator_apply(self, pvals, y):
-        """:meth:`compensator_drift` given the small-jump profile values at t."""
+        """-small_rate * E_mark[F(t, y, .)] given the small-jump profile
+        values at t, exact via registry means."""
         if self.jumps.small_rate == 0.0:
             return np.zeros_like(np.asarray(y, dtype=float))
         mean = self.coefficients.small_jump.apply_mean(
@@ -398,31 +397,28 @@ class SdeModel:
 
     # -- exact effective constants ----------------------------------------
 
-    def effective_lipschitz(self) -> dict[str, float]:
-        """Per-coefficient Lipschitz constants in the theorem's norms."""
-        c, j = self.coefficients, self.jumps
-        eff = {
-            "drift": c.drift.lip_bound(),
-            "diffusion": c.diffusion.lip_bound() * self.wiener.operator_norm_qhalf,
-            "small_jump": c.small_jump.lip_bound() * math.sqrt(
-                j.small_rate * c.small_jump.mark_abs_factor(j.small_sampler, 2, self.galerkin)),
-            "large_jump": c.large_jump.lip_bound() * math.sqrt(
-                j.large_rate * c.large_jump.mark_abs_factor(j.large_sampler, 2, self.galerkin)),
-        }
-        return eff
+    def _jump(self, which: str):
+        """(coefficient, rate, mark sampler) of the small or large jumps."""
+        return (getattr(self.coefficients, f"{which}_jump"),
+                getattr(self.jumps, f"{which}_rate"), getattr(self.jumps, f"{which}_sampler"))
 
-    def effective_lipschitz_p(self) -> dict[str, float]:
-        """Jump Lipschitz constants in the p-th moment norms."""
-        c, j, p = self.coefficients, self.jumps, self.coefficients.moment_p
+    def jump_intensity(self, which: str, k: float) -> float:
+        """rate * E |mark factor|^k of the ``which`` jumps: the intensity
+        scaling the state part of that coefficient in the k-th moment norms."""
+        coef, rate, sampler = self._jump(which)
+        return rate * coef.mark_abs_factor(sampler, k, self.galerkin)
+
+    def effective_lipschitz(self, k: float = 2.0) -> dict[str, float]:
+        """Per-coefficient Lipschitz constants in the theorem's k-th moment
+        norms (k = 2 for the square-mean ones, k = p for the p-th moment ones)."""
+        c = self.coefficients
+        # the correctly rounded sqrt at k = 2, where pow(x, 0.5) may differ by an ulp
+        root = math.sqrt if k == 2 else (lambda x: x ** (1.0 / k))
         return {
             "drift": c.drift.lip_bound(),
             "diffusion": c.diffusion.lip_bound() * self.wiener.operator_norm_qhalf,
-            "small_jump": c.small_jump.lip_bound() * (
-                j.small_rate * c.small_jump.mark_abs_factor(j.small_sampler, p, self.galerkin)
-            ) ** (1.0 / p),
-            "large_jump": c.large_jump.lip_bound() * (
-                j.large_rate * c.large_jump.mark_abs_factor(j.large_sampler, p, self.galerkin)
-            ) ** (1.0 / p),
+            "small_jump": c.small_jump.lip_bound() * root(self.jump_intensity("small", k)),
+            "large_jump": c.large_jump.lip_bound() * root(self.jump_intensity("large", k)),
         }
 
     def zero_bounds(self, t_grid) -> dict[str, float]:
@@ -775,25 +771,20 @@ def check_conditions(model: SdeModel, n_probe: int = 10_000, seed: int = 0,
     zb = model.zero_bounds(t_grid)
     e1_slack = A0 - max(zb.values()) + REGISTRY_TOL
 
-    # p-th moment growth at zero: jump integrals with p-th mark powers
+    # p-th moment growth at zero: jump state parts times their p-th intensities
     zero = np.zeros(model.dim)
-    sp_max = lp_max = 0.0
-    for t in t_grid[:: max(1, n_t_grid // 41)]:
-        base_s = float(np.linalg.norm(Coefficient.value(c.small_jump, t, zero, model.galerkin)))
-        base_l = float(np.linalg.norm(Coefficient.value(c.large_jump, t, zero, model.galerkin)))
-        sp_max = max(sp_max, (model.jumps.small_rate
-                              * c.small_jump.mark_abs_factor(model.jumps.small_sampler, p, model.galerkin)
-                              ) ** (1 / p) * base_s)
-        lp_max = max(lp_max, (model.jumps.large_rate
-                              * c.large_jump.mark_abs_factor(model.jumps.large_sampler, p, model.galerkin)
-                              ) ** (1 / p) * base_l)
-    e1p_slack = A0 - max(zb["drift"], zb["diffusion"], sp_max, lp_max) + REGISTRY_TOL
+    jump_p = []
+    for which in ("small", "large"):
+        coef = getattr(c, f"{which}_jump")
+        base = max((float(np.linalg.norm(Coefficient.value(coef, t, zero, model.galerkin)))
+                    for t in t_grid[:: max(1, n_t_grid // 41)]), default=0.0)
+        jump_p.append(model.jump_intensity(which, p) ** (1 / p) * base)
+    e1p_slack = A0 - max(zb["drift"], zb["diffusion"], *jump_p) + REGISTRY_TOL
 
     eff = max(model.effective_lipschitz().values())
     probe = _lipschitz_probe(model, n_probe, seed, t_span)
     e2_slack = L - max(eff, probe) + REGISTRY_TOL
-    eff_p = max(model.effective_lipschitz_p().values())
-    e2p_slack = L - eff_p + REGISTRY_TOL
+    e2p_slack = L - max(model.effective_lipschitz(p).values()) + REGISTRY_TOL
 
     report = ConditionReport(
         e1=Condition(e1_slack > 0, e1_slack),

@@ -21,7 +21,7 @@ reflected, with mark sign flipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -206,9 +206,8 @@ class JumpMeasureSpec:
 
     ``small_rate`` is the mass of the intensity measure on the truncated
     shell [delta, 1); ``large_rate`` its (finite) mass on [1, inf).
-    Second and p-th mark moments are computed from the sampler registry
-    at construction and stored, so hypothesis checks never re-estimate
-    them by Monte Carlo.
+    Mark moments are exact registry values, never Monte Carlo estimates;
+    the hypothesis checker reads them through ``SdeModel.jump_intensity``.
     """
 
     small_rate: float = 0.0
@@ -217,9 +216,6 @@ class JumpMeasureSpec:
     large_rate: float = 0.0
     large_sampler: MarkSampler | None = None
     moment_p: float = 2.5
-    mark_moment_2_small: float = field(default=0.0)
-    mark_moment_2_large: float = field(default=0.0)
-    mark_moment_p_large: float = field(default=0.0)
 
     def __post_init__(self):
         if self.small_rate < 0 or self.large_rate < 0:
@@ -236,16 +232,10 @@ class JumpMeasureSpec:
             lo, _ = self.large_sampler.support_range()
             if lo < 1.0 - 1e-12:
                 raise InputError("large marks must satisfy |x| >= 1")
-        object.__setattr__(self, "mark_moment_2_small",
-                           self.small_sampler.abs_moment(2) if self.small_rate > 0 else 0.0)
-        object.__setattr__(self, "mark_moment_2_large",
-                           self.large_sampler.abs_moment(2) if self.large_rate > 0 else 0.0)
-        object.__setattr__(self, "mark_moment_p_large",
-                           self.large_sampler.abs_moment(self.moment_p) if self.large_rate > 0 else 0.0)
 
     def mark_moment(self, which: str, k: float) -> float:
-        sampler = self.small_sampler if which == "small" else self.large_sampler
-        rate = self.small_rate if which == "small" else self.large_rate
+        """E |x|^k of the ``which`` ("small" or "large") marks; 0 at rate 0."""
+        rate, sampler = getattr(self, f"{which}_rate"), getattr(self, f"{which}_sampler")
         return sampler.abs_moment(k) if rate > 0 else 0.0
 
 

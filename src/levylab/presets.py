@@ -150,7 +150,7 @@ def ou_jump_model(decay: float = 1.0, sigma: float = 1.0, jump_rate: float = 1.0
     """
     jumps = JumpMeasureSpec(large_rate=jump_rate,
                             large_sampler=uniform_shell_marks(mark_lo, mark_hi))
-    a0 = max(sigma, float(np.sqrt(jump_rate * jumps.mark_moment_2_large)),
+    a0 = max(sigma, float(np.sqrt(jump_rate * jumps.mark_moment("large", 2))),
              (jump_rate * jumps.mark_moment("large", jumps.moment_p))
              ** (1.0 / jumps.moment_p))
     coeffs = CoefficientSet(

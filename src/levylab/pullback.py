@@ -9,7 +9,9 @@ burn-in.  The square-mean contraction estimate
 turns a target tolerance into an explicit pullback horizon, using the
 conservative margin valid uniformly in the semilinear case.  Burn-in and
 window noise come from one contiguous realization, so the returned
-restriction is a genuine path segment.
+restriction is a genuine path segment.  The same-noise gap between two
+starts, which the estimate bounds, is measured by
+:func:`levylab.stability.gap_experiment`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleResult, GapCurve, coupled_gap, simulate_ensemble
+from .ensemble import EnsembleResult, simulate_ensemble
 from .errors import InputError, ThresholdError
 from .integrator import SamplePath, integrate
 from .model import SdeModel, compute_radius, stability_margin
@@ -96,17 +98,3 @@ def bounded_ensemble(model: SdeModel, window, tol: float, n_paths: int,
     return simulate_ensemble(model, (t0 - t_pull, t1), y0, n_paths,
                              max_step, seed, obs_times)
 
-
-def forgetting_check(model: SdeModel, window, seed: int, y0a, y0b,
-                     n_paths: int = 256, max_step: float = 1e-2,
-                     n_obs: int = 41) -> GapCurve:
-    """Same-noise squared gap between two initial conditions over time.
-
-    The curve is the empirical version of the contraction estimate: it
-    should sit below ``5 K^2 gap(0) exp(-margin t)`` up to Monte Carlo
-    error whenever the stability margin is positive.
-    """
-    t0, t1 = float(window[0]), float(window[1])
-    obs = np.linspace(t0, t1, n_obs)
-    return coupled_gap(model, model, y0a, y0b, (t0, t1), n_paths, max_step,
-                       seed, obs)

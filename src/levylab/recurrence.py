@@ -26,10 +26,16 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from .ensemble import coupled_gap
 from .errors import HorizonError, InputError
 from .model import SdeModel, compat_gap_bound, compat_c
 from .profiles import TimeProfile
 from .pullback import bounded_ensemble, pullback_plan
+
+# largest support per law handed to the BL LP; larger clouds are thinned
+MAX_SUPPORT = 400
+# the law tests compare the first MAX_OBSERVED coordinates of the state
+MAX_OBSERVED = 3
 
 # ---------------------------------------------------------------------------
 # path metric
@@ -186,13 +192,14 @@ class EmpiricalLaw:
         return self.samples.shape[1]
 
 
-def _stratified_subsample(x: np.ndarray, max_support: int) -> np.ndarray:
-    """Rank-stratified deterministic thinning: the empirical quantile
-    function sampled at uniform mid-levels, so every kept point carries
-    equal mass and the law's shape is preserved to O(1/max_support)."""
-    if x.size <= max_support:
+def _stratified_subsample(x: np.ndarray) -> np.ndarray:
+    """Rank-stratified deterministic thinning to ``MAX_SUPPORT`` points: the
+    empirical quantile function sampled at uniform mid-levels, so every kept
+    point carries equal mass and the law's shape is preserved to
+    O(1/MAX_SUPPORT)."""
+    if x.size <= MAX_SUPPORT:
         return np.sort(x)
-    levels = (np.arange(max_support) + 0.5) / max_support
+    levels = (np.arange(MAX_SUPPORT) + 0.5) / MAX_SUPPORT
     return np.quantile(x, levels, method="linear")
 
 
@@ -241,12 +248,12 @@ def _bl_distance_1d(x_mu: np.ndarray, x_nu: np.ndarray) -> float:
     return float(-res.fun)
 
 
-def bl_distance(mu: EmpiricalLaw, nu: EmpiricalLaw, max_support: int = 400) -> float:
+def bl_distance(mu: EmpiricalLaw, nu: EmpiricalLaw) -> float:
     """Bounded-Lipschitz distance between two empirical laws.
 
     1-D observations are solved exactly by the LP; multi-dimensional
     clouds are handled coordinate-wise with max aggregation.  Supports
-    larger than ``max_support`` per law are thinned by rank-stratified
+    larger than ``MAX_SUPPORT`` per law are thinned by rank-stratified
     medians to keep the LP small.
     """
     if mu.dim != nu.dim:
@@ -254,13 +261,11 @@ def bl_distance(mu: EmpiricalLaw, nu: EmpiricalLaw, max_support: int = 400) -> f
     best = 0.0
     for k in range(mu.dim):
         best = max(best, _bl_distance_1d(
-            _stratified_subsample(mu.samples[:, k], max_support),
-            _stratified_subsample(nu.samples[:, k], max_support)))
+            _stratified_subsample(mu.samples[:, k]), _stratified_subsample(nu.samples[:, k])))
     return best
 
 
-def bl_two_sample(a: np.ndarray, b: np.ndarray, n_boot: int = 30,
-                  seed: int = 0, max_support: int = 400):
+def bl_two_sample(a: np.ndarray, b: np.ndarray, n_boot: int = 30, seed: int = 0):
     """Observed BL distance plus a pooled-resampling null scale.
 
     The empirical BL distance between equal laws is positive at order
@@ -271,14 +276,14 @@ def bl_two_sample(a: np.ndarray, b: np.ndarray, n_boot: int = 30,
     """
     a = np.atleast_2d(a.T).T
     b = np.atleast_2d(b.T).T
-    beta = bl_distance(EmpiricalLaw(a), EmpiricalLaw(b), max_support)
+    beta = bl_distance(EmpiricalLaw(a), EmpiricalLaw(b))
     pooled = np.concatenate([a, b], axis=0)
     rng = np.random.default_rng(seed)
     null_sq = 0.0
     for _ in range(n_boot):
         ra = pooled[rng.integers(0, pooled.shape[0], a.shape[0])]
         rb = pooled[rng.integers(0, pooled.shape[0], b.shape[0])]
-        null_sq += bl_distance(EmpiricalLaw(ra), EmpiricalLaw(rb), max_support) ** 2
+        null_sq += bl_distance(EmpiricalLaw(ra), EmpiricalLaw(rb)) ** 2
     return beta, math.sqrt(null_sq / n_boot)
 
 
@@ -308,31 +313,28 @@ class DistributionalReport:
 def distributional_almost_period_test(model: SdeModel, tau: float, t_grid,
                                       n_paths: int, seed: int, *,
                                       tol: float = 0.02, max_step: float = 5e-3,
-                                      n_boot: int = 30, max_support: int = 400,
-                                      observables=None) -> DistributionalReport:
+                                      n_boot: int = 30) -> DistributionalReport:
     """Compare the law of the bounded solution at t with the law at t + tau.
 
     Builds ``n_paths`` independent bounded solutions by pullback, then at
     each grid time computes the BL distance between the empirical laws of
-    the observed coordinates at ``t`` and ``t + tau``, with the
-    pooled-resampling null scale as error bar.
+    the first ``MAX_OBSERVED`` coordinates at ``t`` and ``t + tau``, with
+    the pooled-resampling null scale as error bar.
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     obs = np.unique(np.concatenate([t_grid, t_grid + tau]))
     res = bounded_ensemble(model, (t_grid[0], t_grid[-1] + tau), tol, n_paths,
                            seed, obs, max_step)
-    coords = observables if observables is not None else list(range(min(model.dim, 3)))
 
     def states_at(t):
         i = int(np.argmin(np.abs(res.times - t)))
-        return res.states[i][:, coords]
+        return res.states[i][:, :MAX_OBSERVED]
 
     beta = np.empty(t_grid.size)
     err = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
         beta[i], err[i] = bl_two_sample(states_at(t), states_at(t + tau),
-                                        n_boot=n_boot, seed=seed + 7919 * (i + 1),
-                                        max_support=max_support)
+                                        n_boot=n_boot, seed=seed + 7919 * (i + 1))
     passed = bool(np.all(beta <= 3.0 * err))
     return DistributionalReport(tau=float(tau), times=t_grid, beta=beta, err=err,
                                 max_beta=float(beta.max()), passed=passed,
@@ -358,13 +360,11 @@ def coefficient_shift_bounds(model: SdeModel, tau: float, radius: float,
         return sum(prof_shift_sup(p) * s.l2_bound(radius, model.dim, model.ones_norm)
                    for p, s in coef.terms)
 
-    c, j = model.coefficients, model.jumps
+    c = model.coefficients
     i1 = coef_bound(c.drift) ** 2
     i2 = (coef_bound(c.diffusion) * model.wiener.operator_norm_qhalf) ** 2
-    i3 = (j.small_rate * c.small_jump.mark_abs_factor(j.small_sampler, 2, model.galerkin)
-          * coef_bound(c.small_jump) ** 2)
-    i4 = (j.large_rate * c.large_jump.mark_abs_factor(j.large_sampler, 2, model.galerkin)
-          * coef_bound(c.large_jump) ** 2)
+    i3 = model.jump_intensity("small", 2) * coef_bound(c.small_jump) ** 2
+    i4 = model.jump_intensity("large", 2) * coef_bound(c.large_jump) ** 2
     return {"i1": i1, "i2": i2, "i3": i3, "i4": i4}
 
 
@@ -395,21 +395,16 @@ def shift_coupling_gap(model: SdeModel, tau: float, window, n_paths: int,
     measured sup mean-square gap with its explicit bound.
     """
     t0, t1 = float(window[0]), float(window[1])
-    obs = np.linspace(t0, t1, n_obs)
-    plan = pullback_plan(model, tol)
-    res_a = bounded_ensemble(model, (t0, t1), tol, n_paths, seed, obs, max_step)
-    res_b = bounded_ensemble(model.shifted(tau), (t0, t1), tol, n_paths, seed,
-                             obs, max_step)
-    sq = np.sum((res_a.states - res_b.states) ** 2, axis=2)
-    gap = sq.mean(axis=1)
-    se = sq.std(axis=1, ddof=1) / np.sqrt(n_paths)
-    i_sup = int(np.argmax(gap))
+    plan = pullback_plan(model, tol)   # the shifted model has the same plan
+    curve = coupled_gap(model, model.shifted(tau), 0.0, 0.0, (t0 - plan.t_pull, t1),
+                        n_paths, max_step, seed, np.linspace(t0, t1, n_obs))
+    i_sup = int(np.argmax(curve.gap))
 
     sup_i = coefficient_shift_bounds(model, tau, plan.radius, horizon=sup_horizon)
     bound = compat_gap_bound(model.K, model.omega, model.coefficients.lipschitz_L,
                              model.b, sup_i["i1"], sup_i["i2"], sup_i["i3"], sup_i["i4"])
     return ShiftCouplingResult(
-        tau=float(tau), times=res_a.times, gap=gap, se=se,
-        measured_sup_gap=float(gap[i_sup]), se_at_sup=float(se[i_sup]),
+        tau=float(tau), times=curve.times, gap=curve.gap, se=curve.se,
+        measured_sup_gap=float(curve.gap[i_sup]), se_at_sup=float(curve.se[i_sup]),
         theoretical_bound=float(bound), sup_i=sup_i,
         compat_c=compat_c(model.K, model.omega, model.coefficients.lipschitz_L, model.b))

@@ -2,11 +2,13 @@
 
 The contraction estimate says the same-noise squared gap between two
 solutions decays at least at the explicit margin rate with prefactor 5;
-``gap_experiment`` measures the empirical curve (synchronous coupling,
-matching the construction behind the estimate), ``fit_decay_rate``
-extracts the empirical contraction rate by log-linear regression, and
-``ultimate_bound_check`` verifies the ultimate second-moment bound
-``limsup E|Y(t)|^2 < r + 1`` from an arbitrary start.
+``gap_experiment`` measures the empirical curve (the synchronous
+coupling of :func:`levylab.ensemble.coupled_gap`, matching the
+construction behind the estimate, so it is also the pullback's
+forgetting curve), ``fit_decay_rate`` extracts the empirical contraction
+rate by log-linear regression, and ``ultimate_bound_check`` verifies the
+ultimate second-moment bound ``limsup E|Y(t)|^2 < r + 1`` from an
+arbitrary start.
 """
 
 from __future__ import annotations
@@ -15,9 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import GapCurve, coupled_gap, simulate_ensemble
+from .ensemble import GapCurve, coupled_gap, mean_and_se, simulate_ensemble
 from .errors import InputError, ThresholdError
 from .model import SdeModel, compute_radius, stability_margin
+
+# a rate fit uses the gap points above SE_FACTOR standard errors
+SE_FACTOR = 10.0
+# observation times over the tail (last 20%) of the ultimate-bound horizon
+N_OBS_TAIL = 11
 
 
 def gap_experiment(model: SdeModel, y0a, y0b, horizon: float, n_paths: int,
@@ -28,11 +35,11 @@ def gap_experiment(model: SdeModel, y0a, y0b, horizon: float, n_paths: int,
                        max_step, seed, obs)
 
 
-def _log_linear_fit(curve: GapCurve, se_factor: float):
+def _log_linear_fit(curve: GapCurve):
     """Least-squares line through log(gap) vs t over the points where the
-    gap exceeds ``se_factor`` times its standard error: ``(t, log gap,
+    gap exceeds ``SE_FACTOR`` times its standard error: ``(t, log gap,
     residuals, slope)``."""
-    mask = (curve.gap > 0) & (curve.gap > se_factor * curve.se)
+    mask = (curve.gap > 0) & (curve.gap > SE_FACTOR * curve.se)
     t, g = curve.times[mask], np.log(curve.gap[mask])
     if t.size < 5:
         raise InputError(f"only {t.size} usable points; need at least 5 "
@@ -41,23 +48,23 @@ def _log_linear_fit(curve: GapCurve, se_factor: float):
     return t, g, g - np.polyval(coef, t), float(coef[0])
 
 
-def fit_decay_rate(curve: GapCurve, se_factor: float = 10.0):
+def fit_decay_rate(curve: GapCurve):
     """Least-squares decay rate of the positive part of a gap curve.
 
     Fits log(gap) vs t over the points where the gap exceeds
-    ``se_factor`` times its standard error (all positive points when the
+    ``SE_FACTOR`` times its standard error (all positive points when the
     curve is deterministic).  Returns ``(rate, r_squared)`` with the rate
     sign-flipped so decay is positive.
     """
-    _, g, resid, slope = _log_linear_fit(curve, se_factor)
+    _, g, resid, slope = _log_linear_fit(curve)
     ss_tot = float(np.sum((g - g.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     return -slope, r2
 
 
-def fit_rate_stderr(curve: GapCurve, se_factor: float = 10.0) -> float:
+def fit_rate_stderr(curve: GapCurve) -> float:
     """Standard error of the fitted decay rate (ordinary LS formula)."""
-    t, _, resid, _ = _log_linear_fit(curve, se_factor)
+    t, _, resid, _ = _log_linear_fit(curve)
     s2 = float(np.sum(resid**2)) / max(t.size - 2, 1)
     sxx = float(np.sum((t - t.mean()) ** 2))
     return float(np.sqrt(s2 / sxx))
@@ -76,8 +83,7 @@ class UltimateBoundReport:
 
 
 def ultimate_bound_check(model: SdeModel, horizon: float, n_paths: int, y0,
-                         seed: int, max_step: float = 5e-3,
-                         n_obs_tail: int = 11) -> UltimateBoundReport:
+                         seed: int, max_step: float = 5e-3) -> UltimateBoundReport:
     """Estimate E|Y(t)|^2 over the final 20% of the horizon from start y0.
 
     Passes when the estimate plus three standard errors stays below
@@ -89,11 +95,9 @@ def ultimate_bound_check(model: SdeModel, horizon: float, n_paths: int, y0,
     margin = stability_margin(model.K, model.omega, c.lipschitz_L, model.b)
     if margin <= 0:
         raise ThresholdError("stability margin must be positive for a meaningful tail")
-    obs = np.linspace(0.8 * horizon, horizon, n_obs_tail)
+    obs = np.linspace(0.8 * horizon, horizon, N_OBS_TAIL)
     res = simulate_ensemble(model, (0.0, horizon), y0, n_paths, max_step, seed, obs)
-    sq = np.sum(res.states**2, axis=2)        # (n_obs, n_paths)
-    per_path = sq.mean(axis=0)                # time-average first: paths stay iid
-    est = float(per_path.mean())
-    se = float(per_path.std(ddof=1) / np.sqrt(n_paths))
+    # time-average first, so the paths stay iid
+    est, se = map(float, mean_and_se(np.sum(res.states**2, axis=2).mean(axis=0)))
     return UltimateBoundReport(tail_second_moment=est, se=se, r_plus_1=r + 1.0,
                                passed=bool(est + 3.0 * se < r + 1.0))

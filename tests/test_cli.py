@@ -263,6 +263,10 @@ _REQUIRED_KEYS = {"check": {}, "simulate": {"y0": [1.0]}, "bounded": {},
                   "recurrence": {"epsilon": 0.05}, "stability": {"y0a": 1.0, "y0b": 3.0},
                   "example61": {}, "example62": {}}
 _DROP = object()
+# a 2-vector large mark on the scalar model, entering a scalar jump coefficient
+_TWO_D_SCALAR_MARKS = _scalar_model_dict()
+_TWO_D_SCALAR_MARKS["jumps"]["large_marks"] = {"kind": "point_mass", "value": [1.0, 1.0]}
+_TWO_D_SCALAR_MARKS["coefficients"]["large_jump"]["mark_mode"] = "scalar"
 
 
 def _valid_cfg(kind, tmp_path):
@@ -303,6 +307,9 @@ def _valid_cfg(kind, tmp_path):
     ("check", "model.jumps.small_marks.signed", 1, None),
     # this message named its path three times
     ("check", "model.jumps.small_marks.lo", "x", None),
+    # marks the jump coefficient cannot take: a traceback (simulate) or exit 3 (check)
+    ("simulate", "model", _TWO_D_SCALAR_MARKS, None),
+    ("check", "model.coefficients.small_jump.mark_mode", "pointwise_product", "model"),
 ])
 def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, kind, key, value, named):
     d = _valid_cfg(kind, tmp_path)

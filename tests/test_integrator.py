@@ -51,10 +51,8 @@ def test_jump_bookkeeping_exact():
         t = float(path.times[i])
         kind, x = marks[t]
         left = path.left_limits[i]
-        if kind == JUMP_SMALL:
-            incr = m.small_jump_value(t, left, x)
-        else:
-            incr = m.large_jump_value(t, left, x)
+        coef = m.coefficients.small_jump if kind == JUMP_SMALL else m.coefficients.large_jump
+        incr = coef.value(t, left, x, m.galerkin)
         # applying the recomputed increment to the left limit reproduces the
         # stored cadlag value bit for bit
         assert np.array_equal(path.values[i], left + incr)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import levylab as L
-from levylab.errors import ThresholdError
+from levylab.errors import InputError, ThresholdError
 from levylab.model import PROBE_BLOCK, REGISTRY_TOL, _kunita_parts, _lipschitz_probe
 
 
@@ -203,6 +203,15 @@ def test_report_booleans_match_slacks():
                            ("e1", "e2", "cond_L", "cond_L11", "cond_lmin",
                             "theta2_lt_1", "thetap_lt_1")):
             assert cond.passed == (cond.slack > 0), name
+
+
+def test_mark_dimension_must_fit_the_mark_mode():
+    heat = L.presets.example62_model(n_modes=4)
+    with pytest.raises(InputError, match="large_jump: .* dimension 4, got 1"):
+        replace(heat, jumps=replace(heat.jumps, large_sampler=L.point_mass_marks(1.5)))
+    # an ignored mark may have any dimension
+    m = L.presets.example61_model()
+    replace(m, jumps=replace(m.jumps, large_sampler=L.point_mass_marks([1.0, 1.0])))
 
 
 def test_effective_lipschitz_constants_of_the_scalar_example():

@@ -180,9 +180,10 @@ def test_compensator_quadrature_matches_uniform_mean():
 def test_model_compensator_matches_generic_quadrature():
     m = L.presets.example61_model()
     y = np.array([1.7])
-    got = m.compensator_drift(0.3, y)
+    small = m.coefficients.small_jump
+    got = m.compensator_apply(small.profile_table(0.3), y)
     want = L.small_jump_compensator(
-        m.jumps, lambda t, y_, x: m.small_jump_value(t, y_, x), 0.3, y)
+        m.jumps, lambda t, y_, x: small.value(t, y_, x, m.galerkin), 0.3, y)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -210,10 +211,10 @@ def test_noise_csv_dump(tmp_path):
     assert times == sorted(times)
 
 
-def test_stored_moments_match_sampler_moments():
+def test_mark_moments_match_sampler_moments():
     spec = _jump_spec()
-    assert spec.mark_moment_2_small == spec.small_sampler.abs_moment(2)
-    assert spec.mark_moment_2_large == spec.large_sampler.abs_moment(2)
-    assert spec.mark_moment_p_large == spec.large_sampler.abs_moment(spec.moment_p)
+    assert spec.mark_moment("small", 2) == spec.small_sampler.abs_moment(2)
+    assert spec.mark_moment("large", 2) == spec.large_sampler.abs_moment(2)
+    assert spec.mark_moment("large", spec.moment_p) == spec.large_sampler.abs_moment(spec.moment_p)
     # uniform on [1, 2): second moment (1 + 2 + 4)/3
-    assert spec.mark_moment_2_large == pytest.approx(7.0 / 3.0)
+    assert spec.mark_moment("large", 2) == pytest.approx(7.0 / 3.0)

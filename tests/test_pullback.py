@@ -85,15 +85,15 @@ def test_bounded_solution_requires_stability_margin():
 
 def test_forgetting_curve_zero_for_equal_starts():
     m = L.presets.example61_model()
-    curve = L.forgetting_check(m, (0.0, 2.0), 3, 1.0, 1.0, n_paths=32,
-                               max_step=0.01)
+    curve = L.gap_experiment(m, 1.0, 1.0, 2.0, n_paths=32, seed=3, max_step=0.01,
+                             n_obs=41)
     assert np.all(curve.gap == 0.0)
 
 
 def test_forgetting_curve_below_contraction_bound():
     m = L.presets.example61_model(b=1.0)
-    curve = L.forgetting_check(m, (0.0, 6.0), 5, 1.0, 3.0, n_paths=400,
-                               max_step=0.005)
+    curve = L.gap_experiment(m, 1.0, 3.0, 6.0, n_paths=400, seed=5, max_step=0.005,
+                             n_obs=41)
     margin = L.stability_margin(1.0, 4.0, 0.25, 1.0)
     bound = 5.0 * curve.gap[0] * np.exp(-margin * curve.times)
     assert np.all(curve.gap <= bound + 3.0 * curve.se)
@@ -101,8 +101,8 @@ def test_forgetting_curve_below_contraction_bound():
 
 def test_deterministic_forgetting_exact_rate():
     m = L.presets.linear_decay_model(1.0)
-    curve = L.forgetting_check(m, (0.0, 4.0), 0, 2.0, 1.0, n_paths=8,
-                               max_step=1e-3)
+    curve = L.gap_experiment(m, 2.0, 1.0, 4.0, n_paths=8, seed=0, max_step=1e-3,
+                             n_obs=41)
     want = curve.gap[0] * np.exp(-2.0 * curve.times)
     assert np.allclose(curve.gap, want, rtol=1e-6)
 

@@ -193,6 +193,10 @@ def test_shift_coupling_zero_shift():
 
 def test_shift_coupling_exact_period_of_periodic_model():
     m = L.presets.periodic_model()
+    # the shift keeps the jump coefficient's type and mark mode
+    shifted = m.shifted(2 * np.pi).coefficients.large_jump
+    assert isinstance(shifted, L.JumpCoefficient)
+    assert shifted.mark_mode == m.coefficients.large_jump.mark_mode == "scalar"
     res = L.shift_coupling_gap(m, 2 * np.pi, (0.0, 4.0), n_paths=128, seed=6,
                                tol=0.05, max_step=0.01, n_obs=9)
     # the coefficient shift is an exact identity: only discretization + MC noise
