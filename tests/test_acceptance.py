@@ -222,7 +222,7 @@ def test_criterion_8_metric_suites():
         d12 = L.bebutov_distance(profs[1], profs[2])
         d02 = L.bebutov_distance(profs[0], profs[2])
         ok = ok and d01 == d10 and d02 <= d01 + d12 + tol and d01 >= 0
-    # law metric on 100 random triples (LP-exact: tolerance 1e-8)
+    # law metric on 100 random triples (exact transport peel: tolerance 1e-8)
     for _ in range(100):
         laws = [L.EmpiricalLaw(rng.normal(rng.uniform(-2, 2),
                                           rng.uniform(0.5, 2), size=12))

@@ -1,10 +1,15 @@
 """Path metric, almost-period scanning, law metric, and the experiments."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import levylab as L
 from levylab.errors import HorizonError, InputError
+from levylab.recurrence import _stratified_subsample
 
 
 # -- compact-open path metric -------------------------------------------------
@@ -108,7 +113,7 @@ def test_bl_identical_laws():
     assert L.bl_distance(L.EmpiricalLaw(x), L.EmpiricalLaw(x)) == 0.0
 
 
-@pytest.mark.parametrize("a", [0.25, 1.0, 2.0, 7.0])
+@pytest.mark.parametrize("a", [0.25, 1.0, 2.0, 7.0, 1e-6, 1e3, 1e12])
 def test_bl_point_masses_closed_form(a):
     # optimal ramp: f = +-a/(2+a) with slope 2/(2+a) gives 2a/(2+a)
     mu = L.EmpiricalLaw(np.array([0.0]))
@@ -152,6 +157,99 @@ def test_bl_multidimensional_max_aggregation():
     d_joint = L.bl_distance(L.EmpiricalLaw(a), L.EmpiricalLaw(b))
     d_coord = L.bl_distance(L.EmpiricalLaw(a[:, 1]), L.EmpiricalLaw(b[:, 1]))
     assert d_joint == pytest.approx(d_coord, abs=1e-12)
+
+
+def _bl_lp(x_mu, x_nu):
+    """Independent oracle: the bounded-Lipschitz distance as an LP over the
+    test-function values f_i on the pooled support.  Maximize
+    sum (mu - nu)-weights * f subject to the adjacent Lipschitz constraints
+    |f_{i+1} - f_i| <= s (x_{i+1} - x_i) (on a line they imply all
+    pairwise ones), |f_i| <= m and s + m <= 1."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    xs, inv = np.unique(np.concatenate([x_mu, x_nu]), return_inverse=True)
+    c = np.zeros(xs.size)
+    np.add.at(c, inv, np.concatenate([np.full(x_mu.size, 1.0 / x_mu.size),
+                                      np.full(x_nu.size, -1.0 / x_nu.size)]))
+    if float(np.max(np.abs(c))) < 1e-15:
+        return 0.0
+    m = xs.size
+    d = np.diff(xs)
+    rows, cols, data = [], [], []
+    r = 0
+    for i in range(m - 1):             # variables: f_0 .. f_{m-1}, s, cap
+        rows += [r, r, r, r + 1, r + 1, r + 1]
+        cols += [i + 1, i, m, i, i + 1, m]
+        data += [1.0, -1.0, -d[i], 1.0, -1.0, -d[i]]
+        r += 2
+    for i in range(m):
+        rows += [r, r, r + 1, r + 1]
+        cols += [i, m + 1, i, m + 1]
+        data += [1.0, -1.0, -1.0, -1.0]
+        r += 2
+    rows += [r, r]
+    cols += [m, m + 1]
+    data += [1.0, 1.0]
+    a_ub = sparse.coo_matrix((data, (rows, cols)), shape=(r + 1, m + 2)).tocsr()
+    b_ub = np.zeros(r + 1)
+    b_ub[-1] = 1.0                     # the norm budget s + cap <= 1
+    res = linprog(np.concatenate([-c, [0.0, 0.0]]), A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(None, None)] * m + [(0.0, 1.0), (0.0, 1.0)], method="highs")
+    assert res.success, res.message
+    return float(-res.fun)
+
+
+def _bl_pairs():
+    """Seeded 1-D pairs of every shape the transport peel has to handle."""
+    rng = np.random.default_rng(2024)
+    for k in range(320):
+        n_mu, n_nu = (int(n) for n in rng.integers(1, 80, size=2))
+        kind = k % 8
+        if kind == 0:                  # unequal sizes, shifted and rescaled
+            yield rng.normal(size=n_mu), rng.normal(rng.uniform(-2, 2),
+                                                    rng.uniform(0.3, 3), n_nu)
+        elif kind == 1:                # rounded samples: ties within and across
+            dec = int(rng.integers(1, 4))
+            yield (np.round(rng.normal(size=n_mu), dec),
+                   np.round(rng.normal(rng.uniform(-1, 1), size=n_nu), dec))
+        elif kind == 2:                # pooled resamples, as in bl_two_sample
+            pooled = np.concatenate([rng.normal(size=n_mu), rng.normal(0.5, size=n_nu)])
+            yield (pooled[rng.integers(0, pooled.size, n_mu)],
+                   pooled[rng.integers(0, pooled.size, n_nu)])
+        elif kind == 3:                # shared atoms across the two laws
+            atoms = rng.normal(size=int(rng.integers(2, 8)))
+            yield rng.choice(atoms, n_mu), rng.choice(atoms, n_nu)
+        elif kind == 4:                # a single atom on one side (both: kind 7)
+            one = rng.normal(size=1)
+            yield (one, rng.normal(size=n_nu)) if k % 16 == 4 else \
+                (rng.normal(size=n_mu), rng.normal(size=1))
+        elif kind == 5:                # disjoint supports, far apart
+            yield rng.uniform(0, 1, n_mu), rng.uniform(0, 1, n_nu) + rng.uniform(1.5, 50)
+        elif kind == 6:                # skewed; every tenth one is thinned to 400 + 400
+            if k % 80 == 6:
+                yield rng.normal(size=900), rng.normal(rng.uniform(0, 0.5), size=700)
+            else:
+                yield rng.exponential(size=n_mu), rng.exponential(size=n_nu)
+        else:                          # point masses
+            yield np.array([0.0]), np.array([rng.uniform(0.01, 100.0)])
+
+
+def test_bl_matches_lp_oracle_on_random_pairs():
+    for a, b in _bl_pairs():
+        got = L.bl_distance(L.EmpiricalLaw(a), L.EmpiricalLaw(b))
+        want = _bl_lp(_stratified_subsample(a), _stratified_subsample(b))
+        assert abs(got - want) <= 1e-12, (a.size, b.size, got, want)
+
+
+def test_import_leaves_scipy_optimize_and_sparse_unloaded():
+    code = ("import sys, levylab.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(L.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_bl_rejects_empty_and_mismatched():
