@@ -22,7 +22,7 @@ OUT = "demo_output"
 os.makedirs(OUT, exist_ok=True)
 
 model = L.presets.periodic_model()
-rep = L.check_conditions(model, n_probe=100)
+rep = L.check_conditions(model)
 print(f"hypotheses hold: {rep.all_passed} "
       f"(margin {L.stability_margin(1.0, 1.0, 0.1, 0.5):.3f})")
 

@@ -25,7 +25,7 @@ print(f"basis orthonormality defect: "
 p = model.coefficients.moment_p
 gate = L.heat_lipschitz(np.sqrt(0.09), 1.0, 0.5, p)
 print(f"\nLipschitz gate max(2/5, ||Q^(1/2)||, rate^(1/p)/3 terms) = {gate:.4f}")
-rep = L.check_conditions(model, n_probe=100)
+rep = L.check_conditions(model)
 print(f"all hypotheses hold: {rep.all_passed} "
       f"(compat slack {rep.cond_L11.slack:.4f}, "
       f"stability slack {rep.cond_lmin.slack:.4f})")

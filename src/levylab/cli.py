@@ -25,7 +25,8 @@ from .config import (ExperimentConfig, RunSection, canonical_json, load_config,
                      parse_config)
 from .errors import (ConfigError, HorizonError, InfeasibleError, InputError,
                      NumericalBlowupError, ThresholdError)
-from .model import check_conditions, stability_margin, theorem_constants
+from .model import (CONDITION_DEFS, check_conditions, stability_margin,
+                    theorem_constants)
 from .integrator import integrate
 from .noise import sample_noise
 from .presets import example61_model, example62_model
@@ -33,20 +34,6 @@ from .pullback import bounded_ensemble, bounded_solution, pullback_plan
 from .recurrence import almost_periods, distributional_almost_period_test
 from .stability import (fit_decay_rate, fit_rate_stderr, gap_experiment,
                         ultimate_bound_check)
-
-_CONDITION_DEFS = {
-    "e1": "growth: coefficient norms at the origin bounded by A0",
-    "e1p": "growth in the p-th moment norms",
-    "e2": "Lipschitz: effective constants bounded by L",
-    "e2p": "Lipschitz in the p-th moment norms",
-    "e3": "continuity in t uniformly on bounded state sets",
-    "thm_existence": "L < w/(2K sqrt(1+2w+2b))",
-    "cond_L": "L < min(w/(2K sqrt(2+4w+4b)), w/(2K sqrt(1+10w+2b)))",
-    "cond_L11": "L < w/(2K sqrt(2+8w+4b))",
-    "cond_lmin": "L < w/(K sqrt(5(1+4w+2b)))",
-    "theta2_lt_1": "theta_2 < 1",
-    "thetap_lt_1": "theta_p < 1",
-}
 
 
 def _write(out_dir: str, name: str, text: str) -> str:
@@ -97,7 +84,7 @@ def _check_payload(model) -> tuple[dict, bool]:
     report = check_conditions(model)
     tc = theorem_constants(model)
     payload = {"conditions": report.to_dict(), "constants": tc.to_dict(),
-               "definitions": {**tc.formulas(), **_CONDITION_DEFS}}
+               "definitions": {**tc.formulas(), **CONDITION_DEFS}}
     return payload, report.all_passed
 
 

@@ -22,7 +22,8 @@ constant ``sup|f'|/(2 lambda_min)`` thanks to the integrating factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -224,29 +225,29 @@ def build_heat_model(galerkin: GalerkinSpec, q_decay: float = 2.0,
 
     lip = heat_lipschitz(float(np.sqrt(max(mode_vars))) if mode_vars else 0.0,
                          jump_spec.small_rate, jump_spec.large_rate, moment_p)
-    a0 = _heat_zero_bound(jump_profile.sup_bound(), jump, jump_spec, moment_p, galerkin)
     coeffs = CoefficientSet(drift=drift, diffusion=diffusion,
                             small_jump=jump, large_jump=jump,
-                            A0=a0, lipschitz_L=lip, moment_p=moment_p)
-    return SdeModel(semigroup=semigroup, coefficients=coeffs,
-                    wiener=WienerSpec(mode_variances=mode_vars),
-                    jumps=jump_spec, galerkin=galerkin)
+                            A0=0.0, lipschitz_L=lip, moment_p=moment_p)
+    model = SdeModel(semigroup=semigroup, coefficients=coeffs,
+                     wiener=WienerSpec(mode_variances=mode_vars),
+                     jumps=jump_spec, galerkin=galerkin)
+    a0 = _heat_zero_bound(model, jump_profile.sup_bound())
+    return replace(model, coefficients=replace(coeffs, A0=a0))
 
 
-def _heat_zero_bound(prof_sup: float, jump, jumps: JumpMeasureSpec, p: float,
-                     galerkin: GalerkinSpec) -> float:
+def _heat_zero_bound(model: SdeModel, prof_sup: float) -> float:
     """Growth constant: the jump coefficient does not vanish at zero.
 
-    Uses the same conservative mark factors as the hypothesis checker
-    (node sup norms for the p-powers) so the growth check passes with
-    nonnegative slack by construction.
+    Reads the model's own jump intensities, with the same conservative
+    mark factors as the hypothesis checker (node sup norms for the
+    p-powers), so the growth check passes with nonnegative slack by
+    construction.
     """
-    ones_proj = float(np.linalg.norm(galerkin.to_modes(np.ones(galerkin.collocation_points))))
+    gal, p = model.galerkin, model.coefficients.moment_p
+    ones_proj = float(np.linalg.norm(gal.to_modes(np.ones(gal.collocation_points))))
     vals = [0.0]
-    for which, rate, sampler in (("small", jumps.small_rate, jumps.small_sampler),
-                                 ("large", jumps.large_rate, jumps.large_sampler)):
-        if rate > 0:
-            vals.append(prof_sup * (rate * sampler.abs_moment(2)) ** 0.5)
-            vals.append(prof_sup * ones_proj
-                        * (rate * jump.mark_abs_factor(sampler, p, galerkin)) ** (1 / p))
+    for which in ("small", "large"):
+        rate = getattr(model.jumps, f"{which}_rate")
+        vals.append(prof_sup * math.sqrt(rate * model.jumps.mark_moment(which, 2)))
+        vals.append(prof_sup * ones_proj * model.jump_intensity(which, p) ** (1 / p))
     return max(vals)

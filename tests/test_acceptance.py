@@ -57,18 +57,15 @@ def test_criterion_1_constant_reproduction():
 
 def test_criterion_2_threshold_reproduction():
     def l11_slack(b):
-        rep = L.check_conditions(L.presets.example61_model(b=b, A0=1.0),
-                                 n_probe=0, n_t_grid=21)
+        rep = L.check_conditions(L.presets.example61_model(b=b, A0=1.0), n_t_grid=21)
         return rep.cond_L11.slack
 
     def lmin_slack(b):
-        rep = L.check_conditions(L.presets.example61_model(b=b, A0=1.0),
-                                 n_probe=0, n_t_grid=21)
+        rep = L.check_conditions(L.presets.example61_model(b=b, A0=1.0), n_t_grid=21)
         return rep.cond_lmin.slack
 
     def moment_slack(rate):
-        rep = L.check_conditions(L.presets.example61_model(small_rate=rate),
-                                 n_probe=0, n_t_grid=21)
+        rep = L.check_conditions(L.presets.example61_model(small_rate=rate), n_t_grid=21)
         return rep.e2.slack
 
     b_l11 = _bisect_root(l11_slack, 1.0, 20.0)
@@ -261,7 +258,7 @@ def test_criterion_9_heat_spectrum():
     hand = max(2.0 / 5.0, math.sqrt(0.09), 1.0 ** (1 / p) / 3.0,
                0.5 ** (1 / p) / 3.0)
     ok_gate = m.coefficients.lipschitz_L == pytest.approx(hand, rel=1e-14)
-    ok_cond = L.check_conditions(m, n_probe=100).all_passed
+    ok_cond = L.check_conditions(m).all_passed
     ok = ok_omega and ok_decay and ok_gate and ok_cond
     _verdict("criterion 9: spectral heat build reports omega = pi^2, exact "
              "single-mode decay, gate formula matches", ok,
