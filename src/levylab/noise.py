@@ -30,6 +30,7 @@ from numpy.polynomial.laguerre import laggauss
 from .errors import InputError
 
 _MARK_KINDS = ("uniform_shell", "point_mass", "exp_tail", "finite_rank")
+_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,8 @@ class MarkSampler:
             idx = rng.choice(len(self.probs), size=n, p=np.asarray(self.probs))
             a = self._atom_array()[idx]
             return a[:, 0] if a.shape[1] == 1 else a
-        if self.signed:
-            x = x * rng.choice([-1.0, 1.0], size=n)
+        if self.signed:   # the draw of rng.choice([-1.0, 1.0], size=n)
+            x = x * _SIGNS[rng.integers(0, 2, size=n)]
         return x
 
     # -- moments (exact; exp_tail uses Gauss-Laguerre, exact to quad order) --
@@ -269,11 +270,15 @@ def sample_wiener_increments(spec: WienerSpec, grid, seed: int) -> np.ndarray:
     return z * np.sqrt(np.outer(dt, spec.q))
 
 
-def _sample_one_sided(rate, sampler, span, rng_t, rng_m):
+def _sample_one_sided(rate, sampler, span, seed, key):
+    """Times and marks of one side and kind; the mark stream is built only
+    when the side holds a jump."""
+    rng_t = _child_rng(seed, *key, 0)
     n = rng_t.poisson(rate * span)
     times = np.sort(rng_t.uniform(0.0, span, size=n))
-    marks = sampler.sample(rng_m, n) if n else np.zeros((0,) if sampler.dim == 1 else (0, sampler.dim))
-    return times, marks
+    if not n:
+        return times, np.zeros((0,) if sampler.dim == 1 else (0, sampler.dim))
+    return times, sampler.sample(_child_rng(seed, *key, 1), n)
 
 
 def sample_jumps(spec: JumpMeasureSpec, window, seed: int):
@@ -299,9 +304,7 @@ def sample_jumps(spec: JumpMeasureSpec, window, seed: int):
             which = "small" if j == 0 else "large"
             if rate <= 0:
                 continue
-            rng_t = _child_rng(seed, 1 + side, j, 0)
-            rng_m = _child_rng(seed, 1 + side, j, 1)
-            times, marks = _sample_one_sided(rate, sampler, b - a, rng_t, rng_m)
+            times, marks = _sample_one_sided(rate, sampler, b - a, seed, (1 + side, j))
             times = a + times
             if side == 1:
                 times, marks = -times[::-1], -(marks[::-1] if marks.size else marks)

@@ -113,6 +113,32 @@ def test_gap_curve_zero_for_identical_initial_conditions():
     assert np.all(curve.gap == 0.0)
 
 
+def test_coupled_gap_draws_each_path_once(monkeypatch):
+    # the two coupled runs step on one draw of the noise: n_paths draws of
+    # the jump point sets, not 2 n_paths, and the gap is the one of two
+    # separate ensembles with the same seed, bit for bit (three chunks here)
+    m = L.presets.example61_model(forcing=1.0)
+    shifted = m.shifted(0.7)
+    window, n, step, seed, obs = (-1.0, 2.0), 12, 0.05, 7, np.linspace(0.0, 2.0, 5)
+    monkeypatch.setattr(ensemble, "CHUNK", 5)
+    calls = []
+    draw = ensemble.sample_jumps
+    monkeypatch.setattr(ensemble, "sample_jumps", lambda *a: calls.append(1) or draw(*a))
+    curve = L.coupled_gap(m, shifted, 0.5, 1.5, window, n, step, seed, obs)
+    assert len(calls) == n
+    a = simulate_ensemble(m, window, 0.5, n, step, seed, obs)
+    b = simulate_ensemble(shifted, window, 1.5, n, step, seed, obs)
+    gap, se = ensemble.mean_and_se(np.sum((a.states - b.states) ** 2, axis=2))
+    assert np.array_equal(curve.times, a.times)
+    assert np.array_equal(curve.gap, gap) and np.array_equal(curve.se, se)
+
+
+def test_coupled_gap_needs_one_noise_law():
+    with pytest.raises(L.InputError, match="one noise law"):
+        L.coupled_gap(L.presets.example61_model(), L.presets.linear_decay_model(2.0),
+                      1.0, 1.0, (0.0, 1.0), 4, 0.1, 0, [1.0])
+
+
 def test_state_dependent_jumps_agree_across_drivers():
     # multiplicative jump coefficients: binned vs grid-refined jump handling
     # must agree weakly (means and second moments within MC error)

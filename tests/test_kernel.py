@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import levylab as L
-from levylab.ensemble import simulate_ensemble
+from levylab.ensemble import _path_seed, simulate_ensemble
+from levylab.integrator import refined_grid
+from levylab.noise import sample_jumps
 from levylab.profiles import TimeProfile
 
 # Terminal states (float.hex) recorded while each driver still evaluated
@@ -34,12 +36,82 @@ GOLDEN = {
         "-0x1.ad35fbf3941b9p-9", "-0x1.7a0b659a5f1afp-11", "-0x1.54162304a5ad6p-31",
         "-0x1.92cee4b18d451p-31", "-0x1.5001ad61e1376p-33", "-0x1.6aaa1bf5ab67ep-37",
         "-0x1.c9e55b0518e29p-53", "-0x1.9b1050f8574ecp-55"],
+    # Recorded while the ensemble still selected each step's jumps by
+    # path rank and kind mask, before it regrouped them into (step, round,
+    # kind) slices.  The case crosses t = 0 (the mirror side), its steps
+    # of 0.25 hold two or more jumps of one path, and the three models
+    # cover the mark modes ignore, pointwise_product and scalar.
+    ("stressed", "example61"): [
+        "0x1.c58436d16fc6dp-7", "0x1.93c99e1c98b7bp-7", "0x1.6731cc874fa40p-7",
+        "0x1.7330c38488587p-7", "0x1.b2651be4634a7p-7", "0x1.807ac20bd284dp-7",
+        "0x1.05ef6fe9a6e8ap-6", "0x1.4bfb60dfc232fp-7", "0x1.9db9df19bc67bp-7",
+        "0x1.f9311696c3e44p-7", "0x1.e27f254e468f1p-7", "0x1.625d345b14ad4p-7",
+        "0x1.6f519200b61d3p-7", "0x1.73ea29f968c20p-7", "0x1.b51ef5eddd1b5p-7",
+        "0x1.bf42e23917736p-7"],
+    ("stressed", "heat8"): [
+        "-0x1.09e5cc6912ee2p-9", "-0x1.52cbfa0295d8cp-11", "-0x1.64c22103be4b4p-27",
+        "-0x1.ff57009cd1947p-29", "0x1.4cb35193d0502p-32", "-0x1.b0d4eec3530dbp-38",
+        "0x1.f0ad173f15b94p-48", "-0x1.3c2b2f548e614p-51", "0x1.b26ecd4e84163p-4",
+        "-0x1.53edd3ee16ff9p-11", "0x1.5045e70095835p-24", "0x1.7bea465146aecp-25",
+        "0x1.97915f1c3b99dp-30", "-0x1.be3b355bf6ee7p-38", "-0x1.a54cfe11d750cp-55",
+        "-0x1.8c04a97bebcfdp-56", "-0x1.02d9e71615a07p-9", "-0x1.52ce01db8f25bp-11",
+        "-0x1.8cafffc5390b0p-27", "-0x1.200682173a2f7p-28", "0x1.656043ba50639p-32",
+        "-0x1.bec481b5f9376p-38", "0x1.e645a43a77fa2p-50", "-0x1.9649332c94e51p-54",
+        "-0x1.a54d8611c0f7ep-9", "-0x1.52d1f38896d01p-11", "-0x1.0ca882468a8ddp-31",
+        "-0x1.1eeb0c99cd282p-31", "-0x1.bdccced50149fp-34", "-0x1.be47f981d2d07p-38",
+        "-0x1.7c4e27c90121cp-54", "-0x1.4dc1bb2bebb64p-56", "-0x1.a3d78e096a5bbp-9",
+        "-0x1.52d23f18133dap-11", "-0x1.d7c9c78bdc7abp-32", "-0x1.08b3e06bd40e0p-31",
+        "-0x1.ab075072af6f1p-34", "-0x1.be4683a9dc0ecp-38", "-0x1.b72f53a86264bp-55",
+        "-0x1.abf24957cd2d1p-57", "0x1.0afd920834396p-8", "-0x1.51a08573da83dp-11",
+        "-0x1.3e15e791a7f88p-21", "-0x1.2e20be0873c04p-22", "0x1.5255913004abcp-29",
+        "-0x1.75fee321316eep-35", "0x1.a2dea9b6ccf6cp-41", "-0x1.2d31278586451p-47",
+        "0x1.d92b95cf036cdp-12", "0x1.99b8e707d7f0dp-9", "-0x1.1189d2cbfc3fcp-23",
+        "-0x1.e0503078ee645p-25", "0x1.3c62baf824f2bp-30", "-0x1.118035cabcbc2p-37",
+        "0x1.399d3dda41967p-44", "-0x1.6589a8d292081p-50", "-0x1.a23bae7f8d511p-9",
+        "-0x1.52d1a51d6c38fp-11", "-0x1.1bb41ac9859e9p-32", "-0x1.8a9350c147be5p-32",
+        "-0x1.6ca78e17dff88p-34", "-0x1.be4803e25fbc7p-38", "-0x1.3944e06bd451ap-54",
+        "-0x1.9208a3cd39f5ap-58", "-0x1.d2efd55fd8055p-11", "-0x1.52addfbf9116fp-11",
+        "-0x1.700b73de9b059p-25", "-0x1.31934c1f46163p-26", "0x1.4411275901d2fp-31",
+        "-0x1.9c7275e52fd02p-38", "0x1.8ba4469c076bep-47", "0x1.2b9213e51497bp-49",
+        "-0x1.a20e3c59359b2p-9", "-0x1.52d1d782b0999p-11", "-0x1.1f99ce97f60cap-31",
+        "-0x1.2b876d09e7ea5p-31", "-0x1.c81c4dd90ab15p-34", "-0x1.be3d4ccfc99cbp-38",
+        "-0x1.f3bd625d9bd91p-54", "-0x1.94fcc79e11cfcp-56", "-0x1.a5a2bfeb2f505p-9",
+        "-0x1.52d189b616af5p-11", "-0x1.7b82f5f457d23p-32", "-0x1.d0cb8a2074087p-32",
+        "-0x1.8e3893f200f18p-34", "-0x1.be2b066f093e2p-38", "-0x1.63c43a3398830p-55",
+        "-0x1.e9ca876c072bep-58", "-0x1.a4f0a3ff7765ap-9", "0x1.de4abf4c241fep-6",
+        "-0x1.4a4c13bfcf970p-22", "0x1.11c8b03cf1befp-24", "0x1.84693d7e379f2p-26",
+        "0x1.8c6bd3982e321p-30", "0x1.b2a2ee5a80013p-49", "0x1.962cb45095750p-52",
+        "-0x1.67ed458b88f8bp-9", "-0x1.52d215b4797fap-11", "-0x1.17172541955efp-30",
+        "-0x1.8629f3e47e154p-33", "0x1.3752fff6cc2fep-34", "-0x1.bb96f17110a31p-38",
+        "0x1.af75c2877a4e5p-50", "-0x1.4b8d9603f13b1p-50", "-0x1.a1bbe5a0bebb1p-9",
+        "-0x1.52d236bfecb99p-11", "-0x1.928c25c1be7d6p-32", "-0x1.e1215214a2382p-32",
+        "-0x1.95a8651c204c8p-34", "-0x1.be235c87d9959p-38", "-0x1.550eac44598e5p-55",
+        "-0x1.0decf844c3d43p-57", "-0x1.a84b0af02b5a8p-9", "-0x1.4aaa0a2d80951p-11",
+        "0x1.0cd95e4b1281ap-39", "0x1.a312b7f00e478p-30", "-0x1.442e077556af4p-32",
+        "-0x1.7a14d5285b647p-31", "-0x1.683c7214d967ep-53", "0x1.8c262143bfdc6p-51",
+        "-0x1.0d1ce659d6495p-9", "-0x1.52cc95270528ap-11", "-0x1.064208da7dae2p-26",
+        "-0x1.892e4865305d0p-28", "0x1.9f1944e9e055ep-32", "-0x1.bdbba1493d8b1p-38",
+        "0x1.94ba1b161b2f7p-48", "-0x1.d26b8b6c91674p-52"],
+    ("stressed", "periodic"): [
+        "0x1.f365b1c70ce9ap-2", "0x1.60b862481831ep-1", "0x1.42ed80ff443fap-1",
+        "0x1.50f1089ea5f8dp-1", "0x1.9a0aba4648443p-1", "0x1.26e87848c3260p-1",
+        "0x1.119e3c547ffa9p-1", "0x1.13d70a763fa3cp-1", "0x1.4c642c40aaa34p-1",
+        "0x1.d33dc17ab3ecap-1", "0x1.7f15a869e6ef0p-1", "0x1.bb0d4f9d5e24fp-2",
+        "0x1.ba2e41fb4af6dp-2", "0x1.429f69a6fd9bdp-1", "0x1.2e38c0bc1a638p-1",
+        "0x1.efefb2dd6b433p-2"],
 }
+
+# simulate_ensemble arguments after the model: window, y0, n_paths,
+# max_step, seed, obs_times
+ENSEMBLE_CASES = {"ensemble": ((0.0, 2.0), 0.5, 4, 0.01, 3, [2.0]),
+                  "stressed": ((-2.0, 2.0), 0.5, 16, 0.25, 3, [2.0])}
 
 
 def _model(name):
     if name == "example61":
         return L.presets.example61_model(forcing=1.0)   # two drift terms
+    if name == "periodic":
+        return L.presets.periodic_model()               # scalar marks
     return L.presets.example62_model(n_modes=8)         # pointwise (collocated) maps
 
 
@@ -52,6 +124,16 @@ def _golden(driver, name):
     return np.array([float.fromhex(h) for h in GOLDEN[(driver, name)]])
 
 
+def _most_jumps_of_one_path_in_one_step(m, window, y0, n_paths, max_step, seed, obs):
+    grid = refined_grid(window[0], window[1], max_step, obs)
+    most = 0
+    for p in range(n_paths):
+        st, _, lt, _ = sample_jumps(m.jumps, window, _path_seed(seed, p))
+        most = max(most, np.bincount(np.searchsorted(grid, np.concatenate([st, lt])),
+                                     minlength=1).max())
+    return most
+
+
 @pytest.mark.parametrize("name", ["example61", "heat8"])
 def test_integrate_terminal_state_is_pinned(name):
     path = _integrate(_model(name))
@@ -59,11 +141,17 @@ def test_integrate_terminal_state_is_pinned(name):
     assert np.array_equal(path.values[-1], _golden("integrate", name))
 
 
-@pytest.mark.parametrize("name", ["example61", "heat8"])
-def test_ensemble_terminal_states_are_pinned(name):
+@pytest.mark.parametrize("case, name", [
+    ("ensemble", "example61"), ("ensemble", "heat8"), ("stressed", "example61"),
+    ("stressed", "heat8"), ("stressed", "periodic")],
+    ids=["example61", "heat8", "stressed-example61", "stressed-heat8", "stressed-periodic"])
+def test_ensemble_terminal_states_are_pinned(case, name):
     m = _model(name)
-    res = simulate_ensemble(m, (0.0, 2.0), 0.5, 4, 0.01, 3, [2.0])
-    assert np.array_equal(res.states[-1].ravel(), _golden("ensemble", name))
+    args = ENSEMBLE_CASES[case]
+    if case == "stressed":
+        assert _most_jumps_of_one_path_in_one_step(m, *args) >= 2
+    res = simulate_ensemble(m, *args)
+    assert np.array_equal(res.states[-1].ravel(), _golden(case, name))
 
 
 @pytest.mark.parametrize("name", ["example61", "heat8"])
