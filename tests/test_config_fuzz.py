@@ -67,7 +67,10 @@ def _at(d, path):
 def _object_at(d, path):
     """The object at ``path``, or None where an earlier edit replaced it."""
     for key in path:
-        d = d.get(key) if isinstance(d, dict) else d[key] if isinstance(d, list) else None
+        try:
+            d = d[key]
+        except (KeyError, IndexError, TypeError):
+            return None
     return d if isinstance(d, dict) else None
 
 
