@@ -120,22 +120,23 @@ def _jump_kernel(model: SdeModel, grid, events):
     paths, kinds, marks, interval, rank, lead, dec_in, dec_out = (
         a[regroup] for a in (paths, kinds, marks, interval, rank, lead[:, None],
                              dec_in, dec_out))
-    tables = {kind: (coef, coef.profile_table(times)[regroup],
-                     marks[:, 0] if coef.mark_mode == "scalar" else marks)
-              for kind, coef in ((JUMP_SMALL, c.small_jump), (JUMP_LARGE, c.large_jump))}
+    kernels = {kind: coef.event_kernel(   # rows and scalar marks broadcast over coordinates
+        coef.profile_table(times)[regroup][:, None],
+        marks[:, :1] if coef.mark_mode == "scalar" else marks, model.galerkin)
+        for kind, coef in ((JUMP_SMALL, c.small_jump), (JUMP_LARGE, c.large_jump))}
     starts = np.flatnonzero(np.r_[times.size > 0, np.any(np.diff([interval, rank, kinds]), 0)])
     schedule = [[] for _ in range(grid.size - 1)]
     for a, b, i, kind, r in zip(*(x.tolist() for x in (
             starts, np.append(starts[1:], times.size), interval[starts], kinds[starts],
             rank[starts]))):
-        schedule[i].append((slice(a, b), tables[kind], r > 0))
-    post, gal = np.empty((times.size, model.dim)), model.galerkin
+        schedule[i].append((slice(a, b), kernels[kind], r > 0))
+    post = np.empty((times.size, model.dim))
 
     def add_jumps(i, y, y_new, drift):
-        for sl, (coef, prof, mk), later in schedule[i]:
+        for sl, jump, later in schedule[i]:
             p = paths[sl]
             pre = dec_in[sl] * (post[back[sl]] if later else y[p]) + lead[sl] * drift[p]
-            raw = coef.apply_mark(prof[sl], pre, mk[sl], gal)
+            raw = jump(sl, pre)
             y_new[p] += dec_out[sl] * raw
             post[sl] = pre + raw
         return y_new

@@ -2,22 +2,24 @@
 exponential-Euler step kernel that both path drivers run.
 
 :func:`step_kernel` tabulates once per grid the semigroup factors of every
-step and the drift, diffusion and small-jump profile values at every step
-start, and returns the step (Hochbruck & Ostermann, Acta Numerica 2010)
+step and the drift, diffusion and small-jump profile columns at every step
+start, collects the distinct state maps of those coefficients, and returns
+the step (Hochbruck & Ostermann, Acta Numerica 2010)
 
     Y(t+dt) = e^(-Lam dt) Y + Lam^-1 (1 - e^(-Lam dt)) D(t, Y)
               + e^(-Lam dt) g(t, Y) dW
 
-for one state (dim,) or a batch (n_paths, dim).  ``Lam`` is the diagonal
-decay matrix and ``D`` collects the drift coefficient, the Wiener drift
-vector routed through the diffusion, and the small-jump compensator.
-:func:`integrate` runs it for one path on the uniform ``max_step`` grid
-refined by every jump time of the frozen noise realization (Bruti-Liberati
-& Platen, J. Comput. Appl. Math. 2007); at a jump time the increment ``F``
-or ``G`` evaluated at the left limit is applied without an extra semigroup
-factor (the jump-adapted grid makes the neglected factor 1 + O(step)).
-Weak order one; the deterministic drift part is O(step)-accurate with
-constant ``sup|f'|/(2 lambda_min)`` thanks to the integrating factor.
+for one state (dim,) or a batch (n_paths, dim), which evaluates each map
+and ``to_phys`` once.  ``Lam`` is the diagonal decay matrix and ``D``
+collects the drift coefficient, the Wiener drift vector routed through the
+diffusion, and the small-jump compensator.  :func:`integrate` runs it for
+one path on the uniform ``max_step`` grid refined by every jump time of
+the frozen noise realization (Bruti-Liberati & Platen, J. Comput. Appl.
+Math. 2007); at a jump time the increment ``F`` or ``G`` evaluated at the
+left limit is applied without an extra semigroup factor (the jump-adapted
+grid makes the neglected factor 1 + O(step)).  Weak order one; the
+deterministic drift part is O(step)-accurate with constant
+``sup|f'|/(2 lambda_min)`` thanks to the integrating factor.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ import numpy as np
 
 from .errors import InputError, NumericalBlowupError
 from .galerkin import GalerkinSpec
-from .model import (CoefficientSet, SdeModel, SemigroupSpec, StateMap,
+from .model import (CoefficientSet, SdeModel, SemigroupSpec, StateMap, StateMaps,
                     coefficient, jump_coefficient, linear_map, sine_map,
                     cosine_map)
 from .noise import (JumpMeasureSpec, NoiseRealization, WienerSpec)
 from .profiles import harmonic_profile, reciprocal_profile, trig_reciprocal_profile
 
 JUMP_NONE, JUMP_SMALL, JUMP_LARGE = 0, 1, 2
+CSV_BLOCK = 1024   # rows that SamplePath.to_csv formats and writes at a time
 
 
 def step_kernel(model: SdeModel, grid: np.ndarray):
@@ -45,13 +48,18 @@ def step_kernel(model: SdeModel, grid: np.ndarray):
     neg_ldt = -np.outer(np.diff(grid), model.semigroup.rates)
     decay, phi1 = np.exp(neg_ldt), -np.expm1(neg_ldt) / model.semigroup.rates
     c, gal, a = model.coefficients, model.galerkin, model.wiener.drift
-    f_tab, g_tab, comp_tab = (coef.profile_table(grid[:-1])
-                              for coef in (c.drift, c.diffusion, c.small_jump))
+    coefs = f, g, s = c.drift, c.diffusion, c.small_jump
+    maps, (f_cols, g_cols, s_cols) = StateMaps(coefs, gal), [
+        tuple(coef.profile_table(grid[:-1]).T) for coef in coefs]
+    f_slots, g_slots, s_slots = maps.slots
+    rate, sampler = model.jumps.small_rate, model.jumps.small_sampler
+    mean = s.mark_factor(np.asarray(sampler.mean(), float), gal) if rate else None
 
     def step(i: int, y: np.ndarray, dw: np.ndarray):
-        gdiag = c.diffusion.apply(g_tab[i], y, gal)
-        drift = (c.drift.apply(f_tab[i], y, gal) + gdiag * a
-                 + model.compensator_apply(comp_tab[i], y))
+        vals = maps(y)
+        gdiag = g.evaluate(g_cols, i, vals, g_slots, gal)
+        drift = (f.evaluate(f_cols, i, vals, f_slots, gal) + gdiag * a
+                 + (-rate * s.evaluate(s_cols, i, vals, s_slots, gal, mean) if rate else 0.0))
         d = decay[i]
         return d * y + phi1[i] * drift + d * (gdiag * dw), drift
 
@@ -86,9 +94,11 @@ class SamplePath:
         cols = ",".join(f"y{k}" for k in range(m))
         with open(path, "w") as fh:
             fh.write(f"time,jump_flag,{cols}\n")
-            for t, flag, row in zip(self.times, self.jump_flags, self.values):
-                fh.write(f"{float(t)!r},{int(flag)},"
-                         + ",".join(repr(float(v)) for v in row[:m]) + "\n")
+            for lo in range(0, self.times.size, CSV_BLOCK):
+                rows = zip(*(a[lo:lo + CSV_BLOCK].tolist() for a in
+                             (self.times, self.jump_flags, self.values[:, :m])))
+                fh.write("".join(f"{t!r},{flag},{','.join(map(repr, row))}\n"
+                                 for t, flag, row in rows))
 
 
 def refined_grid(t0: float, t1: float, max_step: float, nodes) -> np.ndarray:
@@ -99,21 +109,22 @@ def refined_grid(t0: float, t1: float, max_step: float, nodes) -> np.ndarray:
 
 def _merged_grid(model: SdeModel, t0: float, t1: float, max_step: float,
                  noise: NoiseRealization):
-    """Uniform grid refined by jump times; returns (grid, jumps) with
-    jumps[i] the list of (kind, coefficient, mark, profile row) at grid[i]."""
-    c = model.coefficients
-    found = []
+    """Uniform grid refined by jump times; returns (grid, jumps, kernels) with
+    jumps[i] the (kind, event index) pairs at grid[i] and kernels[kind] the
+    :meth:`~levylab.model.JumpCoefficient.event_kernel` of that kind."""
+    c, found, kernels = model.coefficients, [], {}
     for times, marks, kind, coef in (
             (noise.small_times, noise.small_marks, JUMP_SMALL, c.small_jump),
             (noise.large_times, noise.large_marks, JUMP_LARGE, c.large_jump)):
         inside = (times > t0) & (times < t1)
-        found += [(t, kind, coef, m, row) for t, m, row in
-                  zip(times[inside], marks[inside], coef.profile_table(times[inside]))]
+        kernels[kind] = coef.event_kernel(coef.profile_table(times[inside]), marks[inside],
+                                          model.galerkin)
+        found += [(t, kind, j) for j, t in enumerate(times[inside])]
     grid = refined_grid(t0, t1, max_step, [t for t, *_ in found])
     jumps: dict[int, list] = {}
     for t, *event in found:
         jumps.setdefault(int(np.searchsorted(grid, t)), []).append(event)
-    return grid, jumps
+    return grid, jumps, kernels
 
 
 def check_finite(y: np.ndarray, t: float):
@@ -146,7 +157,7 @@ def integrate(model: SdeModel, noise: NoiseRealization, t0: float, t1: float,
     if not np.all(np.isfinite(y)):
         raise InputError("initial state must be finite")
 
-    grid, jumps = _merged_grid(model, t0, t1, max_step, noise)
+    grid, jumps, kernels = _merged_grid(model, t0, t1, max_step, noise)
     step = step_kernel(model, grid)
     dW = noise.wiener_increments(grid)
 
@@ -160,8 +171,8 @@ def integrate(model: SdeModel, noise: NoiseRealization, t0: float, t1: float,
         y = step(i, y, dW[i])[0]
         left[i + 1] = y
         check_finite(y, grid[i + 1])
-        for kind, coef, mark, row in jumps.get(i + 1, ()):
-            y = y + coef.apply_mark(row, y, mark, model.galerkin)
+        for kind, j in jumps.get(i + 1, ()):
+            y = y + kernels[kind](j, y)
             flags[i + 1] = kind
             check_finite(y, grid[i + 1])
         values[i + 1] = y

@@ -39,6 +39,21 @@ MARK_MODES = ("ignore", "scalar", "pointwise_product")
 # state maps and coefficients
 # ---------------------------------------------------------------------------
 
+# each kind's map; a scale of 1 is skipped (1.0 * x is x, bit for bit)
+_MAP_KINDS = {
+    "linear": lambda m, y: m.scale * y,
+    "sine": lambda m, y: _scaled(m.scale, np.sin(y)),
+    "cosine": lambda m, y: _scaled(m.scale, np.cos(y)),
+    "clipped": lambda m, y: _scaled(m.scale, np.clip(y, -m.bound, m.bound)),
+    "ones": lambda m, y: np.full_like(y, m.scale),
+}
+_ZERO = np.zeros(())   # +0.0, which numpy adds faster as a 0-d array
+
+
+def _scaled(scale: float, x: np.ndarray) -> np.ndarray:
+    return x if scale == 1.0 else scale * x
+
+
 @dataclass(frozen=True)
 class StateMap:
     """Coordinatewise globally Lipschitz state map from the closed registry.
@@ -56,16 +71,7 @@ class StateMap:
             raise InputError(f"unknown state map kind {self.kind!r}")
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if self.kind == "linear":
-            return self.scale * y
-        if self.kind == "sine":
-            return self.scale * np.sin(y)
-        if self.kind == "cosine":
-            return self.scale * np.cos(y)
-        if self.kind == "clipped":
-            return self.scale * np.clip(y, -self.bound, self.bound)
-        return np.full_like(y, self.scale)
+        return _MAP_KINDS[self.kind](self, np.asarray(y, dtype=float))
 
     @property
     def lip(self) -> float:
@@ -109,9 +115,24 @@ def ones_map(scale=1.0) -> StateMap:
     return StateMap(kind="ones", scale=float(scale))
 
 
-def _broadcast_profile(pv: np.ndarray, target_ndim: int) -> np.ndarray:
-    pv = np.asarray(pv, dtype=float)
-    return pv.reshape(pv.shape + (1,) * (target_ndim - pv.ndim)) if pv.ndim else pv
+class StateMaps:
+    """The distinct state maps of ``coefs`` (jumps marked if ``marked``).
+    Called on y, it returns ``[y, u, S_0, ...]``, u = to_phys(y) or None and
+    each map once (``linear_map(1.0)`` is y or u itself, bit for bit);
+    ``slots[c][k]`` indexes the value of term k of coefficient c."""
+
+    def __init__(self, coefs, galerkin: GalerkinSpec | None = None, marked: bool = True):
+        spaces, index = [c.on_nodes(galerkin, marked) for c in coefs], {}
+        self.slots = [tuple(index.setdefault((s, m), len(index) + 2) for _, m in c.terms)
+                      for c, s in zip(coefs, spaces)]
+        self._maps = [(int(s), None if (m.kind, m.scale) == ("linear", 1.0)
+                       else _MAP_KINDS[m.kind], m) for s, m in index]
+        self._galerkin = galerkin if any(spaces) else None
+
+    def __call__(self, y: np.ndarray) -> list:
+        vals = [y, None if self._galerkin is None else self._galerkin.to_phys(y)]
+        vals += [fn(m, vals[s]) if fn else vals[s] for s, fn, m in self._maps]
+        return vals
 
 
 @dataclass(frozen=True)
@@ -120,17 +141,18 @@ class Coefficient:
 
     With ``pointwise=True`` and a Galerkin spec present, state maps act on
     node values (collocate, apply, project back); otherwise they act on
-    coordinates directly.
+    coordinates directly.  Every evaluation runs :meth:`evaluate`.
     """
 
     terms: tuple[tuple[TimeProfile, StateMap], ...]
     pointwise: bool = False
+    mark_mode = "ignore"     # a plain coefficient takes no mark
 
     def profile_table(self, times) -> np.ndarray:
         """Profile values at ``times``: shape ``times.shape + (n_terms,)``.
 
         Profiles depend on t only, so a driver tabulates them once per
-        grid and hands the rows to :meth:`apply`.
+        grid; the transposed table holds one column per term.
         """
         t = np.asarray(times, dtype=float)
         table = np.empty(t.shape + (len(self.terms),))
@@ -138,23 +160,43 @@ class Coefficient:
             table[..., k] = prof(t)
         return table
 
+    def on_nodes(self, galerkin: GalerkinSpec | None, marked: bool = False) -> bool:
+        """Whether the maps act on node values (pointwise, or a marked pointwise_product)."""
+        return galerkin is not None and (
+            self.pointwise or marked and self.mark_mode == "pointwise_product")
+
+    def evaluate(self, cols, i, vals: list, slots, galerkin: GalerkinSpec | None = None,
+                 factor=None) -> np.ndarray:
+        """Sum of ``cols[k][i] * vals[slots[k]]`` over the terms in order, its
+        first product added to +0.0 as by a zeros accumulator; ``factor`` is a
+        :meth:`~JumpCoefficient.mark_factor`, or None for the state part."""
+        if slots:   # in place: out of place would allocate a node-sized array per term
+            acc = cols[0][i] * vals[slots[0]]
+            acc += _ZERO
+            for k in range(1, len(slots)):
+                acc += cols[k][i] * vals[slots[k]]
+        else:
+            acc = np.zeros(vals[self.on_nodes(galerkin, factor is not None)].shape)
+        if galerkin is not None:
+            if factor is not None and self.mark_mode == "pointwise_product":
+                return galerkin.to_modes(acc * factor)
+            if self.pointwise:
+                acc = galerkin.to_modes(acc)
+        return acc if factor is None else acc * factor
+
+    def _prepare(self, pvals, y, galerkin, marked):
+        """The (cols, index, vals, slots) of :meth:`evaluate` for ``pvals`` at ``y``."""
+        y, pvals = np.asarray(y, dtype=float), np.asarray(pvals, dtype=float)
+        if pvals.ndim > 1:   # one row per leading state: broadcast over the rest
+            pvals = pvals.reshape(pvals.shape[:-1] + (1,) * (y.ndim - pvals.ndim + 1)
+                                  + pvals.shape[-1:])
+        maps = StateMaps((self,), galerkin, marked)
+        return [pvals[..., k] for k in range(pvals.shape[-1])], ..., maps(y), maps.slots[0]
+
     def apply(self, pvals, y, galerkin: GalerkinSpec | None = None) -> np.ndarray:
         """Coefficient at state ``y`` given its profile values ``pvals``
         (one row of :meth:`profile_table`, or one row per leading state)."""
-        y = np.asarray(y, dtype=float)
-        if self.pointwise and galerkin is not None:
-            return galerkin.to_modes(self._combine(pvals, galerkin.to_phys(y)))
-        return self._combine(pvals, y)
-
-    def _combine(self, pvals, u: np.ndarray) -> np.ndarray:
-        pvals = np.asarray(pvals, dtype=float)
-        if pvals.ndim > 1:   # one row per leading state: broadcast over the rest
-            pvals = pvals.reshape(pvals.shape[:-1] + (1,) * (u.ndim - pvals.ndim + 1)
-                                  + pvals.shape[-1:])
-        acc = np.zeros(u.shape)
-        for k, (_, smap) in enumerate(self.terms):
-            acc += pvals[..., k] * smap(u)
-        return acc
+        return self.evaluate(*self._prepare(pvals, y, galerkin, False), galerkin)
 
     def value(self, t, y: np.ndarray, galerkin: GalerkinSpec | None = None) -> np.ndarray:
         return self.apply(self.profile_table(t), y, galerkin)
@@ -182,34 +224,36 @@ class JumpCoefficient(Coefficient):
         if self.mark_mode not in MARK_MODES:
             raise InputError(f"unknown mark mode {self.mark_mode!r}")
 
-    def apply_mark(self, pvals, y, mark, galerkin: GalerkinSpec | None = None) -> np.ndarray:
-        """J(t, y, mark) given the profile values ``pvals`` at t."""
-        if self.mark_mode == "pointwise_product":
-            base = self._node_base(pvals, y, galerkin)
-            return galerkin.to_modes(base * galerkin.to_phys(np.asarray(mark, dtype=float)))
-        base = self.apply(pvals, y, galerkin)
-        if self.mark_mode == "ignore":
-            return base
-        return base * _broadcast_profile(np.asarray(mark, dtype=float), base.ndim)
-
-    def _node_base(self, pvals, y, galerkin: GalerkinSpec | None) -> np.ndarray:
-        """State part of a pointwise_product coefficient at the nodes."""
+    def mark_factor(self, mark, galerkin: GalerkinSpec | None = None):
+        """The factor of the state part: None, the mark or its node values."""
+        if self.mark_mode != "pointwise_product":
+            return None if self.mark_mode == "ignore" else mark
         if galerkin is None:
             raise InputError("pointwise_product marks need a Galerkin spec")
-        return self._combine(pvals, galerkin.to_phys(np.asarray(y, dtype=float)))
+        return galerkin.to_phys(mark)
+
+    def event_kernel(self, table, marks, galerkin: GalerkinSpec | None = None):
+        """``jump(j, y)``: J at ``y`` for the events ``j`` (index or slice) of a
+        profile ``table`` with one row per event and of their ``marks``."""
+        maps, cols = StateMaps((self,), galerkin), tuple(np.moveaxis(table, -1, 0))
+        return lambda j, y: self.evaluate(cols, j, maps(y), maps.slots[0], galerkin,
+                                          self.mark_factor(marks[j], galerkin))
+
+    def apply_mark(self, pvals, y, mark, galerkin: GalerkinSpec | None = None) -> np.ndarray:
+        """J(t, y, mark) given the profile values ``pvals`` at t."""
+        mark = np.asarray(mark, dtype=float)
+        if self.mark_mode == "scalar" and mark.ndim:   # one mark per leading state
+            mark = mark.reshape(mark.shape + (1,) * (np.ndim(y) - mark.ndim))
+        return self.evaluate(*self._prepare(pvals, y, galerkin, True), galerkin,
+                             self.mark_factor(mark, galerkin))
 
     def apply_mean(self, pvals, y, sampler: MarkSampler | None,
                    galerkin: GalerkinSpec | None = None) -> np.ndarray:
         """E_mark[ J(t, y, mark) ] given the profile values at t; exact
         because J is linear in the mark."""
-        if self.mark_mode == "ignore":
-            return self.apply(pvals, y, galerkin)
-        if sampler is None:
+        if self.mark_mode != "ignore" and sampler is None:
             return np.zeros_like(np.asarray(y, dtype=float))
-        mean = sampler.mean()
-        if self.mark_mode == "scalar":
-            return self.apply(pvals, y, galerkin) * mean
-        return self.apply_mark(pvals, y, np.asarray(mean, dtype=float), galerkin)
+        return self.apply_mark(pvals, y, sampler.mean() if sampler else 0.0, galerkin)
 
     def value(self, t, y, mark, galerkin: GalerkinSpec | None = None) -> np.ndarray:
         return self.apply_mark(self.profile_table(t), y, mark, galerkin)
@@ -219,8 +263,8 @@ class JumpCoefficient(Coefficient):
         """Exact intensity integral of ||J(t,y,x)||^2 at one time and state.
 
         The mark factors out in closed form except for vector marks, which
-        use the exact finite-rank quadrature; their state part at the nodes
-        does not depend on the mark, so it is computed once.
+        use the exact finite-rank quadrature; their state maps at the nodes
+        do not depend on the mark, so they are evaluated once.
         """
         if rate == 0.0 or sampler is None:
             return 0.0
@@ -229,10 +273,10 @@ class JumpCoefficient(Coefficient):
             factor = 1.0 if self.mark_mode == "ignore" else sampler.abs_moment(2)
             return rate * factor * float(np.sum(np.square(self.apply(pvals, y, galerkin))))
         nodes, weights = sampler.quadrature()
-        base = self._node_base(pvals, y, galerkin)
+        prepared = self._prepare(pvals, y, galerkin, True)
         acc = 0.0
-        for xn, w in zip(galerkin.to_phys(np.asarray(nodes, dtype=float)), weights):
-            acc += w * float(np.sum(np.square(galerkin.to_modes(base * xn))))
+        for xn, w in zip(self.mark_factor(np.asarray(nodes, dtype=float), galerkin), weights):
+            acc += w * float(np.sum(np.square(self.evaluate(*prepared, galerkin, xn))))
         return rate * acc
 
     def mark_abs_factor(self, sampler: MarkSampler | None, k: float,
@@ -363,15 +407,6 @@ class SdeModel:
 
     def diffusion_diag(self, t, y):
         return self.coefficients.diffusion.value(t, y, self.galerkin)
-
-    def compensator_apply(self, pvals, y):
-        """-small_rate * E_mark[F(t, y, .)] given the small-jump profile
-        values at t, exact via registry means."""
-        if self.jumps.small_rate == 0.0:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        mean = self.coefficients.small_jump.apply_mean(
-            pvals, y, self.jumps.small_sampler, self.galerkin)
-        return -self.jumps.small_rate * mean
 
     def shifted(self, tau: float) -> "SdeModel":
         """Model with every coefficient profile translated by ``tau``."""

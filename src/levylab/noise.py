@@ -370,21 +370,3 @@ def sample_noise(wiener_spec: WienerSpec, jump_spec: JumpMeasureSpec,
                             small_times=st, small_marks=sm,
                             large_times=lt, large_marks=lm,
                             seed=seed, wiener_spec=wiener_spec, jump_spec=jump_spec)
-
-
-def small_jump_compensator(spec: JumpMeasureSpec, F, t: float, y: np.ndarray,
-                           n_nodes: int = 64) -> np.ndarray:
-    """Compensator drift of the compensated small-jump integral.
-
-    Returns ``-small_rate * E_mark[ F(t, y, mark) ]`` with the mark
-    expectation taken by fixed-node quadrature over the registry law
-    (exact nodes for discrete laws, Gauss rules otherwise).
-    """
-    y = np.asarray(y, dtype=float)
-    if spec.small_rate == 0.0:
-        return np.zeros_like(y)
-    nodes, weights = spec.small_sampler.quadrature(n_nodes)
-    acc = np.zeros_like(y)
-    for x, w in zip(nodes, weights):
-        acc = acc + w * np.asarray(F(t, y, x), dtype=float)
-    return -spec.small_rate * acc

@@ -1,12 +1,13 @@
 """The exponential-Euler step kernel shared by both path drivers: pinned
-outputs and profiles tabulated once per grid."""
+outputs, profiles tabulated once per grid, and the one coefficient
+evaluation body against the generic body it replaced."""
 
 import numpy as np
 import pytest
 
 import levylab as L
 from levylab.ensemble import _path_seed, simulate_ensemble
-from levylab.integrator import refined_grid
+from levylab.integrator import refined_grid, step_kernel
 from levylab.noise import sample_jumps
 from levylab.profiles import TimeProfile
 
@@ -99,6 +100,22 @@ GOLDEN = {
         "0x1.d33dc17ab3ecap-1", "0x1.7f15a869e6ef0p-1", "0x1.bb0d4f9d5e24fp-2",
         "0x1.ba2e41fb4af6dp-2", "0x1.429f69a6fd9bdp-1", "0x1.2e38c0bc1a638p-1",
         "0x1.efefb2dd6b433p-2"],
+    # Recorded while every coefficient call still summed its terms into a
+    # zeros accumulator and evaluated its own state maps.  The model uses
+    # all five state map kinds, shares one map between drift, diffusion
+    # and small jump, gives two coefficients two terms, has scalar small
+    # marks and starts at -0.0.
+    ("integrate", "every_map"): ["0x1.6a274678d77e6p-3"],
+    ("ensemble", "every_map"): [
+        "0x1.75cd78627c25ep-2", "0x1.87ee2f71e4d14p-2", "0x1.cac65e1b91134p-4",
+        "0x1.99405aa08a736p-3"],
+    ("stressed", "every_map"): [
+        "0x1.6e84fb726b7d2p-2", "0x1.8e26c5472c0ecp-2", "0x1.cd61e7c608bb9p-4",
+        "0x1.914e59c3432dcp-3", "0x1.777d68875143ep-3", "0x1.77d31a90c2170p-3",
+        "0x1.b84ee7faeda41p-2", "0x1.a0358875d2c68p-5", "0x1.2a0e83ed1fec2p-4",
+        "0x1.c149d0220f2c4p-3", "0x1.eae7e5f389ecdp-5", "0x1.c317813715a2ap-5",
+        "0x1.147bc65c0ed94p-4", "0x1.473ec865dfbc2p-4", "0x1.c129daf204fa6p-3",
+        "0x1.c2e0641292703p-5"],
 }
 
 # simulate_ensemble arguments after the model: window, y0, n_paths,
@@ -107,7 +124,31 @@ ENSEMBLE_CASES = {"ensemble": ((0.0, 2.0), 0.5, 4, 0.01, 3, [2.0]),
                   "stressed": ((-2.0, 2.0), 0.5, 16, 0.25, 3, [2.0])}
 
 
+def every_map_model():
+    """A scalar model whose coefficients use every state map kind, with
+    ``linear_map(0.5)`` shared by drift, diffusion and small jump."""
+    shared = L.linear_map(0.5)
+    coeffs = L.CoefficientSet(
+        drift=L.coefficient((L.periodic_profile(0.4, 1.0), shared),
+                            (L.constant_profile(0.1), L.ones_map(1.0))),
+        diffusion=L.coefficient((L.constant_profile(0.3), shared),
+                                (L.periodic_profile(0.2, 2.0, 0.5), L.sine_map(0.5))),
+        small_jump=L.jump_coefficient((L.constant_profile(0.2), shared), mark_mode="scalar"),
+        large_jump=L.jump_coefficient((L.constant_profile(0.3), L.clipped_map(1.0, 0.5)),
+                                      (L.periodic_profile(0.2, 1.0), L.cosine_map(1.0))),
+        A0=1.0, lipschitz_L=0.4, moment_p=2.05)
+    jumps = L.JumpMeasureSpec(small_rate=2.0, small_sampler=L.uniform_shell_marks(0.1, 1.0),
+                              truncation_delta=0.1, large_rate=1.0,
+                              large_sampler=L.uniform_shell_marks(1.0, 2.0, signed=True),
+                              moment_p=2.05)
+    return L.SdeModel(semigroup=L.SemigroupSpec(eigenvalues=(2.0,), K=1.0, omega=2.0),
+                      coefficients=coeffs, wiener=L.WienerSpec(mode_variances=(0.5,)),
+                      jumps=jumps)
+
+
 def _model(name):
+    if name == "every_map":
+        return every_map_model()
     if name == "example61":
         return L.presets.example61_model(forcing=1.0)   # two drift terms
     if name == "periodic":
@@ -154,6 +195,18 @@ def test_ensemble_terminal_states_are_pinned(case, name):
     assert np.array_equal(res.states[-1].ravel(), _golden(case, name))
 
 
+def test_every_state_map_kind_is_pinned():
+    m = _model("every_map")
+    noise = L.sample_noise(m.wiener, m.jumps, (0.0, 2.0), 7)
+    path = L.integrate(m, noise, 0.0, 2.0, np.array([-0.0]), 0.01)
+    assert np.count_nonzero(path.jump_flags) >= 2
+    assert np.array_equal(path.values[-1], _golden("integrate", "every_map"))
+    for case in ("ensemble", "stressed"):
+        window, _, *rest = ENSEMBLE_CASES[case]
+        res = simulate_ensemble(m, window, -0.0, *rest)
+        assert np.array_equal(res.states[-1].ravel(), _golden(case, "every_map")), case
+
+
 @pytest.mark.parametrize("name", ["example61", "heat8"])
 def test_profiles_are_evaluated_per_grid_not_per_step(name, monkeypatch):
     calls = []
@@ -175,3 +228,224 @@ def test_profiles_are_evaluated_per_grid_not_per_step(name, monkeypatch):
         counts.append(len(calls))
     # ten times the steps, the same number of (vectorized) profile calls
     assert counts[:2] == counts[2:]
+
+
+def test_to_phys_of_the_state_runs_once_per_step(monkeypatch):
+    m = _model("heat8")
+    calls = []
+    direct = L.GalerkinSpec.to_phys
+
+    def counted(self, u):
+        calls.append(np.shape(u))
+        return direct(self, u)
+
+    monkeypatch.setattr(L.GalerkinSpec, "to_phys", counted)
+    path = _integrate(m)
+    # one per step, one for the compensator's mark mean, and at each jump
+    # one for the state and one for the mark
+    jumps = np.count_nonzero(path.jump_flags)
+    assert jumps >= 2
+    assert len(calls) == (path.times.size - 1) + 1 + 2 * jumps
+
+
+# -- coefficient evaluation against the generic body it replaced ----------------
+#
+# Before the drivers shared their state maps, every coefficient call ran
+# this body: evaluate each term's map, then sum the products into a zeros
+# accumulator.  It stays here as the oracle of the one evaluation body,
+# which must give the same bits, signed zeros included.
+
+def _map_oracle(smap, y):
+    y = np.asarray(y, dtype=float)
+    if smap.kind == "linear":
+        return smap.scale * y
+    if smap.kind == "sine":
+        return smap.scale * np.sin(y)
+    if smap.kind == "cosine":
+        return smap.scale * np.cos(y)
+    if smap.kind == "clipped":
+        return smap.scale * np.clip(y, -smap.bound, smap.bound)
+    return np.full_like(y, smap.scale)
+
+
+def _combine_oracle(coef, pvals, u):
+    pvals = np.asarray(pvals, dtype=float)
+    if pvals.ndim > 1:
+        pvals = pvals.reshape(pvals.shape[:-1] + (1,) * (u.ndim - pvals.ndim + 1)
+                              + pvals.shape[-1:])
+    acc = np.zeros(u.shape)
+    for k, (_, smap) in enumerate(coef.terms):
+        acc += pvals[..., k] * _map_oracle(smap, u)
+    return acc
+
+
+def _apply_oracle(coef, pvals, y, gal):
+    y = np.asarray(y, dtype=float)
+    if coef.pointwise and gal is not None:
+        return gal.to_modes(_combine_oracle(coef, pvals, gal.to_phys(y)))
+    return _combine_oracle(coef, pvals, y)
+
+
+def _apply_mark_oracle(coef, pvals, y, mark, gal):
+    if coef.mark_mode == "pointwise_product":
+        base = _combine_oracle(coef, pvals, gal.to_phys(np.asarray(y, dtype=float)))
+        return gal.to_modes(base * gal.to_phys(np.asarray(mark, dtype=float)))
+    base = _apply_oracle(coef, pvals, y, gal)
+    if coef.mark_mode == "ignore":
+        return base
+    m = np.asarray(mark, dtype=float)
+    return base * (m.reshape(m.shape + (1,) * (base.ndim - m.ndim)) if m.ndim else m)
+
+
+def _apply_mean_oracle(coef, pvals, y, sampler, gal):
+    if coef.mark_mode == "ignore":
+        return _apply_oracle(coef, pvals, y, gal)
+    if sampler is None:
+        return np.zeros_like(np.asarray(y, dtype=float))
+    mean = sampler.mean()
+    if coef.mark_mode == "scalar":
+        return _apply_oracle(coef, pvals, y, gal) * mean
+    return _apply_mark_oracle(coef, pvals, y, np.asarray(mean, dtype=float), gal)
+
+
+def _sq_moment_oracle(coef, t, y, rate, sampler, gal):
+    pvals = coef.profile_table(t)
+    nodes, weights = sampler.quadrature()
+    base = _combine_oracle(coef, pvals, gal.to_phys(np.asarray(y, dtype=float)))
+    acc = 0.0
+    for xn, w in zip(gal.to_phys(np.asarray(nodes, dtype=float)), weights):
+        acc += w * float(np.sum(np.square(gal.to_modes(base * xn))))
+    return rate * acc
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
+
+
+_SHARED = L.linear_map(0.5)
+# every map kind, one map twice and one map shared across coefficients
+_EVERY_MAP_TERMS = (
+    (L.periodic_profile(0.4, 1.0), _SHARED),
+    (L.constant_profile(0.1), L.ones_map(1.0)),
+    (L.constant_profile(-0.3), L.sine_map(0.5)),
+    (L.periodic_profile(0.2, 2.0, 0.5), L.cosine_map(-1.5)),
+    (L.constant_profile(0.7), L.clipped_map(1.0, 0.25)),
+    (L.constant_profile(0.2), _SHARED),
+)
+_GAL = L.GalerkinSpec(n_modes=4)
+_POINTWISE_MARKS = L.finite_rank_marks([[1.0, -0.5, 0.0, 0.25], [-0.0, 0.5, 1.0, 0.0]],
+                                       [0.25, 0.75])
+
+
+def _evaluation_cases():
+    """(coefficient, galerkin, mark sampler) for every mark mode, with
+    and without a Galerkin spec and pointwise node maps."""
+    cases = []
+    for gal in (None, _GAL):
+        for pointwise in (False, True):
+            cases.append((L.coefficient(*_EVERY_MAP_TERMS, pointwise=pointwise), gal, None))
+            for mode, sampler in (("ignore", L.uniform_shell_marks(0.1, 1.0)),
+                                  ("scalar", L.uniform_shell_marks(0.1, 1.0)),
+                                  ("pointwise_product", _POINTWISE_MARKS)):
+                if mode == "pointwise_product" and gal is None:
+                    continue
+                cases.append((L.jump_coefficient(*_EVERY_MAP_TERMS, mark_mode=mode,
+                                                 pointwise=pointwise), gal, sampler))
+    # one term, so that a zero state or profile value leaves a signed zero
+    single = ((L.constant_profile(0.5), L.sine_map(-2.0)),)
+    for gal in (None, _GAL):
+        cases.append((L.coefficient(*single, pointwise=True), gal, None))
+        cases.append((L.jump_coefficient(*single, mark_mode="scalar"), gal,
+                      L.uniform_shell_marks(0.1, 1.0)))
+    cases.append((L.coefficient(), _GAL, None))                      # empty sums
+    cases.append((L.jump_coefficient(mark_mode="scalar", pointwise=True), _GAL,
+                  L.uniform_shell_marks(0.1, 1.0)))
+    return cases
+
+
+def _signed_zero_states(rng, dim, n_rows):
+    """States holding +0.0 and -0.0 entries, as (dim,) or (n_rows, dim)."""
+    y = rng.normal(size=(n_rows, dim))
+    y[0, 0], y[-1, -1] = -0.0, 0.0
+    if n_rows > 1:
+        y[1] = -0.0
+    return y
+
+
+@pytest.mark.parametrize("case", range(len(_evaluation_cases())))
+def test_evaluation_body_matches_the_generic_oracle_bit_for_bit(case):
+    coef, gal, sampler = _evaluation_cases()[case]
+    dim = 3 if gal is None else gal.n_modes
+    rng = np.random.default_rng(case)
+    n_terms = len(coef.terms)
+    for n_rows in (1, 5):
+        for y in (_signed_zero_states(rng, dim, n_rows)[0],
+                  _signed_zero_states(rng, dim, n_rows)):
+            rows = y.shape[:-1]
+            # one profile row for all states, and one row per state with
+            # signed zeros among the profile values
+            per_state = rng.normal(size=rows + (n_terms,))
+            if per_state.size:
+                per_state.flat[0], per_state.flat[-1] = -0.0, 0.0
+            for pvals in (rng.normal(size=n_terms), per_state):
+                assert _same_bits(coef.apply(pvals, y, gal),
+                                  _apply_oracle(coef, pvals, y, gal))
+                if sampler is None:
+                    continue
+                if coef.mark_mode == "pointwise_product":
+                    mark = _POINTWISE_MARKS.sample(rng, rows[0] if rows else 1)
+                    mark = mark if rows else mark[0]
+                    mark.flat[0] = -0.0
+                else:
+                    mark = -sampler.sample(rng, rows[0]) if rows else np.float64(-0.0)
+                assert _same_bits(coef.apply_mark(pvals, y, mark, gal),
+                                  _apply_mark_oracle(coef, pvals, y, mark, gal))
+                assert _same_bits(coef.apply_mean(pvals, y, sampler, gal),
+                                  _apply_mean_oracle(coef, pvals, y, sampler, gal))
+                assert _same_bits(coef.apply_mean(pvals, y, None, gal),
+                                  _apply_mean_oracle(coef, pvals, y, None, gal))
+        # value tabulates the profiles at one time, or at one time per state
+        t = rng.uniform(-3.0, 3.0, size=n_rows)
+        y = _signed_zero_states(rng, dim, n_rows)
+        for tt, yy in ((t[0], y[0]), (t, y)):
+            table = coef.profile_table(tt)
+            if sampler is None:
+                assert _same_bits(coef.value(tt, yy, gal), _apply_oracle(coef, table, yy, gal))
+            else:
+                mark = sampler.mean()
+                assert _same_bits(coef.value(tt, yy, mark, gal),
+                                  _apply_mark_oracle(coef, table, yy, mark, gal))
+                assert _same_bits(L.Coefficient.value(coef, tt, yy, gal),
+                                  _apply_oracle(coef, table, yy, gal))
+    if coef.mark_mode == "pointwise_product":
+        y = _signed_zero_states(rng, dim, 1)[0]
+        assert (coef.sq_moment(0.3, y, 1.5, sampler, gal)
+                == _sq_moment_oracle(coef, 0.3, y, 1.5, sampler, gal))
+
+
+@pytest.mark.parametrize("name", ["every_map", "heat8", "ou_jump"])
+def test_compiled_step_matches_the_generic_oracle_bit_for_bit(name):
+    # ou_jump has no small jumps and an empty drift
+    m = L.presets.ou_jump_model() if name == "ou_jump" else _model(name)
+    c, gal, a = m.coefficients, m.galerkin, m.wiener.drift
+    grid = np.linspace(-1.0, 1.0, 9)
+    step = step_kernel(m, grid)
+    rng = np.random.default_rng(3)
+    for y in (_signed_zero_states(rng, m.dim, 1)[0], _signed_zero_states(rng, m.dim, 1),
+              _signed_zero_states(rng, m.dim, 6)):
+        dw = rng.normal(size=y.shape)
+        for i in range(grid.size - 1):
+            t = grid[i]
+            gdiag = _apply_oracle(c.diffusion, c.diffusion.profile_table(t), y, gal)
+            # the compensator as SdeModel.compensator_apply formed it
+            comp = (-m.jumps.small_rate * _apply_mean_oracle(
+                c.small_jump, c.small_jump.profile_table(t), y, m.jumps.small_sampler, gal)
+                if m.jumps.small_rate else np.zeros_like(y))
+            drift = _apply_oracle(c.drift, c.drift.profile_table(t), y, gal) + gdiag * a + comp
+            lam_dt = -(grid[i + 1] - t) * m.semigroup.rates
+            d, phi1 = np.exp(lam_dt), -np.expm1(lam_dt) / m.semigroup.rates
+            got_y, got_drift = step(i, y, dw)
+            assert _same_bits(got_drift, drift)
+            assert _same_bits(got_y, d * y + phi1 * drift + d * (gdiag * dw))
