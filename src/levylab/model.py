@@ -135,6 +135,15 @@ class StateMaps:
         return vals
 
 
+def _columns(table: np.ndarray, y: np.ndarray) -> tuple:
+    """One column per term of a profile ``table`` (one row, or one row per
+    leading state of ``y``), shaped to broadcast against ``y``."""
+    if table.ndim > 1:
+        table = table.reshape(table.shape[:-1] + (1,) * (y.ndim - table.ndim + 1)
+                              + table.shape[-1:])
+    return tuple(np.moveaxis(table, -1, 0))
+
+
 @dataclass(frozen=True)
 class Coefficient:
     """Sum of (profile in t) x (state map) products.
@@ -184,22 +193,12 @@ class Coefficient:
                 acc = galerkin.to_modes(acc)
         return acc if factor is None else acc * factor
 
-    def _prepare(self, pvals, y, galerkin, marked):
-        """The (cols, index, vals, slots) of :meth:`evaluate` for ``pvals`` at ``y``."""
-        y, pvals = np.asarray(y, dtype=float), np.asarray(pvals, dtype=float)
-        if pvals.ndim > 1:   # one row per leading state: broadcast over the rest
-            pvals = pvals.reshape(pvals.shape[:-1] + (1,) * (y.ndim - pvals.ndim + 1)
-                                  + pvals.shape[-1:])
-        maps = StateMaps((self,), galerkin, marked)
-        return [pvals[..., k] for k in range(pvals.shape[-1])], ..., maps(y), maps.slots[0]
-
-    def apply(self, pvals, y, galerkin: GalerkinSpec | None = None) -> np.ndarray:
-        """Coefficient at state ``y`` given its profile values ``pvals``
-        (one row of :meth:`profile_table`, or one row per leading state)."""
-        return self.evaluate(*self._prepare(pvals, y, galerkin, False), galerkin)
-
     def value(self, t, y: np.ndarray, galerkin: GalerkinSpec | None = None) -> np.ndarray:
-        return self.apply(self.profile_table(t), y, galerkin)
+        """The coefficient at state ``y`` and one time ``t``, or one time per
+        leading state."""
+        y, maps = np.asarray(y, dtype=float), StateMaps((self,), galerkin, marked=False)
+        return self.evaluate(_columns(self.profile_table(t), y), ..., maps(y), maps.slots[0],
+                             galerkin)
 
     def lip_bound(self) -> float:
         return sum(p.sup_bound() * s.lip for p, s in self.terms)
@@ -239,44 +238,41 @@ class JumpCoefficient(Coefficient):
         return lambda j, y: self.evaluate(cols, j, maps(y), maps.slots[0], galerkin,
                                           self.mark_factor(marks[j], galerkin))
 
-    def apply_mark(self, pvals, y, mark, galerkin: GalerkinSpec | None = None) -> np.ndarray:
-        """J(t, y, mark) given the profile values ``pvals`` at t."""
-        mark = np.asarray(mark, dtype=float)
-        if self.mark_mode == "scalar" and mark.ndim:   # one mark per leading state
-            mark = mark.reshape(mark.shape + (1,) * (np.ndim(y) - mark.ndim))
-        return self.evaluate(*self._prepare(pvals, y, galerkin, True), galerkin,
-                             self.mark_factor(mark, galerkin))
-
-    def apply_mean(self, pvals, y, sampler: MarkSampler | None,
-                   galerkin: GalerkinSpec | None = None) -> np.ndarray:
-        """E_mark[ J(t, y, mark) ] given the profile values at t; exact
-        because J is linear in the mark."""
-        if self.mark_mode != "ignore" and sampler is None:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        return self.apply_mark(pvals, y, sampler.mean() if sampler else 0.0, galerkin)
-
     def value(self, t, y, mark, galerkin: GalerkinSpec | None = None) -> np.ndarray:
-        return self.apply_mark(self.profile_table(t), y, mark, galerkin)
+        """J(t, y, mark) at one time ``t``, or one time (and mark) per leading state."""
+        y, mark = np.asarray(y, dtype=float), np.asarray(mark, dtype=float)
+        if self.mark_mode == "scalar" and mark.ndim:   # one mark per leading state
+            mark = mark.reshape(mark.shape + (1,) * (y.ndim - mark.ndim))
+        maps = StateMaps((self,), galerkin)
+        return self.evaluate(_columns(self.profile_table(t), y), ..., maps(y), maps.slots[0],
+                             galerkin, self.mark_factor(mark, galerkin))
 
     def sq_moment(self, t, y, rate: float, sampler: MarkSampler | None,
-                  galerkin: GalerkinSpec | None = None) -> float:
-        """Exact intensity integral of ||J(t,y,x)||^2 at one time and state.
+                  galerkin: GalerkinSpec | None = None) -> np.ndarray:
+        """Exact intensity integrals of ||J(t,y,x)||^2 at the state ``y``,
+        one per time of ``t``.
 
-        The mark factors out in closed form except for vector marks, which
-        use the exact finite-rank quadrature; their state maps at the nodes
-        do not depend on the mark, so they are evaluated once.
+        The profiles are tabulated and the state maps evaluated once; every
+        time runs :meth:`evaluate`.  The mark factors out in closed form
+        except for vector marks, which use the exact finite-rank quadrature.
         """
-        if rate == 0.0 or sampler is None:
-            return 0.0
-        pvals = self.profile_table(t)
-        if self.mark_mode in ("ignore", "scalar"):
+        t = np.atleast_1d(t)
+        if rate == 0.0:
+            return np.zeros(t.shape)
+        maps = StateMaps((self,), galerkin)
+        cols, vals = tuple(self.profile_table(t).T), maps(np.asarray(y, dtype=float))
+
+        def sq(i, factor=None):
+            v = self.evaluate(cols, i, vals, maps.slots[0], galerkin, factor)
+            return float(np.sum(np.square(v)))
+
+        if self.mark_mode != "pointwise_product":
             factor = 1.0 if self.mark_mode == "ignore" else sampler.abs_moment(2)
-            return rate * factor * float(np.sum(np.square(self.apply(pvals, y, galerkin))))
+            return np.array([rate * factor * sq(i) for i in range(t.size)])
         nodes, weights = sampler.quadrature()
-        prepared = self._prepare(pvals, y, galerkin, True)
-        acc = 0.0
+        acc = np.zeros(t.shape)   # each time sums its nodes in quadrature order
         for xn, w in zip(self.mark_factor(np.asarray(nodes, dtype=float), galerkin), weights):
-            acc += w * float(np.sum(np.square(self.evaluate(*prepared, galerkin, xn))))
+            acc += w * np.array([sq(i, xn) for i in range(t.size)])
         return rate * acc
 
     def mark_abs_factor(self, sampler: MarkSampler | None, k: float,
@@ -400,14 +396,6 @@ class SdeModel:
             return math.sqrt(self.galerkin.weight * self.galerkin.collocation_points)
         return math.sqrt(self.dim)
 
-    # -- coefficient evaluation ------------------------------------------
-
-    def drift_value(self, t, y):
-        return self.coefficients.drift.value(t, y, self.galerkin)
-
-    def diffusion_diag(self, t, y):
-        return self.coefficients.diffusion.value(t, y, self.galerkin)
-
     def shifted(self, tau: float) -> "SdeModel":
         """Model with every coefficient profile translated by ``tau``."""
         c = self.coefficients
@@ -445,23 +433,33 @@ class SdeModel:
             "large_jump": c.large_jump.lip_bound() * root(self.jump_intensity("large", k)),
         }
 
-    def zero_bounds(self, t_grid) -> dict[str, float]:
-        """max over the time grid of the at-zero norms entering the growth
+    def zero_bounds(self, t_grid) -> tuple[dict[str, float], dict[str, float]]:
+        """Maxima over the time grid of the at-zero norms entering the growth
         condition (drift norm, weighted diffusion norm, jump intensity
-        integrals at zero)."""
-        c, j = self.coefficients, self.jumps
-        zero = np.zeros(self.dim)
-        qhalf = np.sqrt(self.wiener.q)
-        f_max = g_max = s_max = l_max = 0.0
-        for t in np.atleast_1d(t_grid):
-            f_max = max(f_max, float(np.linalg.norm(self.drift_value(t, zero))))
-            g_max = max(g_max, float(np.linalg.norm(qhalf * self.diffusion_diag(t, zero))))
-            s_max = max(s_max, math.sqrt(c.small_jump.sq_moment(
-                t, zero, j.small_rate, j.small_sampler, self.galerkin)))
-            l_max = max(l_max, math.sqrt(c.large_jump.sq_moment(
-                t, zero, j.large_rate, j.large_sampler, self.galerkin)))
-        return {"drift": f_max, "diffusion": g_max,
-                "small_jump": s_max, "large_jump": l_max}
+        integrals at zero), and of the jump state-part norms at every
+        ``len(t_grid) // 41``-th time, which enter its p-th moment form.
+
+        Each coefficient is tabulated on the grid and its state maps are
+        evaluated at zero once; every row runs :meth:`Coefficient.evaluate`,
+        one row at a time as a single state would.
+        """
+        t_grid, gal, zero = np.atleast_1d(t_grid), self.galerkin, np.zeros(self.dim)
+
+        def norms(coef, times, scale=1.0):
+            maps = StateMaps((coef,), gal, marked=False)
+            cols, vals = tuple(coef.profile_table(times).T), maps(zero)
+            return [float(np.linalg.norm(scale * coef.evaluate(cols, i, vals, maps.slots[0], gal)))
+                    for i in range(times.size)]
+
+        c, states = self.coefficients, {}
+        bounds = {"drift": max([0.0, *norms(c.drift, t_grid)]),
+                  "diffusion": max([0.0, *norms(c.diffusion, t_grid, np.sqrt(self.wiener.q))])}
+        for which in ("small", "large"):
+            coef, rate, sampler = self._jump(which)
+            sq = coef.sq_moment(t_grid, zero, rate, sampler, gal)
+            bounds[f"{which}_jump"] = max([0.0, *map(math.sqrt, sq)])
+            states[which] = max(norms(coef, t_grid[:: max(1, t_grid.size // 41)]), default=0.0)
+        return bounds, states
 
 
 # ---------------------------------------------------------------------------
@@ -766,18 +764,13 @@ def check_conditions(model: SdeModel, t_span: float = 40.0,
     c = model.coefficients
     L, A0, p = c.lipschitz_L, c.A0, c.moment_p
 
-    t_grid = np.linspace(-t_span, t_span, n_t_grid)
-    zb = model.zero_bounds(t_grid)
+    if not (math.isfinite(t_span) and t_span > 0 and n_t_grid >= 1):
+        raise InputError(f"need a finite t_span > 0 and n_t_grid >= 1, got {t_span!r}, {n_t_grid!r}")
+    zb, states = model.zero_bounds(np.linspace(-t_span, t_span, n_t_grid))
     e1_slack = A0 - max(zb.values()) + REGISTRY_TOL
-
     # p-th moment growth at zero: jump state parts times their p-th intensities
-    zero = np.zeros(model.dim)
-    jump_p = []
-    for which in ("small", "large"):
-        coef = getattr(c, f"{which}_jump")
-        base = max((float(np.linalg.norm(Coefficient.value(coef, t, zero, model.galerkin)))
-                    for t in t_grid[:: max(1, n_t_grid // 41)]), default=0.0)
-        jump_p.append(model.jump_intensity(which, p) ** (1 / p) * base)
+    jump_p = [model.jump_intensity(which, p) ** (1 / p) * states[which]
+              for which in ("small", "large")]
     e1p_slack = A0 - max(zb["drift"], zb["diffusion"], *jump_p) + REGISTRY_TOL
 
     e2_slack = L - max(model.effective_lipschitz().values()) + REGISTRY_TOL

@@ -225,6 +225,9 @@ class JumpMeasureSpec:
             raise InputError("large-jump rate must be finite")
         if not 0.0 < self.truncation_delta < 1.0:
             raise InputError("truncation_delta must lie in (0, 1)")
+        for which in ("small", "large"):
+            if getattr(self, f"{which}_rate") > 0 and getattr(self, f"{which}_sampler") is None:
+                raise InputError(f"a positive {which}_rate needs a {which}_sampler")
         if self.small_rate > 0:
             lo, hi = self.small_sampler.support_range()
             if lo < self.truncation_delta - 1e-12 or hi > 1.0 + 1e-12:

@@ -24,7 +24,7 @@ def test_example61_drift_value_at_origin_of_time():
     # is (1/8)(sin 0 + cos 0) * 1 = 1/8
     m = L.presets.example61_model()
     assert m.semigroup.eigenvalues == (4.0,)
-    assert m.drift_value(0.0, np.array([1.0]))[0] == pytest.approx(0.125)
+    assert m.coefficients.drift.value(0.0, np.array([1.0]))[0] == pytest.approx(0.125)
 
 
 def test_path_reproducible():
@@ -185,8 +185,9 @@ def test_heat_nonlinearity_uses_collocation():
     t = 0.7
     prof = 0.2 * (np.cos(t) + np.sin(np.sqrt(2.0) * t))
     want = gal.to_modes(prof * np.sin(u))
-    assert np.allclose(m.drift_value(t, y), want, atol=1e-12)
-    assert not np.allclose(m.drift_value(t, y), prof * np.sin(y), atol=1e-3)
+    drift = m.coefficients.drift.value(t, y, gal)
+    assert np.allclose(drift, want, atol=1e-12)
+    assert not np.allclose(drift, prof * np.sin(y), atol=1e-3)
 
 
 def test_wiener_drift_vector_routed_through_diffusion():
@@ -226,7 +227,7 @@ def test_heat_nonlinear_drift_agrees_with_rk45():
     y0 = np.array([0.8, -0.4, 0.2, -0.1])
 
     def rhs(t, y):
-        return -lam * y + m.drift_value(t, y)
+        return -lam * y + m.coefficients.drift.value(t, y, m.galerkin)
 
     ref = solve_ivp(rhs, (0.0, 1.0), y0, rtol=1e-10, atol=1e-12,
                     dense_output=True)

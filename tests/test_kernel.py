@@ -2,6 +2,8 @@
 outputs, profiles tabulated once per grid, and the one coefficient
 evaluation body against the generic body it replaced."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -300,8 +302,6 @@ def _apply_mark_oracle(coef, pvals, y, mark, gal):
 def _apply_mean_oracle(coef, pvals, y, sampler, gal):
     if coef.mark_mode == "ignore":
         return _apply_oracle(coef, pvals, y, gal)
-    if sampler is None:
-        return np.zeros_like(np.asarray(y, dtype=float))
     mean = sampler.mean()
     if coef.mark_mode == "scalar":
         return _apply_oracle(coef, pvals, y, gal) * mean
@@ -316,6 +316,16 @@ def _sq_moment_oracle(coef, t, y, rate, sampler, gal):
     for xn, w in zip(gal.to_phys(np.asarray(nodes, dtype=float)), weights):
         acc += w * float(np.sum(np.square(gal.to_modes(base * xn))))
     return rate * acc
+
+
+def _reading(coef, pvals):
+    """``coef`` with profiles that read ``pvals``: one row at time 0, or the
+    row of each leading state at the times 0, 1, ..., so that ``value``
+    sees exactly these profile values, signed zeros included."""
+    rows = np.atleast_2d(pvals)
+    return replace(coef, terms=tuple(
+        (lambda t, col=rows[:, k]: col[np.asarray(t, dtype=int)], smap)
+        for k, (_, smap) in enumerate(coef.terms)))
 
 
 def _same_bits(got, want):
@@ -390,7 +400,9 @@ def test_evaluation_body_matches_the_generic_oracle_bit_for_bit(case):
             if per_state.size:
                 per_state.flat[0], per_state.flat[-1] = -0.0, 0.0
             for pvals in (rng.normal(size=n_terms), per_state):
-                assert _same_bits(coef.apply(pvals, y, gal),
+                at = _reading(coef, pvals)
+                t = np.arange(len(pvals)) if pvals.ndim > 1 else 0
+                assert _same_bits(L.Coefficient.value(at, t, y, gal),
                                   _apply_oracle(coef, pvals, y, gal))
                 if sampler is None:
                     continue
@@ -400,12 +412,11 @@ def test_evaluation_body_matches_the_generic_oracle_bit_for_bit(case):
                     mark.flat[0] = -0.0
                 else:
                     mark = -sampler.sample(rng, rows[0]) if rows else np.float64(-0.0)
-                assert _same_bits(coef.apply_mark(pvals, y, mark, gal),
+                assert _same_bits(at.value(t, y, mark, gal),
                                   _apply_mark_oracle(coef, pvals, y, mark, gal))
-                assert _same_bits(coef.apply_mean(pvals, y, sampler, gal),
+                # the mark mean, as the step kernel forms the compensator
+                assert _same_bits(at.value(t, y, sampler.mean(), gal),
                                   _apply_mean_oracle(coef, pvals, y, sampler, gal))
-                assert _same_bits(coef.apply_mean(pvals, y, None, gal),
-                                  _apply_mean_oracle(coef, pvals, y, None, gal))
         # value tabulates the profiles at one time, or at one time per state
         t = rng.uniform(-3.0, 3.0, size=n_rows)
         y = _signed_zero_states(rng, dim, n_rows)
@@ -421,7 +432,7 @@ def test_evaluation_body_matches_the_generic_oracle_bit_for_bit(case):
                                   _apply_oracle(coef, table, yy, gal))
     if coef.mark_mode == "pointwise_product":
         y = _signed_zero_states(rng, dim, 1)[0]
-        assert (coef.sq_moment(0.3, y, 1.5, sampler, gal)
+        assert (coef.sq_moment(0.3, y, 1.5, sampler, gal)[0]
                 == _sq_moment_oracle(coef, 0.3, y, 1.5, sampler, gal))
 
 

@@ -270,9 +270,13 @@ def test_sq_moment_matches_mark_quadrature_of_value(case):
     rng = np.random.default_rng(7)
     t = rng.uniform(-10.0, 10.0, size=6)
     y = rng.normal(size=(6, m.dim))
-    exact = np.array([coef.sq_moment(t[i], y[i], rate, sampler, m.galerkin)
-                      for i in range(6)])
+    exact = np.concatenate([coef.sq_moment(t[i], y[i], rate, sampler, m.galerkin)
+                            for i in range(6)])
     assert np.all(exact > 0)
+    # a grid of times at one state reads the same rows as one time at a time
+    grid = coef.sq_moment(t, y[0], rate, sampler, m.galerkin)
+    assert grid.tobytes() == np.concatenate(
+        [coef.sq_moment(ti, y[0], rate, sampler, m.galerkin) for ti in t]).tobytes()
     np.testing.assert_allclose(exact, _quadrature_sq(coef, t, y, None, rate, sampler,
                                                      m.galerkin), rtol=1e-12, atol=0)
 
@@ -302,10 +306,10 @@ def _lipschitz_oracle(model, n_pairs, seed, t_span):
         y2 = y1 + rng.normal(scale=1.0, size=(n, model.dim))
         dy = np.linalg.norm(y1 - y2, axis=-1)
         keep = dy >= 1e-12
+        f, g, gal = c.drift, c.diffusion, model.galerkin
         diffs = (
-            np.linalg.norm(model.drift_value(t, y1) - model.drift_value(t, y2), axis=-1),
-            np.linalg.norm(qhalf * (model.diffusion_diag(t, y1) - model.diffusion_diag(t, y2)),
-                           axis=-1),
+            np.linalg.norm(f.value(t, y1, gal) - f.value(t, y2, gal), axis=-1),
+            np.linalg.norm(qhalf * (g.value(t, y1, gal) - g.value(t, y2, gal)), axis=-1),
             np.sqrt(_quadrature_sq(c.small_jump, t, y1, y2, j.small_rate, j.small_sampler,
                                    model.galerkin)),
             np.sqrt(_quadrature_sq(c.large_jump, t, y1, y2, j.large_rate, j.large_sampler,
@@ -361,3 +365,98 @@ def test_check_conditions_draws_no_random_numbers(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_rng)
     for m in models:
         L.check_conditions(m)
+
+
+# float.hex of every slack of the report, recorded before the checker read
+# its coefficients from one table per grid; every flag is True
+_PINNED_REPORTS = {
+    "example61": {
+        "e1": "0x1.0000000001198p+0", "e1p": "0x1.0000000001198p+0",
+        "e2": "0x1.19799812dea11p-40", "e2p": "0x1.19799812dea11p-40", "e3": "inf",
+        "thm_existence": "0x1.697ec7a2ad04cp-2", "cond_L": "0x1.c2895d10fa8f0p-5",
+        "cond_L11": "0x1.30eafa4ef3dd0p-4", "cond_lmin": "0x1.487b415b8d132p-3",
+        "theta2_lt_1": "0x1.a800000000000p-1", "thetap_lt_1": "0x1.2ef80cd40f9f8p-2"
+    },
+    "example61_forced": {
+        "e1": "0x1.64c691293fcccp-11", "e1p": "0x1.64c691293fcccp-11",
+        "e2": "0x1.19799812dea11p-40", "e2p": "0x1.19799812dea11p-40", "e3": "inf",
+        "thm_existence": "0x1.697ec7a2ad04cp-2", "cond_L": "0x1.c2895d10fa8f0p-5",
+        "cond_L11": "0x1.30eafa4ef3dd0p-4", "cond_lmin": "0x1.487b415b8d132p-3",
+        "theta2_lt_1": "0x1.a800000000000p-1", "thetap_lt_1": "0x1.2ef80cd40f9f8p-2"
+    },
+    "periodic": {
+        "e1": "0x1.489d18f443302p-17", "e1p": "0x1.489d18f443302p-17",
+        "e2": "0x1.19799812dea11p-40", "e2p": "0x1.19799812dea11p-40", "e3": "inf",
+        "thm_existence": "0x1.3333333333333p-3", "cond_L": "0x1.6b369e30d9940p-5",
+        "cond_L11": "0x1.6b369e30d9940p-5", "cond_lmin": "0x1.52394f3a7c796p-4",
+        "theta2_lt_1": "0x1.ae147ae147ae1p-1", "thetap_lt_1": "0x1.05977911a2214p-1"
+    },
+    "heat8": {
+        "e1": "0x1.65d3ef626abf6p-4", "e1p": "0x1.b35bde7e33660p-14",
+        "e2": "0x1.19799812dea11p-40", "e2p": "0x1.19799812dea11p-40", "e3": "inf",
+        "thm_existence": "0x1.51192eb336b09p-1", "cond_L": "0x1.77e59dec834d4p-4",
+        "cond_L11": "0x1.226b1655b022cp-3", "cond_lmin": "0x1.242f2a3e1c616p-2",
+        "theta2_lt_1": "0x1.b6dec7b7db46ap-1", "thetap_lt_1": "0x1.31490cdb68cd2p-2"
+    },
+    "ou_jump": {
+        "e1": "0x1.b21c3c95dd64dp-7", "e1p": "0x1.19799812dea11p-40",
+        "e2": "0x1.19799812dea11p-40", "e2p": "0x1.19799812dea11p-40", "e3": "inf",
+        "thm_existence": "0x1.c9f25c5bfedd9p-3", "cond_L": "0x1.1c01aa03be896p-3",
+        "cond_L11": "0x1.11acee560242ap-3", "cond_lmin": "0x1.5a2cd8c69d61ap-3",
+        "theta2_lt_1": "0x1.0000000000000p+0", "thetap_lt_1": "0x1.0000000000000p+0"
+    },
+}
+_PINNED_MODELS = {
+    "example61": L.presets.example61_model,
+    "example61_forced": lambda: L.presets.example61_model(forcing=1.0),
+    "periodic": L.presets.periodic_model,
+    "heat8": lambda: L.presets.example62_model(n_modes=8),
+    "ou_jump": L.presets.ou_jump_model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_REPORTS))
+def test_check_conditions_report_is_pinned(name):
+    got = L.check_conditions(_PINNED_MODELS[name]()).to_dict()
+    want = {}
+    for cond, slack in _PINNED_REPORTS[name].items():
+        want[cond], want[f"{cond}_slack"] = True, slack
+    assert {k: v if isinstance(v, bool) else float.hex(v) for k, v in got.items()} == want
+
+
+@pytest.mark.parametrize("name", ["example61", "heat8"])
+def test_check_conditions_tabulates_each_coefficient_once(monkeypatch, name):
+    """Profile calls and StateMaps constructions grow with the number of
+    terms, not with the checker's time grid."""
+    m, counts = _PINNED_MODELS[name](), {"profiles": 0, "maps": 0}
+    profile_call, maps_init = L.TimeProfile.__call__, L.model.StateMaps.__init__
+
+    def counted_call(self, t):
+        counts["profiles"] += 1
+        return profile_call(self, t)
+
+    def counted_init(self, *args, **kwargs):
+        counts["maps"] += 1
+        maps_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(L.TimeProfile, "__call__", counted_call)
+    monkeypatch.setattr(L.model.StateMaps, "__init__", counted_init)
+    L.check_conditions(m)
+    c = m.coefficients
+    n_terms = sum(len(coef.terms) for coef in (c.drift, c.diffusion, c.small_jump, c.large_jump))
+    # drift and diffusion once; each jump coefficient once for its intensity
+    # integrals and once for its state part on the subsampled grid
+    assert 0 < counts["profiles"] <= 2 * n_terms
+    assert 0 < counts["maps"] <= 6
+
+
+@pytest.mark.parametrize("t_span, n_t_grid", [
+    (math.nan, 401), (math.inf, 401), (0.0, 401), (-1.0, 401), (40.0, 0), (40.0, -3)])
+def test_check_conditions_rejects_a_grid_without_finite_times(t_span, n_t_grid):
+    with pytest.raises(InputError):
+        L.check_conditions(L.presets.example61_model(), t_span=t_span, n_t_grid=n_t_grid)
+
+
+def test_check_conditions_accepts_small_grids():
+    for n in (1, 21):
+        assert L.check_conditions(L.presets.example61_model(), n_t_grid=n).e1.passed

@@ -209,11 +209,18 @@ def test_model_compensator_matches_generic_quadrature():
     y = np.array([1.7])
     small = m.coefficients.small_jump
     # the compensator as the step kernel forms it, from the mark mean
-    got = -m.jumps.small_rate * small.apply_mean(
-        small.profile_table(0.3), y, m.jumps.small_sampler, m.galerkin)
+    got = -m.jumps.small_rate * small.value(0.3, y, m.jumps.small_sampler.mean(), m.galerkin)
     want = small_jump_compensator(
         m.jumps, lambda t, y_, x: small.value(t, y_, x, m.galerkin), 0.3, y)
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["small", "large"])
+def test_positive_rate_needs_a_sampler(which):
+    with pytest.raises(InputError, match=f"{which}_sampler"):
+        L.JumpMeasureSpec(**{f"{which}_rate": 1.0})
+    # rate 0 without a sampler stays legal
+    assert L.JumpMeasureSpec(**{f"{which}_rate": 0.0}).mark_moment(which, 2) == 0.0
 
 
 def test_invalid_specs_rejected():
