@@ -14,21 +14,14 @@ dim) block, and the jump events of all its paths go into one table.
 :func:`coupled_gap` steps both of its models on that one draw.
 
 Each step is the kernel of :func:`levylab.integrator.step_kernel` on the
-(n_paths, dim) batch, with its tables built once per ensemble.  Jumps are
-not grid-refined here (that is what :func:`levylab.integrator.integrate`
-does for single paths).  A jump at time ``s`` inside a step ``[u, v]`` is
-evaluated at the state flowed from ``u`` to ``s`` without the intra-step
-noise and added with its exact semigroup decay ``exp(-Lam (v-s))``; a
-later jump of the same path in the same step flows on from the undecayed
-post-jump state.  This keeps weak order one and is placement-exact for
-state-independent jump coefficients.
-
-Round r of a step holds the (r+1)-th jump of each path in it.  Each chunk
-sorts its events once by (step, round, kind, path), so that every
-(step, round, kind) group is one contiguous slice, and tabulates per event
-the jump profiles, both decay factors and the slot of the same path's
-previous jump.  A step then makes one coefficient call per slice, and
-none when it holds no jump.
+(n_paths, dim) batch, with its tables built once per ensemble, and each
+chunk's jumps go through :func:`levylab.integrator.jump_kernel`, the jump
+rule that :func:`levylab.integrator.integrate` runs too: a jump inside a
+step acts on the kernel's own step to the jump time.  So a one-path
+ensemble on the grid of ``integrate`` reproduces its path bit for bit.
+The jump kernel sorts a chunk's events once into (step, round, kind)
+slices, so a step makes one coefficient call per slice, and none when it
+holds no jump.
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .integrator import (JUMP_LARGE, JUMP_SMALL, check_finite, refined_grid,
+from .integrator import (check_finite, jump_events, jump_kernel, refined_grid,
                          step_kernel)
 from .model import SdeModel
 from .noise import sample_jumps, sample_wiener_increments
@@ -74,74 +67,14 @@ def mean_and_se(samples: np.ndarray):
 
 def _draw_chunk(model: SdeModel, grid, window, seeds):
     """The noise of one chunk: its Wiener block (n_steps, chunk, dim),
-    filled path by path, and the jump events ``(times, paths, kinds,
-    marks)`` of all its paths."""
+    filled path by path, and the :func:`~levylab.integrator.jump_events`
+    of all its paths."""
     dw = np.empty((grid.size - 1, len(seeds), model.dim))
-    times, paths, kinds, marks = [], [], [], []
+    jumps = []
     for local_idx, seed in enumerate(seeds):
         dw[:, local_idx] = sample_wiener_increments(model.wiener, grid, seed)
-        st, sm, lt, lm = sample_jumps(model.jumps, window, seed)
-        for t_arr, m_arr, kind in ((st, sm, JUMP_SMALL), (lt, lm, JUMP_LARGE)):
-            times.append(t_arr)
-            paths.append(np.full(t_arr.size, local_idx))
-            kinds.append(np.full(t_arr.size, kind, dtype=np.int8))
-            marks.append(np.atleast_2d(m_arr.T).T if m_arr.ndim == 1 else m_arr)
-    mark_dim = max(m.shape[1] for m in marks)
-    marks = np.concatenate([m if m.shape[1] == mark_dim else
-                            np.pad(m, ((0, 0), (0, mark_dim - m.shape[1]))) for m in marks])
-    return dw, tuple(np.concatenate(a) for a in (times, paths, kinds)) + (marks,)
-
-
-def _jump_kernel(model: SdeModel, grid, events):
-    """Tabulate the jump events of a chunk once and return ``add_jumps(i, y,
-    y_new, drift)``: ``y_new`` plus the jumps inside step ``i``, in place.
-
-    Per event, in (step, path, time) order: its profile row, ``lead`` (the
-    time since the path's previous jump in the step, or since the step
-    start ``u``), ``exp(-Lam lead)`` and ``exp(-Lam (v-s))``; then the
-    events are regrouped by (step, round, kind, path) into slices."""
-    times, paths, kinds, marks = events
-    interval = np.clip(np.searchsorted(grid, times, side="left") - 1, 0, grid.size - 2)
-    order = np.lexsort((times, paths, interval))
-    times, paths, kinds, marks, interval = (a[order] for a in
-                                            (times, paths, kinds, marks, interval))
-    pos = np.arange(times.size)
-    first = np.ones(times.size, dtype=bool)
-    first[1:] = (paths[1:] != paths[:-1]) | (interval[1:] != interval[:-1])
-    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
-    lead = times - np.where(first, grid[interval], np.roll(times, 1))
-    lam, c = model.semigroup.rates, model.coefficients
-    dec_in = np.exp(-np.outer(lead, lam))
-    dec_out = np.exp(-np.outer(grid[interval + 1] - times, lam))
-    # a round starts from the undecayed post-jump states of the previous
-    # one, kept in ``post`` at the slot ``back`` of each path's previous event
-    regroup = np.lexsort((paths, kinds, rank, interval))
-    back = np.argsort(regroup)[regroup - 1]
-    paths, kinds, marks, interval, rank, lead, dec_in, dec_out = (
-        a[regroup] for a in (paths, kinds, marks, interval, rank, lead[:, None],
-                             dec_in, dec_out))
-    kernels = {kind: coef.event_kernel(   # rows and scalar marks broadcast over coordinates
-        coef.profile_table(times)[regroup][:, None],
-        marks[:, :1] if coef.mark_mode == "scalar" else marks, model.galerkin)
-        for kind, coef in ((JUMP_SMALL, c.small_jump), (JUMP_LARGE, c.large_jump))}
-    starts = np.flatnonzero(np.r_[times.size > 0, np.any(np.diff([interval, rank, kinds]), 0)])
-    schedule = [[] for _ in range(grid.size - 1)]
-    for a, b, i, kind, r in zip(*(x.tolist() for x in (
-            starts, np.append(starts[1:], times.size), interval[starts], kinds[starts],
-            rank[starts]))):
-        schedule[i].append((slice(a, b), kernels[kind], r > 0))
-    post = np.empty((times.size, model.dim))
-
-    def add_jumps(i, y, y_new, drift):
-        for sl, jump, later in schedule[i]:
-            p = paths[sl]
-            pre = dec_in[sl] * (post[back[sl]] if later else y[p]) + lead[sl] * drift[p]
-            raw = jump(sl, pre)
-            y_new[p] += dec_out[sl] * raw
-            post[sl] = pre + raw
-        return y_new
-
-    return add_jumps
+        jumps.append(sample_jumps(model.jumps, window, seed))
+    return dw, jump_events(jumps)
 
 
 def _run_chunk(model: SdeModel, step, grid, obs_idx, y0_chunk, noise):
@@ -150,7 +83,7 @@ def _run_chunk(model: SdeModel, step, grid, obs_idx, y0_chunk, noise):
     out = np.empty((len(obs_idx), y.shape[0], y.shape[1]))
     out[obs_idx == 0] = y
     obs_lookup = {int(g): k for k, g in enumerate(obs_idx)}
-    add_jumps = _jump_kernel(model, grid, events)
+    add_jumps = jump_kernel(model, grid, events, dw)
 
     for i in range(grid.size - 1):
         y = add_jumps(i, y, *step(i, y, dw[i]))

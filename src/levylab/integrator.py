@@ -15,11 +15,15 @@ collects the drift coefficient, the Wiener drift vector routed through the
 diffusion, and the small-jump compensator.  :func:`integrate` runs it for
 one path on the uniform ``max_step`` grid refined by every jump time of
 the frozen noise realization (Bruti-Liberati & Platen, J. Comput. Appl.
-Math. 2007); at a jump time the increment ``F`` or ``G`` evaluated at the
-left limit is applied without an extra semigroup factor (the jump-adapted
-grid makes the neglected factor 1 + O(step)).  Weak order one; the
-deterministic drift part is O(step)-accurate with constant
-``sup|f'|/(2 lambda_min)`` thanks to the integrating factor.
+Math. 2007).  Weak order one; the deterministic drift part is
+O(step)-accurate with constant ``sup|f'|/(2 lambda_min)`` thanks to the
+integrating factor.
+
+:func:`jump_kernel` is the one jump rule of both drivers: a jump at ``s``
+inside a step ``[u, v]`` acts on the kernel's own step from ``u`` to ``s``
+with the Wiener increment ``(s-u)/(v-u) dW``, and is added to the step's
+end with the decay ``exp(-Lam (v-s))``.  At ``s = v`` that pre-jump state
+is the stepped left limit of :func:`integrate`, bit for bit.
 """
 
 from __future__ import annotations
@@ -37,14 +41,15 @@ from .model import (CoefficientSet, SdeModel, SemigroupSpec, StateMap, StateMaps
 from .noise import (JumpMeasureSpec, NoiseRealization, WienerSpec)
 from .profiles import harmonic_profile, reciprocal_profile, trig_reciprocal_profile
 
-JUMP_NONE, JUMP_SMALL, JUMP_LARGE = 0, 1, 2
+JUMP_SMALL, JUMP_LARGE = 1, 2   # jump flags of a SamplePath node; 0 is none
 CSV_BLOCK = 1024   # rows that SamplePath.to_csv formats and writes at a time
 
 
 def step_kernel(model: SdeModel, grid: np.ndarray):
     """Tabulate the steps of ``grid`` once and return ``step(i, y, dw) ->
-    (y_new, drift)`` over step ``i`` for ``y`` and ``dw`` of shape (dim,) or
-    (n_paths, dim); ``drift`` is ``D`` at the step start."""
+    (y_new, drift, gdiag)`` over step ``i`` for ``y`` and ``dw`` of shape
+    (dim,) or (n_paths, dim); ``drift`` is ``D`` and ``gdiag`` the diffusion
+    at the step start."""
     neg_ldt = -np.outer(np.diff(grid), model.semigroup.rates)
     decay, phi1 = np.exp(neg_ldt), -np.expm1(neg_ldt) / model.semigroup.rates
     c, gal, a = model.coefficients, model.galerkin, model.wiener.drift
@@ -61,9 +66,85 @@ def step_kernel(model: SdeModel, grid: np.ndarray):
         drift = (f.evaluate(f_cols, i, vals, f_slots, gal) + gdiag * a
                  + (-rate * s.evaluate(s_cols, i, vals, s_slots, gal, mean) if rate else 0.0))
         d = decay[i]
-        return d * y + phi1[i] * drift + d * (gdiag * dw), drift
+        return d * y + phi1[i] * drift + d * (gdiag * dw), drift, gdiag
 
     return step
+
+
+def jump_events(paths_jumps):
+    """The jump events ``(times, paths, kinds, marks)`` of the paths whose
+    jumps ``(small_times, small_marks, large_times, large_marks)`` are
+    listed in order; marks become rows, zero-padded to the widest."""
+    times, paths, kinds, marks = [], [], [], []
+    for p, (st, sm, lt, lm) in enumerate(paths_jumps):
+        for t_arr, m_arr, kind in ((st, sm, JUMP_SMALL), (lt, lm, JUMP_LARGE)):
+            times.append(t_arr)
+            paths.append(np.full(t_arr.size, p))
+            kinds.append(np.full(t_arr.size, kind, dtype=np.int8))
+            marks.append(m_arr[:, None] if m_arr.ndim == 1 else m_arr)
+    mark_dim = max(m.shape[1] for m in marks)
+    marks = np.concatenate([m if m.shape[1] == mark_dim else
+                            np.pad(m, ((0, 0), (0, mark_dim - m.shape[1]))) for m in marks])
+    return tuple(np.concatenate(a) for a in (times, paths, kinds)) + (marks,)
+
+
+def jump_kernel(model: SdeModel, grid, events, dw):
+    """Tabulate ``events`` (see :func:`jump_events`) of the paths with the
+    Wiener increments ``dw`` (n_steps, n_paths, dim) once and return
+    ``add_jumps(i, y, y_new, drift, gdiag)``: ``y_new``, the end states of
+    step ``i`` from the (n_paths, dim) states ``y``, plus the jumps inside
+    the step, in place.  A later jump of a path in the step flows on from its
+    previous post-jump state over ``s_k - s_(k-1)``.
+
+    Per event, in (step, path, time) order: its profile row, that ``lead``
+    with ``exp(-Lam lead)``, ``phi1(lead)``, the Wiener increment ``lead /
+    (v-u) dW`` and ``exp(-Lam (v-s))``; then the events are regrouped into
+    (step, round, kind) slices, round r holding each path's (r+1)-th jump."""
+    times, paths, kinds, marks = events
+    interval = np.clip(np.searchsorted(grid, times, side="left") - 1, 0, grid.size - 2)
+    order = np.lexsort((times, paths, interval))
+    times, paths, kinds, marks, interval = (a[order] for a in
+                                            (times, paths, kinds, marks, interval))
+    pos = np.arange(times.size)
+    first = np.ones(times.size, dtype=bool)
+    first[1:] = (paths[1:] != paths[:-1]) | (interval[1:] != interval[:-1])
+    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    lead = times - np.where(first, grid[interval], np.roll(times, 1))
+    wiener = (lead / (grid[interval + 1] - grid[interval]))[:, None] * dw[interval, paths]
+    lam, c = model.semigroup.rates, model.coefficients
+    neg_ldt = -np.outer(lead, lam)   # the expressions of step_kernel
+    dec_in, phi1 = np.exp(neg_ldt), -np.expm1(neg_ldt) / lam
+    dec_out = np.exp(-np.outer(grid[interval + 1] - times, lam))
+    # a round starts from the post-jump states of the previous one, kept in
+    # ``post`` at the slot ``back`` of each path's previous event
+    regroup = np.lexsort((paths, kinds, rank, interval))
+    back = np.argsort(regroup)[regroup - 1]
+    paths, kinds, marks, interval, rank, wiener, dec_in, phi1, dec_out = (
+        a[regroup] for a in (paths, kinds, marks, interval, rank, wiener, dec_in, phi1,
+                             dec_out))
+    kernels = {kind: coef.event_kernel(   # rows and scalar marks broadcast over coordinates
+        coef.profile_table(times)[regroup][:, None],
+        marks[:, :1] if coef.mark_mode == "scalar" else marks, model.galerkin)
+        for kind, coef in ((JUMP_SMALL, c.small_jump), (JUMP_LARGE, c.large_jump))}
+    starts = np.flatnonzero(np.r_[times.size > 0, np.any(np.diff([interval, rank, kinds]), 0)])
+    schedule = {}   # step -> its slices; most steps hold no jump
+    for a, b, i, kind, r in zip(*(x.tolist() for x in (
+            starts, np.append(starts[1:], times.size), interval[starts], kinds[starts],
+            rank[starts]))):
+        schedule.setdefault(i, []).append((slice(a, b), kernels[kind], r > 0))
+    post = np.empty((times.size, model.dim))
+
+    def add_jumps(i, y, y_new, drift, gdiag):
+        for sl, jump, later in schedule.get(i, ()):
+            p, d = paths[sl], dec_in[sl]
+            pre = (d * (post[back[sl]] if later else y[p]) + phi1[sl] * drift[p]
+                   + d * (gdiag[p] * wiener[sl]))
+            raw = jump(sl, pre)
+            y_new[p] += dec_out[sl] * raw
+            post[sl] = pre + raw
+        return y_new
+
+    return add_jumps
 
 
 @dataclass
@@ -103,28 +184,10 @@ class SamplePath:
 
 def refined_grid(t0: float, t1: float, max_step: float, nodes) -> np.ndarray:
     """Uniform grid on [t0, t1], steps at most ``max_step``, refined by ``nodes``."""
+    if not 0.0 < max_step < math.inf:
+        raise InputError(f"max_step must be positive and finite, got {max_step!r}")
     n = max(1, int(np.ceil((t1 - t0) / max_step - 1e-12)))
     return np.unique(np.concatenate([np.linspace(t0, t1, n + 1), nodes]))
-
-
-def _merged_grid(model: SdeModel, t0: float, t1: float, max_step: float,
-                 noise: NoiseRealization):
-    """Uniform grid refined by jump times; returns (grid, jumps, kernels) with
-    jumps[i] the (kind, event index) pairs at grid[i] and kernels[kind] the
-    :meth:`~levylab.model.JumpCoefficient.event_kernel` of that kind."""
-    c, found, kernels = model.coefficients, [], {}
-    for times, marks, kind, coef in (
-            (noise.small_times, noise.small_marks, JUMP_SMALL, c.small_jump),
-            (noise.large_times, noise.large_marks, JUMP_LARGE, c.large_jump)):
-        inside = (times > t0) & (times < t1)
-        kernels[kind] = coef.event_kernel(coef.profile_table(times[inside]), marks[inside],
-                                          model.galerkin)
-        found += [(t, kind, j) for j, t in enumerate(times[inside])]
-    grid = refined_grid(t0, t1, max_step, [t for t, *_ in found])
-    jumps: dict[int, list] = {}
-    for t, *event in found:
-        jumps.setdefault(int(np.searchsorted(grid, t)), []).append(event)
-    return grid, jumps, kernels
 
 
 def check_finite(y: np.ndarray, t: float):
@@ -145,8 +208,6 @@ def integrate(model: SdeModel, noise: NoiseRealization, t0: float, t1: float,
     built here, so identical arguments reproduce the path bit for bit.
     A non-finite state raises :class:`NumericalBlowupError` naming its component.
     """
-    if max_step <= 0:
-        raise InputError("max_step must be positive")
     if t1 < t0:
         raise InputError("empty time window")
     if not (noise.window[0] <= t0 + 1e-12 and t1 <= noise.window[1] + 1e-12):
@@ -157,25 +218,29 @@ def integrate(model: SdeModel, noise: NoiseRealization, t0: float, t1: float,
     if not np.all(np.isfinite(y)):
         raise InputError("initial state must be finite")
 
-    grid, jumps, kernels = _merged_grid(model, t0, t1, max_step, noise)
-    step = step_kernel(model, grid)
+    events = jump_events([(noise.small_times, noise.small_marks,
+                           noise.large_times, noise.large_marks)])
+    inside = (events[0] > t0) & (events[0] < t1)
+    events = tuple(a[inside] for a in events)
+    grid = refined_grid(t0, t1, max_step, events[0])
     dW = noise.wiener_increments(grid)
+    step, add_jumps = step_kernel(model, grid), jump_kernel(model, grid, events, dW[:, None])
 
     n = grid.size
     values = np.empty((n, model.dim))
     left = np.empty_like(values)
     flags = np.zeros(n, dtype=np.int8)
+    flags[np.searchsorted(grid, events[0])] = events[2]
     values[0] = left[0] = y
 
-    for i in range(n - 1):
-        y = step(i, y, dW[i])[0]
-        left[i + 1] = y
-        check_finite(y, grid[i + 1])
-        for kind, j in jumps.get(i + 1, ()):
-            y = y + kernels[kind](j, y)
-            flags[i + 1] = kind
-            check_finite(y, grid[i + 1])
-        values[i + 1] = y
+    for i, jumped in enumerate(flags[1:].tolist()):
+        y_new, drift, gdiag = step(i, y, dW[i])
+        left[i + 1] = y_new
+        check_finite(y_new, grid[i + 1])
+        if jumped:   # the jump acts on the left limit: lead v - u, decay out 1
+            add_jumps(i, y[None], y_new[None], drift[None], gdiag[None])
+            check_finite(y_new, grid[i + 1])
+        values[i + 1] = y = y_new
 
     return SamplePath(times=grid, values=values, left_limits=left, jump_flags=flags)
 

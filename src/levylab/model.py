@@ -764,8 +764,10 @@ def check_conditions(model: SdeModel, t_span: float = 40.0,
     c = model.coefficients
     L, A0, p = c.lipschitz_L, c.A0, c.moment_p
 
-    if not (math.isfinite(t_span) and t_span > 0 and n_t_grid >= 1):
-        raise InputError(f"need a finite t_span > 0 and n_t_grid >= 1, got {t_span!r}, {n_t_grid!r}")
+    if not (math.isfinite(t_span) and t_span > 0 and isinstance(n_t_grid, (int, np.integer))
+            and not isinstance(n_t_grid, bool) and n_t_grid >= 1):
+        raise InputError(f"need a finite t_span > 0 and an integer n_t_grid >= 1, "
+                         f"got {t_span!r}, {n_t_grid!r}")
     zb, states = model.zero_bounds(np.linspace(-t_span, t_span, n_t_grid))
     e1_slack = A0 - max(zb.values()) + REGISTRY_TOL
     # p-th moment growth at zero: jump state parts times their p-th intensities

@@ -1,5 +1,5 @@
-"""Ensemble engine: determinism, coupling, agreement with the reference
-single-path integrator."""
+"""Ensemble engine: determinism, coupling, the one jump rule it shares
+with the single-path integrator."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 import levylab as L
 from levylab import ensemble
 from levylab.ensemble import _path_seed, simulate_ensemble
+from levylab.noise import sample_jumps
 
 
 def test_ensemble_reproducible():
@@ -50,31 +51,41 @@ def test_same_seed_couples_noise_across_runs():
     assert np.allclose(gap, want[:, None], rtol=1e-9)
 
 
-def test_matches_reference_integrator_without_jumps():
-    # same grid, same per-path wiener stream: the vectorized engine must
-    # reproduce the reference path bitwise when no jumps refine the grid
-    m = L.presets.example61_model(b=0.0, small_rate=0.0)
-    obs = np.linspace(0.0, 2.0, 5)
-    res = simulate_ensemble(m, (0.0, 2.0), 0.7, 3, 0.01, 31, obs)
-    for p in range(3):
-        noise = L.sample_noise(m.wiener, m.jumps, (0.0, 2.0), _path_seed(31, p))
-        path = L.integrate(m, noise, 0.0, 2.0, [0.7], 0.01)
-        for k, t in enumerate(res.times):
-            i = int(np.argmin(np.abs(path.times - t)))
-            assert np.allclose(res.states[k, p], path.values[i], atol=1e-12), (p, t)
+@pytest.mark.parametrize("name, y0", [("example61", 0.5), ("heat8", 0.5), ("every_map", -0.0),
+                                     ("periodic", 0.5), ("no_jumps", 0.7)],
+                         ids=["example61", "heat8", "every_map", "periodic", "no_jumps"])
+def test_one_path_ensemble_is_integrate_bit_for_bit(name, y0):
+    # one jump rule: on the grid of integrate and driven by the same noise, a
+    # one-path ensemble reproduces integrate's path at every node
+    from test_kernel import _model
+    m = (L.presets.example61_model(b=0.0, small_rate=0.0) if name == "no_jumps"
+         else _model(name))
+    window, seed = (-1.0, 1.5), 31
+    noise = L.sample_noise(m.wiener, m.jumps, window, _path_seed(seed, 0))
+    path = L.integrate(m, noise, *window, np.full(m.dim, y0), 0.01)
+    assert (np.count_nonzero(path.jump_flags) >= 2) == (name != "no_jumps")
+    res = simulate_ensemble(m, window, y0, 1, 0.01, seed, path.times)
+    assert np.array_equal(res.times, path.times)
+    assert np.array_equal(res.states[:, 0], path.values)
+
+
+def _jump_adapted_reference(m, window, y0, n, max_step, seed):
+    """Terminal states of ``n`` paths on a grid refined by every jump time
+    of every path: each path jumps at a node, where the one jump rule is
+    the one of integrate."""
+    jumps = [sample_jumps(m.jumps, window, _path_seed(seed, p)) for p in range(n)]
+    nodes = np.concatenate([t for st, _, lt, _ in jumps for t in (st, lt)] + [window[1:]])
+    return simulate_ensemble(m, window, y0, n, max_step, seed, nodes).states[-1, :, 0]
 
 
 def test_agrees_with_reference_integrator_statistically_with_jumps():
-    # jump handling differs (binned vs grid-refined): weak agreement only
+    # jumps inside a step vs at grid nodes: weak agreement
     m = L.presets.ou_jump_model(decay=1.0, sigma=0.5, jump_rate=1.0)
     obs = np.array([4.0])
     n = 600
     res = simulate_ensemble(m, (0.0, 4.0), 0.0, n, 0.01, 17, obs)
     ens_mean = res.states[0, :, 0].mean()
-    ref = []
-    for p in range(n):
-        noise = L.sample_noise(m.wiener, m.jumps, (0.0, 4.0), _path_seed(10_000, p))
-        ref.append(L.integrate(m, noise, 0.0, 4.0, [0.0], 0.01).values[-1, 0])
+    ref = _jump_adapted_reference(m, (0.0, 4.0), 0.0, n, 0.01, 10_000)
     ref_mean = np.mean(ref)
     pooled_se = np.sqrt(res.states[0, :, 0].var() / n + np.var(ref) / n)
     assert abs(ens_mean - ref_mean) < 5 * pooled_se
@@ -140,16 +151,13 @@ def test_coupled_gap_needs_one_noise_law():
 
 
 def test_state_dependent_jumps_agree_across_drivers():
-    # multiplicative jump coefficients: binned vs grid-refined jump handling
+    # multiplicative jump coefficients: jumps inside a step vs at grid nodes
     # must agree weakly (means and second moments within MC error)
     m = L.presets.example61_model(b=1.0, forcing=1.0)
     n, t_end = 500, 4.0
     res = simulate_ensemble(m, (0.0, t_end), 1.0, n, 0.005, 77, np.array([t_end]))
     ens = res.states[0, :, 0]
-    ref = np.empty(n)
-    for p in range(n):
-        noise = L.sample_noise(m.wiener, m.jumps, (0.0, t_end), _path_seed(88, p))
-        ref[p] = L.integrate(m, noise, 0.0, t_end, [1.0], 0.005).values[-1, 0]
+    ref = _jump_adapted_reference(m, (0.0, t_end), 1.0, n, 0.005, 88)
     for stat in (lambda x: x, lambda x: x**2):
         a, b = stat(ens), stat(ref)
         se = np.sqrt(a.var(ddof=1) / n + b.var(ddof=1) / n)

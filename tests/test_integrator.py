@@ -126,6 +126,17 @@ def test_blowup_reports_time():
     assert str(err.value) == f"component 0 non-finite at t = {err.value.time:g}"
 
 
+@pytest.mark.parametrize("max_step", [0.0, -0.01, np.nan, np.inf])
+@pytest.mark.parametrize("driver", ["integrate", "ensemble"])
+def test_max_step_must_be_positive_and_finite(driver, max_step):
+    m = L.presets.example61_model()
+    with pytest.raises(InputError, match="max_step"):
+        if driver == "integrate":
+            L.integrate(m, _noise_for(m, (0.0, 2.0), 0), 0.0, 2.0, [0.5], max_step)
+        else:
+            L.simulate_ensemble(m, (0.0, 2.0), 0.5, 4, max_step, 3, [2.0])
+
+
 def test_noise_window_must_cover_integration_window():
     m = L.presets.linear_decay_model(1.0)
     noise = _noise_for(m, (0.0, 1.0), 0)

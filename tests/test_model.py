@@ -451,7 +451,8 @@ def test_check_conditions_tabulates_each_coefficient_once(monkeypatch, name):
 
 
 @pytest.mark.parametrize("t_span, n_t_grid", [
-    (math.nan, 401), (math.inf, 401), (0.0, 401), (-1.0, 401), (40.0, 0), (40.0, -3)])
+    (math.nan, 401), (math.inf, 401), (0.0, 401), (-1.0, 401), (40.0, 0), (40.0, -3),
+    (40.0, 2.5), (40.0, 401.0), (40.0, True), (40.0, "401")])
 def test_check_conditions_rejects_a_grid_without_finite_times(t_span, n_t_grid):
     with pytest.raises(InputError):
         L.check_conditions(L.presets.example61_model(), t_span=t_span, n_t_grid=n_t_grid)
