@@ -1,17 +1,19 @@
 """Vectorized path ensembles with per-path seeded noise.
 
 Paths are advanced together on a shared grid (uniform ``max_step`` nodes
-plus any requested observation times); each path owns an independent
-noise stream keyed by ``(master_seed, path_index)``, so a path's states
-do not depend on the other paths or on chunking (bit for bit without a
-Galerkin transform, to rounding with one), and two ensembles launched
-with the same master seed are driven by the *same* noise realization
-path-for-path (the coupling used by every gap experiment).
+plus any requested observation times); each path owns independent noise
+streams, numpy's ``SeedSequence(master_seed, spawn_key=(path_index,
+*key))``, so a path's states do not depend on the other paths or on
+chunking (bit for bit without a Galerkin transform, to rounding with
+one), and two ensembles launched with the same master seed are driven by
+the *same* noise realization path-for-path (the coupling used by every
+gap experiment).
 
-Paths run in chunks of ``CHUNK``.  A chunk's noise is drawn once: each
-path's Wiener increments are written in place into one (n_steps, chunk,
-dim) block, and the jump events of all its paths go into one table.
-:func:`coupled_gap` steps both of its models on that one draw.
+Paths run in chunks of ``CHUNK``.  A chunk's noise is drawn once and in
+bulk (:func:`levylab.noise.wiener_block`, :func:`levylab.noise.jump_table`):
+its Wiener increments fill one (n_steps, chunk, dim) block in place, and
+the jump events of all its paths form one table.  :func:`coupled_gap`
+steps both of its models on that one draw.
 
 Each step is the kernel of :func:`levylab.integrator.step_kernel` on the
 (n_paths, dim) batch, with its tables built once per ensemble, and each
@@ -31,16 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .integrator import (check_finite, jump_events, jump_kernel, refined_grid,
-                         step_kernel)
+from .integrator import check_finite, jump_kernel, refined_grid, step_kernel
 from .model import SdeModel
-from .noise import sample_jumps, sample_wiener_increments
+from .noise import jump_table, wiener_block
 
 CHUNK = 1024   # paths per chunk; bounds the (n_steps, CHUNK, dim) Wiener block
-
-
-def _path_seed(master: int, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=int(master), spawn_key=(int(index),))
 
 
 @dataclass
@@ -65,16 +62,13 @@ def mean_and_se(samples: np.ndarray):
     return samples.mean(axis=-1), se
 
 
-def _draw_chunk(model: SdeModel, grid, window, seeds):
-    """The noise of one chunk: its Wiener block (n_steps, chunk, dim),
-    filled path by path, and the :func:`~levylab.integrator.jump_events`
-    of all its paths."""
-    dw = np.empty((grid.size - 1, len(seeds), model.dim))
-    jumps = []
-    for local_idx, seed in enumerate(seeds):
-        dw[:, local_idx] = sample_wiener_increments(model.wiener, grid, seed)
-        jumps.append(sample_jumps(model.jumps, window, seed))
-    return dw, jump_events(jumps)
+def _draw_chunk(model: SdeModel, grid, window, seed, paths):
+    """The noise of the paths ``paths`` of one chunk, drawn in bulk: its jump
+    table first, so that the table's temporaries are freed before the Wiener
+    block (n_steps, chunk, dim) takes the heap hole of the previous block
+    (drawn after it, they split that hole and the block lands in new memory)."""
+    events = jump_table(model.jumps, window, seed, paths)
+    return wiener_block(model.wiener, grid, seed, paths), events
 
 
 def _run_chunk(model: SdeModel, step, grid, obs_idx, y0_chunk, noise):
@@ -118,8 +112,8 @@ def _run_ensembles(models, window, y0s, n_paths: int, max_step: float, seed: int
     steps = [step_kernel(m, grid) for m in models]
     parts = [[] for _ in models]
     for lo in range(0, n_paths, CHUNK):
-        noise = _draw_chunk(models[0], grid, (t0, t1),
-                            [_path_seed(seed, p) for p in range(lo, min(lo + CHUNK, n_paths))])
+        noise = _draw_chunk(models[0], grid, (t0, t1), seed,
+                            range(lo, min(lo + CHUNK, n_paths)))
         for part, m, step, y0 in zip(parts, models, steps, y0s):
             part.append(_run_chunk(m, step, grid, obs_idx, y0[lo:lo + CHUNK], noise))
     return grid[obs_idx], [np.concatenate(part, axis=1) for part in parts]

@@ -38,10 +38,10 @@ from .galerkin import GalerkinSpec
 from .model import (CoefficientSet, SdeModel, SemigroupSpec, StateMap, StateMaps,
                     coefficient, jump_coefficient, linear_map, sine_map,
                     cosine_map)
-from .noise import (JumpMeasureSpec, NoiseRealization, WienerSpec)
+from .noise import (JUMP_LARGE, JUMP_SMALL,   # jump flags of a SamplePath node; 0 is none
+                    JumpMeasureSpec, NoiseRealization, WienerSpec)
 from .profiles import harmonic_profile, reciprocal_profile, trig_reciprocal_profile
 
-JUMP_SMALL, JUMP_LARGE = 1, 2   # jump flags of a SamplePath node; 0 is none
 CSV_BLOCK = 1024   # rows that SamplePath.to_csv formats and writes at a time
 
 
@@ -71,30 +71,24 @@ def step_kernel(model: SdeModel, grid: np.ndarray):
     return step
 
 
-def jump_events(paths_jumps):
-    """The jump events ``(times, paths, kinds, marks)`` of the paths whose
-    jumps ``(small_times, small_marks, large_times, large_marks)`` are
-    listed in order; marks become rows, zero-padded to the widest."""
-    times, paths, kinds, marks = [], [], [], []
-    for p, (st, sm, lt, lm) in enumerate(paths_jumps):
-        for t_arr, m_arr, kind in ((st, sm, JUMP_SMALL), (lt, lm, JUMP_LARGE)):
-            times.append(t_arr)
-            paths.append(np.full(t_arr.size, p))
-            kinds.append(np.full(t_arr.size, kind, dtype=np.int8))
-            marks.append(m_arr[:, None] if m_arr.ndim == 1 else m_arr)
-    mark_dim = max(m.shape[1] for m in marks)
-    marks = np.concatenate([m if m.shape[1] == mark_dim else
-                            np.pad(m, ((0, 0), (0, mark_dim - m.shape[1]))) for m in marks])
-    return tuple(np.concatenate(a) for a in (times, paths, kinds)) + (marks,)
+def jump_events(small_times, small_marks, large_times, large_marks):
+    """The one-path :func:`~levylab.noise.jump_table` of a realization's
+    jumps: marks become rows, zero-padded to the wider."""
+    marks = [m[:, None] if m.ndim == 1 else m for m in (small_marks, large_marks)]
+    width = max(m.shape[1] for m in marks)
+    return (np.concatenate([small_times, large_times]),
+            np.zeros(small_times.size + large_times.size, dtype=np.intp),
+            np.repeat(np.array([JUMP_SMALL, JUMP_LARGE], np.int8), [m.shape[0] for m in marks]),
+            np.concatenate([np.pad(m, ((0, 0), (0, width - m.shape[1]))) for m in marks]))
 
 
 def jump_kernel(model: SdeModel, grid, events, dw):
-    """Tabulate ``events`` (see :func:`jump_events`) of the paths with the
-    Wiener increments ``dw`` (n_steps, n_paths, dim) once and return
-    ``add_jumps(i, y, y_new, drift, gdiag)``: ``y_new``, the end states of
-    step ``i`` from the (n_paths, dim) states ``y``, plus the jumps inside
-    the step, in place.  A later jump of a path in the step flows on from its
-    previous post-jump state over ``s_k - s_(k-1)``.
+    """Tabulate the jump table ``events`` (see :func:`levylab.noise.jump_table`)
+    of the paths with the Wiener increments ``dw`` (n_steps, n_paths, dim)
+    once and return ``add_jumps(i, y, y_new, drift, gdiag)``: ``y_new``, the
+    end states of step ``i`` from the (n_paths, dim) states ``y``, plus the
+    jumps inside the step, in place.  A later jump of a path in the step
+    flows on from its previous post-jump state over ``s_k - s_(k-1)``.
 
     Per event, in (step, path, time) order: its profile row, that ``lead``
     with ``exp(-Lam lead)``, ``phi1(lead)``, the Wiener increment ``lead /
@@ -193,7 +187,7 @@ def refined_grid(t0: float, t1: float, max_step: float, nodes) -> np.ndarray:
 def check_finite(y: np.ndarray, t: float):
     """Raise :class:`NumericalBlowupError` naming the first non-finite entry
     of a state (its component) or of a batch (its path and component)."""
-    if not np.isfinite(y).all():
+    if not np.logical_and.reduce(np.isfinite(y), axis=None):
         at = zip(("path", "component")[-y.ndim:], np.argwhere(~np.isfinite(y))[0])
         raise NumericalBlowupError(t, ", ".join(f"{n} {k}" for n, k in at)
                                    + f" non-finite at t = {t:g}")
@@ -218,8 +212,8 @@ def integrate(model: SdeModel, noise: NoiseRealization, t0: float, t1: float,
     if not np.all(np.isfinite(y)):
         raise InputError("initial state must be finite")
 
-    events = jump_events([(noise.small_times, noise.small_marks,
-                           noise.large_times, noise.large_marks)])
+    events = jump_events(noise.small_times, noise.small_marks,
+                         noise.large_times, noise.large_marks)
     inside = (events[0] > t0) & (events[0] < t1)
     events = tuple(a[inside] for a in events)
     grid = refined_grid(t0, t1, max_step, events[0])

@@ -13,17 +13,23 @@ truncated exponential tail, finite-rank vector atoms) so that the first
 and second moments entering the hypothesis checks are exact.
 
 Everything is reproducible: a :class:`NoiseRealization` is a pure
-function of ``(specs, window, seed)``.  Negative times are covered by
-the mirror construction ``L(t) = -L2(-t)`` for ``t <= 0``: jump times in
-the negative part of a window are drawn from an independent stream and
-reflected, with mark sign flipped.
+function of ``(specs, window, seed)``, and path p of an ensemble draws
+from numpy's streams ``SeedSequence(master, spawn_key=(p, *key))``, one
+per Wiener part and per side of 0, kind and purpose of its jumps.  A
+chunk of paths derives the seeds of all its streams at once, with
+numpy's own hash, and sorts and merges its jumps once.  Negative times
+are covered by the mirror construction ``L(t) = -L2(-t)`` for
+``t <= 0``: jumps in the negative part of a window come from streams of
+their own, reflected, with mark sign flipped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.laguerre import laggauss
 
@@ -243,17 +249,68 @@ class JumpMeasureSpec:
         return sampler.abs_moment(k) if rate > 0 else 0.0
 
 
-NO_JUMPS = JumpMeasureSpec()
+JUMP_SMALL, JUMP_LARGE = 1, 2   # the kinds of a jump table's events
 
 
-def _child_rng(seed, *key: int) -> np.random.Generator:
-    """Deterministic child stream of ``seed`` (int or SeedSequence)."""
-    if isinstance(seed, np.random.SeedSequence):
-        base = np.random.SeedSequence(entropy=seed.entropy,
-                                      spawn_key=tuple(seed.spawn_key) + tuple(key))
-    else:
-        base = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key))
-    return np.random.default_rng(base)
+def _chain(init: int, mult: int, k: int, n: int) -> np.ndarray:
+    """``init * mult**i`` mod 2**32 for the steps i = k .. k+n of a hash chain of
+    numpy's SeedSequence (O'Neill's seed_seq); step i hashes with i and i+1."""
+    return np.array([init * pow(mult, i, 1 << 32) % (1 << 32) for i in range(k, k + n + 1)],
+                    np.uint32)
+
+
+def _stream_words(seed, paths, suffixes) -> np.ndarray:
+    """``SeedSequence(entropy, spawn_key=(*spawn_key, path, *suffix))
+    .generate_state(4, np.uint64)`` of ``seed`` (an int >= 0 or a SeedSequence
+    of one) for every path and suffix, path-major, as one (n, 4) array; the
+    one path ``paths = None`` keys ``(*spawn_key, *suffix)``."""
+    entropy, spawn_key = ((seed.entropy, tuple(seed.spawn_key))
+                          if isinstance(seed, np.random.SeedSequence) else (seed, ()))
+    if isinstance(entropy, bool) or not isinstance(entropy, (int, np.integer)) or entropy < 0:
+        raise InputError(f"seed must be an integer >= 0 or a SeedSequence of one, got {seed!r}")
+    keys = [r + s for r in ([()] if paths is None else [(p,) for p in paths]) for s in suffixes]
+    # numpy's pool holds the shared words (entropy padded to 4, spawn key), 4 steps each
+    n_words = lambda n: -(-max(int(n).bit_length(), 1) // 32)
+    pool = np.random.SeedSequence(int(entropy), spawn_key=spawn_key).pool
+    k = 4 * (max(n_words(entropy), 4) + sum(map(n_words, spawn_key)))
+    columns = np.array(keys, np.uint32).reshape(len(keys), -1 if keys else 1).T[:, :, None]
+    mixing = _chain(0x43B0D7E5, 0x931E8875, k, 4 * len(columns))
+    for i, w in enumerate(columns):   # each key word enters all four pool words
+        w = (w ^ mixing[4 * i:4 * i + 4]) * mixing[4 * i + 1:4 * i + 5]
+        pool = 0xCA01F9DD * pool - 0x4973F715 * (w ^ w >> 16)   # one row per stream
+        pool ^= pool >> 16
+    generate = _chain(0x8B51F9DD, 0x58F38DED, 0, 8)   # the steps of generate_state
+    state = (np.tile(pool, 2) ^ generate[:-1]) * generate[1:]
+    state = (state ^ state >> 16).astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << 32
+
+
+class _Words(ISeedSequence):
+    """One stream's four seed words, for numpy's own PCG64 seeding."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generator(words) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_Words(words)))
+
+
+def wiener_block(spec: WienerSpec, grid, seed, paths=None) -> np.ndarray:
+    """:func:`sample_wiener_increments` of the paths ``paths`` of ``seed`` (``None``:
+    the one path ``seed``), each from its own stream, as one (n_steps, n_paths, dim) block."""
+    dt = np.diff(np.asarray(grid, dtype=float))
+    if np.any(dt < 0):
+        raise InputError("time grid must be nondecreasing")
+    words = _stream_words(seed, paths, [(0,)])
+    dw = np.empty((dt.size, len(words), spec.dim))
+    for j, w in enumerate(words):
+        dw[:, j] = _generator(w).standard_normal((dt.size, spec.dim))
+    dw *= np.sqrt(np.outer(dt, spec.q))[:, None]
+    return dw
 
 
 def sample_wiener_increments(spec: WienerSpec, grid, seed: int) -> np.ndarray:
@@ -264,66 +321,61 @@ def sample_wiener_increments(spec: WienerSpec, grid, seed: int) -> np.ndarray:
     The law is the same on both sides of t = 0 (stationary independent
     increments), so one stream serves any window.
     """
-    grid = np.asarray(grid, dtype=float)
-    dt = np.diff(grid)
-    if np.any(dt < 0):
-        raise InputError("time grid must be nondecreasing")
-    rng = _child_rng(seed, 0)
-    z = rng.standard_normal((dt.size, spec.dim))
-    return z * np.sqrt(np.outer(dt, spec.q))
+    return wiener_block(spec, grid, seed)[:, 0]
 
 
-def _sample_one_sided(rate, sampler, span, seed, key):
-    """Times and marks of one side and kind; the mark stream is built only
-    when the side holds a jump."""
-    rng_t = _child_rng(seed, *key, 0)
-    n = rng_t.poisson(rate * span)
-    times = np.sort(rng_t.uniform(0.0, span, size=n))
-    if not n:
-        return times, np.zeros((0,) if sampler.dim == 1 else (0, sampler.dim))
-    return times, sampler.sample(_child_rng(seed, *key, 1), n)
+def jump_table(spec: JumpMeasureSpec, window, seed, paths=None):
+    """The jump events ``(times, paths, kinds, marks)`` on ``window`` of the
+    paths ``paths`` of ``seed`` (``None``: the one path ``seed``) in (path,
+    kind, time) order, ``paths`` as positions in ``paths`` and marks as rows
+    padded with zeros to the wider sampler.  Per path, side of 0 and kind,
+    one stream draws the count and the times, a second one any marks; the
+    sort, the mirror of the negative side, the cut and the merge run once."""
+    t0, t1 = float(window[0]), float(window[1])
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 <= t1):
+        raise InputError(f"window must be finite and nonempty, got {window!r}")
+    kinds = ((spec.small_rate, spec.small_sampler), (spec.large_rate, spec.large_sampler))
+    groups = [(side, a, b - a, j) for side, (a, b) in enumerate(
+        ((max(t0, 0.0), max(t1, 0.0)), (max(-t1, 0.0), max(-t0, 0.0)))) if b > a
+        for j, (rate, _) in enumerate(kinds) if rate > 0]
+    words = _stream_words(seed, paths, [(1 + g[0], g[3], s) for g in groups for s in (0, 1)])
+    rows = [(r, *g) for r in range(1 if paths is None else len(paths)) for g in groups]
+    draws, marks = [], ([], [])
+    for (_, _, _, span, j), w, mark_w in zip(rows, words[::2], words[1::2]):
+        rng = _generator(w)
+        draws.append(rng.uniform(0.0, span, size=rng.poisson(kinds[j][0] * span)))
+        if draws[-1].size:
+            marks[j].append(kinds[j][1].sample(_generator(mark_w), draws[-1].size))
+    counts = [d.size for d in draws]
+    columns = np.array([(r, 1 - 2 * side, a, 1 + j) for r, side, a, _, j in rows]).reshape(-1, 4)
+    path, sign, start, kind = np.repeat(columns, counts, axis=0).T   # sign -1: the mirror
+    u = np.concatenate([np.zeros(0), *draws])
+    times = sign * (start + u[np.lexsort((u, np.repeat(np.arange(len(draws)), counts)))])
+    dims = [s.dim if s is not None else 1 for _, s in kinds]
+    table = np.zeros((times.size, max(dims)))
+    for j, m in enumerate(marks):
+        if m:
+            m, sel = np.concatenate(m).reshape(-1, dims[j]), kind == 1 + j
+            table[sel, :dims[j]] = sign[sel, None] * m
+    # ties keep the per-path merge order: positive side, then negative mirrored
+    pos = np.arange(times.size)
+    idx = np.flatnonzero((times > t0) & (times < t1))
+    idx = idx[np.lexsort((np.where(sign < 0, 2 * pos.size - pos, pos)[idx], times[idx], kind[idx],
+                          path[idx]))]
+    return times[idx], path[idx].astype(np.intp), kind[idx].astype(np.int8), table[idx]
 
 
 def sample_jumps(spec: JumpMeasureSpec, window, seed: int):
-    """Marked Poisson point sets on ``window = (t0, t1)``.
-
-    Counts are Poisson with mean rate * |window|, times i.i.d. uniform,
-    marks i.i.d. from the samplers and independent of times.  The
-    negative part of the window is produced by the mirror stream
-    (reflected times, flipped marks).
-
-    Returns ``(small_times, small_marks, large_times, large_marks)``.
+    """Marked Poisson point sets on ``window = (t0, t1)``, the one-path
+    :func:`jump_table` split by kind: counts Poisson with mean rate * |window|,
+    times i.i.d. uniform, marks i.i.d. from the samplers and independent of
+    times.  Returns ``(small_times, small_marks, large_times, large_marks)``.
     """
-    t0, t1 = float(window[0]), float(window[1])
-    if t1 < t0:
-        raise InputError("window must be nonempty")
-    parts = {"small": [], "large": []}
-    for side, (a, b) in enumerate(((max(t0, 0.0), max(t1, 0.0)),
-                                   (max(-t1, 0.0), max(-t0, 0.0)))):
-        if b <= a:
-            continue
-        for j, (rate, sampler) in enumerate(((spec.small_rate, spec.small_sampler),
-                                             (spec.large_rate, spec.large_sampler))):
-            which = "small" if j == 0 else "large"
-            if rate <= 0:
-                continue
-            times, marks = _sample_one_sided(rate, sampler, b - a, seed, (1 + side, j))
-            times = a + times
-            if side == 1:
-                times, marks = -times[::-1], -(marks[::-1] if marks.size else marks)
-            keep = (times > t0) & (times < t1)
-            parts[which].append((times[keep], marks[keep]))
+    times, _, kinds, marks = jump_table(spec, window, seed)
     out = []
-    for which, sampler in (("small", spec.small_sampler), ("large", spec.large_sampler)):
-        dim = sampler.dim if sampler is not None else 1
-        empty_m = np.zeros((0,) if dim == 1 else (0, dim))
-        if parts[which]:
-            times = np.concatenate([t for t, _ in parts[which]])
-            marks = np.concatenate([m for _, m in parts[which]])
-            order = np.argsort(times, kind="stable")
-            out.extend([times[order], marks[order]])
-        else:
-            out.extend([np.zeros(0), empty_m])
+    for kind, sampler in ((JUMP_SMALL, spec.small_sampler), (JUMP_LARGE, spec.large_sampler)):
+        dim, sel = sampler.dim if sampler is not None else 1, kinds == kind
+        out += [times[sel], marks[sel, 0] if dim == 1 else marks[sel, :dim]]
     return tuple(out)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import levylab as L
 from levylab import ensemble
-from levylab.ensemble import _path_seed, simulate_ensemble
+from levylab.ensemble import simulate_ensemble
 from levylab.noise import sample_jumps
 
 
@@ -61,7 +61,9 @@ def test_one_path_ensemble_is_integrate_bit_for_bit(name, y0):
     m = (L.presets.example61_model(b=0.0, small_rate=0.0) if name == "no_jumps"
          else _model(name))
     window, seed = (-1.0, 1.5), 31
-    noise = L.sample_noise(m.wiener, m.jumps, window, _path_seed(seed, 0))
+    # path 0 of an ensemble draws from the streams of SeedSequence(seed, (0,))
+    noise = L.sample_noise(m.wiener, m.jumps, window,
+                           np.random.SeedSequence(seed, spawn_key=(0,)))
     path = L.integrate(m, noise, *window, np.full(m.dim, y0), 0.01)
     assert (np.count_nonzero(path.jump_flags) >= 2) == (name != "no_jumps")
     res = simulate_ensemble(m, window, y0, 1, 0.01, seed, path.times)
@@ -73,7 +75,8 @@ def _jump_adapted_reference(m, window, y0, n, max_step, seed):
     """Terminal states of ``n`` paths on a grid refined by every jump time
     of every path: each path jumps at a node, where the one jump rule is
     the one of integrate."""
-    jumps = [sample_jumps(m.jumps, window, _path_seed(seed, p)) for p in range(n)]
+    jumps = [sample_jumps(m.jumps, window, np.random.SeedSequence(seed, spawn_key=(p,)))
+             for p in range(n)]
     nodes = np.concatenate([t for st, _, lt, _ in jumps for t in (st, lt)] + [window[1:]])
     return simulate_ensemble(m, window, y0, n, max_step, seed, nodes).states[-1, :, 0]
 
@@ -125,18 +128,18 @@ def test_gap_curve_zero_for_identical_initial_conditions():
 
 
 def test_coupled_gap_draws_each_path_once(monkeypatch):
-    # the two coupled runs step on one draw of the noise: n_paths draws of
-    # the jump point sets, not 2 n_paths, and the gap is the one of two
-    # separate ensembles with the same seed, bit for bit (three chunks here)
+    # the two coupled runs step on one draw of the noise: one draw per chunk,
+    # not one per chunk and model, and the gap is the one of two separate
+    # ensembles with the same seed, bit for bit (three chunks here)
     m = L.presets.example61_model(forcing=1.0)
     shifted = m.shifted(0.7)
     window, n, step, seed, obs = (-1.0, 2.0), 12, 0.05, 7, np.linspace(0.0, 2.0, 5)
     monkeypatch.setattr(ensemble, "CHUNK", 5)
     calls = []
-    draw = ensemble.sample_jumps
-    monkeypatch.setattr(ensemble, "sample_jumps", lambda *a: calls.append(1) or draw(*a))
+    draw = ensemble._draw_chunk
+    monkeypatch.setattr(ensemble, "_draw_chunk", lambda *a: calls.append(1) or draw(*a))
     curve = L.coupled_gap(m, shifted, 0.5, 1.5, window, n, step, seed, obs)
-    assert len(calls) == n
+    assert len(calls) == 3
     a = simulate_ensemble(m, window, 0.5, n, step, seed, obs)
     b = simulate_ensemble(shifted, window, 1.5, n, step, seed, obs)
     gap, se = ensemble.mean_and_se(np.sum((a.states - b.states) ** 2, axis=2))

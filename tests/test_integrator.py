@@ -5,7 +5,7 @@ import pytest
 
 import levylab as L
 from levylab.errors import InputError, NumericalBlowupError
-from levylab.integrator import JUMP_LARGE, JUMP_SMALL
+from levylab.integrator import JUMP_LARGE, JUMP_SMALL, check_finite
 
 
 def _noise_for(model, window, seed):
@@ -124,6 +124,20 @@ def test_blowup_reports_time():
         L.integrate(m, noise, 0.0, 3.0, [0.0], 0.1)
     assert 0.0 < err.value.time <= 3.0
     assert str(err.value) == f"component 0 non-finite at t = {err.value.time:g}"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("shape", [(5,), (3, 4)], ids=["state", "batch"])
+def test_check_finite_flags_first_middle_and_last_entry(shape, bad):
+    check_finite(np.ones(shape), 0.5)
+    for flat in (0, np.prod(shape) // 2, np.prod(shape) - 1):
+        y = np.ones(shape)
+        y.flat[flat] = bad
+        where = ", ".join(f"{n} {k}" for n, k in zip(("path", "component")[-len(shape):],
+                                                    np.unravel_index(flat, shape)))
+        with pytest.raises(NumericalBlowupError) as err:
+            check_finite(y, 0.5)
+        assert str(err.value) == f"{where} non-finite at t = 0.5" and err.value.time == 0.5
 
 
 @pytest.mark.parametrize("max_step", [0.0, -0.01, np.nan, np.inf])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import levylab as L
-from levylab.ensemble import _path_seed, simulate_ensemble
+from levylab.ensemble import simulate_ensemble
 from levylab.integrator import refined_grid, step_kernel
 from levylab.noise import sample_jumps
 from levylab.profiles import TimeProfile
@@ -173,7 +173,8 @@ def _most_jumps_of_one_path_in_one_step(m, window, y0, n_paths, max_step, seed, 
     grid = refined_grid(window[0], window[1], max_step, obs)
     most = 0
     for p in range(n_paths):
-        st, _, lt, _ = sample_jumps(m.jumps, window, _path_seed(seed, p))
+        path_seed = np.random.SeedSequence(seed, spawn_key=(p,))
+        st, _, lt, _ = sample_jumps(m.jumps, window, path_seed)
         most = max(most, np.bincount(np.searchsorted(grid, np.concatenate([st, lt])),
                                      minlength=1).max())
     return most

@@ -1,10 +1,14 @@
 """Noise synthesis: Wiener increments, jump point sets, compensator."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import levylab as L
+from levylab import ensemble, noise
 from levylab.errors import InputError
+from levylab.integrator import JUMP_LARGE, JUMP_SMALL, jump_events
 
 WIENER1 = L.WienerSpec(mode_variances=(1.0,))
 
@@ -119,6 +123,165 @@ def test_distinct_path_indices_are_uncorrelated():
     # within one realization, disjoint intervals are independent too
     corr2 = np.corrcoef(sums[:, 0], sums[:, 1])[0, 1]
     assert abs(corr2) < 5.0 / np.sqrt(n)
+
+
+# -- streams ----------------------------------------------------------------
+
+@pytest.mark.parametrize("entropy", [0, 1, 2**32 - 1, 2**32, 2**70 + 5])
+@pytest.mark.parametrize("prefix", [(), (3,)], ids=["int", "SeedSequence"])
+def test_stream_words_are_numpys_seed_sequence_words(entropy, prefix):
+    # the (n, 4) words of a bulk derivation are generate_state(4, np.uint64)
+    # of numpy's SeedSequence per stream, for keys of length 1, 2 and 4
+    seed = np.random.SeedSequence(entropy, spawn_key=prefix) if prefix else entropy
+    for keys in ([(0,), (1,), (2**32 - 1,)], [(0, 0), (0, 3), (9, 1)],
+                 [(0, 1, 0, 0), (0, 2, 1, 1), (4, 2, 1, 0)]):
+        got = noise._stream_words(seed, None, keys)
+        assert got.dtype == np.uint64 and got.shape == (len(keys), 4)
+        for row, key in zip(got, keys):
+            ss = np.random.SeedSequence(entropy, spawn_key=prefix + key)
+            half = ss.generate_state(8, np.uint32).astype(np.uint64)
+            assert np.array_equal(row, half[0::2] | half[1::2] << np.uint64(32))
+            assert np.array_equal(row, ss.generate_state(4, np.uint64))
+
+
+def _ref_rng(seed, *key):
+    """One stream of the per-path sampler: a SeedSequence of its own."""
+    entropy, prefix = ((seed.entropy, tuple(seed.spawn_key))
+                       if isinstance(seed, np.random.SeedSequence) else (seed, ()))
+    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=prefix + key))
+
+
+def _ref_wiener(spec, grid, seed):
+    dt = np.diff(grid)
+    return _ref_rng(seed, 0).standard_normal((dt.size, spec.dim)) * np.sqrt(np.outer(dt, spec.q))
+
+
+def _ref_jumps(spec, window, seed):
+    """The per-path jump sampler: per side of 0 and kind, a count and its
+    sorted times from one stream, the marks from another; the negative side
+    mirrored; each kind merged by a stable sort."""
+    t0, t1 = window
+    parts = {1: [], 2: []}
+    for side, (a, b) in enumerate(((max(t0, 0.0), max(t1, 0.0)), (max(-t1, 0.0), max(-t0, 0.0)))):
+        for kind, rate, sampler in ((1, spec.small_rate, spec.small_sampler),
+                                    (2, spec.large_rate, spec.large_sampler)):
+            if b <= a or rate <= 0:
+                continue
+            rng = _ref_rng(seed, 1 + side, kind - 1, 0)
+            n = rng.poisson(rate * (b - a))
+            times = a + np.sort(rng.uniform(0.0, b - a, size=n))
+            marks = (sampler.sample(_ref_rng(seed, 1 + side, kind - 1, 1), n) if n else
+                     np.zeros((0,) if sampler.dim == 1 else (0, sampler.dim)))
+            if side == 1:
+                times, marks = -times[::-1], -(marks[::-1] if marks.size else marks)
+            keep = (times > t0) & (times < t1)
+            parts[kind].append((times[keep], marks[keep]))
+    out = []
+    for kind, sampler in ((1, spec.small_sampler), (2, spec.large_sampler)):
+        dim = sampler.dim if sampler is not None else 1
+        if parts[kind]:
+            times = np.concatenate([t for t, _ in parts[kind]])
+            order = np.argsort(times, kind="stable")
+            out += [times[order], np.concatenate([m for _, m in parts[kind]])[order]]
+        else:
+            out += [np.zeros(0), np.zeros((0,) if dim == 1 else (0, dim))]
+    return tuple(out)
+
+
+def _ref_events(paths_jumps):
+    """The chunk's jump table of the per-path sampler: per path in order,
+    its small then its large events; marks as rows, zero-padded."""
+    times, paths, kinds, marks = [], [], [], []
+    for p, (st, sm, lt, lm) in enumerate(paths_jumps):
+        for t_arr, m_arr, kind in ((st, sm, JUMP_SMALL), (lt, lm, JUMP_LARGE)):
+            times.append(t_arr)
+            paths.append(np.full(t_arr.size, p))
+            kinds.append(np.full(t_arr.size, kind, dtype=np.int8))
+            marks.append(m_arr[:, None] if m_arr.ndim == 1 else m_arr)
+    mark_dim = max(m.shape[1] for m in marks)
+    marks = np.concatenate([m if m.shape[1] == mark_dim else
+                            np.pad(m, ((0, 0), (0, mark_dim - m.shape[1]))) for m in marks])
+    return tuple(np.concatenate(a) for a in (times, paths, kinds)) + (marks,)
+
+
+def _ref_chunk(model, grid, window, seed, paths):
+    seeds = [np.random.SeedSequence(seed, spawn_key=(p,)) for p in paths]
+    return (np.stack([_ref_wiener(model.wiener, grid, s) for s in seeds], axis=1),
+            _ref_events([_ref_jumps(model.jumps, window, s) for s in seeds]))
+
+
+def _assert_same(got, want):
+    """Equal arrays, dtypes and shapes; a chunk draw is (block, events)."""
+    flat = lambda x: [a for part in x for a in (part if isinstance(part, tuple) else [part])]
+    for a, b in zip(flat(got), flat(want), strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def _draw_model(name):
+    if name == "tails":   # scalar point-mass small marks, 2-d vector large marks
+        return SimpleNamespace(wiener=L.WienerSpec((1.0, 0.25)), jumps=L.JumpMeasureSpec(
+            small_rate=1.5, small_sampler=L.point_mass_marks(0.5), large_rate=0.8,
+            large_sampler=L.finite_rank_marks([[1.0, 0.5], [0.0, 2.0]], [0.4, 0.6])))
+    if name == "exp_tail":
+        return SimpleNamespace(wiener=WIENER1, jumps=L.JumpMeasureSpec(
+            large_rate=1.2, large_sampler=L.exp_tail_marks(0.5, signed=True)))
+    return {"example61": L.presets.example61_model,
+            "zero_small": lambda: L.presets.example61_model(small_rate=0.0),
+            "periodic": L.presets.periodic_model,
+            "heat8": lambda: L.presets.example62_model(n_modes=8)}[name]()
+
+
+@pytest.mark.parametrize("window", [(0.5, 3.0), (-3.0, -0.25), (-2.0, 1.5), (-1.0, 0.0)],
+                         ids=["positive", "negative", "straddling", "up-to-0"])
+@pytest.mark.parametrize("name", ["example61", "zero_small", "periodic", "heat8", "tails",
+                                  "exp_tail"])
+def test_bulk_draw_is_the_per_path_draw_bit_for_bit(name, window):
+    # a chunk's Wiener block and jump table, and the one-path draws, equal
+    # those of the per-path sampler with one SeedSequence per stream
+    m = _draw_model(name)
+    grid = np.linspace(window[0], window[1], 41)
+    for seed in (11, 2**70):
+        _assert_same(ensemble._draw_chunk(m, grid, window, seed, range(3, 16)),
+                     _ref_chunk(m, grid, window, seed, range(3, 16)))
+        for one in (seed, np.random.SeedSequence(seed, spawn_key=(5,))):
+            jumps = L.sample_jumps(m.jumps, window, one)
+            _assert_same(jumps, _ref_jumps(m.jumps, window, one))
+            _assert_same(jump_events(*jumps), noise.jump_table(m.jumps, window, one))
+            _assert_same([L.sample_wiener_increments(m.wiener, grid, one)],
+                         [_ref_wiener(m.wiener, grid, one)])
+
+
+def test_uneven_chunks_draw_the_per_path_noise(monkeypatch):
+    # 12 paths in chunks of 5: each chunk's draw is the per-path draw of its
+    # own paths, keyed by their indices in the ensemble
+    draws, draw = [], ensemble._draw_chunk
+    monkeypatch.setattr(ensemble, "CHUNK", 5)
+    monkeypatch.setattr(ensemble, "_draw_chunk",
+                        lambda *a: draws.append((a, draw(*a))) or draws[-1][1])
+    L.simulate_ensemble(L.presets.periodic_model(), (-1.0, 2.0), 0.5, 12, 0.05, 7, [2.0])
+    assert [list(args[-1]) for args, _ in draws] == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10, 11]]
+    for args, got in draws:
+        _assert_same(got, _ref_chunk(*args))
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, 2.0, "3", -1, None,
+                                  np.random.SeedSequence([1, 2])],
+                         ids=["bool", "float", "integral-float", "str", "negative", "none",
+                              "entropy-list"])
+def test_bad_seeds_are_rejected_at_the_draw(seed):
+    spec = _jump_spec()
+    for draw in (lambda: L.sample_jumps(spec, (0.0, 1.0), seed),
+                 lambda: L.sample_wiener_increments(WIENER1, [0.0, 1.0], seed),
+                 lambda: L.simulate_ensemble(L.presets.example61_model(), (0, 1), 0.0, 3, 0.1,
+                                             seed, [1.0])):
+        with pytest.raises(InputError, match="seed"):
+            draw()
+
+
+@pytest.mark.parametrize("window", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)])
+def test_nonfinite_windows_are_rejected_at_the_draw(window):
+    with pytest.raises(InputError, match="window"):
+        L.sample_jumps(_jump_spec(), window, 1)
 
 
 # -- mark samplers ----------------------------------------------------------
