@@ -33,8 +33,7 @@ print(f"all hypotheses hold: {rep.all_passed} "
 # zero-noise control: a single mode decays exactly at rate pi^2
 m1 = L.presets.example62_model(n_modes=1, b=0.0, small_rate=0.0, q_base=0.0,
                                drift_scale=0.0)
-noise = L.sample_noise(m1.wiener, m1.jumps, (0.0, 1.0), 0)
-path = L.integrate(m1, noise, 0.0, 1.0, [1.0], 1e-4)
+path = L.integrate(m1, (0.0, 1.0), [1.0], 1e-4, seed=0)
 print(f"\nsingle-mode decay after t = 1: {path.values[-1, 0]:.6e} "
       f"(exact {np.exp(-np.pi**2):.6e})")
 

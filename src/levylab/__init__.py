@@ -15,10 +15,8 @@ from .galerkin import GalerkinSpec
 from .profiles import (TimeProfile, clipped_ramp_profile, constant_profile,
                        harmonic_profile, periodic_profile, reciprocal_profile,
                        trig_reciprocal_profile)
-from .noise import (JumpMeasureSpec, MarkSampler, NoiseRealization, WienerSpec,
-                    exp_tail_marks, finite_rank_marks, point_mass_marks,
-                    sample_jumps, sample_noise, sample_wiener_increments,
-                    uniform_shell_marks)
+from .noise import (JumpMeasureSpec, MarkSampler, WienerSpec, exp_tail_marks,
+                    finite_rank_marks, point_mass_marks, uniform_shell_marks)
 from .model import (Coefficient, CoefficientSet, Condition, ConditionReport,
                     JumpCoefficient, SdeModel, SemigroupSpec, StateMap,
                     TheoremConstants, boundary_b_compact, boundary_b_stability,

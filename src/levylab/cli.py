@@ -28,7 +28,6 @@ from .errors import (ConfigError, HorizonError, InfeasibleError, InputError,
 from .model import (CONDITION_DEFS, check_conditions, stability_margin,
                     theorem_constants)
 from .integrator import integrate
-from .noise import sample_noise
 from .presets import example61_model, example62_model
 from .pullback import bounded_ensemble, bounded_solution, pullback_plan
 from .recurrence import almost_periods, distributional_almost_period_test
@@ -98,11 +97,9 @@ def run_check(cfg: ExperimentConfig) -> int:
 
 
 def run_simulate(cfg: ExperimentConfig) -> int:
-    t0, t1 = cfg.run.window
     model = cfg.model
-    noise = sample_noise(model.wiener, model.jumps, (t0, t1), cfg.run.seed)
     y0 = np.broadcast_to(cfg.experiment["y0"], (model.dim,))
-    path = integrate(model, noise, t0, t1, y0, cfg.run.step)
+    path = integrate(model, cfg.run.window, y0, cfg.run.step, cfg.run.seed)
     _write_csv(cfg, "path.csv", path)
     summary = {"window": list(cfg.run.window), "step": cfg.run.step,
                "seed": cfg.run.seed, "n_grid": int(path.times.size),
@@ -230,8 +227,7 @@ def run_example62(cfg: ExperimentConfig) -> int:
 
     # zero-noise single-mode decay control
     m1 = example62_model(n_modes=1, b=0.0, small_rate=0.0, q_base=0.0, drift_scale=0.0)
-    noise = sample_noise(m1.wiener, m1.jumps, (0.0, 0.5), run.seed)
-    path = integrate(m1, noise, 0.0, 0.5, [1.0], run.step)
+    path = integrate(m1, (0.0, 0.5), [1.0], run.step, run.seed)
     exact = float(np.exp(-np.pi**2 * 0.5))
     payload["mode_decay"] = {"relative_error":
                              abs(float(path.values[-1, 0]) - exact) / exact}

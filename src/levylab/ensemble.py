@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .integrator import check_finite, jump_kernel, refined_grid, step_kernel
+from .integrator import (check_finite, initial_states, jump_kernel, refined_grid,
+                         step_kernel)
 from .model import SdeModel
 from .noise import jump_table, wiener_block
 
@@ -88,15 +89,6 @@ def _run_chunk(model: SdeModel, step, grid, obs_idx, y0_chunk, noise):
     return out
 
 
-def _initial_states(y0, n_paths: int, dim: int) -> np.ndarray:
-    """``y0`` as a scalar, a state vector or an (n_paths, dim) array,
-    broadcast to (n_paths, dim)."""
-    y0 = np.asarray(y0, dtype=float)
-    if y0.ndim > 2 or y0.shape != (n_paths, dim)[2 - y0.ndim:]:
-        raise InputError("y0 must broadcast to (n_paths, dim)")
-    return np.broadcast_to(y0, (n_paths, dim))
-
-
 def _run_ensembles(models, window, y0s, n_paths: int, max_step: float, seed: int,
                    obs_times):
     """Observation times (snapped into the shared grid) and the states of
@@ -108,7 +100,7 @@ def _run_ensembles(models, window, y0s, n_paths: int, max_step: float, seed: int
         raise InputError("observation times must lie inside the window")
     grid = refined_grid(t0, t1, max_step, obs)
     obs_idx = np.searchsorted(grid, obs)
-    y0s = [_initial_states(y0, n_paths, m.dim) for m, y0 in zip(models, y0s)]
+    y0s = [initial_states(y0, n_paths, m.dim) for m, y0 in zip(models, y0s)]
     steps = [step_kernel(m, grid) for m in models]
     parts = [[] for _ in models]
     for lo in range(0, n_paths, CHUNK):

@@ -14,7 +14,7 @@ and ``to_phys`` once.  ``Lam`` is the diagonal decay matrix and ``D``
 collects the drift coefficient, the Wiener drift vector routed through the
 diffusion, and the small-jump compensator.  :func:`integrate` runs it for
 one path on the uniform ``max_step`` grid refined by every jump time of
-the frozen noise realization (Bruti-Liberati & Platen, J. Comput. Appl.
+its seed's noise draw (Bruti-Liberati & Platen, J. Comput. Appl.
 Math. 2007).  Weak order one; the deterministic drift part is
 O(step)-accurate with constant ``sup|f'|/(2 lambda_min)`` thanks to the
 integrating factor.
@@ -39,7 +39,7 @@ from .model import (CoefficientSet, SdeModel, SemigroupSpec, StateMap, StateMaps
                     coefficient, jump_coefficient, linear_map, sine_map,
                     cosine_map)
 from .noise import (JUMP_LARGE, JUMP_SMALL,   # jump flags of a SamplePath node; 0 is none
-                    JumpMeasureSpec, NoiseRealization, WienerSpec)
+                    JumpMeasureSpec, WienerSpec, jump_table, wiener_block)
 from .profiles import harmonic_profile, reciprocal_profile, trig_reciprocal_profile
 
 CSV_BLOCK = 1024   # rows that SamplePath.to_csv formats and writes at a time
@@ -69,17 +69,6 @@ def step_kernel(model: SdeModel, grid: np.ndarray):
         return d * y + phi1[i] * drift + d * (gdiag * dw), drift, gdiag
 
     return step
-
-
-def jump_events(small_times, small_marks, large_times, large_marks):
-    """The one-path :func:`~levylab.noise.jump_table` of a realization's
-    jumps: marks become rows, zero-padded to the wider."""
-    marks = [m[:, None] if m.ndim == 1 else m for m in (small_marks, large_marks)]
-    width = max(m.shape[1] for m in marks)
-    return (np.concatenate([small_times, large_times]),
-            np.zeros(small_times.size + large_times.size, dtype=np.intp),
-            np.repeat(np.array([JUMP_SMALL, JUMP_LARGE], np.int8), [m.shape[0] for m in marks]),
-            np.concatenate([np.pad(m, ((0, 0), (0, width - m.shape[1]))) for m in marks]))
 
 
 def jump_kernel(model: SdeModel, grid, events, dw):
@@ -178,6 +167,8 @@ class SamplePath:
 
 def refined_grid(t0: float, t1: float, max_step: float, nodes) -> np.ndarray:
     """Uniform grid on [t0, t1], steps at most ``max_step``, refined by ``nodes``."""
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 <= t1):
+        raise InputError(f"window must be finite and nonempty, got {(t0, t1)!r}")
     if not 0.0 < max_step < math.inf:
         raise InputError(f"max_step must be positive and finite, got {max_step!r}")
     n = max(1, int(np.ceil((t1 - t0) / max_step - 1e-12)))
@@ -193,32 +184,31 @@ def check_finite(y: np.ndarray, t: float):
                                    + f" non-finite at t = {t:g}")
 
 
-def integrate(model: SdeModel, noise: NoiseRealization, t0: float, t1: float,
-              y0, max_step: float) -> SamplePath:
-    """Simulate one cadlag mild-solution path of the model on [t0, t1].
+def initial_states(y0, n_paths: int, dim: int) -> np.ndarray:
+    """``y0`` as a scalar, a state vector or an (n_paths, dim) array,
+    broadcast to (n_paths, dim); every entry must be finite."""
+    y0 = np.asarray(y0, dtype=float)
+    if y0.ndim > 2 or y0.shape != (n_paths, dim)[2 - y0.ndim:]:
+        raise InputError("y0 must broadcast to (n_paths, dim)")
+    if not np.logical_and.reduce(np.isfinite(y0), axis=None):
+        raise InputError("y0 must be finite")
+    return np.broadcast_to(y0, (n_paths, dim))
 
-    The noise realization must cover the window; Wiener increments are
-    drawn deterministically from the realization's stream for the grid
-    built here, so identical arguments reproduce the path bit for bit.
-    A non-finite state raises :class:`NumericalBlowupError` naming its component.
+
+def integrate(model: SdeModel, window, y0, max_step: float, seed) -> SamplePath:
+    """Simulate one cadlag mild-solution path of the model on ``window``.
+
+    The noise is the one path ``seed`` of :mod:`levylab.noise`: its jump
+    table on the window, then its Wiener increments on the grid refined by
+    the jump times, so identical arguments reproduce the path bit for bit.
+    ``y0`` is a scalar or a state vector.  A non-finite state raises
+    :class:`NumericalBlowupError` naming its component.
     """
-    if t1 < t0:
-        raise InputError("empty time window")
-    if not (noise.window[0] <= t0 + 1e-12 and t1 <= noise.window[1] + 1e-12):
-        raise InputError("noise window does not cover the integration window")
-    y = np.asarray(y0, dtype=float).reshape(-1).copy()
-    if y.size != model.dim:
-        raise InputError(f"y0 has dimension {y.size}, model needs {model.dim}")
-    if not np.all(np.isfinite(y)):
-        raise InputError("initial state must be finite")
-
-    events = jump_events(noise.small_times, noise.small_marks,
-                         noise.large_times, noise.large_marks)
-    inside = (events[0] > t0) & (events[0] < t1)
-    events = tuple(a[inside] for a in events)
-    grid = refined_grid(t0, t1, max_step, events[0])
-    dW = noise.wiener_increments(grid)
-    step, add_jumps = step_kernel(model, grid), jump_kernel(model, grid, events, dW[:, None])
+    y = initial_states(y0, 1, model.dim)[0]
+    events = jump_table(model.jumps, window, seed)
+    grid = refined_grid(float(window[0]), float(window[1]), max_step, events[0])
+    dW = wiener_block(model.wiener, grid, seed)
+    step, add_jumps = step_kernel(model, grid), jump_kernel(model, grid, events, dW)
 
     n = grid.size
     values = np.empty((n, model.dim))
@@ -228,7 +218,7 @@ def integrate(model: SdeModel, noise: NoiseRealization, t0: float, t1: float,
     values[0] = left[0] = y
 
     for i, jumped in enumerate(flags[1:].tolist()):
-        y_new, drift, gdiag = step(i, y, dW[i])
+        y_new, drift, gdiag = step(i, y, dW[i, 0])
         left[i + 1] = y_new
         check_finite(y_new, grid[i + 1])
         if jumped:   # the jump acts on the left limit: lead v - u, decay out 1

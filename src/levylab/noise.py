@@ -12,15 +12,18 @@ Mark laws come from a closed registry (uniform shell, point mass,
 truncated exponential tail, finite-rank vector atoms) so that the first
 and second moments entering the hypothesis checks are exact.
 
-Everything is reproducible: a :class:`NoiseRealization` is a pure
-function of ``(specs, window, seed)``, and path p of an ensemble draws
-from numpy's streams ``SeedSequence(master, spawn_key=(p, *key))``, one
-per Wiener part and per side of 0, kind and purpose of its jumps.  A
-chunk of paths derives the seeds of all its streams at once, with
-numpy's own hash, and sorts and merges its jumps once.  Negative times
-are covered by the mirror construction ``L(t) = -L2(-t)`` for
-``t <= 0``: jumps in the negative part of a window come from streams of
-their own, reflected, with mark sign flipped.
+Everything is reproducible: one seed's draw is its jump table
+(:func:`jump_table`) on a window and its Wiener increments
+(:func:`wiener_block`) on a grid, a pure function of ``(specs, window or
+grid, seed)``.  The single-path integrator draws the one path ``seed``,
+and path p of an ensemble draws from numpy's streams
+``SeedSequence(master, spawn_key=(p, *key))``, one per Wiener part and
+per side of 0, kind and purpose of its jumps.  A chunk of paths derives
+the seeds of all its streams at once, with numpy's own hash, and sorts
+and merges its jumps once.  Negative times are covered by the mirror
+construction ``L(t) = -L2(-t)`` for ``t <= 0``: jumps in the negative
+part of a window come from streams of their own, reflected, with mark
+sign flipped.
 """
 
 from __future__ import annotations
@@ -300,11 +303,16 @@ def _generator(words) -> np.random.Generator:
 
 
 def wiener_block(spec: WienerSpec, grid, seed, paths=None) -> np.ndarray:
-    """:func:`sample_wiener_increments` of the paths ``paths`` of ``seed`` (``None``:
-    the one path ``seed``), each from its own stream, as one (n_steps, n_paths, dim) block."""
-    dt = np.diff(np.asarray(grid, dtype=float))
-    if np.any(dt < 0):
-        raise InputError("time grid must be nondecreasing")
+    """Mode-wise Gaussian increments over the intervals of ``grid`` of the paths
+    ``paths`` of ``seed`` (``None``: the one path ``seed``), each from its own
+    stream, as one (n_steps, n_paths, dim) block.  Increment n over an interval
+    of length dt is N(0, q_n dt), independent across intervals, modes and
+    paths; the law is the same on both sides of t = 0, so one stream serves
+    any window."""
+    grid = np.asarray(grid, dtype=float)
+    dt = np.diff(grid)
+    if not (np.logical_and.reduce(np.isfinite(grid)) and np.all(dt >= 0)):
+        raise InputError("time grid must be finite and nondecreasing")
     words = _stream_words(seed, paths, [(0,)])
     dw = np.empty((dt.size, len(words), spec.dim))
     for j, w in enumerate(words):
@@ -313,24 +321,15 @@ def wiener_block(spec: WienerSpec, grid, seed, paths=None) -> np.ndarray:
     return dw
 
 
-def sample_wiener_increments(spec: WienerSpec, grid, seed: int) -> np.ndarray:
-    """Mode-wise Gaussian increments over the intervals of ``grid``.
-
-    Returns shape (len(grid)-1, n_modes); increment n over an interval of
-    length dt is N(0, q_n * dt), independent across intervals and modes.
-    The law is the same on both sides of t = 0 (stationary independent
-    increments), so one stream serves any window.
-    """
-    return wiener_block(spec, grid, seed)[:, 0]
-
-
 def jump_table(spec: JumpMeasureSpec, window, seed, paths=None):
-    """The jump events ``(times, paths, kinds, marks)`` on ``window`` of the
-    paths ``paths`` of ``seed`` (``None``: the one path ``seed``) in (path,
-    kind, time) order, ``paths`` as positions in ``paths`` and marks as rows
-    padded with zeros to the wider sampler.  Per path, side of 0 and kind,
-    one stream draws the count and the times, a second one any marks; the
-    sort, the mirror of the negative side, the cut and the merge run once."""
+    """The jump events ``(times, paths, kinds, marks)`` inside the open
+    ``window`` of the paths ``paths`` of ``seed`` (``None``: the one path
+    ``seed``, all in path 0) in (path, kind, time) order, ``paths`` as
+    positions in ``paths``, ``kinds`` :data:`JUMP_SMALL` or :data:`JUMP_LARGE`
+    and marks as rows padded with zeros to the wider sampler.  Per path, side
+    of 0 and kind, one stream draws a Poisson count with mean rate * span and
+    as many i.i.d. uniform times, a second one any i.i.d. marks; the sort, the
+    mirror of the negative side, the cut and the merge run once."""
     t0, t1 = float(window[0]), float(window[1])
     if not (math.isfinite(t0) and math.isfinite(t1) and t0 <= t1):
         raise InputError(f"window must be finite and nonempty, got {window!r}")
@@ -363,65 +362,3 @@ def jump_table(spec: JumpMeasureSpec, window, seed, paths=None):
     idx = idx[np.lexsort((np.where(sign < 0, 2 * pos.size - pos, pos)[idx], times[idx], kind[idx],
                           path[idx]))]
     return times[idx], path[idx].astype(np.intp), kind[idx].astype(np.int8), table[idx]
-
-
-def sample_jumps(spec: JumpMeasureSpec, window, seed: int):
-    """Marked Poisson point sets on ``window = (t0, t1)``, the one-path
-    :func:`jump_table` split by kind: counts Poisson with mean rate * |window|,
-    times i.i.d. uniform, marks i.i.d. from the samplers and independent of
-    times.  Returns ``(small_times, small_marks, large_times, large_marks)``.
-    """
-    times, _, kinds, marks = jump_table(spec, window, seed)
-    out = []
-    for kind, sampler in ((JUMP_SMALL, spec.small_sampler), (JUMP_LARGE, spec.large_sampler)):
-        dim, sel = sampler.dim if sampler is not None else 1, kinds == kind
-        out += [times[sel], marks[sel, 0] if dim == 1 else marks[sel, :dim]]
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class NoiseRealization:
-    """Frozen realization of the noise on a window.
-
-    Jump times and marks are materialized; Wiener increments are drawn
-    on demand for a given grid (the jump-adapted grid is only known at
-    integration time) from a stream keyed by ``seed``, so the same
-    realization and grid always reproduce bit-identical increments.
-    """
-
-    window: tuple[float, float]
-    small_times: np.ndarray
-    small_marks: np.ndarray
-    large_times: np.ndarray
-    large_marks: np.ndarray
-    seed: int
-    wiener_spec: WienerSpec
-    jump_spec: JumpMeasureSpec
-
-    def wiener_increments(self, grid) -> np.ndarray:
-        return sample_wiener_increments(self.wiener_spec, grid, self.seed)
-
-    def to_csv(self, path):
-        """Debug dump: time, kind, mark components."""
-        rows = []
-        for times, marks, kind in ((self.small_times, self.small_marks, "small"),
-                                   (self.large_times, self.large_marks, "large")):
-            marks2d = np.atleast_2d(marks.T).T if marks.size else marks.reshape(0, 1)
-            for t, m in zip(times, marks2d):
-                rows.append((t, kind, np.atleast_1d(m)))
-        rows.sort(key=lambda r: r[0])
-        with open(path, "w") as fh:
-            fh.write("time,kind,mark\n")
-            for t, kind, m in rows:
-                fh.write(f"{float(t)!r},{kind},"
-                         + ";".join(repr(float(v)) for v in m) + "\n")
-
-
-def sample_noise(wiener_spec: WienerSpec, jump_spec: JumpMeasureSpec,
-                 window, seed: int) -> NoiseRealization:
-    """Materialize a :class:`NoiseRealization` on ``window`` from ``seed``."""
-    st, sm, lt, lm = sample_jumps(jump_spec, window, seed)
-    return NoiseRealization(window=(float(window[0]), float(window[1])),
-                            small_times=st, small_marks=sm,
-                            large_times=lt, large_marks=lm,
-                            seed=seed, wiener_spec=wiener_spec, jump_spec=jump_spec)

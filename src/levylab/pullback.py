@@ -8,9 +8,9 @@ burn-in.  The square-mean contraction estimate
 
 turns a target tolerance into an explicit pullback horizon, using the
 conservative margin valid uniformly in the semilinear case.  Burn-in and
-window noise come from one contiguous realization, so the returned
-restriction is a genuine path segment.  The same-noise gap between two
-starts, which the estimate bounds, is measured by
+window noise are one seed's draw on the whole pullback window, so the
+returned restriction is a genuine path segment.  The same-noise gap
+between two starts, which the estimate bounds, is measured by
 :func:`levylab.stability.gap_experiment`.
 """
 
@@ -25,13 +25,15 @@ from .ensemble import EnsembleResult, simulate_ensemble
 from .errors import InputError, ThresholdError
 from .integrator import SamplePath, integrate
 from .model import SdeModel, compute_radius, stability_margin
-from .noise import sample_noise
 
 
 def pullback_horizon(K: float, rate: float, start_bound: float, tol: float) -> float:
     """Smallest T with 5 K^2 start_bound exp(-rate T) <= tol^2."""
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise InputError(f"tol must be positive and finite, got {tol!r}")
+    if not math.isfinite(start_bound):
+        raise InputError(f"the start bound must be finite (a finite start_state), "
+                         f"got {start_bound!r}")
     if rate <= 0:
         raise ThresholdError("contraction rate must be positive "
                              "(square-mean stability condition failed)")
@@ -65,6 +67,14 @@ def pullback_plan(model: SdeModel, tol: float, start_state=None) -> PullbackPlan
                         margin=margin, radius=radius, start_bound=start_bound, tol=tol)
 
 
+def _pullback_start(model: SdeModel, t0: float, tol: float, start_state, t_pull):
+    """The start time ``t0 - t_pull``, with the planned horizon unless
+    ``t_pull`` is given, and the start state (the origin by default)."""
+    plan = pullback_plan(model, tol, start_state)
+    t_pull = plan.t_pull if t_pull is None else float(t_pull)
+    return t0 - t_pull, 0.0 if start_state is None else start_state
+
+
 def bounded_solution(model: SdeModel, window, tol: float, seed: int,
                      max_step: float = 1e-2, start_state=None,
                      t_pull: float | None = None) -> SamplePath:
@@ -75,16 +85,12 @@ def bounded_solution(model: SdeModel, window, tol: float, seed: int,
     the invariant ball, which minimizes the contraction prefactor) and
     returns the restriction to the window.  Passing an explicit ``t_pull``
     overrides the planned horizon; two calls sharing (seed, t_pull,
-    window, step) are driven by the identical noise realization, which is
+    window, step) are driven by the identical noise draw, which is
     how start-independence is tested.
     """
     t0, t1 = float(window[0]), float(window[1])
-    plan = pullback_plan(model, tol, start_state)
-    t_pull = plan.t_pull if t_pull is None else float(t_pull)
-    y0 = np.zeros(model.dim) if start_state is None else np.asarray(start_state, float)
-    noise = sample_noise(model.wiener, model.jumps, (t0 - t_pull, t1), seed)
-    path = integrate(model, noise, t0 - t_pull, t1, y0, max_step)
-    return path.restrict(t0, t1)
+    start, y0 = _pullback_start(model, t0, tol, start_state, t_pull)
+    return integrate(model, (start, t1), y0, max_step, seed).restrict(t0, t1)
 
 
 def bounded_ensemble(model: SdeModel, window, tol: float, n_paths: int,
@@ -92,9 +98,5 @@ def bounded_ensemble(model: SdeModel, window, tol: float, n_paths: int,
                      start_state=None, t_pull: float | None = None) -> EnsembleResult:
     """Ensemble of independent bounded-solution paths observed on the window."""
     t0, t1 = float(window[0]), float(window[1])
-    plan = pullback_plan(model, tol, start_state)
-    t_pull = plan.t_pull if t_pull is None else float(t_pull)
-    y0 = np.zeros(model.dim) if start_state is None else np.asarray(start_state, float)
-    return simulate_ensemble(model, (t0 - t_pull, t1), y0, n_paths,
-                             max_step, seed, obs_times)
-
+    start, y0 = _pullback_start(model, t0, tol, start_state, t_pull)
+    return simulate_ensemble(model, (start, t1), y0, n_paths, max_step, seed, obs_times)

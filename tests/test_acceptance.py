@@ -250,8 +250,7 @@ def test_criterion_9_heat_spectrum():
 
     m1 = L.presets.example62_model(n_modes=1, b=0.0, small_rate=0.0,
                                    q_base=0.0, drift_scale=0.0)
-    noise = L.sample_noise(m1.wiener, m1.jumps, (0.0, 1.0), 0)
-    path = L.integrate(m1, noise, 0.0, 1.0, [1.0], 1e-4)
+    path = L.integrate(m1, (0.0, 1.0), [1.0], 1e-4, 0)
     rel = abs(path.values[-1, 0] - np.exp(-np.pi**2)) / np.exp(-np.pi**2)
     ok_decay = rel < 1e-6
 

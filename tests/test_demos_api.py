@@ -1,19 +1,25 @@
-"""The demos use only levylab names that exist, with keywords their callees take.
+"""The demos and the README's python blocks use only levylab names that
+exist, with keywords their callees take.
 
-Each demo is parsed, not run: every ``L.<name>`` and ``L.presets.<name>``
-must resolve, and every keyword argument of a call to one of them must
-be a parameter of the callee.
+Each demo and block is parsed, not run: every ``L.<name>`` and
+``L.presets.<name>`` must resolve, and the arguments of every call to one
+of them must bind to the callee's parameters: no unknown keyword, and no
+more positional arguments than it takes.
 """
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 import levylab as L
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                           flags=re.S | re.M)
 
 
 def _owner(node: ast.Attribute):
@@ -32,21 +38,35 @@ def test_every_demo_is_found():
     assert DEMOS
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_names_and_keywords_exist(demo):
-    tree = ast.parse(demo.read_text(), filename=str(demo))
-    nodes = list(ast.walk(tree))
+def _check_names_and_keywords(source: str, where: str):
+    nodes = list(ast.walk(ast.parse(source, filename=where)))
     for node in nodes:
         if isinstance(node, ast.Attribute) and _owner(node) is not None:
             assert hasattr(_owner(node), node.attr), \
-                f"{demo.name}:{node.lineno}: {_owner(node).__name__}.{node.attr} does not exist"
+                f"{where}:{node.lineno}: {_owner(node).__name__}.{node.attr} does not exist"
     for node in nodes:
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and _owner(node.func) is not None):
             continue
-        params = inspect.signature(getattr(_owner(node.func), node.func.attr)).parameters
-        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+        if (any(isinstance(a, ast.Starred) for a in node.args)
+                or any(kw.arg is None for kw in node.keywords)):
             continue
-        for kw in node.keywords:
-            assert kw.arg is None or kw.arg in params, \
-                f"{demo.name}:{node.lineno}: {node.func.attr} takes no keyword {kw.arg!r}"
+        try:   # the argument nodes stand in for their values
+            inspect.signature(getattr(_owner(node.func), node.func.attr)).bind(
+                *node.args, **{kw.arg: kw.value for kw in node.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"{where}:{node.lineno}: {node.func.attr}: {exc}") from None
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_names_and_keywords_exist(demo):
+    _check_names_and_keywords(demo.read_text(), demo.name)
+
+
+def test_every_readme_block_is_found():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("k", range(len(README_BLOCKS)))
+def test_readme_names_and_keywords_exist(k):
+    _check_names_and_keywords(README_BLOCKS[k], f"README.md python block {k}")

@@ -7,7 +7,7 @@ import pytest
 import levylab as L
 from levylab import ensemble
 from levylab.ensemble import simulate_ensemble
-from levylab.noise import sample_jumps
+from levylab.noise import jump_table
 
 
 def test_ensemble_reproducible():
@@ -62,9 +62,8 @@ def test_one_path_ensemble_is_integrate_bit_for_bit(name, y0):
          else _model(name))
     window, seed = (-1.0, 1.5), 31
     # path 0 of an ensemble draws from the streams of SeedSequence(seed, (0,))
-    noise = L.sample_noise(m.wiener, m.jumps, window,
-                           np.random.SeedSequence(seed, spawn_key=(0,)))
-    path = L.integrate(m, noise, *window, np.full(m.dim, y0), 0.01)
+    path = L.integrate(m, window, np.full(m.dim, y0), 0.01,
+                       np.random.SeedSequence(seed, spawn_key=(0,)))
     assert (np.count_nonzero(path.jump_flags) >= 2) == (name != "no_jumps")
     res = simulate_ensemble(m, window, y0, 1, 0.01, seed, path.times)
     assert np.array_equal(res.times, path.times)
@@ -75,9 +74,7 @@ def _jump_adapted_reference(m, window, y0, n, max_step, seed):
     """Terminal states of ``n`` paths on a grid refined by every jump time
     of every path: each path jumps at a node, where the one jump rule is
     the one of integrate."""
-    jumps = [sample_jumps(m.jumps, window, np.random.SeedSequence(seed, spawn_key=(p,)))
-             for p in range(n)]
-    nodes = np.concatenate([t for st, _, lt, _ in jumps for t in (st, lt)] + [window[1:]])
+    nodes = np.concatenate([jump_table(m.jumps, window, seed, range(n))[0], window[1:]])
     return simulate_ensemble(m, window, y0, n, max_step, seed, nodes).states[-1, :, 0]
 
 

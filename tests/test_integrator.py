@@ -5,17 +5,13 @@ import pytest
 
 import levylab as L
 from levylab.errors import InputError, NumericalBlowupError
-from levylab.integrator import JUMP_LARGE, JUMP_SMALL, check_finite
-
-
-def _noise_for(model, window, seed):
-    return L.sample_noise(model.wiener, model.jumps, window, seed)
+from levylab.integrator import check_finite
+from levylab.noise import JUMP_LARGE, JUMP_SMALL, jump_table
 
 
 def test_pure_decay_is_exact():
     m = L.presets.linear_decay_model(1.0)
-    noise = _noise_for(m, (0.0, 1.0), 0)
-    path = L.integrate(m, noise, 0.0, 1.0, [1.0], 1e-4)
+    path = L.integrate(m, (0.0, 1.0), [1.0], 1e-4, 0)
     assert abs(path.values[-1, 0] - np.exp(-1.0)) < 1e-8
 
 
@@ -29,24 +25,20 @@ def test_example61_drift_value_at_origin_of_time():
 
 def test_path_reproducible():
     m = L.presets.example61_model()
-    noise = _noise_for(m, (0.0, 5.0), 11)
-    p1 = L.integrate(m, noise, 0.0, 5.0, [1.0], 0.01)
-    p2 = L.integrate(m, noise, 0.0, 5.0, [1.0], 0.01)
+    p1 = L.integrate(m, (0.0, 5.0), [1.0], 0.01, 11)
+    p2 = L.integrate(m, (0.0, 5.0), [1.0], 0.01, 11)
     assert np.array_equal(p1.values, p2.values)
     assert np.array_equal(p1.times, p2.times)
 
 
 def test_jump_bookkeeping_exact():
     m = L.presets.example61_model(b=2.0 / 3.0)   # denser large jumps not needed
-    noise = _noise_for(m, (0.0, 20.0), 5)
-    path = L.integrate(m, noise, 0.0, 20.0, [1.0], 0.01)
-    marks = {}
-    for t, x in zip(noise.small_times, noise.small_marks):
-        marks[float(t)] = (JUMP_SMALL, x)
-    for t, x in zip(noise.large_times, noise.large_marks):
-        marks[float(t)] = (JUMP_LARGE, x)
+    path = L.integrate(m, (0.0, 20.0), [1.0], 0.01, 5)
+    times, _, kinds, rows = jump_table(m.jumps, (0.0, 20.0), 5)
+    marks = {float(t): (int(kind), x[0]) for t, kind, x in zip(times, kinds, rows)}
+    assert {JUMP_SMALL, JUMP_LARGE} <= {kind for kind, _ in marks.values()}
     jump_idx = np.where(path.jump_flags > 0)[0]
-    assert jump_idx.size == noise.small_times.size + noise.large_times.size
+    assert jump_idx.size == times.size == len(marks)
     for i in jump_idx:
         t = float(path.times[i])
         kind, x = marks[t]
@@ -60,8 +52,7 @@ def test_jump_bookkeeping_exact():
 
 def test_left_limits_equal_values_off_jumps():
     m = L.presets.example61_model()
-    noise = _noise_for(m, (0.0, 5.0), 3)
-    path = L.integrate(m, noise, 0.0, 5.0, [1.0], 0.01)
+    path = L.integrate(m, (0.0, 5.0), [1.0], 0.01, 3)
     off = path.jump_flags == 0
     assert np.array_equal(path.values[off], path.left_limits[off])
 
@@ -77,10 +68,9 @@ def test_step_refinement_first_order():
     m = replace(m, jumps=jumps, coefficients=replace(
         coeffs, large_jump=L.jump_coefficient(
             (L.constant_profile(1.0), L.ones_map(1.0)), mark_mode="scalar")))
-    noise = _noise_for(m, (0.0, 5.0), 21)
     terminals = []
     for step in (0.04, 0.02, 0.01, 0.005):
-        path = L.integrate(m, noise, 0.0, 5.0, [0.5], step)
+        path = L.integrate(m, (0.0, 5.0), [0.5], step, 21)
         terminals.append(path.values[-1, 0])
     diffs = np.abs(np.diff(terminals))
     ratios = diffs[:-1] / diffs[1:]
@@ -89,19 +79,28 @@ def test_step_refinement_first_order():
 
 def test_deterministic_gap_decays_at_twice_the_rate():
     m = L.presets.linear_decay_model(1.5)
-    noise = _noise_for(m, (0.0, 3.0), 0)
-    pa = L.integrate(m, noise, 0.0, 3.0, [2.0], 1e-3)
-    pb = L.integrate(m, noise, 0.0, 3.0, [1.0], 1e-3)
+    pa = L.integrate(m, (0.0, 3.0), [2.0], 1e-3, 0)
+    pb = L.integrate(m, (0.0, 3.0), [1.0], 1e-3, 0)
     gap = np.sum((pa.values - pb.values) ** 2, axis=1)
     want = gap[0] * np.exp(-2 * 1.5 * pa.times)
     assert np.allclose(gap, want, rtol=1e-6)
 
 
-def test_nonfinite_initial_state_rejected():
+@pytest.mark.parametrize("start", ["state", "scalar", "rows"])
+@pytest.mark.parametrize("driver", ["integrate", "ensemble"])
+def test_nonfinite_initial_state_rejected(driver, start):
+    # one check of the start for both drivers: an InputError naming y0, not
+    # a blowup at the first step; "rows" is an (n_paths, dim) start whose
+    # middle row is NaN
     m = L.presets.linear_decay_model(1.0)
-    noise = _noise_for(m, (0.0, 1.0), 0)
-    with pytest.raises(InputError):
-        L.integrate(m, noise, 0.0, 1.0, [np.nan], 0.01)
+    n_paths = 1 if driver == "integrate" else 3
+    y0 = {"state": [np.nan], "scalar": np.inf,
+          "rows": np.where(np.arange(n_paths) == n_paths // 2, np.nan, 0.5)[:, None]}[start]
+    with pytest.raises(InputError, match="y0 must be finite"):
+        if driver == "integrate":
+            L.integrate(m, (0.0, 1.0), y0, 0.01, 0)
+        else:
+            L.simulate_ensemble(m, (0.0, 1.0), y0, n_paths, 0.1, 0, [1.0])
 
 
 def _huge_forcing_model():
@@ -119,9 +118,8 @@ def _huge_forcing_model():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_blowup_reports_time():
     m = _huge_forcing_model()
-    noise = _noise_for(m, (0.0, 3.0), 0)
     with pytest.raises(NumericalBlowupError) as err:
-        L.integrate(m, noise, 0.0, 3.0, [0.0], 0.1)
+        L.integrate(m, (0.0, 3.0), [0.0], 0.1, 0)
     assert 0.0 < err.value.time <= 3.0
     assert str(err.value) == f"component 0 non-finite at t = {err.value.time:g}"
 
@@ -146,16 +144,9 @@ def test_max_step_must_be_positive_and_finite(driver, max_step):
     m = L.presets.example61_model()
     with pytest.raises(InputError, match="max_step"):
         if driver == "integrate":
-            L.integrate(m, _noise_for(m, (0.0, 2.0), 0), 0.0, 2.0, [0.5], max_step)
+            L.integrate(m, (0.0, 2.0), [0.5], max_step, 0)
         else:
             L.simulate_ensemble(m, (0.0, 2.0), 0.5, 4, max_step, 3, [2.0])
-
-
-def test_noise_window_must_cover_integration_window():
-    m = L.presets.linear_decay_model(1.0)
-    noise = _noise_for(m, (0.0, 1.0), 0)
-    with pytest.raises(InputError):
-        L.integrate(m, noise, 0.0, 2.0, [1.0], 0.01)
 
 
 # -- Galerkin heat model ------------------------------------------------------
@@ -195,8 +186,7 @@ def test_heat_coefficient_lipschitz_bounds():
 def test_single_mode_zero_noise_decay():
     m = L.presets.example62_model(n_modes=1, b=0.0, small_rate=0.0,
                                   q_base=0.0, drift_scale=0.0)
-    noise = _noise_for(m, (0.0, 1.0), 0)
-    path = L.integrate(m, noise, 0.0, 1.0, [1.0], 1e-4)
+    path = L.integrate(m, (0.0, 1.0), [1.0], 1e-4, 0)
     exact = np.exp(-np.pi**2)
     assert abs(path.values[-1, 0] - exact) / exact < 1e-6
 
@@ -228,17 +218,15 @@ def test_wiener_drift_vector_routed_through_diffusion():
                    coefficients=coeffs,
                    wiener=L.WienerSpec(mode_variances=(0.0,), drift_a=(a,)),
                    jumps=L.JumpMeasureSpec())
-    noise = _noise_for(m, (0.0, 10.0), 0)
-    path = L.integrate(m, noise, 0.0, 10.0, [0.0], 1e-3)
+    path = L.integrate(m, (0.0, 10.0), [0.0], 1e-3, 0)
     assert path.values[-1, 0] == pytest.approx(sigma * a / lam, rel=1e-4)
 
 
 def test_zero_noise_heat_run_decays_in_every_mode():
     # nonlinearity active but subcritical (Lipschitz 2/5 < pi^2)
     m = L.presets.example62_model(n_modes=4, b=0.0, small_rate=0.0, q_base=0.0)
-    noise = _noise_for(m, (0.0, 2.0), 0)
     y0 = np.array([1.0, -0.5, 0.3, 0.2])
-    path = L.integrate(m, noise, 0.0, 2.0, y0, 1e-3)
+    path = L.integrate(m, (0.0, 2.0), y0, 1e-3, 0)
     assert np.all(np.abs(path.values[-1]) < 1e-6)
 
 
@@ -256,8 +244,7 @@ def test_heat_nonlinear_drift_agrees_with_rk45():
 
     ref = solve_ivp(rhs, (0.0, 1.0), y0, rtol=1e-10, atol=1e-12,
                     dense_output=True)
-    noise = _noise_for(m, (0.0, 1.0), 0)
-    path = L.integrate(m, noise, 0.0, 1.0, y0, 1e-4)
+    path = L.integrate(m, (0.0, 1.0), y0, 1e-4, 0)
     sup = np.max(np.abs(path.values[-1] - ref.y[:, -1]))
     assert sup < 1e-6, sup
 

@@ -10,7 +10,7 @@ import pytest
 import levylab as L
 from levylab.ensemble import simulate_ensemble
 from levylab.integrator import refined_grid, step_kernel
-from levylab.noise import sample_jumps
+from levylab.noise import jump_table
 from levylab.profiles import TimeProfile
 
 # Terminal states (float.hex).  The integrate values were recorded while
@@ -161,8 +161,7 @@ def _model(name):
 
 
 def _integrate(m, max_step=0.01):
-    noise = L.sample_noise(m.wiener, m.jumps, (0.0, 2.0), 7)
-    return L.integrate(m, noise, 0.0, 2.0, np.full(m.dim, 0.5), max_step)
+    return L.integrate(m, (0.0, 2.0), np.full(m.dim, 0.5), max_step, 7)
 
 
 def _golden(driver, name):
@@ -171,13 +170,8 @@ def _golden(driver, name):
 
 def _most_jumps_of_one_path_in_one_step(m, window, y0, n_paths, max_step, seed, obs):
     grid = refined_grid(window[0], window[1], max_step, obs)
-    most = 0
-    for p in range(n_paths):
-        path_seed = np.random.SeedSequence(seed, spawn_key=(p,))
-        st, _, lt, _ = sample_jumps(m.jumps, window, path_seed)
-        most = max(most, np.bincount(np.searchsorted(grid, np.concatenate([st, lt])),
-                                     minlength=1).max())
-    return most
+    times, paths, _, _ = jump_table(m.jumps, window, seed, range(n_paths))
+    return np.bincount(paths * grid.size + np.searchsorted(grid, times), minlength=1).max()
 
 
 @pytest.mark.parametrize("name", ["example61", "heat8"])
@@ -202,8 +196,7 @@ def test_ensemble_terminal_states_are_pinned(case, name):
 
 def test_every_state_map_kind_is_pinned():
     m = _model("every_map")
-    noise = L.sample_noise(m.wiener, m.jumps, (0.0, 2.0), 7)
-    path = L.integrate(m, noise, 0.0, 2.0, np.array([-0.0]), 0.01)
+    path = L.integrate(m, (0.0, 2.0), np.array([-0.0]), 0.01, 7)
     assert np.count_nonzero(path.jump_flags) >= 2
     assert np.array_equal(path.values[-1], _golden("integrate", "every_map"))
     for case in ("ensemble", "stressed"):

@@ -8,7 +8,7 @@ import pytest
 import levylab as L
 from levylab import ensemble, noise
 from levylab.errors import InputError
-from levylab.integrator import JUMP_LARGE, JUMP_SMALL, jump_events
+from levylab.noise import JUMP_LARGE, JUMP_SMALL, jump_table, wiener_block
 
 WIENER1 = L.WienerSpec(mode_variances=(1.0,))
 
@@ -26,13 +26,13 @@ def _jump_spec(small_rate=1.0, large_rate=1.0):
 
 def test_zero_length_interval_gives_zero_increment():
     grid = np.array([0.0, 0.5, 0.5, 1.0])
-    incr = L.sample_wiener_increments(WIENER1, grid, seed=1)
-    assert incr[1, 0] == 0.0
+    incr = wiener_block(WIENER1, grid, seed=1)
+    assert incr[1, 0, 0] == 0.0
 
 
 def test_degenerate_covariance_gives_zero_increments():
     spec = L.WienerSpec(mode_variances=(0.0, 0.0))
-    incr = L.sample_wiener_increments(spec, np.linspace(0, 1, 50), seed=2)
+    incr = wiener_block(spec, np.linspace(0, 1, 50), seed=2)
     assert np.all(incr == 0.0)
 
 
@@ -40,7 +40,7 @@ def test_increment_variance_matches_covariance_eigenvalue():
     # q = 1, dt = 0.5: sample variance of 1e5 draws within 5 SE of 0.5
     n = 100_000
     grid = np.arange(n + 1) * 0.5
-    incr = L.sample_wiener_increments(WIENER1, grid, seed=3)[:, 0]
+    incr = wiener_block(WIENER1, grid, seed=3)[:, 0, 0]
     var = incr.var(ddof=1)
     se = 0.5 * np.sqrt(2.0 / (n - 1))  # SE of a Gaussian sample variance
     assert abs(var - 0.5) < 5 * se
@@ -48,7 +48,7 @@ def test_increment_variance_matches_covariance_eigenvalue():
 
 def test_nonmonotone_grid_rejected():
     with pytest.raises(InputError):
-        L.sample_wiener_increments(WIENER1, np.array([0.0, 1.0, 0.5]), seed=0)
+        wiener_block(WIENER1, np.array([0.0, 1.0, 0.5]), seed=0)
 
 
 def test_stationarity_of_increments():
@@ -56,8 +56,8 @@ def test_stationarity_of_increments():
     n = 60_000
     g1 = 5.0 + np.arange(n + 1) * 0.2
     g2 = -40.0 + np.arange(n + 1) * 0.2
-    v1 = L.sample_wiener_increments(WIENER1, g1, seed=4)[:, 0]
-    v2 = L.sample_wiener_increments(WIENER1, g2, seed=5)[:, 0]
+    v1 = wiener_block(WIENER1, g1, seed=4)[:, 0, 0]
+    v2 = wiener_block(WIENER1, g2, seed=5)[:, 0, 0]
     se = 0.2 * np.sqrt(2.0 / n)
     assert abs(v1.var() - v2.var()) < 5 * np.sqrt(2) * se
     assert abs(v1.mean() - v2.mean()) < 5 * np.sqrt(2) * np.sqrt(0.2 / n)
@@ -67,14 +67,14 @@ def test_stationarity_of_increments():
 
 def test_zero_rate_gives_empty_jump_list():
     spec = _jump_spec(small_rate=1.0, large_rate=0.0)
-    st, sm, lt, lm = L.sample_jumps(spec, (0.0, 10.0), seed=1)
-    assert lt.size == 0 and lm.size == 0
+    times, paths, kinds, marks = jump_table(spec, (0.0, 10.0), seed=1)
+    assert times.size > 0 and np.all(kinds == JUMP_SMALL) and np.all(paths == 0)
 
 
 def test_poisson_mean_count():
     # b = 1, |window| = 10, 1e4 realizations: mean count within 5 SE of 10
     spec = _jump_spec(small_rate=0.0, large_rate=1.0)
-    counts = [L.sample_jumps(spec, (0.0, 10.0), seed=s)[2].size for s in range(10_000)]
+    counts = [jump_table(spec, (0.0, 10.0), seed=s)[0].size for s in range(10_000)]
     counts = np.asarray(counts, dtype=float)
     se = np.sqrt(10.0 / counts.size)
     assert abs(counts.mean() - 10.0) < 5 * se
@@ -82,31 +82,29 @@ def test_poisson_mean_count():
 
 def test_small_marks_respect_truncation_shell():
     spec = _jump_spec()
-    _, sm, _, lm = L.sample_jumps(spec, (0.0, 200.0), seed=7)
+    _, _, kinds, marks = jump_table(spec, (0.0, 200.0), seed=7)
+    sm, lm = marks[kinds == JUMP_SMALL, 0], marks[kinds == JUMP_LARGE, 0]
+    assert sm.size and lm.size
     assert np.all((np.abs(sm) >= 0.1) & (np.abs(sm) < 1.0))
     assert np.all(np.abs(lm) >= 1.0)
 
 
 def test_jump_times_inside_window_and_sorted():
     spec = _jump_spec()
-    noise = L.sample_noise(WIENER1, spec, (-30.0, 30.0), seed=9)
-    for times in (noise.small_times, noise.large_times):
-        assert np.all(np.diff(times) > 0)
-        assert np.all((times > -30.0) & (times < 30.0))
+    times, _, kinds, _ = jump_table(spec, (-30.0, 30.0), seed=9)
+    for kind in (JUMP_SMALL, JUMP_LARGE):
+        assert np.all(np.diff(times[kinds == kind]) > 0)
+    assert np.all((times > -30.0) & (times < 30.0))
     # the mirror stream populates the negative side too
-    assert np.any(noise.small_times < 0) and np.any(noise.small_times > 0)
+    small = times[kinds == JUMP_SMALL]
+    assert np.any(small < 0) and np.any(small > 0)
 
 
 def test_realization_bit_reproducible():
     spec = _jump_spec()
-    a = L.sample_noise(WIENER1, spec, (-5.0, 5.0), seed=123)
-    b = L.sample_noise(WIENER1, spec, (-5.0, 5.0), seed=123)
-    assert np.array_equal(a.small_times, b.small_times)
-    assert np.array_equal(a.small_marks, b.small_marks)
-    assert np.array_equal(a.large_times, b.large_times)
-    assert np.array_equal(a.large_marks, b.large_marks)
+    _assert_same(jump_table(spec, (-5.0, 5.0), seed=123), jump_table(spec, (-5.0, 5.0), seed=123))
     grid = np.linspace(-5, 5, 333)
-    assert np.array_equal(a.wiener_increments(grid), b.wiener_increments(grid))
+    _assert_same([wiener_block(WIENER1, grid, 123)], [wiener_block(WIENER1, grid, 123)])
 
 
 def test_distinct_path_indices_are_uncorrelated():
@@ -115,7 +113,7 @@ def test_distinct_path_indices_are_uncorrelated():
     sums = np.empty((n, 2))
     for p in range(n):
         seed = np.random.SeedSequence(entropy=99, spawn_key=(p,))
-        incr = L.sample_wiener_increments(WIENER1, np.linspace(0, 1, 9), seed)
+        incr = wiener_block(WIENER1, np.linspace(0, 1, 9), seed)[:, 0]
         sums[p, 0] = incr[:4].sum()
         sums[p, 1] = incr[4:].sum()
     corr = np.corrcoef(sums[:-1, 0], sums[1:, 0])[0, 1]
@@ -236,19 +234,19 @@ def _draw_model(name):
 @pytest.mark.parametrize("name", ["example61", "zero_small", "periodic", "heat8", "tails",
                                   "exp_tail"])
 def test_bulk_draw_is_the_per_path_draw_bit_for_bit(name, window):
-    # a chunk's Wiener block and jump table, and the one-path draws, equal
-    # those of the per-path sampler with one SeedSequence per stream
+    # a chunk's Wiener block and jump table, and the one-path draws of
+    # integrate, equal those of the per-path sampler with one SeedSequence
+    # per stream
     m = _draw_model(name)
     grid = np.linspace(window[0], window[1], 41)
     for seed in (11, 2**70):
         _assert_same(ensemble._draw_chunk(m, grid, window, seed, range(3, 16)),
                      _ref_chunk(m, grid, window, seed, range(3, 16)))
         for one in (seed, np.random.SeedSequence(seed, spawn_key=(5,))):
-            jumps = L.sample_jumps(m.jumps, window, one)
-            _assert_same(jumps, _ref_jumps(m.jumps, window, one))
-            _assert_same(jump_events(*jumps), noise.jump_table(m.jumps, window, one))
-            _assert_same([L.sample_wiener_increments(m.wiener, grid, one)],
-                         [_ref_wiener(m.wiener, grid, one)])
+            _assert_same(jump_table(m.jumps, window, one),
+                         _ref_events([_ref_jumps(m.jumps, window, one)]))
+            _assert_same([wiener_block(m.wiener, grid, one)],
+                         [_ref_wiener(m.wiener, grid, one)[:, None]])
 
 
 def test_uneven_chunks_draw_the_per_path_noise(monkeypatch):
@@ -270,18 +268,26 @@ def test_uneven_chunks_draw_the_per_path_noise(monkeypatch):
                               "entropy-list"])
 def test_bad_seeds_are_rejected_at_the_draw(seed):
     spec = _jump_spec()
-    for draw in (lambda: L.sample_jumps(spec, (0.0, 1.0), seed),
-                 lambda: L.sample_wiener_increments(WIENER1, [0.0, 1.0], seed),
-                 lambda: L.simulate_ensemble(L.presets.example61_model(), (0, 1), 0.0, 3, 0.1,
-                                             seed, [1.0])):
+    m = L.presets.example61_model()
+    for draw in (lambda: jump_table(spec, (0.0, 1.0), seed),
+                 lambda: wiener_block(WIENER1, [0.0, 1.0], seed),
+                 lambda: L.integrate(m, (0, 1), 0.0, 0.1, seed),
+                 lambda: L.simulate_ensemble(m, (0, 1), 0.0, 3, 0.1, seed, [1.0])):
         with pytest.raises(InputError, match="seed"):
             draw()
 
 
 @pytest.mark.parametrize("window", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)])
 def test_nonfinite_windows_are_rejected_at_the_draw(window):
-    with pytest.raises(InputError, match="window"):
-        L.sample_jumps(_jump_spec(), window, 1)
+    # by the draw, and by both drivers before they build a grid on the window
+    m = L.presets.example61_model()
+    for draw in (lambda: jump_table(_jump_spec(), window, 1),
+                 lambda: L.integrate(m, window, 0.0, 0.1, 1),
+                 lambda: L.simulate_ensemble(m, window, 0.0, 3, 0.1, 1, [])):
+        with pytest.raises(InputError, match="window"):
+            draw()
+    with pytest.raises(InputError, match="grid"):
+        wiener_block(WIENER1, window, 1)
 
 
 # -- mark samplers ----------------------------------------------------------
@@ -396,18 +402,6 @@ def test_invalid_specs_rejected():
                           large_sampler=L.uniform_shell_marks(0.5, 1.5))  # below 1
     with pytest.raises(InputError):
         L.WienerSpec(mode_variances=(-1.0,))
-
-
-def test_noise_csv_dump(tmp_path):
-    spec = _jump_spec()
-    noise = L.sample_noise(WIENER1, spec, (0.0, 20.0), seed=2)
-    out = tmp_path / "noise.csv"
-    noise.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "time,kind,mark"
-    assert len(lines) == 1 + noise.small_times.size + noise.large_times.size
-    times = [float(l.split(",")[0]) for l in lines[1:]]
-    assert times == sorted(times)
 
 
 def test_mark_moments_match_sampler_moments():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import levylab as L
-from levylab.errors import ThresholdError
+from levylab.errors import InputError, ThresholdError
 
 
 def test_horizon_zero_when_already_converged():
@@ -25,6 +25,32 @@ def test_horizon_logarithm_law():
 def test_horizon_requires_positive_rate():
     with pytest.raises(ThresholdError):
         L.pullback_horizon(1.0, -0.5, 1.0, 1e-2)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-2])
+def test_tolerance_must_be_positive_and_finite(tol):
+    # max(0, log(nan)) is 0: a NaN tolerance would run with no burn-in
+    m = L.presets.example61_model()
+    with pytest.raises(InputError, match="tol"):
+        L.pullback_horizon(1.0, 1.0, 1.0, tol)
+    with pytest.raises(InputError, match="tol"):
+        L.pullback_plan(m, tol)
+    with pytest.raises(InputError, match="tol"):
+        L.bounded_solution(m, (0.0, 1.0), tol=tol, seed=0)
+
+
+@pytest.mark.parametrize("start", [np.nan, np.inf])
+def test_start_state_must_be_finite(start):
+    m = L.presets.example61_model()
+    with pytest.raises(InputError, match="start"):
+        L.pullback_horizon(1.0, 1.0, start, 1e-2)
+    with pytest.raises(InputError, match="start_state"):
+        L.pullback_plan(m, 0.02, start_state=[start])
+    for run in (lambda: L.bounded_solution(m, (0.0, 1.0), 0.02, 0, start_state=[start]),
+                lambda: L.bounded_ensemble(m, (0.0, 1.0), 0.02, 4, 0, [1.0],
+                                           start_state=[start], t_pull=1.0)):
+        with pytest.raises(InputError, match="start_state"):
+            run()
 
 
 def _convolution_oracle(lam, t):
