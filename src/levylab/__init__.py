@@ -27,7 +27,7 @@ from .model import (Coefficient, CoefficientSet, Condition, ConditionReport,
                     lip_threshold_stability, lip_threshold_uniform, ones_map,
                     sine_map, stability_margin, theorem_constants,
                     theta_limit_from_above, theta_two)
-from .integrator import (SamplePath, build_heat_model, heat_lipschitz, integrate)
+from .integrator import SamplePath, integrate
 from .ensemble import EnsembleResult, GapCurve, coupled_gap, simulate_ensemble
 from .pullback import (PullbackPlan, bounded_ensemble, bounded_solution,
                        pullback_horizon, pullback_plan)
@@ -38,5 +38,6 @@ from .recurrence import (DistributionalReport, EmpiricalLaw, RecurrenceReport,
 from .stability import (UltimateBoundReport, fit_decay_rate, fit_rate_stderr,
                         gap_experiment, ultimate_bound_check)
 from . import presets
+from .presets import build_heat_model, heat_lipschitz
 
 __version__ = "0.1.0"

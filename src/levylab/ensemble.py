@@ -9,11 +9,12 @@ one), and two ensembles launched with the same master seed are driven by
 the *same* noise realization path-for-path (the coupling used by every
 gap experiment).
 
-Paths run in chunks of ``CHUNK``.  A chunk's noise is drawn once and in
-bulk (:func:`levylab.noise.wiener_block`, :func:`levylab.noise.jump_table`):
-its Wiener increments fill one (n_steps, chunk, dim) block in place, and
-the jump events of all its paths form one table.  :func:`coupled_gap`
-steps both of its models on that one draw.
+Paths run in chunks of ``CHUNK``.  A chunk's noise is drawn once: the
+jump events of all its paths form one table (:func:`levylab.noise.jump_table`),
+and its Wiener increments come in slabs of about
+:data:`levylab.noise.SLAB_BYTES` (:func:`levylab.noise.wiener_slabs`), so
+its memory does not grow with the window.  Every model of a run (both of
+:func:`coupled_gap`) steps through a slab before the next one is drawn.
 
 Each step is the kernel of :func:`levylab.integrator.step_kernel` on the
 (n_paths, dim) batch, with its tables built once per ensemble, and each
@@ -36,9 +37,9 @@ from .errors import InputError
 from .integrator import (check_finite, initial_states, jump_kernel, refined_grid,
                          step_kernel)
 from .model import SdeModel
-from .noise import jump_table, wiener_block
+from .noise import jump_table, wiener_slabs
 
-CHUNK = 1024   # paths per chunk; bounds the (n_steps, CHUNK, dim) Wiener block
+CHUNK = 1024   # paths per chunk; the slab size of noise.SLAB_BYTES bounds its Wiener memory
 
 
 @dataclass
@@ -64,36 +65,37 @@ def mean_and_se(samples: np.ndarray):
 
 
 def _draw_chunk(model: SdeModel, grid, window, seed, paths):
-    """The noise of the paths ``paths`` of one chunk, drawn in bulk: its jump
-    table first, so that the table's temporaries are freed before the Wiener
-    block (n_steps, chunk, dim) takes the heap hole of the previous block
-    (drawn after it, they split that hole and the block lands in new memory)."""
-    events = jump_table(model.jumps, window, seed, paths)
-    return wiener_block(model.wiener, grid, seed, paths), events
+    """The jump table and the Wiener slabs of the paths ``paths`` of one chunk."""
+    return jump_table(model.jumps, window, seed, paths), wiener_slabs(model.wiener, grid,
+                                                                       seed, paths)
 
 
-def _run_chunk(model: SdeModel, step, grid, obs_idx, y0_chunk, noise):
-    dw, events = noise
-    y = y0_chunk.copy()
-    out = np.empty((len(obs_idx), y.shape[0], y.shape[1]))
+def _run_chunk(model: SdeModel, step, grid, obs_idx, y, events, out):
+    """Return ``advance(lo, dw)``, which steps the (chunk, dim) states ``y``
+    of ``model`` through the Wiener slab ``dw`` from step ``lo`` and writes
+    them into ``out`` at the observation steps."""
+    read_slab, add_jumps = jump_kernel(model, grid, events)
     out[obs_idx == 0] = y
     obs_lookup = {int(g): k for k, g in enumerate(obs_idx)}
-    add_jumps = jump_kernel(model, grid, events, dw)
 
-    for i in range(grid.size - 1):
-        y = add_jumps(i, y, *step(i, y, dw[i]))
-        check_finite(y, grid[i + 1])
-        k = obs_lookup.get(i + 1)
-        if k is not None:
-            out[k] = y
-    return out
+    def advance(lo, dw):
+        nonlocal y
+        read_slab(lo, dw)
+        for i in range(lo, lo + dw.shape[1]):
+            y = add_jumps(i, y, *step(i, y, dw[:, i - lo]))
+            check_finite(y, grid[i + 1])
+            k = obs_lookup.get(i + 1)
+            if k is not None:
+                out[k] = y
+
+    return advance
 
 
 def _run_ensembles(models, window, y0s, n_paths: int, max_step: float, seed: int,
                    obs_times):
     """Observation times (snapped into the shared grid) and the states of
-    each of ``models``, all driven by one noise: each chunk's noise is
-    drawn once, from the noise law of ``models[0]``."""
+    each of ``models``, all driven by one noise, that of ``models[0]``: each
+    chunk's noise is drawn once, each of its slabs stepped by every model."""
     t0, t1 = float(window[0]), float(window[1])
     obs = np.unique(np.asarray(obs_times, dtype=float))
     if obs.size and (obs.min() < t0 - 1e-9 or obs.max() > t1 + 1e-9):
@@ -102,13 +104,16 @@ def _run_ensembles(models, window, y0s, n_paths: int, max_step: float, seed: int
     obs_idx = np.searchsorted(grid, obs)
     y0s = [initial_states(y0, n_paths, m.dim) for m, y0 in zip(models, y0s)]
     steps = [step_kernel(m, grid) for m in models]
-    parts = [[] for _ in models]
+    outs = [np.empty((obs.size, n_paths, m.dim)) for m in models]
     for lo in range(0, n_paths, CHUNK):
-        noise = _draw_chunk(models[0], grid, (t0, t1), seed,
-                            range(lo, min(lo + CHUNK, n_paths)))
-        for part, m, step, y0 in zip(parts, models, steps, y0s):
-            part.append(_run_chunk(m, step, grid, obs_idx, y0[lo:lo + CHUNK], noise))
-    return grid[obs_idx], [np.concatenate(part, axis=1) for part in parts]
+        chunk = slice(lo, min(lo + CHUNK, n_paths))
+        events, slabs = _draw_chunk(models[0], grid, (t0, t1), seed, range(n_paths)[chunk])
+        runs = [_run_chunk(m, step, grid, obs_idx, y0[chunk].copy(), events, out[:, chunk])
+                for m, step, y0, out in zip(models, steps, y0s, outs)]
+        for slab in slabs:
+            for advance in runs:
+                advance(*slab)
+    return grid[obs_idx], outs
 
 
 def simulate_ensemble(model: SdeModel, window, y0, n_paths: int, max_step: float,

@@ -29,18 +29,14 @@ is the stepped left limit of :func:`integrate`, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, NumericalBlowupError
-from .galerkin import GalerkinSpec
-from .model import (CoefficientSet, SdeModel, SemigroupSpec, StateMap, StateMaps,
-                    coefficient, jump_coefficient, linear_map, sine_map,
-                    cosine_map)
+from .model import SdeModel, StateMaps
 from .noise import (JUMP_LARGE, JUMP_SMALL,   # jump flags of a SamplePath node; 0 is none
-                    JumpMeasureSpec, WienerSpec, jump_table, wiener_block)
-from .profiles import harmonic_profile, reciprocal_profile, trig_reciprocal_profile
+                    jump_table, wiener_slabs)
 
 CSV_BLOCK = 1024   # rows that SamplePath.to_csv formats and writes at a time
 
@@ -71,18 +67,22 @@ def step_kernel(model: SdeModel, grid: np.ndarray):
     return step
 
 
-def jump_kernel(model: SdeModel, grid, events, dw):
+def jump_kernel(model: SdeModel, grid, events):
     """Tabulate the jump table ``events`` (see :func:`levylab.noise.jump_table`)
-    of the paths with the Wiener increments ``dw`` (n_steps, n_paths, dim)
-    once and return ``add_jumps(i, y, y_new, drift, gdiag)``: ``y_new``, the
-    end states of step ``i`` from the (n_paths, dim) states ``y``, plus the
-    jumps inside the step, in place.  A later jump of a path in the step
-    flows on from its previous post-jump state over ``s_k - s_(k-1)``.
+    of the paths once and return ``read_slab(lo, dw)`` and ``add_jumps(i, y,
+    y_new, drift, gdiag)``.  ``read_slab`` takes the Wiener terms of the
+    events in the steps of a slab ``dw`` (n_paths, rows, dim) from step
+    ``lo`` (see :func:`levylab.noise.wiener_slabs`); ``add_jumps`` adds to
+    ``y_new``, the end states of step ``i`` of that slab from the (n_paths,
+    dim) states ``y``, the jumps inside the step, in place.  A later jump of
+    a path in the step flows on from its previous post-jump state over
+    ``s_k - s_(k-1)``.
 
     Per event, in (step, path, time) order: its profile row, that ``lead``
-    with ``exp(-Lam lead)``, ``phi1(lead)``, the Wiener increment ``lead /
-    (v-u) dW`` and ``exp(-Lam (v-s))``; then the events are regrouped into
-    (step, round, kind) slices, round r holding each path's (r+1)-th jump."""
+    with ``exp(-Lam lead)``, ``phi1(lead)``, ``lead / (v-u)`` and ``exp(-Lam
+    (v-s))``; then the events are regrouped into (step, round, kind) slices,
+    round r holding each path's (r+1)-th jump, so the events of a slab are
+    one range, whose Wiener terms ``lead / (v-u) dW`` one expression fills."""
     times, paths, kinds, marks = events
     interval = np.clip(np.searchsorted(grid, times, side="left") - 1, 0, grid.size - 2)
     order = np.lexsort((times, paths, interval))
@@ -93,7 +93,7 @@ def jump_kernel(model: SdeModel, grid, events, dw):
     first[1:] = (paths[1:] != paths[:-1]) | (interval[1:] != interval[:-1])
     rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
     lead = times - np.where(first, grid[interval], np.roll(times, 1))
-    wiener = (lead / (grid[interval + 1] - grid[interval]))[:, None] * dw[interval, paths]
+    frac = lead / (grid[interval + 1] - grid[interval])
     lam, c = model.semigroup.rates, model.coefficients
     neg_ldt = -np.outer(lead, lam)   # the expressions of step_kernel
     dec_in, phi1 = np.exp(neg_ldt), -np.expm1(neg_ldt) / lam
@@ -102,8 +102,8 @@ def jump_kernel(model: SdeModel, grid, events, dw):
     # ``post`` at the slot ``back`` of each path's previous event
     regroup = np.lexsort((paths, kinds, rank, interval))
     back = np.argsort(regroup)[regroup - 1]
-    paths, kinds, marks, interval, rank, wiener, dec_in, phi1, dec_out = (
-        a[regroup] for a in (paths, kinds, marks, interval, rank, wiener, dec_in, phi1,
+    paths, kinds, marks, interval, rank, frac, dec_in, phi1, dec_out = (
+        a[regroup] for a in (paths, kinds, marks, interval, rank, frac, dec_in, phi1,
                              dec_out))
     kernels = {kind: coef.event_kernel(   # rows and scalar marks broadcast over coordinates
         coef.profile_table(times)[regroup][:, None],
@@ -115,7 +115,11 @@ def jump_kernel(model: SdeModel, grid, events, dw):
             starts, np.append(starts[1:], times.size), interval[starts], kinds[starts],
             rank[starts]))):
         schedule.setdefault(i, []).append((slice(a, b), kernels[kind], r > 0))
-    post = np.empty((times.size, model.dim))
+    post, wiener = np.empty((times.size, model.dim)), np.empty((times.size, model.wiener.dim))
+
+    def read_slab(lo, dw):
+        a, b = np.searchsorted(interval, (lo, lo + dw.shape[1])).tolist()
+        wiener[a:b] = frac[a:b, None] * dw[paths[a:b], interval[a:b] - lo]
 
     def add_jumps(i, y, y_new, drift, gdiag):
         for sl, jump, later in schedule.get(i, ()):
@@ -127,7 +131,7 @@ def jump_kernel(model: SdeModel, grid, events, dw):
             post[sl] = pre + raw
         return y_new
 
-    return add_jumps
+    return read_slab, add_jumps
 
 
 @dataclass
@@ -199,16 +203,15 @@ def integrate(model: SdeModel, window, y0, max_step: float, seed) -> SamplePath:
     """Simulate one cadlag mild-solution path of the model on ``window``.
 
     The noise is the one path ``seed`` of :mod:`levylab.noise`: its jump
-    table on the window, then its Wiener increments on the grid refined by
-    the jump times, so identical arguments reproduce the path bit for bit.
+    table on the window, then its Wiener slabs on the grid refined by the
+    jump times, so identical arguments reproduce the path bit for bit.
     ``y0`` is a scalar or a state vector.  A non-finite state raises
     :class:`NumericalBlowupError` naming its component.
     """
     y = initial_states(y0, 1, model.dim)[0]
     events = jump_table(model.jumps, window, seed)
     grid = refined_grid(float(window[0]), float(window[1]), max_step, events[0])
-    dW = wiener_block(model.wiener, grid, seed)
-    step, add_jumps = step_kernel(model, grid), jump_kernel(model, grid, events, dW)
+    step, (read_slab, add_jumps) = step_kernel(model, grid), jump_kernel(model, grid, events)
 
     n = grid.size
     values = np.empty((n, model.dim))
@@ -217,97 +220,16 @@ def integrate(model: SdeModel, window, y0, max_step: float, seed) -> SamplePath:
     flags[np.searchsorted(grid, events[0])] = events[2]
     values[0] = left[0] = y
 
-    for i, jumped in enumerate(flags[1:].tolist()):
-        y_new, drift, gdiag = step(i, y, dW[i, 0])
-        left[i + 1] = y_new
-        check_finite(y_new, grid[i + 1])
-        if jumped:   # the jump acts on the left limit: lead v - u, decay out 1
-            add_jumps(i, y[None], y_new[None], drift[None], gdiag[None])
+    jumped = flags[1:].tolist()
+    for lo, dw in wiener_slabs(model.wiener, grid, seed):
+        read_slab(lo, dw)
+        for i in range(lo, lo + dw.shape[1]):
+            y_new, drift, gdiag = step(i, y, dw[0, i - lo])
+            left[i + 1] = y_new
             check_finite(y_new, grid[i + 1])
-        values[i + 1] = y = y_new
+            if jumped[i]:   # the jump acts on the left limit: lead v - u, decay out 1
+                add_jumps(i, y[None], y_new[None], drift[None], gdiag[None])
+                check_finite(y_new, grid[i + 1])
+            values[i + 1] = y = y_new
 
     return SamplePath(times=grid, values=values, left_limits=left, jump_flags=flags)
-
-
-# ---------------------------------------------------------------------------
-# spectral heat model
-# ---------------------------------------------------------------------------
-
-def heat_lipschitz(q_op_norm: float, small_rate: float, large_rate: float,
-                   p: float) -> float:
-    """Lipschitz constant of the spectral heat model:
-    max(2/5, ||Q^(1/2)||, (1/3) small_rate^(1/p), (1/3) large_rate^(1/p))."""
-    return max(0.4, q_op_norm,
-               (small_rate ** (1.0 / p)) / 3.0,
-               (large_rate ** (1.0 / p)) / 3.0)
-
-
-def build_heat_model(galerkin: GalerkinSpec, q_decay: float = 2.0,
-                     jump_spec: JumpMeasureSpec | None = None, *,
-                     q_base: float = 0.09, drift_scale: float = 0.2,
-                     diffusion_map: StateMap | None = None,
-                     moment_p: float = 2.5) -> SdeModel:
-    """Spectral truncation of the forced stochastic heat equation.
-
-    Semigroup rates are the Dirichlet Laplacian spectrum ``(n pi)^2``
-    (so K = 1, omega = pi^2).  The drift is the pointwise nonlinearity
-    ``drift_scale (cos t + sin(sqrt(2) t)) sin(u)``; the diffusion is the
-    diagonal multiplicative field with profile
-    ``sin(1/(2 + cos t + cos(sqrt 2) t))``; both jump coefficients are
-    ``cos(u) / (3 (sin(sqrt 2) t + 2))`` times a finite-rank mark, applied
-    pointwise at the collocation nodes.  Mode variances decay as
-    ``q_base * n^(-q_decay)``.
-    """
-    if jump_spec is None:
-        jump_spec = JumpMeasureSpec(moment_p=moment_p)
-    n = galerkin.n_modes
-    mode_vars = tuple(q_base * k ** (-q_decay) for k in range(1, n + 1))
-    semigroup = SemigroupSpec(eigenvalues=galerkin.eigenvalues, K=1.0, omega=np.pi**2)
-
-    # cos t + sin(sqrt 2 t) written as phased sines
-    drift_profile = harmonic_profile(
-        amps=(drift_scale, drift_scale), freqs=(1.0, np.sqrt(2.0)),
-        phases=(np.pi / 2.0, 0.0), recurrence_class="quasi_periodic")
-    drift = coefficient((drift_profile, sine_map(1.0)), pointwise=True)
-
-    diff_profile = trig_reciprocal_profile(
-        outer="sin", amp=1.0, offset=2.0,
-        inner_amps=(1.0, 1.0), inner_freqs=(1.0, np.sqrt(2.0)),
-        inner_phases=(np.pi / 2.0, np.pi / 2.0), recurrence_class="levitan")
-    diffusion = coefficient(
-        (diff_profile, diffusion_map if diffusion_map is not None else linear_map(1.0)))
-
-    jump_profile = reciprocal_profile(
-        amp=1.0 / 3.0, offset=2.0, inner_amps=(1.0,), inner_freqs=(np.sqrt(2.0),),
-        recurrence_class="periodic")
-    jump = jump_coefficient((jump_profile, cosine_map(1.0)),
-                            mark_mode="pointwise_product", pointwise=True)
-
-    lip = heat_lipschitz(float(np.sqrt(max(mode_vars))) if mode_vars else 0.0,
-                         jump_spec.small_rate, jump_spec.large_rate, moment_p)
-    coeffs = CoefficientSet(drift=drift, diffusion=diffusion,
-                            small_jump=jump, large_jump=jump,
-                            A0=0.0, lipschitz_L=lip, moment_p=moment_p)
-    model = SdeModel(semigroup=semigroup, coefficients=coeffs,
-                     wiener=WienerSpec(mode_variances=mode_vars),
-                     jumps=jump_spec, galerkin=galerkin)
-    a0 = _heat_zero_bound(model, jump_profile.sup_bound())
-    return replace(model, coefficients=replace(coeffs, A0=a0))
-
-
-def _heat_zero_bound(model: SdeModel, prof_sup: float) -> float:
-    """Growth constant: the jump coefficient does not vanish at zero.
-
-    Reads the model's own jump intensities, with the same conservative
-    mark factors as the hypothesis checker (node sup norms for the
-    p-powers), so the growth check passes with nonnegative slack by
-    construction.
-    """
-    gal, p = model.galerkin, model.coefficients.moment_p
-    ones_proj = float(np.linalg.norm(gal.to_modes(np.ones(gal.collocation_points))))
-    vals = [0.0]
-    for which in ("small", "large"):
-        rate = getattr(model.jumps, f"{which}_rate")
-        vals.append(prof_sup * math.sqrt(rate * model.jumps.mark_moment(which, 2)))
-        vals.append(prof_sup * ones_proj * model.jump_intensity(which, p) ** (1 / p))
-    return max(vals)

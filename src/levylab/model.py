@@ -426,8 +426,11 @@ class SdeModel:
         c = self.coefficients
         # the correctly rounded sqrt at k = 2, where pow(x, 0.5) may differ by an ulp
         root = math.sqrt if k == 2 else (lambda x: x ** (1.0 / k))
+        drift = c.drift.lip_bound()
+        if self.wiener.drift_a is not None:   # the step's drift is f + g a
+            drift += c.diffusion.lip_bound() * float(np.max(np.abs(self.wiener.drift)))
         return {
-            "drift": c.drift.lip_bound(),
+            "drift": drift,
             "diffusion": c.diffusion.lip_bound() * self.wiener.operator_norm_qhalf,
             "small_jump": c.small_jump.lip_bound() * root(self.jump_intensity("small", k)),
             "large_jump": c.large_jump.lip_bound() * root(self.jump_intensity("large", k)),
@@ -435,9 +438,10 @@ class SdeModel:
 
     def zero_bounds(self, t_grid) -> tuple[dict[str, float], dict[str, float]]:
         """Maxima over the time grid of the at-zero norms entering the growth
-        condition (drift norm, weighted diffusion norm, jump intensity
-        integrals at zero), and of the jump state-part norms at every
-        ``len(t_grid) // 41``-th time, which enter its p-th moment form.
+        condition (norm of the drift ``f + g a`` with the Wiener drift vector
+        ``a``, weighted diffusion norm, jump intensity integrals at zero), and
+        of the jump state-part norms at every ``len(t_grid) // 41``-th time,
+        which enter its p-th moment form.
 
         Each coefficient is tabulated on the grid and its state maps are
         evaluated at zero once; every row runs :meth:`Coefficient.evaluate`,
@@ -445,14 +449,19 @@ class SdeModel:
         """
         t_grid, gal, zero = np.atleast_1d(t_grid), self.galerkin, np.zeros(self.dim)
 
-        def norms(coef, times, scale=1.0):
+        def at_zero(coef, times):
             maps = StateMaps((coef,), gal, marked=False)
             cols, vals = tuple(coef.profile_table(times).T), maps(zero)
-            return [float(np.linalg.norm(scale * coef.evaluate(cols, i, vals, maps.slots[0], gal)))
-                    for i in range(times.size)]
+            return [coef.evaluate(cols, i, vals, maps.slots[0], gal) for i in range(times.size)]
 
-        c, states = self.coefficients, {}
-        bounds = {"drift": max([0.0, *norms(c.drift, t_grid)]),
+        def norms(coef, times, scale=1.0):
+            return [float(np.linalg.norm(scale * v)) for v in at_zero(coef, times)]
+
+        c, states, a = self.coefficients, {}, self.wiener.drift
+        drift = (norms(c.drift, t_grid) if self.wiener.drift_a is None else
+                 [float(np.linalg.norm(f + g * a))
+                  for f, g in zip(at_zero(c.drift, t_grid), at_zero(c.diffusion, t_grid))])
+        bounds = {"drift": max([0.0, *drift]),
                   "diffusion": max([0.0, *norms(c.diffusion, t_grid, np.sqrt(self.wiener.q))])}
         for which in ("small", "large"):
             coef, rate, sampler = self._jump(which)

@@ -14,16 +14,17 @@ and second moments entering the hypothesis checks are exact.
 
 Everything is reproducible: one seed's draw is its jump table
 (:func:`jump_table`) on a window and its Wiener increments
-(:func:`wiener_block`) on a grid, a pure function of ``(specs, window or
+(:func:`wiener_slabs`) on a grid, a pure function of ``(specs, window or
 grid, seed)``.  The single-path integrator draws the one path ``seed``,
 and path p of an ensemble draws from numpy's streams
 ``SeedSequence(master, spawn_key=(p, *key))``, one per Wiener part and
 per side of 0, kind and purpose of its jumps.  A chunk of paths derives
 the seeds of all its streams at once, with numpy's own hash, and sorts
-and merges its jumps once.  Negative times are covered by the mirror
-construction ``L(t) = -L2(-t)`` for ``t <= 0``: jumps in the negative
-part of a window come from streams of their own, reflected, with mark
-sign flipped.
+and merges its jumps once; its Wiener increments come in slabs of a
+fixed size, which do not grow with the grid.  Negative times are covered
+by the mirror construction ``L(t) = -L2(-t)`` for ``t <= 0``: jumps in
+the negative part of a window come from streams of their own, reflected,
+with mark sign flipped.
 """
 
 from __future__ import annotations
@@ -253,6 +254,7 @@ class JumpMeasureSpec:
 
 
 JUMP_SMALL, JUMP_LARGE = 1, 2   # the kinds of a jump table's events
+SLAB_BYTES = 2 << 20   # bytes of Wiener increments that one slab of wiener_slabs holds
 
 
 def _chain(init: int, mult: int, k: int, n: int) -> np.ndarray:
@@ -302,23 +304,32 @@ def _generator(words) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
-def wiener_block(spec: WienerSpec, grid, seed, paths=None) -> np.ndarray:
+def wiener_slabs(spec: WienerSpec, grid, seed, paths=None):
     """Mode-wise Gaussian increments over the intervals of ``grid`` of the paths
     ``paths`` of ``seed`` (``None``: the one path ``seed``), each from its own
-    stream, as one (n_steps, n_paths, dim) block.  Increment n over an interval
-    of length dt is N(0, q_n dt), independent across intervals, modes and
-    paths; the law is the same on both sides of t = 0, so one stream serves
-    any window."""
+    stream, as an iterator of slabs ``(lo, dw)`` of about :data:`SLAB_BYTES`:
+    the steps from ``lo`` as a (n_paths, rows, dim) view of one buffer, which
+    the next slab overwrites.  Each path's generator runs on across slabs, so
+    they are one bulk draw bit for bit.  Increment n over an interval of
+    length dt is N(0, q_n dt), independent across intervals, modes and paths;
+    the law is the same on both sides of t = 0, so one stream serves any
+    window."""
     grid = np.asarray(grid, dtype=float)
     dt = np.diff(grid)
     if not (np.logical_and.reduce(np.isfinite(grid)) and np.all(dt >= 0)):
         raise InputError("time grid must be finite and nondecreasing")
-    words = _stream_words(seed, paths, [(0,)])
-    dw = np.empty((dt.size, len(words), spec.dim))
-    for j, w in enumerate(words):
-        dw[:, j] = _generator(w).standard_normal((dt.size, spec.dim))
-    dw *= np.sqrt(np.outer(dt, spec.q))[:, None]
-    return dw
+    rngs = [_generator(w) for w in _stream_words(seed, paths, [(0,)])]
+    rows = max(1, SLAB_BYTES // max(1, 8 * len(rngs) * spec.dim))
+    buf = np.empty((len(rngs), min(rows, dt.size), spec.dim))
+
+    def slab(lo):
+        dw = buf[:, :min(rows, dt.size - lo)]
+        for rng, out in zip(rngs, dw):
+            rng.standard_normal(out=out)
+        dw *= np.sqrt(np.outer(dt[lo:lo + dw.shape[1]], spec.q))
+        return lo, dw
+
+    return map(slab, range(0, dt.size, rows))
 
 
 def jump_table(spec: JumpMeasureSpec, window, seed, paths=None):

@@ -10,7 +10,7 @@ zero path; the optional ``forcing`` adds a quasi-periodic additive drift
 experiments non-degenerate.
 
 ``example62_model`` is the spectral heat model built by
-:func:`levylab.integrator.build_heat_model` with finite-rank jump marks.
+:func:`build_heat_model` with finite-rank jump marks.
 
 The remaining builders are small benches used by oracle tests and the
 distributional experiments.
@@ -18,16 +18,18 @@ distributional experiments.
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
 from .galerkin import GalerkinSpec
-from .integrator import build_heat_model
-from .model import (CoefficientSet, SdeModel, SemigroupSpec, coefficient,
-                    jump_coefficient, linear_map, ones_map)
+from .model import (CoefficientSet, SdeModel, SemigroupSpec, StateMap, coefficient,
+                    cosine_map, jump_coefficient, linear_map, ones_map, sine_map)
 from .noise import (JumpMeasureSpec, WienerSpec, finite_rank_marks,
                     uniform_shell_marks)
 from .profiles import (constant_profile, harmonic_profile, periodic_profile,
-                       trig_reciprocal_profile)
+                       reciprocal_profile, trig_reciprocal_profile)
 
 
 def example61_profiles() -> dict:
@@ -85,6 +87,86 @@ def example61_model(b: float = 1.0, small_rate: float = 1.0, A0: float = 1.0,
     return SdeModel(semigroup=SemigroupSpec(eigenvalues=(4.0,), K=1.0, omega=4.0),
                     coefficients=coeffs, wiener=WienerSpec(mode_variances=(1.0,)),
                     jumps=jumps)
+
+
+def heat_lipschitz(q_op_norm: float, small_rate: float, large_rate: float,
+                   p: float) -> float:
+    """Lipschitz constant of the spectral heat model:
+    max(2/5, ||Q^(1/2)||, (1/3) small_rate^(1/p), (1/3) large_rate^(1/p))."""
+    return max(0.4, q_op_norm,
+               (small_rate ** (1.0 / p)) / 3.0,
+               (large_rate ** (1.0 / p)) / 3.0)
+
+
+def build_heat_model(galerkin: GalerkinSpec, q_decay: float = 2.0,
+                     jump_spec: JumpMeasureSpec | None = None, *,
+                     q_base: float = 0.09, drift_scale: float = 0.2,
+                     diffusion_map: StateMap | None = None,
+                     moment_p: float = 2.5) -> SdeModel:
+    """Spectral truncation of the forced stochastic heat equation.
+
+    Semigroup rates are the Dirichlet Laplacian spectrum ``(n pi)^2``
+    (so K = 1, omega = pi^2).  The drift is the pointwise nonlinearity
+    ``drift_scale (cos t + sin(sqrt(2) t)) sin(u)``; the diffusion is the
+    diagonal multiplicative field with profile
+    ``sin(1/(2 + cos t + cos(sqrt 2) t))``; both jump coefficients are
+    ``cos(u) / (3 (sin(sqrt 2) t + 2))`` times a finite-rank mark, applied
+    pointwise at the collocation nodes.  Mode variances decay as
+    ``q_base * n^(-q_decay)``.
+    """
+    if jump_spec is None:
+        jump_spec = JumpMeasureSpec(moment_p=moment_p)
+    n = galerkin.n_modes
+    mode_vars = tuple(q_base * k ** (-q_decay) for k in range(1, n + 1))
+    semigroup = SemigroupSpec(eigenvalues=galerkin.eigenvalues, K=1.0, omega=np.pi**2)
+
+    # cos t + sin(sqrt 2 t) written as phased sines
+    drift_profile = harmonic_profile(
+        amps=(drift_scale, drift_scale), freqs=(1.0, np.sqrt(2.0)),
+        phases=(np.pi / 2.0, 0.0), recurrence_class="quasi_periodic")
+    drift = coefficient((drift_profile, sine_map(1.0)), pointwise=True)
+
+    diff_profile = trig_reciprocal_profile(
+        outer="sin", amp=1.0, offset=2.0,
+        inner_amps=(1.0, 1.0), inner_freqs=(1.0, np.sqrt(2.0)),
+        inner_phases=(np.pi / 2.0, np.pi / 2.0), recurrence_class="levitan")
+    diffusion = coefficient(
+        (diff_profile, diffusion_map if diffusion_map is not None else linear_map(1.0)))
+
+    jump_profile = reciprocal_profile(
+        amp=1.0 / 3.0, offset=2.0, inner_amps=(1.0,), inner_freqs=(np.sqrt(2.0),),
+        recurrence_class="periodic")
+    jump = jump_coefficient((jump_profile, cosine_map(1.0)),
+                            mark_mode="pointwise_product", pointwise=True)
+
+    lip = heat_lipschitz(float(np.sqrt(max(mode_vars))) if mode_vars else 0.0,
+                         jump_spec.small_rate, jump_spec.large_rate, moment_p)
+    coeffs = CoefficientSet(drift=drift, diffusion=diffusion,
+                            small_jump=jump, large_jump=jump,
+                            A0=0.0, lipschitz_L=lip, moment_p=moment_p)
+    model = SdeModel(semigroup=semigroup, coefficients=coeffs,
+                     wiener=WienerSpec(mode_variances=mode_vars),
+                     jumps=jump_spec, galerkin=galerkin)
+    a0 = _heat_zero_bound(model, jump_profile.sup_bound())
+    return replace(model, coefficients=replace(coeffs, A0=a0))
+
+
+def _heat_zero_bound(model: SdeModel, prof_sup: float) -> float:
+    """Growth constant: the jump coefficient does not vanish at zero.
+
+    Reads the model's own jump intensities, with the same conservative
+    mark factors as the hypothesis checker (node sup norms for the
+    p-powers), so the growth check passes with nonnegative slack by
+    construction.
+    """
+    gal, p = model.galerkin, model.coefficients.moment_p
+    ones_proj = float(np.linalg.norm(gal.to_modes(np.ones(gal.collocation_points))))
+    vals = [0.0]
+    for which in ("small", "large"):
+        rate = getattr(model.jumps, f"{which}_rate")
+        vals.append(prof_sup * math.sqrt(rate * model.jumps.mark_moment(which, 2)))
+        vals.append(prof_sup * ones_proj * model.jump_intensity(which, p) ** (1 / p))
+    return max(vals)
 
 
 def example62_model(n_modes: int = 8, b: float = 0.5, small_rate: float = 1.0,

@@ -31,6 +31,10 @@ def pullback_horizon(K: float, rate: float, start_bound: float, tol: float) -> f
     """Smallest T with 5 K^2 start_bound exp(-rate T) <= tol^2."""
     if not 0.0 < tol < math.inf:
         raise InputError(f"tol must be positive and finite, got {tol!r}")
+    if not 0.0 < K < math.inf:
+        raise InputError(f"K must be positive and finite, got {K!r}")
+    if not math.isfinite(rate):
+        raise InputError(f"the contraction rate must be finite, got {rate!r}")
     if not math.isfinite(start_bound):
         raise InputError(f"the start bound must be finite (a finite start_state), "
                          f"got {start_bound!r}")
@@ -69,8 +73,11 @@ def pullback_plan(model: SdeModel, tol: float, start_state=None) -> PullbackPlan
 
 def _pullback_start(model: SdeModel, t0: float, tol: float, start_state, t_pull):
     """The start time ``t0 - t_pull``, with the planned horizon unless
-    ``t_pull`` is given, and the start state (the origin by default)."""
+    ``t_pull`` is given (finite and >= 0), and the start state (the origin
+    by default)."""
     plan = pullback_plan(model, tol, start_state)
+    if t_pull is not None and not 0.0 <= t_pull < math.inf:
+        raise InputError(f"t_pull must be finite and >= 0, got {t_pull!r}")
     t_pull = plan.t_pull if t_pull is None else float(t_pull)
     return t0 - t_pull, 0.0 if start_state is None else start_state
 

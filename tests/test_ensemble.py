@@ -1,11 +1,13 @@
 """Ensemble engine: determinism, coupling, the one jump rule it shares
 with the single-path integrator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import levylab as L
-from levylab import ensemble
+from levylab import ensemble, noise
 from levylab.ensemble import simulate_ensemble
 from levylab.noise import jump_table
 
@@ -37,6 +39,52 @@ def test_paths_do_not_depend_on_chunking(model, atol, monkeypatch):
     monkeypatch.setattr(ensemble, "CHUNK", 2)
     split = simulate_ensemble(model, (0.0, 0.5), 0.5, 5, 0.01, 4, obs)
     np.testing.assert_allclose(split.states, big.states[:, :5], rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("name", ["example61", "periodic", "heat8"])
+def test_paths_do_not_depend_on_slab_size(name, monkeypatch):
+    # slabs of 1 and 7 steps (7 does not divide the 150 steps) give the
+    # states of the default slab bit for bit, jumps included; so do slabs of
+    # 6 and 42 steps for the one path of integrate
+    model = {"example61": L.presets.example61_model, "periodic": L.presets.periodic_model,
+             "heat8": lambda: L.presets.example62_model(n_modes=8)}[name]()
+    obs = np.linspace(-0.5, 1.0, 4)
+    run = lambda: (simulate_ensemble(model, (-0.5, 1.0), 0.5, 6, 0.01, 3, obs).states,
+                   L.integrate(model, (-0.5, 1.0), 0.5, 0.01, 3).values)
+    want = run()
+    for rows in (1, 7):
+        monkeypatch.setattr(noise, "SLAB_BYTES", 8 * 6 * model.dim * rows)
+        assert all(np.array_equal(got, w) for got, w in zip(run(), want, strict=True))
+
+
+def test_coupled_gap_does_not_depend_on_slab_size(monkeypatch):
+    # both models step through each slab before the next one is drawn
+    m = L.presets.example61_model(forcing=1.0)
+    run = lambda: L.coupled_gap(m, m.shifted(0.7), 0.5, 1.5, (-1.0, 2.0), 12, 0.05, 7,
+                                np.linspace(0.0, 2.0, 5))
+    want = run()
+    for rows in (1, 7):
+        monkeypatch.setattr(noise, "SLAB_BYTES", 8 * 12 * rows)
+        got = run()
+        assert np.array_equal(got.gap, want.gap) and np.array_equal(got.se, want.se)
+
+
+def test_wiener_memory_does_not_grow_with_the_window(monkeypatch):
+    # an ensemble holds one slab of Wiener increments, not the block of its
+    # whole grid: with 16-step slabs, the traced peak of 64 paths of the
+    # 8-mode heat model stays within SLAB_BYTES plus a fixed 1 MiB as the
+    # window grows from 100 to 400 steps (whose whole block is 1.6 MB)
+    monkeypatch.setattr(noise, "SLAB_BYTES", 16 * 64 * 8 * 8)
+    m = L.presets.example62_model(n_modes=8)
+    simulate_ensemble(m, (0.0, 0.1), 0.0, 64, 0.01, 3, [0.1])   # warm every cache
+    for t1 in (1.0, 4.0):
+        tracemalloc.start()
+        try:
+            simulate_ensemble(m, (0.0, t1), 0.0, 64, 0.01, 3, [t1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < noise.SLAB_BYTES + 2**20, (t1, peak)
 
 
 def test_same_seed_couples_noise_across_runs():

@@ -223,6 +223,28 @@ def test_effective_lipschitz_constants_of_the_scalar_example():
     assert eff["large_jump"] == pytest.approx(0.25)   # (1/4) sqrt(b)
 
 
+def test_checker_sees_the_wiener_drift_vector():
+    # the step's drift is f + g a: its Lipschitz constant gains L_g max|a_n|
+    # (example61: g is linear with L_g = 1/5), and its growth bound is
+    # sup_t |f(t, 0) + g(t, 0) a| (the periodic model: g(t, 0) = 3/10)
+    m = L.presets.example61_model()
+    with_a = replace(m, wiener=L.WienerSpec(m.wiener.mode_variances, drift_a=(50.0,)))
+    eff, eff_a = m.effective_lipschitz(), with_a.effective_lipschitz()
+    assert eff["drift"] == 0.25 and eff_a["drift"] == pytest.approx(0.25 + 0.2 * 50.0)
+    assert {k: v for k, v in eff_a.items() if k != "drift"} == {
+        k: v for k, v in eff.items() if k != "drift"}
+    assert not L.check_conditions(with_a).e2.passed
+    per = L.presets.periodic_model()
+    per_a = replace(per, wiener=L.WienerSpec(per.wiener.mode_variances, drift_a=(2.0,)))
+    t = np.linspace(-40.0, 40.0, 401)
+    c, zero = per.coefficients, np.zeros(1)
+    want = max(abs(c.drift.value(s, zero)[0] + c.diffusion.value(s, zero)[0] * 2.0) for s in t)
+    assert c.diffusion.value(0.0, zero)[0] == pytest.approx(0.3)
+    assert per_a.zero_bounds(t)[0]["drift"] == pytest.approx(want, rel=1e-14)
+    assert per_a.zero_bounds(t)[0]["drift"] > per.zero_bounds(t)[0]["drift"] + 0.5
+    assert L.check_conditions(per_a).e1.slack < L.check_conditions(per).e1.slack - 0.5
+
+
 def test_theorem_constants_bundle():
     tc = L.theorem_constants(L.presets.example61_model())
     d = tc.to_dict()

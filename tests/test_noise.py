@@ -1,5 +1,6 @@
 """Noise synthesis: Wiener increments, jump point sets, compensator."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,9 +9,23 @@ import pytest
 import levylab as L
 from levylab import ensemble, noise
 from levylab.errors import InputError
-from levylab.noise import JUMP_LARGE, JUMP_SMALL, jump_table, wiener_block
+from levylab.noise import JUMP_LARGE, JUMP_SMALL, jump_table, wiener_slabs
 
 WIENER1 = L.WienerSpec(mode_variances=(1.0,))
+SLAB_BYTES = noise.SLAB_BYTES
+
+
+def _concat(slabs):
+    """Wiener slabs (lo, dw), each (n_paths, rows, dim), as one (n_steps,
+    n_paths, dim) block; each slab is copied before the next overwrites it."""
+    slabs = [(lo, dw.copy()) for lo, dw in slabs]
+    assert [lo for lo, _ in slabs] == [sum(dw.shape[1] for _, dw in slabs[:k])
+                                       for k in range(len(slabs))]
+    return np.concatenate([dw for _, dw in slabs], axis=1).transpose(1, 0, 2)
+
+
+def _block(spec, grid, seed, paths=None):
+    return _concat(wiener_slabs(spec, grid, seed, paths))
 
 
 def _jump_spec(small_rate=1.0, large_rate=1.0):
@@ -26,13 +41,13 @@ def _jump_spec(small_rate=1.0, large_rate=1.0):
 
 def test_zero_length_interval_gives_zero_increment():
     grid = np.array([0.0, 0.5, 0.5, 1.0])
-    incr = wiener_block(WIENER1, grid, seed=1)
+    incr = _block(WIENER1, grid, seed=1)
     assert incr[1, 0, 0] == 0.0
 
 
 def test_degenerate_covariance_gives_zero_increments():
     spec = L.WienerSpec(mode_variances=(0.0, 0.0))
-    incr = wiener_block(spec, np.linspace(0, 1, 50), seed=2)
+    incr = _block(spec, np.linspace(0, 1, 50), seed=2)
     assert np.all(incr == 0.0)
 
 
@@ -40,15 +55,15 @@ def test_increment_variance_matches_covariance_eigenvalue():
     # q = 1, dt = 0.5: sample variance of 1e5 draws within 5 SE of 0.5
     n = 100_000
     grid = np.arange(n + 1) * 0.5
-    incr = wiener_block(WIENER1, grid, seed=3)[:, 0, 0]
+    incr = _block(WIENER1, grid, seed=3)[:, 0, 0]
     var = incr.var(ddof=1)
     se = 0.5 * np.sqrt(2.0 / (n - 1))  # SE of a Gaussian sample variance
     assert abs(var - 0.5) < 5 * se
 
 
 def test_nonmonotone_grid_rejected():
-    with pytest.raises(InputError):
-        wiener_block(WIENER1, np.array([0.0, 1.0, 0.5]), seed=0)
+    with pytest.raises(InputError):   # at the call, before any slab is read
+        wiener_slabs(WIENER1, np.array([0.0, 1.0, 0.5]), seed=0)
 
 
 def test_stationarity_of_increments():
@@ -56,8 +71,8 @@ def test_stationarity_of_increments():
     n = 60_000
     g1 = 5.0 + np.arange(n + 1) * 0.2
     g2 = -40.0 + np.arange(n + 1) * 0.2
-    v1 = wiener_block(WIENER1, g1, seed=4)[:, 0, 0]
-    v2 = wiener_block(WIENER1, g2, seed=5)[:, 0, 0]
+    v1 = _block(WIENER1, g1, seed=4)[:, 0, 0]
+    v2 = _block(WIENER1, g2, seed=5)[:, 0, 0]
     se = 0.2 * np.sqrt(2.0 / n)
     assert abs(v1.var() - v2.var()) < 5 * np.sqrt(2) * se
     assert abs(v1.mean() - v2.mean()) < 5 * np.sqrt(2) * np.sqrt(0.2 / n)
@@ -104,7 +119,7 @@ def test_realization_bit_reproducible():
     spec = _jump_spec()
     _assert_same(jump_table(spec, (-5.0, 5.0), seed=123), jump_table(spec, (-5.0, 5.0), seed=123))
     grid = np.linspace(-5, 5, 333)
-    _assert_same([wiener_block(WIENER1, grid, 123)], [wiener_block(WIENER1, grid, 123)])
+    _assert_same([_block(WIENER1, grid, 123)], [_block(WIENER1, grid, 123)])
 
 
 def test_distinct_path_indices_are_uncorrelated():
@@ -113,7 +128,7 @@ def test_distinct_path_indices_are_uncorrelated():
     sums = np.empty((n, 2))
     for p in range(n):
         seed = np.random.SeedSequence(entropy=99, spawn_key=(p,))
-        incr = wiener_block(WIENER1, np.linspace(0, 1, 9), seed)[:, 0]
+        incr = _block(WIENER1, np.linspace(0, 1, 9), seed)[:, 0]
         sums[p, 0] = incr[:4].sum()
         sums[p, 1] = incr[4:].sum()
     corr = np.corrcoef(sums[:-1, 0], sums[1:, 0])[0, 1]
@@ -229,37 +244,57 @@ def _draw_model(name):
             "heat8": lambda: L.presets.example62_model(n_modes=8)}[name]()
 
 
+def _slab_rows(monkeypatch, rows, n_paths, dim):
+    """Draw ``n_paths`` paths of ``dim`` modes in slabs of ``rows`` steps
+    (``None``: the default slab size)."""
+    monkeypatch.setattr(noise, "SLAB_BYTES",
+                        SLAB_BYTES if rows is None else 8 * n_paths * dim * rows)
+
+
 @pytest.mark.parametrize("window", [(0.5, 3.0), (-3.0, -0.25), (-2.0, 1.5), (-1.0, 0.0)],
                          ids=["positive", "negative", "straddling", "up-to-0"])
 @pytest.mark.parametrize("name", ["example61", "zero_small", "periodic", "heat8", "tails",
                                   "exp_tail"])
-def test_bulk_draw_is_the_per_path_draw_bit_for_bit(name, window):
-    # a chunk's Wiener block and jump table, and the one-path draws of
-    # integrate, equal those of the per-path sampler with one SeedSequence
-    # per stream
+def test_bulk_draw_is_the_per_path_draw_bit_for_bit(name, window, monkeypatch):
+    # a chunk's concatenated Wiener slabs and its jump table, and the one-path
+    # draws of integrate, equal those of the per-path sampler with one
+    # SeedSequence per stream, for slabs of 1 and 7 steps (7 does not divide
+    # the 40 steps) and of the default size
     m = _draw_model(name)
     grid = np.linspace(window[0], window[1], 41)
-    for seed in (11, 2**70):
-        _assert_same(ensemble._draw_chunk(m, grid, window, seed, range(3, 16)),
-                     _ref_chunk(m, grid, window, seed, range(3, 16)))
+    for rows, seed in itertools.product((None, 1, 7), (11, 2**70)):
+        _slab_rows(monkeypatch, rows, 13, m.wiener.dim)
+        events, slabs = ensemble._draw_chunk(m, grid, window, seed, range(3, 16))
+        _assert_same((_concat(slabs), events), _ref_chunk(m, grid, window, seed, range(3, 16)))
         for one in (seed, np.random.SeedSequence(seed, spawn_key=(5,))):
             _assert_same(jump_table(m.jumps, window, one),
                          _ref_events([_ref_jumps(m.jumps, window, one)]))
-            _assert_same([wiener_block(m.wiener, grid, one)],
+            _assert_same([_block(m.wiener, grid, one)],
                          [_ref_wiener(m.wiener, grid, one)[:, None]])
 
 
 def test_uneven_chunks_draw_the_per_path_noise(monkeypatch):
     # 12 paths in chunks of 5: each chunk's draw is the per-path draw of its
-    # own paths, keyed by their indices in the ensemble
-    draws, draw = [], ensemble._draw_chunk
+    # own paths, keyed by their indices in the ensemble; the slabs that the
+    # run reads (of the default size, and of 7 steps for 5 paths) concatenate
+    # to the per-path Wiener block
+    draw = ensemble._draw_chunk
     monkeypatch.setattr(ensemble, "CHUNK", 5)
-    monkeypatch.setattr(ensemble, "_draw_chunk",
-                        lambda *a: draws.append((a, draw(*a))) or draws[-1][1])
-    L.simulate_ensemble(L.presets.periodic_model(), (-1.0, 2.0), 0.5, 12, 0.05, 7, [2.0])
-    assert [list(args[-1]) for args, _ in draws] == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10, 11]]
-    for args, got in draws:
-        _assert_same(got, _ref_chunk(*args))
+
+    def tap(*args):
+        events, slabs = draw(*args)
+        draws.append((args, events, []))
+        return events, (draws[-1][2].append((lo, dw.copy())) or (lo, dw) for lo, dw in slabs)
+
+    monkeypatch.setattr(ensemble, "_draw_chunk", tap)
+    for rows in (None, 7):
+        draws = []
+        _slab_rows(monkeypatch, rows, 5, 1)
+        L.simulate_ensemble(L.presets.periodic_model(), (-1.0, 2.0), 0.5, 12, 0.05, 7, [2.0])
+        assert [list(args[-1]) for args, _, _ in draws] == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9],
+                                                            [10, 11]]
+        for args, events, slabs in draws:
+            _assert_same((_concat(slabs), events), _ref_chunk(*args))
 
 
 @pytest.mark.parametrize("seed", [True, 1.5, 2.0, "3", -1, None,
@@ -270,7 +305,7 @@ def test_bad_seeds_are_rejected_at_the_draw(seed):
     spec = _jump_spec()
     m = L.presets.example61_model()
     for draw in (lambda: jump_table(spec, (0.0, 1.0), seed),
-                 lambda: wiener_block(WIENER1, [0.0, 1.0], seed),
+                 lambda: wiener_slabs(WIENER1, [0.0, 1.0], seed),
                  lambda: L.integrate(m, (0, 1), 0.0, 0.1, seed),
                  lambda: L.simulate_ensemble(m, (0, 1), 0.0, 3, 0.1, seed, [1.0])):
         with pytest.raises(InputError, match="seed"):
@@ -287,7 +322,7 @@ def test_nonfinite_windows_are_rejected_at_the_draw(window):
         with pytest.raises(InputError, match="window"):
             draw()
     with pytest.raises(InputError, match="grid"):
-        wiener_block(WIENER1, window, 1)
+        wiener_slabs(WIENER1, window, 1)
 
 
 # -- mark samplers ----------------------------------------------------------

@@ -53,6 +53,27 @@ def test_start_state_must_be_finite(start):
             run()
 
 
+@pytest.mark.parametrize("t_pull", [-1.0, np.nan, np.inf, -np.inf])
+def test_t_pull_must_be_finite_and_nonnegative(t_pull):
+    # t_pull = -1 used to start after the window and return a path on [1, 2]
+    m = L.presets.example61_model()
+    for run in (lambda: L.bounded_solution(m, (0.0, 2.0), 0.02, 0, t_pull=t_pull),
+                lambda: L.bounded_ensemble(m, (0.0, 2.0), 0.02, 4, 0, [1.0], t_pull=t_pull)):
+        with pytest.raises(InputError, match="t_pull"):
+            run()
+
+
+@pytest.mark.parametrize("K, rate, name", [(np.nan, 1.0, "K"), (np.inf, 1.0, "K"),
+                                           (0.0, 1.0, "K"), (1.0, np.nan, "rate"),
+                                           (1.0, np.inf, "rate"), (1.0, -np.inf, "rate")])
+def test_horizon_needs_finite_constants(K, rate, name):
+    # a NaN K, a NaN rate and an infinite rate returned 0.0 (max(0, nan) is 0,
+    # log(.) / inf is 0), an infinite K an infinite horizon, and K = 0 the
+    # bare ValueError of log(0)
+    with pytest.raises(InputError, match=name):
+        L.pullback_horizon(K, rate, 1.0, 1e-2)
+
+
 def _convolution_oracle(lam, t):
     """integral_{-inf}^t exp(-lam (t-s)) sin(s) ds = (lam sin t - cos t)/(lam^2+1).
 
