@@ -71,9 +71,8 @@ def _draw_chunk(model: SdeModel, grid, window, seed, paths):
 
 
 def _run_chunk(model: SdeModel, step, grid, obs_idx, y, events, out):
-    """Return ``advance(lo, dw)``, which steps the (chunk, dim) states ``y``
-    of ``model`` through the Wiener slab ``dw`` from step ``lo`` and writes
-    them into ``out`` at the observation steps."""
+    """``advance(lo, dw)``: steps the (chunk, dim) states ``y`` of ``model`` through
+    the Wiener slab ``dw`` from step ``lo``, writing them to ``out`` at observation steps."""
     read_slab, add_jumps = jump_kernel(model, grid, events)
     out[obs_idx == 0] = y
     obs_lookup = {int(g): k for k, g in enumerate(obs_idx)}
@@ -93,9 +92,10 @@ def _run_chunk(model: SdeModel, step, grid, obs_idx, y, events, out):
 
 def _run_ensembles(models, window, y0s, n_paths: int, max_step: float, seed: int,
                    obs_times):
-    """Observation times (snapped into the shared grid) and the states of
-    each of ``models``, all driven by one noise, that of ``models[0]``: each
-    chunk's noise is drawn once, each of its slabs stepped by every model."""
+    """Observation times (snapped into the shared grid) and the states of each
+    of ``models``, all stepped through each slab of one noise, that of ``models[0]``."""
+    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
+        raise InputError("n_paths must be a positive integer")
     t0, t1 = float(window[0]), float(window[1])
     obs = np.unique(np.asarray(obs_times, dtype=float))
     if obs.size and (obs.min() < t0 - 1e-9 or obs.max() > t1 + 1e-9):

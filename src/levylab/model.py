@@ -426,11 +426,10 @@ class SdeModel:
         c = self.coefficients
         # the correctly rounded sqrt at k = 2, where pow(x, 0.5) may differ by an ulp
         root = math.sqrt if k == 2 else (lambda x: x ** (1.0 / k))
-        drift = c.drift.lip_bound()
-        if self.wiener.drift_a is not None:   # the step's drift is f + g a
-            drift += c.diffusion.lip_bound() * float(np.max(np.abs(self.wiener.drift)))
+        # the step's drift is f + g a, with the Wiener drift vector a
+        a_max = float(np.max(np.abs(self.wiener.drift), initial=0.0))
         return {
-            "drift": drift,
+            "drift": c.drift.lip_bound() + c.diffusion.lip_bound() * a_max,
             "diffusion": c.diffusion.lip_bound() * self.wiener.operator_norm_qhalf,
             "small_jump": c.small_jump.lip_bound() * root(self.jump_intensity("small", k)),
             "large_jump": c.large_jump.lip_bound() * root(self.jump_intensity("large", k)),
@@ -454,15 +453,13 @@ class SdeModel:
             cols, vals = tuple(coef.profile_table(times).T), maps(zero)
             return [coef.evaluate(cols, i, vals, maps.slots[0], gal) for i in range(times.size)]
 
-        def norms(coef, times, scale=1.0):
-            return [float(np.linalg.norm(scale * v)) for v in at_zero(coef, times)]
+        def norms(coef, times):
+            return [float(np.linalg.norm(v)) for v in at_zero(coef, times)]
 
-        c, states, a = self.coefficients, {}, self.wiener.drift
-        drift = (norms(c.drift, t_grid) if self.wiener.drift_a is None else
-                 [float(np.linalg.norm(f + g * a))
-                  for f, g in zip(at_zero(c.drift, t_grid), at_zero(c.diffusion, t_grid))])
-        bounds = {"drift": max([0.0, *drift]),
-                  "diffusion": max([0.0, *norms(c.diffusion, t_grid, np.sqrt(self.wiener.q))])}
+        c, states, a, qh = self.coefficients, {}, self.wiener.drift, np.sqrt(self.wiener.q)
+        fs, gs = at_zero(c.drift, t_grid), at_zero(c.diffusion, t_grid)
+        bounds = {"drift": max([0.0, *(float(np.linalg.norm(f + g * a)) for f, g in zip(fs, gs))]),
+                  "diffusion": max([0.0, *(float(np.linalg.norm(qh * g)) for g in gs)])}
         for which in ("small", "large"):
             coef, rate, sampler = self._jump(which)
             sq = coef.sq_moment(t_grid, zero, rate, sampler, gal)

@@ -192,6 +192,16 @@ def test_coupled_gap_draws_each_path_once(monkeypatch):
     assert np.array_equal(curve.gap, gap) and np.array_equal(curve.se, se)
 
 
+@pytest.mark.parametrize("n_paths", [0, -2, 2.0, True], ids=["zero", "negative", "float", "bool"])
+def test_bad_path_counts_are_rejected(n_paths):
+    # rejected before any draw, so an empty ensemble never reaches mean_and_se
+    m = L.presets.example61_model()
+    for run in (lambda: simulate_ensemble(m, (0.0, 1.0), 0.0, n_paths, 0.1, 0, [1.0]),
+                lambda: L.coupled_gap(m, m, 0.0, 1.0, (0.0, 1.0), n_paths, 0.1, 0, [1.0])):
+        with pytest.raises(L.InputError, match="n_paths"):
+            run()
+
+
 def test_coupled_gap_needs_one_noise_law():
     with pytest.raises(L.InputError, match="one noise law"):
         L.coupled_gap(L.presets.example61_model(), L.presets.linear_decay_model(2.0),
