@@ -90,14 +90,23 @@ def _run_chunk(model: SdeModel, step, grid, obs_idx, y, events, out):
     return advance
 
 
+def observation_times(obs_times) -> np.ndarray:
+    """The distinct observation times, sorted; each must be finite."""
+    obs = np.unique(np.asarray(obs_times, dtype=float))
+    if not np.logical_and.reduce(np.isfinite(obs)):
+        raise InputError("obs_times must be finite")
+    return obs
+
+
 def _run_ensembles(models, window, y0s, n_paths: int, max_step: float, seed: int,
-                   obs_times):
+                   obs_times, path0: int = 0):
     """Observation times (snapped into the shared grid) and the states of each
-    of ``models``, all stepped through each slab of one noise, that of ``models[0]``."""
+    of ``models``, all stepped through each slab of one noise, that of ``models[0]``
+    on its paths ``path0 .. path0 + n_paths - 1``."""
     if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
         raise InputError("n_paths must be a positive integer")
     t0, t1 = float(window[0]), float(window[1])
-    obs = np.unique(np.asarray(obs_times, dtype=float))
+    obs = observation_times(obs_times)
     if obs.size and (obs.min() < t0 - 1e-9 or obs.max() > t1 + 1e-9):
         raise InputError("observation times must lie inside the window")
     grid = refined_grid(t0, t1, max_step, obs)
@@ -107,7 +116,8 @@ def _run_ensembles(models, window, y0s, n_paths: int, max_step: float, seed: int
     outs = [np.empty((obs.size, n_paths, m.dim)) for m in models]
     for lo in range(0, n_paths, CHUNK):
         chunk = slice(lo, min(lo + CHUNK, n_paths))
-        events, slabs = _draw_chunk(models[0], grid, (t0, t1), seed, range(n_paths)[chunk])
+        events, slabs = _draw_chunk(models[0], grid, (t0, t1), seed,
+                                    range(path0, path0 + n_paths)[chunk])
         runs = [_run_chunk(m, step, grid, obs_idx, y0[chunk].copy(), events, out[:, chunk])
                 for m, step, y0, out in zip(models, steps, y0s, outs)]
         for slab in slabs:

@@ -12,16 +12,24 @@ window noise are one seed's draw on the whole pullback window, so the
 returned restriction is a genuine path segment.  The same-noise gap
 between two starts, which the estimate bounds, is measured by
 :func:`levylab.stability.gap_experiment`.
+
+Since xi(t) is fixed, to within ``tol``, by the noise on [t - t_pull, t],
+an ensemble pulls back once per cluster of observation times (times
+less than t_pull apart) and does not integrate through the gaps between
+clusters.  Each cluster reads its own paths of the seed, so the paths
+of two clusters are independent draws: the marginal law at each time is
+that of the bounded solution, and the joint law across clusters is too,
+to within O(tol).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import EnsembleResult, simulate_ensemble
+from .ensemble import EnsembleResult, _run_ensembles, observation_times, simulate_ensemble
 from .errors import InputError, ThresholdError
 from .integrator import SamplePath, integrate
 from .model import SdeModel, compute_radius, stability_margin
@@ -71,15 +79,14 @@ def pullback_plan(model: SdeModel, tol: float, start_state=None) -> PullbackPlan
                         margin=margin, radius=radius, start_bound=start_bound, tol=tol)
 
 
-def _pullback_start(model: SdeModel, t0: float, tol: float, start_state, t_pull):
-    """The start time ``t0 - t_pull``, with the planned horizon unless
-    ``t_pull`` is given (finite and >= 0), and the start state (the origin
-    by default)."""
+def _pullback_start(model: SdeModel, tol: float, start_state, t_pull):
+    """The horizon, the planned one unless ``t_pull`` is given (finite and
+    >= 0), and the start state (the origin by default)."""
     plan = pullback_plan(model, tol, start_state)
     if t_pull is not None and not 0.0 <= t_pull < math.inf:
         raise InputError(f"t_pull must be finite and >= 0, got {t_pull!r}")
     t_pull = plan.t_pull if t_pull is None else float(t_pull)
-    return t0 - t_pull, 0.0 if start_state is None else start_state
+    return t_pull, 0.0 if start_state is None else start_state
 
 
 def bounded_solution(model: SdeModel, window, tol: float, seed: int,
@@ -96,14 +103,34 @@ def bounded_solution(model: SdeModel, window, tol: float, seed: int,
     how start-independence is tested.
     """
     t0, t1 = float(window[0]), float(window[1])
-    start, y0 = _pullback_start(model, t0, tol, start_state, t_pull)
-    return integrate(model, (start, t1), y0, max_step, seed).restrict(t0, t1)
+    t_pull, y0 = _pullback_start(model, tol, start_state, t_pull)
+    return integrate(model, (t0 - t_pull, t1), y0, max_step, seed).restrict(t0, t1)
 
 
 def bounded_ensemble(model: SdeModel, window, tol: float, n_paths: int,
                      seed: int, obs_times, max_step: float = 1e-2,
                      start_state=None, t_pull: float | None = None) -> EnsembleResult:
-    """Ensemble of independent bounded-solution paths observed on the window."""
+    """Ensemble of ``n_paths`` bounded-solution paths observed at ``obs_times``
+    on the window.
+
+    The sorted times split into clusters wherever two consecutive ones are
+    more than ``t_pull`` apart.  Cluster k is pulled back from ``t_pull``
+    before its first time to its last time (the first from ``t0 - t_pull``,
+    the last to ``t1``), on the paths ``k n_paths .. (k + 1) n_paths - 1`` of
+    ``seed``; the clusters' times and states are concatenated.  So
+    ``states[:, p]`` follows one path within a cluster, and is an
+    independent draw in each cluster.  With one cluster this is
+    :func:`levylab.ensemble.simulate_ensemble` on ``[t0 - t_pull, t1]``.
+    """
     t0, t1 = float(window[0]), float(window[1])
-    start, y0 = _pullback_start(model, t0, tol, start_state, t_pull)
-    return simulate_ensemble(model, (start, t1), y0, n_paths, max_step, seed, obs_times)
+    t_pull, y0 = _pullback_start(model, tol, start_state, t_pull)
+    obs = observation_times(obs_times)
+    clusters = np.split(obs, np.flatnonzero(np.diff(obs) > t_pull) + 1)
+    ends = [times[-1] for times in clusters[:-1]] + [t1]
+    first = simulate_ensemble(model, (t0 - t_pull, ends[0]), y0, n_paths, max_step, seed,
+                              clusters[0])
+    rest = [_run_ensembles((model,), (times[0] - t_pull, end), (y0,), n_paths, max_step,
+                           seed, times, path0=k * n_paths)
+            for k, (times, end) in enumerate(zip(clusters[1:], ends[1:]), start=1)]
+    return replace(first, times=np.concatenate([first.times] + [t for t, _ in rest]),
+                   states=np.concatenate([first.states] + [s for _, (s,) in rest]))

@@ -53,6 +53,9 @@ def bebutov_distance(phi, psi, horizon: float = 50.0, grid_step: float = 0.01,
     is not bracketed and the horizon must be widened; an identically
     vanishing difference returns 0.
     """
+    for name, value in (("horizon", horizon), ("grid_step", grid_step)):
+        if not 0.0 < value < math.inf:
+            raise InputError(f"{name} must be positive and finite, got {value!r}")
     n_half = int(round(horizon / grid_step))
     t = np.arange(-n_half, n_half + 1) * grid_step
     rho = np.abs(np.asarray(phi(t), dtype=float) - np.asarray(psi(t), dtype=float))
@@ -125,8 +128,10 @@ def almost_periods(profile, epsilon: float, scan_window: float,
     almost periods).  The internal time grid divides ``tau_step`` exactly
     so shifts are pure index offsets.
     """
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    if not epsilon > 0:
+        raise InputError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0.0 < tau_step < math.inf:
+        raise InputError(f"tau_step must be positive and finite, got {tau_step!r}")
     profs = list(profile) if isinstance(profile, (list, tuple)) else [profile]
     if t_step is None:
         lips = []
@@ -275,6 +280,8 @@ def bl_two_sample(a: np.ndarray, b: np.ndarray, n_boot: int = 30, seed: int = 0)
     bar is the root mean square of the distance between two resamples of
     the pooled cloud, i.e. the typical distance under equality.
     """
+    if isinstance(n_boot, bool) or not isinstance(n_boot, (int, np.integer)) or n_boot < 1:
+        raise InputError(f"n_boot must be a positive integer, got {n_boot!r}")
     a = np.atleast_2d(a.T).T
     b = np.atleast_2d(b.T).T
     beta = bl_distance(EmpiricalLaw(a), EmpiricalLaw(b))
@@ -320,9 +327,16 @@ def distributional_almost_period_test(model: SdeModel, tau: float, t_grid,
     Builds ``n_paths`` independent bounded solutions by pullback, then at
     each grid time computes the BL distance between the empirical laws of
     the first ``MAX_OBSERVED`` coordinates at ``t`` and ``t + tau``, with
-    the pooled-resampling null scale as error bar.
+    the pooled-resampling null scale as error bar.  When ``tau`` leaves a
+    gap longer than the pullback horizon after the grid, the laws at ``t``
+    and ``t + tau`` come from two independent pullbacks
+    (:func:`levylab.pullback.bounded_ensemble`).
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
+    if t_grid.size == 0 or not np.logical_and.reduce(np.isfinite(t_grid)):
+        raise InputError(f"t_grid must hold at least one time, all finite, got {t_grid!r}")
+    if not 0.0 <= tau < math.inf:
+        raise InputError(f"tau must be finite and >= 0, got {tau!r}")
     obs = np.unique(np.concatenate([t_grid, t_grid + tau]))
     res = bounded_ensemble(model, (t_grid[0], t_grid[-1] + tau), tol, n_paths,
                            seed, obs, max_step)

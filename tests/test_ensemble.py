@@ -202,6 +202,19 @@ def test_bad_path_counts_are_rejected(n_paths):
             run()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_observation_times_are_rejected(bad):
+    # NaN passed the window check (every comparison with NaN is false) and
+    # ended in refined_grid's "time grid must be finite"
+    m = L.presets.example61_model()
+    obs = [0.5, bad]
+    for run in (lambda: simulate_ensemble(m, (0.0, 1.0), 0.0, 2, 0.1, 0, obs),
+                lambda: L.coupled_gap(m, m, 0.0, 1.0, (0.0, 1.0), 2, 0.1, 0, obs),
+                lambda: L.bounded_ensemble(m, (0.0, 1.0), 0.05, 2, 0, obs, 0.1)):
+        with pytest.raises(L.InputError, match="obs_times"):
+            run()
+
+
 def test_coupled_gap_needs_one_noise_law():
     with pytest.raises(L.InputError, match="one noise law"):
         L.coupled_gap(L.presets.example61_model(), L.presets.linear_decay_model(2.0),

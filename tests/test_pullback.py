@@ -161,3 +161,36 @@ def test_ensemble_second_moment_stays_in_invariant_ball():
     res = L.bounded_ensemble(m, (0.0, 4.0), 0.05, 400, 7, obs, max_step=0.005)
     msq, se = res.mean_sq_norm()
     assert np.all(msq <= plan.radius**2 + 3.0 * se)
+
+
+# -- one pullback per cluster of observation times ---------------------------
+
+def test_one_cluster_is_one_run_bit_for_bit():
+    # gaps of exactly t_pull do not split: one run from t0 - t_pull to t1
+    m = L.presets.example61_model(forcing=1.0)
+    t_pull = 0.75
+    obs = [0.0, 0.75, 1.5, 1.75]
+    res = L.bounded_ensemble(m, (0.0, 2.0), 0.05, 12, 4, obs, max_step=0.01, t_pull=t_pull)
+    ref = L.simulate_ensemble(m, (-t_pull, 2.0), 0.0, 12, 0.01, 4, obs)
+    assert np.array_equal(res.times, ref.times)
+    assert np.array_equal(res.states, ref.states)
+    planned = L.bounded_ensemble(m, (0.0, 4.0), 0.05, 12, 4, np.linspace(0.0, 4.0, 9))
+    ref = L.simulate_ensemble(m, (-L.pullback_plan(m, 0.05).t_pull, 4.0), 0.0, 12, 0.01, 4,
+                              np.linspace(0.0, 4.0, 9))
+    assert np.array_equal(planned.states, ref.states)
+
+
+def test_clusters_farther_apart_than_t_pull_run_on_their_own_paths():
+    # the second cluster is pulled back from 5 - t_pull on paths n .. 2n - 1,
+    # not integrated through the unobserved gap (1, 5)
+    m = L.presets.example61_model(forcing=1.0)
+    t_pull, n = 1.5, 12
+    first, second = [0.0, 0.5, 1.0], [5.0, 5.25]
+    res = L.bounded_ensemble(m, (0.0, 6.0), 0.05, n, 9, second + first, max_step=0.01,
+                             t_pull=t_pull)
+    a = L.simulate_ensemble(m, (-t_pull, 1.0), 0.0, n, 0.01, 9, first)
+    b = L.simulate_ensemble(m, (5.0 - t_pull, 6.0), 0.0, 2 * n, 0.01, 9, second)
+    assert np.array_equal(res.times, np.concatenate([a.times, b.times]))
+    assert np.array_equal(res.states[:3], a.states)
+    assert np.array_equal(res.states[3:], b.states[:, n:])
+    assert not np.any(res.states[3:] == b.states[:, :n])   # paths 0 .. n - 1 not reused

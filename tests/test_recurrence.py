@@ -99,6 +99,25 @@ def test_ramp_has_no_nontrivial_almost_periods():
     assert not rep.verdict
 
 
+@pytest.mark.parametrize("epsilon, tau_step, name", [
+    (np.nan, 0.1, "epsilon"), (0.0, 0.1, "epsilon"), (0.1, 0.0, "tau_step"),
+    (0.1, -0.5, "tau_step"), (0.1, np.nan, "tau_step"), (0.1, np.inf, "tau_step")])
+def test_almost_periods_rejects_bad_scan(epsilon, tau_step, name):
+    # a NaN epsilon returned an empty report, tau_step <= 0 a ZeroDivisionError
+    with pytest.raises(InputError, match=name):
+        L.almost_periods(L.periodic_profile(1.0, 1.0), epsilon, 10.0, tau_step, 5.0)
+
+
+@pytest.mark.parametrize("kwargs, name", [({"horizon": 0.0}, "horizon"),
+                                          ({"horizon": np.nan}, "horizon"),
+                                          ({"grid_step": 0.0}, "grid_step"),
+                                          ({"grid_step": -0.01}, "grid_step")])
+def test_bebutov_rejects_bad_grid(kwargs, name):
+    # horizon = 0 ended in a ZeroDivisionError
+    with pytest.raises(InputError, match=name):
+        L.bebutov_distance(L.constant_profile(0.0), L.constant_profile(0.3), **kwargs)
+
+
 def test_every_accepted_tau_is_below_epsilon():
     profs = [p for p, _ in L.presets.example61_model().coefficients.drift.terms]
     rep = L.almost_periods(profs, epsilon=0.05, scan_window=120.0,
@@ -279,6 +298,30 @@ def test_periodic_model_distribution_periodic_and_power():
     rep_pi = L.distributional_almost_period_test(m, np.pi, t_grid, n_paths=400,
                                                  seed=3, n_boot=10, max_step=0.01)
     assert rep_pi.positive and not rep_pi.passed
+    # five periods on: the grid and its shift lie more than t_pull apart, so
+    # the laws at t and t + tau come from two independent pullbacks
+    assert L.pullback_plan(m, 0.02).t_pull < 10 * np.pi - 2 * np.pi
+    rep_5 = L.distributional_almost_period_test(m, 10 * np.pi, t_grid, n_paths=400,
+                                                seed=3, n_boot=10, max_step=0.01)
+    assert rep_5.passed
+
+
+@pytest.mark.parametrize("tau, t_grid, name", [
+    (np.nan, [0.0, 1.0], "tau"), (np.inf, [0.0, 1.0], "tau"), (-np.inf, [0.0, 1.0], "tau"),
+    (-1.0, [0.0, 1.0], "tau"), (1.0, [], "t_grid"), (1.0, [0.0, np.nan], "t_grid")])
+def test_law_test_rejects_bad_input(tau, t_grid, name):
+    # a NaN tau was blamed on the observation times, a negative one on the
+    # window, and an empty grid ended in an IndexError
+    with pytest.raises(InputError, match=name):
+        L.distributional_almost_period_test(L.presets.periodic_model(), tau, t_grid,
+                                            n_paths=4, seed=0)
+
+
+@pytest.mark.parametrize("n_boot", [0, -3, 2.0, True])
+def test_bl_two_sample_needs_resamples(n_boot):
+    # n_boot = 0 ended in a ZeroDivisionError
+    with pytest.raises(InputError, match="n_boot"):
+        L.bl_two_sample(np.zeros(5), np.ones(5), n_boot=n_boot)
 
 
 def test_shift_coupling_zero_shift():
