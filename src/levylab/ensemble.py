@@ -13,15 +13,19 @@ Paths run in chunks of ``CHUNK``.  A chunk's noise is drawn once: the
 jump events of all its paths form one table (:func:`levylab.noise.jump_table`),
 and its Wiener increments come in slabs of about
 :data:`levylab.noise.SLAB_BYTES` (:func:`levylab.noise.wiener_slabs`), so
-its memory does not grow with the window.  Every model of a run (both of
-:func:`coupled_gap`) steps through a slab before the next one is drawn.
+its memory does not grow with the window.
 
-Each step is the kernel of :func:`levylab.integrator.step_kernel` on the
-(n_paths, dim) batch, with its tables built once per ensemble, and each
-chunk's jumps go through :func:`levylab.integrator.jump_kernel`, the jump
-rule that :func:`levylab.integrator.integrate` runs too: a jump inside a
-step acts on the kernel's own step to the jump time.  So a one-path
-ensemble on the grid of ``integrate`` reproduces its path bit for bit.
+The k models of a run (two in :func:`coupled_gap`) step as one batch of
+k blocks of the chunk's paths, (k, n_paths, dim) or (n_paths, dim) for
+one model, through :func:`levylab.integrator.step_kernel`, built once per
+run: its profile columns hold one value per model, broadcast over its
+block, and each slab, drawn once, is read by all blocks without a copy.
+Each chunk's jumps go through :func:`levylab.integrator.jump_kernel`,
+which applies each event to its path in every block and which
+:func:`levylab.integrator.integrate` runs too: a jump inside a step acts
+on the kernel's own step to the jump time.  So a one-path ensemble on the
+grid of ``integrate`` reproduces its path bit for bit, and each block is
+its model's separate run bit for bit.
 The jump kernel sorts a chunk's events once into (step, round, kind)
 slices, so a step makes one coefficient call per slice, and none when it
 holds no jump.
@@ -70,10 +74,10 @@ def _draw_chunk(model: SdeModel, grid, window, seed, paths):
                                                                        seed, paths)
 
 
-def _run_chunk(model: SdeModel, step, grid, obs_idx, y, events, out):
-    """``advance(lo, dw)``: steps the (chunk, dim) states ``y`` of ``model`` through
-    the Wiener slab ``dw`` from step ``lo``, writing them to ``out`` at observation steps."""
-    read_slab, add_jumps = jump_kernel(model, grid, events)
+def _run_chunk(models, step, grid, obs_idx, y, events, out):
+    """``advance(lo, dw)``: steps the states ``y`` of ``models`` through the Wiener
+    slab ``dw`` from step ``lo``, writing them to ``out`` at observation steps."""
+    read_slab, add_jumps = jump_kernel(models, grid, events)
     out[obs_idx == 0] = y
     obs_lookup = {int(g): k for k, g in enumerate(obs_idx)}
 
@@ -101,8 +105,8 @@ def observation_times(obs_times) -> np.ndarray:
 def _run_ensembles(models, window, y0s, n_paths: int, max_step: float, seed: int,
                    obs_times, path0: int = 0):
     """Observation times (snapped into the shared grid) and the states of each
-    of ``models``, all stepped through each slab of one noise, that of ``models[0]``
-    on its paths ``path0 .. path0 + n_paths - 1``."""
+    of ``models``, stacked into one batch stepped through each slab of one noise,
+    that of ``models[0]`` on its paths ``path0 .. path0 + n_paths - 1``."""
     if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
         raise InputError("n_paths must be a positive integer")
     t0, t1 = float(window[0]), float(window[1])
@@ -111,19 +115,19 @@ def _run_ensembles(models, window, y0s, n_paths: int, max_step: float, seed: int
         raise InputError("observation times must lie inside the window")
     grid = refined_grid(t0, t1, max_step, obs)
     obs_idx = np.searchsorted(grid, obs)
-    y0s = [initial_states(y0, n_paths, m.dim) for m, y0 in zip(models, y0s)]
-    steps = [step_kernel(m, grid) for m in models]
-    outs = [np.empty((obs.size, n_paths, m.dim)) for m in models]
+    step = step_kernel(models, grid)
+    y0 = np.stack([initial_states(y0, n_paths, m.dim) for m, y0 in zip(models, y0s)])
+    y0 = y0[0] if len(models) == 1 else y0   # one model keeps its (n_paths, dim) states
+    out = np.empty((obs.size, len(models), n_paths, models[0].dim))
     for lo in range(0, n_paths, CHUNK):
         chunk = slice(lo, min(lo + CHUNK, n_paths))
         events, slabs = _draw_chunk(models[0], grid, (t0, t1), seed,
                                     range(path0, path0 + n_paths)[chunk])
-        runs = [_run_chunk(m, step, grid, obs_idx, y0[chunk].copy(), events, out[:, chunk])
-                for m, step, y0, out in zip(models, steps, y0s, outs)]
+        advance = _run_chunk(models, step, grid, obs_idx, y0[..., chunk, :], events,
+                             out[:, :, chunk])
         for slab in slabs:
-            for advance in runs:
-                advance(*slab)
-    return grid[obs_idx], outs
+            advance(*slab)
+    return grid[obs_idx], list(np.moveaxis(out, 1, 0))
 
 
 def simulate_ensemble(model: SdeModel, window, y0, n_paths: int, max_step: float,
@@ -160,12 +164,11 @@ def coupled_gap(model_a: SdeModel, model_b: SdeModel, y0a, y0b, window,
     """Mean-square gap between two runs driven by the same noise.
 
     Per-time ensemble mean of |Y_a - Y_b|^2 with its Monte Carlo standard
-    error; the coupling is synchronous: both models step on one draw of
-    each chunk's noise (identical Wiener increments and jump events
-    path-for-path), so they must share one noise law.
+    error; the coupling is synchronous: the two models step as one stacked
+    batch whose blocks read each slab of noise, drawn once (identical Wiener
+    increments and jump events path-for-path), so they may differ only in
+    their coefficient profiles.
     """
-    if (model_a.wiener, model_a.jumps) != (model_b.wiener, model_b.jumps):
-        raise InputError("a same-noise coupling needs models with one noise law")
     times, (states_a, states_b) = _run_ensembles((model_a, model_b), window, (y0a, y0b),
                                                  n_paths, max_step, seed, obs_times)
     gap, se = mean_and_se(np.sum((states_a - states_b) ** 2, axis=2))

@@ -9,8 +9,9 @@ the step (Hochbruck & Ostermann, Acta Numerica 2010)
     Y(t+dt) = e^(-Lam dt) Y + Lam^-1 (1 - e^(-Lam dt)) D(t, Y)
               + e^(-Lam dt) g(t, Y) dW
 
-for one state (dim,) or a batch (n_paths, dim), which evaluates each map
-and ``to_phys`` once.  ``Lam`` is the diagonal decay matrix and ``D``
+for one state (dim,), a batch (n_paths, dim) or the k stacked batches (k,
+n_paths, dim) of models that differ only in their profiles; it evaluates
+each map and ``to_phys`` once.  ``Lam`` is the diagonal decay matrix and ``D``
 collects the drift coefficient, the Wiener drift vector routed through the
 diffusion, and the small-jump compensator.  :func:`integrate` runs it for
 one path on the uniform ``max_step`` grid refined by every jump time of
@@ -29,7 +30,7 @@ is the stepped left limit of :func:`integrate`, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,17 +42,41 @@ from .noise import (JUMP_LARGE, JUMP_SMALL,   # jump flags of a SamplePath node;
 CSV_BLOCK = 1024   # rows that SamplePath.to_csv formats and writes at a time
 
 
-def step_kernel(model: SdeModel, grid: np.ndarray):
+def _structure(model: SdeModel) -> SdeModel:
+    """``model`` without its coefficient profiles: all that stacked models share."""
+    c = model.coefficients
+    return replace(model, coefficients=replace(c, **{
+        name: replace(getattr(c, name), terms=tuple(m for _, m in getattr(c, name).terms))
+        for name in ("drift", "diffusion", "small_jump", "large_jump")}))
+
+
+def _profile_columns(models, name: str, times) -> tuple:
+    """Per-term columns of the coefficient ``name`` at ``times``: scalars if all
+    models share it (as one model does), else (k, 1, 1) blocks, a value per model."""
+    coefs = [getattr(m.coefficients, name) for m in models]
+    if all(coef == coefs[0] for coef in coefs):
+        return tuple(coefs[0].profile_table(times).T)
+    table = np.stack([coef.profile_table(times) for coef in coefs], -1)[..., None, None]
+    return tuple(np.moveaxis(table, 1, 0))
+
+
+def step_kernel(models, grid: np.ndarray):
     """Tabulate the steps of ``grid`` once and return ``step(i, y, dw) ->
-    (y_new, drift, gdiag)`` over step ``i`` for ``y`` and ``dw`` of shape
-    (dim,) or (n_paths, dim); ``drift`` is ``D`` and ``gdiag`` the diffusion
-    at the step start."""
+    (y_new, drift, gdiag)`` over step ``i`` of k ``models`` that differ only in
+    their coefficient profiles, for ``y`` (k, n_paths, dim) and ``dw`` (n_paths,
+    dim), read by every block; one model takes (dim,) or (n_paths, dim) arrays.
+    ``drift`` is ``D`` and ``gdiag`` the diffusion at the step start."""
+    model = models[0]
+    if any(_structure(m) != _structure(model) for m in models[1:]):
+        raise InputError("stacked models need one noise law and one structure: "
+                         "they may differ only in their coefficient profiles")
     neg_ldt = -np.outer(np.diff(grid), model.semigroup.rates)
     decay, phi1 = np.exp(neg_ldt), -np.expm1(neg_ldt) / model.semigroup.rates
     c, gal, a = model.coefficients, model.galerkin, model.wiener.drift
     coefs = f, g, s = c.drift, c.diffusion, c.small_jump
-    maps, (f_cols, g_cols, s_cols) = StateMaps(coefs, gal), [
-        tuple(coef.profile_table(grid[:-1]).T) for coef in coefs]
+    maps = StateMaps(coefs, gal)
+    f_cols, g_cols, s_cols = (_profile_columns(models, name, grid[:-1])
+                              for name in ("drift", "diffusion", "small_jump"))
     f_slots, g_slots, s_slots = maps.slots
     rate, sampler = model.jumps.small_rate, model.jumps.small_sampler
     mean = s.mark_factor(np.asarray(sampler.mean(), float), gal) if rate else None
@@ -67,16 +92,17 @@ def step_kernel(model: SdeModel, grid: np.ndarray):
     return step
 
 
-def jump_kernel(model: SdeModel, grid, events):
+def jump_kernel(models, grid, events):
     """Tabulate the jump table ``events`` (see :func:`levylab.noise.jump_table`)
-    of the paths once and return ``read_slab(lo, dw)`` and ``add_jumps(i, y,
-    y_new, drift, gdiag)``.  ``read_slab`` takes the Wiener terms of the
-    events in the steps of a slab ``dw`` (n_paths, rows, dim) from step
-    ``lo`` (see :func:`levylab.noise.wiener_slabs`); ``add_jumps`` adds to
-    ``y_new``, the end states of step ``i`` of that slab from the (n_paths,
-    dim) states ``y``, the jumps inside the step, in place.  A later jump of
-    a path in the step flows on from its previous post-jump state over
-    ``s_k - s_(k-1)``.
+    of the paths once for the k ``models`` of :func:`step_kernel` and return
+    ``read_slab(lo, dw)`` and ``add_jumps(i, y, y_new, drift, gdiag)``.
+    ``read_slab`` takes the Wiener terms of the events in the steps of a slab
+    ``dw`` (n_paths, rows, dim) from step ``lo`` (see
+    :func:`levylab.noise.wiener_slabs`); ``add_jumps`` adds to ``y_new``, the
+    end states of step ``i`` of that slab from the states ``y``, the jumps
+    inside the step, in place, each event on its path in every block.  A
+    later jump of a path in the step flows on from its previous post-jump
+    state over ``s_k - s_(k-1)``.
 
     Per event, in (step, path, time) order: its profile row, that ``lead``
     with ``exp(-Lam lead)``, ``phi1(lead)``, ``lead / (v-u)`` and ``exp(-Lam
@@ -94,6 +120,7 @@ def jump_kernel(model: SdeModel, grid, events):
     rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
     lead = times - np.where(first, grid[interval], np.roll(times, 1))
     frac = lead / (grid[interval + 1] - grid[interval])
+    model, blocks = models[0], (slice(None),) * (len(models) > 1)   # the block axis, if any
     lam, c = model.semigroup.rates, model.coefficients
     neg_ldt = -np.outer(lead, lam)   # the expressions of step_kernel
     dec_in, phi1 = np.exp(neg_ldt), -np.expm1(neg_ldt) / lam
@@ -105,30 +132,39 @@ def jump_kernel(model: SdeModel, grid, events):
     paths, kinds, marks, interval, rank, frac, dec_in, phi1, dec_out = (
         a[regroup] for a in (paths, kinds, marks, interval, rank, frac, dec_in, phi1,
                              dec_out))
+
+    def per_block(rows):   # rows of each model, on the block axis if any
+        return np.stack(rows) if blocks else rows[0]
+
     kernels = {kind: coef.event_kernel(   # rows and scalar marks broadcast over coordinates
-        coef.profile_table(times)[regroup][:, None],
-        marks[:, :1] if coef.mark_mode == "scalar" else marks, model.galerkin)
-        for kind, coef in ((JUMP_SMALL, c.small_jump), (JUMP_LARGE, c.large_jump))}
+        per_block([getattr(m.coefficients, name).profile_table(times)[regroup][:, None]
+                   for m in models]),
+        per_block([marks[:, :1] if coef.mark_mode == "scalar" else marks]), model.galerkin)
+        for kind, name, coef in ((JUMP_SMALL, "small_jump", c.small_jump),
+                                 (JUMP_LARGE, "large_jump", c.large_jump))}
     starts = np.flatnonzero(np.r_[times.size > 0, np.any(np.diff([interval, rank, kinds]), 0)])
     schedule = {}   # step -> its slices; most steps hold no jump
     for a, b, i, kind, r in zip(*(x.tolist() for x in (
             starts, np.append(starts[1:], times.size), interval[starts], kinds[starts],
             rank[starts]))):
-        schedule.setdefault(i, []).append((slice(a, b), kernels[kind], r > 0))
-    post, wiener = np.empty((times.size, model.dim)), np.empty((times.size, model.wiener.dim))
+        sl = slice(a, b)   # j: the slice's rows in every block (sl itself for one model)
+        schedule.setdefault(i, []).append((sl, blocks + (sl,) if blocks else sl,
+                                           kernels[kind], r > 0))
+    post = per_block([np.empty((times.size, model.dim))] * len(models))
+    wiener = np.empty((times.size, model.wiener.dim))
 
     def read_slab(lo, dw):
         a, b = np.searchsorted(interval, (lo, lo + dw.shape[1])).tolist()
         wiener[a:b] = frac[a:b, None] * dw[paths[a:b], interval[a:b] - lo]
 
     def add_jumps(i, y, y_new, drift, gdiag):
-        for sl, jump, later in schedule.get(i, ()):
-            p, d = paths[sl], dec_in[sl]
-            pre = (d * (post[back[sl]] if later else y[p]) + phi1[sl] * drift[p]
+        for sl, j, jump, later in schedule.get(i, ()):
+            p, d = blocks + (paths[sl],), dec_in[sl]
+            pre = (d * (post[blocks + (back[sl],)] if later else y[p]) + phi1[sl] * drift[p]
                    + d * (gdiag[p] * wiener[sl]))
-            raw = jump(sl, pre)
+            raw = jump(j, pre)
             y_new[p] += dec_out[sl] * raw
-            post[sl] = pre + raw
+            post[j] = pre + raw
         return y_new
 
     return read_slab, add_jumps
@@ -181,9 +217,9 @@ def refined_grid(t0: float, t1: float, max_step: float, nodes) -> np.ndarray:
 
 def check_finite(y: np.ndarray, t: float):
     """Raise :class:`NumericalBlowupError` naming the first non-finite entry
-    of a state (its component) or of a batch (its path and component)."""
+    of a state (its component) or of a batch (its [model,] path and component)."""
     if not np.logical_and.reduce(np.isfinite(y), axis=None):
-        at = zip(("path", "component")[-y.ndim:], np.argwhere(~np.isfinite(y))[0])
+        at = zip(("model", "path", "component")[-y.ndim:], np.argwhere(~np.isfinite(y))[0])
         raise NumericalBlowupError(t, ", ".join(f"{n} {k}" for n, k in at)
                                    + f" non-finite at t = {t:g}")
 
@@ -211,7 +247,8 @@ def integrate(model: SdeModel, window, y0, max_step: float, seed) -> SamplePath:
     y = initial_states(y0, 1, model.dim)[0]
     events = jump_table(model.jumps, window, seed)
     grid = refined_grid(float(window[0]), float(window[1]), max_step, events[0])
-    step, (read_slab, add_jumps) = step_kernel(model, grid), jump_kernel(model, grid, events)
+    step = step_kernel((model,), grid)
+    read_slab, add_jumps = jump_kernel((model,), grid, events)
 
     n = grid.size
     values = np.empty((n, model.dim))

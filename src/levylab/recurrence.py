@@ -408,6 +408,10 @@ def shift_coupling_gap(model: SdeModel, tau: float, window, n_paths: int,
     """Integrate, against the same noise, the bounded solutions of the
     tau-shifted and unshifted coefficient quadruples, and compare the
     measured sup mean-square gap with its explicit bound.
+
+    The two models differ only in their profiles, so they run as one
+    stacked batch of :func:`levylab.ensemble.coupled_gap`: each slab of the
+    noise is drawn once and read by both blocks.
     """
     t0, t1 = float(window[0]), float(window[1])
     plan = pullback_plan(model, tol)   # the shifted model has the same plan

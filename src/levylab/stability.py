@@ -13,6 +13,7 @@ arbitrary start.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,20 @@ SE_FACTOR = 10.0
 N_OBS_TAIL = 11
 
 
+def _check_horizon(horizon):
+    if not 0.0 < horizon < math.inf:
+        raise InputError(f"horizon must be positive and finite, got {horizon!r}")
+
+
 def gap_experiment(model: SdeModel, y0a, y0b, horizon: float, n_paths: int,
                    seed: int, max_step: float = 5e-3, n_obs: int = 51) -> GapCurve:
-    """Per-time ensemble mean of |Y_a(t) - Y_b(t)|^2 under same-noise coupling."""
+    """Per-time ensemble mean of |Y_a(t) - Y_b(t)|^2 under same-noise coupling,
+    at ``n_obs`` times over [0, horizon]: the two starts are one stacked batch
+    of :func:`levylab.ensemble.coupled_gap`, which reads each slab of the
+    noise, drawn once, in both blocks."""
+    _check_horizon(horizon)
+    if isinstance(n_obs, bool) or not isinstance(n_obs, (int, np.integer)) or n_obs < 1:
+        raise InputError(f"n_obs must be a positive integer, got {n_obs!r}")
     obs = np.linspace(0.0, horizon, n_obs)
     return coupled_gap(model, model, y0a, y0b, (0.0, horizon), n_paths,
                        max_step, seed, obs)
@@ -90,6 +102,7 @@ def ultimate_bound_check(model: SdeModel, horizon: float, n_paths: int, y0,
     ``r + 1``; the margin of one over the invariant-ball radius makes the
     strict ultimate bound testable at finite horizon.
     """
+    _check_horizon(horizon)
     c = model.coefficients
     r = compute_radius(model.K, model.omega, c.lipschitz_L, c.A0, model.b)
     margin = stability_margin(model.K, model.omega, c.lipschitz_L, model.b)

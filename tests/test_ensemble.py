@@ -2,6 +2,7 @@
 with the single-path integrator."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,59 @@ def test_coupled_gap_draws_each_path_once(monkeypatch):
     gap, se = ensemble.mean_and_se(np.sum((a.states - b.states) ** 2, axis=2))
     assert np.array_equal(curve.times, a.times)
     assert np.array_equal(curve.gap, gap) and np.array_equal(curve.se, se)
+
+
+@pytest.mark.parametrize("name, shift", [("example61", 0.3), ("example61", 0.0),
+                                         ("every_map", 0.3)],
+                         ids=["shifted", "equal", "every_map"])
+def test_stacked_models_are_separate_runs_bit_for_bit(name, shift, monkeypatch):
+    # six models from six starts step as one stacked batch over three chunks;
+    # each block is the separate ensemble of its model, bit for bit, whether
+    # the models read their own profile values or share them (every_map has
+    # scalar marks and every state map kind)
+    from test_kernel import _model
+    m = _model(name)
+    models = [m.shifted(shift * j) if shift else m for j in range(6)]
+    y0s = [0.25 * j - 0.5 for j in range(6)]
+    window, n, step, seed, obs = (-1.0, 2.0), 12, 0.05, 7, np.linspace(0.0, 2.0, 5)
+    monkeypatch.setattr(ensemble, "CHUNK", 5)
+    times, states = ensemble._run_ensembles(models, window, y0s, n, step, seed, obs)
+    assert len(states) == 6
+    for model, y0, got in zip(models, y0s, states):
+        want = simulate_ensemble(model, window, y0, n, step, seed, obs)
+        assert np.array_equal(times, want.times) and np.array_equal(got, want.states)
+
+
+def test_heat_coupling_matches_separate_runs():
+    # the stacked Galerkin transforms run block by block, a step on the (n,
+    # dim) batch of a block and a jump slice on that block's events, so each
+    # block rounds as its separate run does
+    m = L.presets.example62_model(n_modes=8)
+    shifted = m.shifted(0.4)
+    window, n, step, seed, obs = (0.0, 0.5), 5, 0.01, 4, np.linspace(0.0, 0.5, 3)
+    curve = L.coupled_gap(m, shifted, 0.5, 0.0, window, n, step, seed, obs)
+    a = simulate_ensemble(m, window, 0.5, n, step, seed, obs)
+    b = simulate_ensemble(shifted, window, 0.0, n, step, seed, obs)
+    gap, se = ensemble.mean_and_se(np.sum((a.states - b.states) ** 2, axis=2))
+    assert np.array_equal(curve.gap, gap) and np.array_equal(curve.se, se)
+
+
+def _other_structure(m, which):
+    if which == "semigroup":
+        return replace(m, semigroup=L.SemigroupSpec(eigenvalues=(5.0,), K=1.0, omega=4.0))
+    c = m.coefficients
+    (profile, _), *rest = c.drift.terms
+    drift = replace(c.drift, terms=((profile, L.linear_map(0.5)), *rest))
+    return replace(m, coefficients=replace(c, drift=drift))
+
+
+@pytest.mark.parametrize("which", ["semigroup", "state_maps"])
+def test_stacked_models_need_one_structure(which):
+    # stacked models share every state map and the semigroup; only their
+    # coefficient profiles may differ
+    m = L.presets.example61_model()
+    with pytest.raises(L.InputError, match="one structure"):
+        L.coupled_gap(m, _other_structure(m, which), 1.0, 1.0, (0.0, 1.0), 4, 0.1, 0, [1.0])
 
 
 @pytest.mark.parametrize("n_paths", [0, -2, 2.0, True], ids=["zero", "negative", "float", "bool"])

@@ -120,12 +120,20 @@ GOLDEN = {
         "0x1.c018e5a311ea9p-3", "0x1.ea02a6549eebcp-5", "0x1.bd356851a12c1p-5",
         "0x1.124a04f1f422fp-4", "0x1.46548e41154b2p-4", "0x1.c09f212b69562p-3",
         "0x1.c19647dd99a35p-5"],
+    # The same-noise gap of example61 and its 0.7-shift, recorded while
+    # coupled_gap still stepped each model of the pair on its own.
+    ("coupled", "example61"): [
+        "0x1.3199ddd00d600p-7", "0x1.db379cfa6c449p-12", "0x1.19e03680e1974p-7",
+        "0x1.428fdf9841b5bp-8", "0x1.296c51b431879p-16"],
 }
 
 # simulate_ensemble arguments after the model: window, y0, n_paths,
 # max_step, seed, obs_times
 ENSEMBLE_CASES = {"ensemble": ((0.0, 2.0), 0.5, 4, 0.01, 3, [2.0]),
                   "stressed": ((-2.0, 2.0), 0.5, 16, 0.25, 3, [2.0])}
+# coupled_gap arguments after the two models, on the stressed grid: y0a,
+# y0b, window, n_paths, max_step, seed, obs_times
+COUPLED_CASE = (0.5, 1.5, (-2.0, 2.0), 16, 0.25, 3, np.linspace(0.0, 2.0, 5))
 
 
 def every_map_model():
@@ -192,6 +200,16 @@ def test_ensemble_terminal_states_are_pinned(case, name):
         assert _most_jumps_of_one_path_in_one_step(m, *args) >= 2
     res = simulate_ensemble(m, *args)
     assert np.array_equal(res.states[-1].ravel(), _golden(case, name))
+
+
+def test_coupled_gap_is_pinned():
+    # the shifted model reads other profile values on the same noise; steps
+    # hold several jumps of one path
+    m = _model("example61")
+    y0a, _, window, *rest = COUPLED_CASE
+    assert _most_jumps_of_one_path_in_one_step(m, window, y0a, *rest) >= 2
+    curve = L.coupled_gap(m, m.shifted(0.7), *COUPLED_CASE)
+    assert np.array_equal(curve.gap, _golden("coupled", "example61"))
 
 
 def test_every_state_map_kind_is_pinned():
@@ -438,7 +456,7 @@ def test_compiled_step_matches_the_generic_oracle_bit_for_bit(name):
     m = L.presets.ou_jump_model() if name == "ou_jump" else _model(name)
     c, gal, a = m.coefficients, m.galerkin, m.wiener.drift
     grid = np.linspace(-1.0, 1.0, 9)
-    step = step_kernel(m, grid)
+    step = step_kernel((m,), grid)
     rng = np.random.default_rng(3)
     for y in (_signed_zero_states(rng, m.dim, 1)[0], _signed_zero_states(rng, m.dim, 1),
               _signed_zero_states(rng, m.dim, 6)):

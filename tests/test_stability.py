@@ -117,3 +117,21 @@ def test_ultimate_bound_example61_far_start():
     rep2 = L.ultimate_bound_check(m, horizon=horizon + 2.0, n_paths=200,
                                   y0=40.0, seed=6, max_step=0.005)
     assert rep2.passed
+
+
+@pytest.mark.parametrize("run, name", [
+    (lambda m: L.ultimate_bound_check(m, 0.0, 4, 1.0, 0), "horizon"),
+    (lambda m: L.ultimate_bound_check(m, np.nan, 4, 1.0, 0), "horizon"),
+    (lambda m: L.gap_experiment(m, 1.0, 3.0, -1.0, 4, 0), "horizon"),
+    (lambda m: L.gap_experiment(m, 1.0, 3.0, np.inf, 4, 0), "horizon"),
+    (lambda m: L.gap_experiment(m, 1.0, 3.0, 1.0, 4, 0, n_obs=2.5), "n_obs"),
+    (lambda m: L.gap_experiment(m, 1.0, 3.0, 1.0, 4, 0, n_obs=0), "n_obs"),
+    (lambda m: L.gap_experiment(m, 1.0, 3.0, 1.0, 4, 0, n_obs=True), "n_obs")],
+    ids=["ultimate-zero", "ultimate-nan", "gap-negative", "gap-inf", "n_obs-float",
+         "n_obs-zero", "n_obs-bool"])
+def test_bad_horizons_and_observation_counts_are_rejected(run, name):
+    # an empty ultimate-bound run passed on its start state, and a bad gap
+    # experiment ended in numpy's TypeError, an empty curve or a complaint
+    # about observation times
+    with pytest.raises(InputError, match=name):
+        run(L.presets.example61_model())
