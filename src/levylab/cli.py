@@ -3,9 +3,9 @@
 Subcommands: check | simulate | bounded | recurrence | stability |
 example61 | example62.  Every run is driven by a JSON config (the two
 example subcommands provide their own defaults and accept overrides in
-the experiment section) and writes CSV data plus one canonical summary
+the experiment section) and writes CSV tables plus one canonical summary
 JSON whose floats are formatted at 17 significant digits, so identical
-configs produce byte-identical summaries.
+configs produce byte-identical summaries; ``output.formats`` picks the kinds.
 
 Exit codes: 0 success, 2 config error (or an input the library rejects),
 3 threshold violation (including a failed condition check), 4 numerical
@@ -22,11 +22,11 @@ import sys
 import numpy as np
 
 from .config import (ExperimentConfig, RunSection, canonical_json, load_config,
-                     parse_config)
+                     parse_config, write_csv)
 from .errors import (ConfigError, HorizonError, InfeasibleError, InputError,
                      NumericalBlowupError, ThresholdError)
-from .model import (CONDITION_DEFS, check_conditions, stability_margin,
-                    theorem_constants)
+from .model import (CONDITION_DEFS, TheoremConstants, check_conditions,
+                    stability_margin, theorem_constants)
 from .integrator import integrate
 from .presets import example61_model, example62_model
 from .pullback import bounded_ensemble, bounded_solution, pullback_plan
@@ -34,23 +34,24 @@ from .recurrence import almost_periods, distributional_almost_period_test
 from .stability import (fit_decay_rate, fit_rate_stderr, gap_experiment,
                         ultimate_bound_check)
 
+MARGIN_FORMULA = TheoremConstants.formulas()["stability_margin"]
 
-def _write(out_dir: str, name: str, text: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        fh.write(text)
+
+def _write(cfg: ExperimentConfig, name: str, output) -> None:
+    """Write the file ``name`` to the output directory when ``cfg.formats``
+    lists its extension: a summary ``.json`` holds ``canonical_json(output)``,
+    and ``output(path)`` writes a ``.csv`` table."""
+    fmt = name.rpartition(".")[2]
+    if fmt not in cfg.formats:
+        return
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, name)
+    if fmt == "csv":
+        output(path)
+    else:
+        with open(path, "w") as fh:
+            fh.write(canonical_json(output))
     print(f"wrote {path}")
-    return path
-
-
-def _write_csv(cfg: ExperimentConfig, name: str, table) -> None:
-    """Write ``table`` (anything with ``to_csv(path)``) when CSV output is on."""
-    if "csv" in cfg.formats:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        path = os.path.join(cfg.out_dir, name)
-        table.to_csv(path)
-        print(f"wrote {path}")
 
 
 def _bounded_moment(model, run: RunSection, n_obs: int):
@@ -82,7 +83,7 @@ def _ball_summary(plan, msq, se) -> dict:
 def _check_payload(model) -> tuple[dict, bool]:
     report = check_conditions(model)
     tc = theorem_constants(model)
-    payload = {"conditions": report.to_dict(), "constants": tc.to_dict(),
+    payload = {"conditions": report.to_dict(), "constants": tc,
                "definitions": {**tc.formulas(), **CONDITION_DEFS}}
     return payload, report.all_passed
 
@@ -92,7 +93,7 @@ def run_check(cfg: ExperimentConfig) -> int:
     wanted = cfg.experiment["require"]
     if wanted is not None:
         ok = all(payload["conditions"][name] for name in wanted)
-    _write(cfg.out_dir, "check_summary.json", canonical_json(payload))
+    _write(cfg, "check_summary.json", payload)
     return 0 if ok else 3
 
 
@@ -100,32 +101,31 @@ def run_simulate(cfg: ExperimentConfig) -> int:
     model = cfg.model
     y0 = np.broadcast_to(cfg.experiment["y0"], (model.dim,))
     path = integrate(model, cfg.run.window, y0, cfg.run.step, cfg.run.seed)
-    _write_csv(cfg, "path.csv", path)
+    _write(cfg, "path.csv", path.to_csv)
     summary = {"window": list(cfg.run.window), "step": cfg.run.step,
                "seed": cfg.run.seed, "n_grid": int(path.times.size),
                "n_small_jumps": int(np.sum(path.jump_flags == 1)),
                "n_large_jumps": int(np.sum(path.jump_flags == 2)),
                "terminal_state": [float(v) for v in path.values[-1]]}
-    _write(cfg.out_dir, "simulate_summary.json", canonical_json(summary))
+    _write(cfg, "simulate_summary.json", summary)
     return 0
 
 
 def run_bounded(cfg: ExperimentConfig) -> int:
     model, run = cfg.model, cfg.run
     path = bounded_solution(model, run.window, run.tolerance, run.seed, run.step)
-    _write_csv(cfg, "bounded_path.csv", path)
+    _write(cfg, "bounded_path.csv", path.to_csv)
     plan, times, msq, se = _bounded_moment(model, run, cfg.experiment["n_obs"])
-    if "csv" in cfg.formats:
-        _write(cfg.out_dir, "bounded_moment.csv", "t,second_moment,se\n" + "".join(
-            f"{float(t)!r},{float(m)!r},{float(s)!r}\n" for t, m, s in zip(times, msq, se)))
+    _write(cfg, "bounded_moment.csv",
+           lambda p: write_csv(p, ("t", "second_moment", "se"), (times, msq, se)))
     summary = {"t_pull": plan.t_pull, "margin": plan.margin, "tol": plan.tol,
                "radius": plan.radius, "n_paths": run.n_paths,
                "max_second_moment": float(msq.max()),
                "radius_sq_plus_3se": float(plan.radius**2 + 3 * se[int(np.argmax(msq))]),
                "definitions": {"t_pull": "log(5 K^2 start_bound / tol^2) / margin",
-                               "margin": "w - 5 (1/w + 4 + 2b/w) K^2 L^2",
+                               "margin": MARGIN_FORMULA,
                                "radius": "2 K A0 sqrt(1+2w+2b)/(w - 2 K L sqrt(1+2w+2b))"}}
-    _write(cfg.out_dir, "bounded_summary.json", canonical_json(summary))
+    _write(cfg, "bounded_summary.json", summary)
     return 0
 
 
@@ -137,16 +137,16 @@ def run_recurrence(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"experiment.coefficient: {which} has no profiles to scan")
     report = almost_periods(profiles, ex["epsilon"], ex["scan_window"], ex["tau_step"],
                             ex["sup_horizon"])
-    payload = {"scan": report.to_dict()}
+    payload = {"scan": report}
     tau = ex["tau"]
     if tau is None and len(report.taus) > 1:
         tau = max(report.taus)
     if tau:
         dist = _law_test(model, run, tau, ex["t_grid_n"], ex["n_boot"])
-        _write_csv(cfg, "distributional.csv", dist)
+        _write(cfg, "distributional.csv", dist.to_csv)
         payload["distributional"] = {"tau": dist.tau, "max_beta": dist.max_beta,
                                      "passed": dist.passed, "positive": dist.positive}
-    _write(cfg.out_dir, "recurrence_report.json", canonical_json(payload))
+    _write(cfg, "recurrence_report.json", payload)
     return 0
 
 
@@ -155,7 +155,7 @@ def run_stability(cfg: ExperimentConfig) -> int:
     horizon = ex["horizon"] or run.window[1] - run.window[0]
     curve = gap_experiment(model, ex["y0a"], ex["y0b"], horizon,
                            run.n_paths, run.seed, max_step=run.step)
-    _write_csv(cfg, "stability_gap.csv", curve)
+    _write(cfg, "stability_gap.csv", curve.to_csv)
     payload = {"gap0": float(curve.gap[0])}
     try:
         rate, r2 = fit_decay_rate(curve)
@@ -166,12 +166,12 @@ def run_stability(cfg: ExperimentConfig) -> int:
     ultimate_y0 = ex["y0a"] if ex["ultimate_y0"] is None else ex["ultimate_y0"]
     ub = ultimate_bound_check(model, horizon, run.n_paths, ultimate_y0,
                               run.seed, max_step=run.step)
-    payload["ultimate_bound"] = ub.to_dict()
+    payload["ultimate_bound"] = ub
     payload["margin"] = stability_margin(model.K, model.omega,
                                          model.coefficients.lipschitz_L, model.b)
-    payload["definitions"] = {"margin": "w - 5 (1/w + 4 + 2b/w) K^2 L^2",
+    payload["definitions"] = {"margin": MARGIN_FORMULA,
                               "ultimate_bound": "limsup E|Y|^2 < r + 1"}
-    _write(cfg.out_dir, "stability_summary.json", canonical_json(payload))
+    _write(cfg, "stability_summary.json", payload)
     return 0
 
 
@@ -181,7 +181,7 @@ def run_example61(cfg: ExperimentConfig) -> int:
                             forcing=ex["forcing"])
     payload, ok = _check_payload(model)
     if not ok:
-        _write(cfg.out_dir, "example61_summary.json", canonical_json(payload))
+        _write(cfg, "example61_summary.json", payload)
         return 3
 
     plan, _, msq, se = _bounded_moment(model, run, 21)
@@ -189,7 +189,7 @@ def run_example61(cfg: ExperimentConfig) -> int:
 
     scan = almost_periods([p for p, _ in model.coefficients.drift.terms], ex["epsilon"],
                           ex["scan_window"], ex["tau_step"], ex["sup_horizon"])
-    payload["almost_periods"] = scan.to_dict()
+    payload["almost_periods"] = scan
     tau = max(scan.taus) if len(scan.taus) > 1 else 2 * np.pi
     dist = _law_test(model, run, tau, 5, ex["n_boot"])
     payload["distributional"] = {"tau": dist.tau, "max_beta": dist.max_beta,
@@ -205,9 +205,9 @@ def run_example61(cfg: ExperimentConfig) -> int:
         payload["stability"].update(fitted_rate=rate, r_squared=r2)
     except InputError as exc:
         payload["stability"]["fit_error"] = str(exc)
-    _write_csv(cfg, "example61_gap.csv", curve)
-    _write_csv(cfg, "example61_distributional.csv", dist)
-    _write(cfg.out_dir, "example61_summary.json", canonical_json(payload))
+    _write(cfg, "example61_gap.csv", curve.to_csv)
+    _write(cfg, "example61_distributional.csv", dist.to_csv)
+    _write(cfg, "example61_summary.json", payload)
     return 0 if (payload["bounded"]["within_ball"] and bound_ok and dist.passed) else 3
 
 
@@ -222,7 +222,7 @@ def run_example62(cfg: ExperimentConfig) -> int:
                            "gate_formula": "max(2/5, ||Q^(1/2)||, small_rate^(1/p)/3, "
                                            "large_rate^(1/p)/3)"}
     if not ok:
-        _write(cfg.out_dir, "example62_summary.json", canonical_json(payload))
+        _write(cfg, "example62_summary.json", payload)
         return 3
 
     # zero-noise single-mode decay control
@@ -234,7 +234,7 @@ def run_example62(cfg: ExperimentConfig) -> int:
 
     plan, _, msq, se = _bounded_moment(model, run, 11)
     payload["bounded"] = _ball_summary(plan, msq, se)
-    _write(cfg.out_dir, "example62_summary.json", canonical_json(payload))
+    _write(cfg, "example62_summary.json", payload)
     return 0 if payload["bounded"]["within_ball"] else 3
 
 

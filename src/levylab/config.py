@@ -1,4 +1,4 @@
-"""Declarative experiment configuration.
+"""Declarative experiment configuration, and the file formats of every output.
 
 A single JSON file drives every run: a ``model`` section naming registry
 profiles, state maps and mark samplers with explicit parameters, a
@@ -12,13 +12,16 @@ constant, growth constant, jump rates) have no defaults.
 The ``example61`` and ``example62`` experiment kinds may omit the model
 section; the presets supply it and accept overrides from the experiment
 parameters.
+
+The file formats of every run live here too: ``canonical_json`` writes the
+summaries and ``write_csv`` the tables.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any
 
 from .errors import ConfigError
@@ -31,6 +34,7 @@ from .profiles import (OUTERS, clipped_ramp_profile, constant_profile,
                        harmonic_profile, reciprocal_profile, trig_reciprocal_profile)
 
 REQUIRED = object()     # the default of a key that must be given
+CSV_BLOCK = 1024        # rows that write_csv formats and writes at a time
 
 
 # -- checks: each takes (value, key path) and returns the typed value -------
@@ -306,12 +310,15 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def canonical_json(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON text: sorted keys, floats at 17 significant digits;
+    a dataclass instance is the object of its fields."""
     return _canon(obj, 0) + "\n"
 
 
 def _canon(obj: Any, indent: int) -> str:
     pad, pad_in = "  " * indent, "  " * (indent + 1)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -331,9 +338,15 @@ def _canon(obj: Any, indent: int) -> str:
         return "null"
     if isinstance(obj, float) or hasattr(obj, "item"):
         v = float(obj)
-        if v != v:
-            return '"nan"'
-        if v in (float("inf"), float("-inf")):
-            return f'"{v}"'
-        return format(v, ".17g")
+        return format(v, ".17g") if _finite(v) else f'"{v}"'   # "nan", "inf", "-inf"
     return json.dumps(str(obj))
+
+
+def write_csv(path, header, columns) -> None:
+    """Write the equal-length 1-D arrays ``columns`` under ``header``, each value
+    as its ``repr`` (floats read back exactly), ``CSV_BLOCK`` rows at a time."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), CSV_BLOCK):
+            rows = zip(*(c[lo:lo + CSV_BLOCK].tolist() for c in columns))
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))

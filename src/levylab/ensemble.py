@@ -153,10 +153,8 @@ class GapCurve:
     se: np.ndarray
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,gap,se\n")
-            for t, g, s in zip(self.times, self.gap, self.se):
-                fh.write(f"{float(t)!r},{float(g)!r},{float(s)!r}\n")
+        from .config import write_csv   # loaded on the first write, not with the package
+        write_csv(path, ("t", "gap", "se"), (self.times, self.gap, self.se))
 
 
 def coupled_gap(model_a: SdeModel, model_b: SdeModel, y0a, y0b, window,

@@ -39,8 +39,6 @@ from .model import SdeModel, StateMaps
 from .noise import (JUMP_LARGE, JUMP_SMALL,   # jump flags of a SamplePath node; 0 is none
                     jump_table, wiener_slabs)
 
-CSV_BLOCK = 1024   # rows that SamplePath.to_csv formats and writes at a time
-
 
 def _structure(model: SdeModel) -> SdeModel:
     """``model`` without its coefficient profiles: all that stacked models share."""
@@ -193,16 +191,10 @@ class SamplePath:
         return SamplePath(self.times[keep], self.values[keep],
                           self.left_limits[keep], self.jump_flags[keep])
 
-    def to_csv(self, path, n_components: int | None = None):
-        m = self.dim if n_components is None else min(n_components, self.dim)
-        cols = ",".join(f"y{k}" for k in range(m))
-        with open(path, "w") as fh:
-            fh.write(f"time,jump_flag,{cols}\n")
-            for lo in range(0, self.times.size, CSV_BLOCK):
-                rows = zip(*(a[lo:lo + CSV_BLOCK].tolist() for a in
-                             (self.times, self.jump_flags, self.values[:, :m])))
-                fh.write("".join(f"{t!r},{flag},{','.join(map(repr, row))}\n"
-                                 for t, flag, row in rows))
+    def to_csv(self, path):
+        from .config import write_csv   # loaded on the first write, not with the package
+        write_csv(path, ("time", "jump_flag", *(f"y{k}" for k in range(self.dim))),
+                  (self.times, self.jump_flags, *self.values.T))
 
 
 def refined_grid(t0: float, t1: float, max_step: float, nodes) -> np.ndarray:

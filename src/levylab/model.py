@@ -668,8 +668,9 @@ class TheoremConstants:
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self._FORMULAS}
 
-    def formulas(self) -> dict:
-        return dict(self._FORMULAS)
+    @classmethod
+    def formulas(cls) -> dict:
+        return dict(cls._FORMULAS)
 
 
 def theorem_constants(model: SdeModel) -> TheoremConstants:

@@ -25,11 +25,11 @@ to within O(tol).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleResult, _run_ensembles, observation_times, simulate_ensemble
+from .ensemble import EnsembleResult, _run_ensembles, observation_times
 from .errors import InputError, ThresholdError
 from .integrator import SamplePath, integrate
 from .model import SdeModel, compute_radius, stability_margin
@@ -127,10 +127,10 @@ def bounded_ensemble(model: SdeModel, window, tol: float, n_paths: int,
     obs = observation_times(obs_times)
     clusters = np.split(obs, np.flatnonzero(np.diff(obs) > t_pull) + 1)
     ends = [times[-1] for times in clusters[:-1]] + [t1]
-    first = simulate_ensemble(model, (t0 - t_pull, ends[0]), y0, n_paths, max_step, seed,
-                              clusters[0])
-    rest = [_run_ensembles((model,), (times[0] - t_pull, end), (y0,), n_paths, max_step,
+    starts = [t0] + [times[0] for times in clusters[1:]]
+    runs = [_run_ensembles((model,), (start - t_pull, end), (y0,), n_paths, max_step,
                            seed, times, path0=k * n_paths)
-            for k, (times, end) in enumerate(zip(clusters[1:], ends[1:]), start=1)]
-    return replace(first, times=np.concatenate([first.times] + [t for t, _ in rest]),
-                   states=np.concatenate([first.states] + [s for _, (s,) in rest]))
+            for k, (start, times, end) in enumerate(zip(starts, clusters, ends))]
+    return EnsembleResult(times=np.concatenate([t for t, _ in runs]),
+                          states=np.concatenate([s for _, (s,) in runs]),
+                          seed=int(seed), max_step=float(max_step))

@@ -62,7 +62,9 @@ def bebutov_distance(phi, psi, horizon: float = 50.0, grid_step: float = 0.01,
     center = n_half
     folded = np.maximum(rho[center:], rho[center::-1])
     running_max = np.maximum.accumulate(folded)        # M(k) at k = i*grid_step
-    m_full = float(running_max[-1])
+    m_full = float(running_max[-1])                    # NaN if any difference is NaN
+    if not math.isfinite(m_full):
+        raise InputError(f"phi - psi must be finite on the grid, its sup is {m_full!r}")
     if m_full <= atol:
         return 0.0
     if m_full < 1.0 / horizon:
@@ -110,12 +112,6 @@ class RecurrenceReport:
     t_step: float
     verdict: bool
 
-    def to_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "taus": list(self.taus),
-                "distances": list(self.distances), "max_gap": self.max_gap,
-                "scan_window": self.scan_window, "sup_horizon": self.sup_horizon,
-                "t_step": self.t_step, "verdict": self.verdict}
-
 
 def almost_periods(profile, epsilon: float, scan_window: float,
                    tau_step: float, sup_horizon: float,
@@ -130,8 +126,10 @@ def almost_periods(profile, epsilon: float, scan_window: float,
     """
     if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon!r}")
-    if not 0.0 < tau_step < math.inf:
-        raise InputError(f"tau_step must be positive and finite, got {tau_step!r}")
+    for name, value in (("scan_window", scan_window), ("tau_step", tau_step),
+                        ("sup_horizon", sup_horizon)):
+        if not 0.0 < value < math.inf:
+            raise InputError(f"{name} must be positive and finite, got {value!r}")
     profs = list(profile) if isinstance(profile, (list, tuple)) else [profile]
     if t_step is None:
         lips = []
@@ -312,10 +310,8 @@ class DistributionalReport:
     positive: bool           # beta > 3 err somewhere (power indicator)
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,beta,bootstrap_err\n")
-            for t, b2, e in zip(self.times, self.beta, self.err):
-                fh.write(f"{float(t)!r},{float(b2)!r},{float(e)!r}\n")
+        from .config import write_csv   # loaded on the first write, not with the package
+        write_csv(path, ("t", "beta", "bootstrap_err"), (self.times, self.beta, self.err))
 
 
 def distributional_almost_period_test(model: SdeModel, tau: float, t_grid,
@@ -366,6 +362,8 @@ def coefficient_shift_bounds(model: SdeModel, tau: float, radius: float,
     bound, and jump coefficients pick up their intensity-times-mark-moment
     factors.
     """
+    if not math.isfinite(tau):
+        raise InputError(f"tau must be finite, got {tau!r}")
     t = np.linspace(-horizon, horizon, n_grid)
 
     def prof_shift_sup(prof: TimeProfile) -> float:
@@ -411,15 +409,15 @@ def shift_coupling_gap(model: SdeModel, tau: float, window, n_paths: int,
 
     The two models differ only in their profiles, so they run as one
     stacked batch of :func:`levylab.ensemble.coupled_gap`: each slab of the
-    noise is drawn once and read by both blocks.
+    noise is drawn once and read by both blocks.  A ``tau`` that is not
+    finite is rejected (by :func:`coefficient_shift_bounds`) before the run.
     """
     t0, t1 = float(window[0]), float(window[1])
     plan = pullback_plan(model, tol)   # the shifted model has the same plan
+    sup_i = coefficient_shift_bounds(model, tau, plan.radius, horizon=sup_horizon)
     curve = coupled_gap(model, model.shifted(tau), 0.0, 0.0, (t0 - plan.t_pull, t1),
                         n_paths, max_step, seed, np.linspace(t0, t1, n_obs))
     i_sup = int(np.argmax(curve.gap))
-
-    sup_i = coefficient_shift_bounds(model, tau, plan.radius, horizon=sup_horizon)
     bound = compat_gap_bound(model.K, model.omega, model.coefficients.lipschitz_L,
                              model.b, sup_i["i1"], sup_i["i2"], sup_i["i3"], sup_i["i4"])
     return ShiftCouplingResult(

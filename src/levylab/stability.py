@@ -89,10 +89,6 @@ class UltimateBoundReport:
     r_plus_1: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {"tail_second_moment": self.tail_second_moment, "se": self.se,
-                "r_plus_1": self.r_plus_1, "passed": self.passed}
-
 
 def ultimate_bound_check(model: SdeModel, horizon: float, n_paths: int, y0,
                          seed: int, max_step: float = 5e-3) -> UltimateBoundReport:

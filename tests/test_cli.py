@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from levylab import config
 from levylab.cli import main
 from levylab.config import EXPERIMENTS, parse_config
 from levylab.errors import ConfigError
@@ -165,6 +166,40 @@ def test_seed_and_out_overrides(tmp_path):
                  "--out", str(tmp_path / "alt")]) == 0
     out = json.loads((tmp_path / "alt" / "simulate_summary.json").read_text())
     assert out["seed"] == 9
+
+
+def test_write_csv_blocks_round_trip(tmp_path, monkeypatch):
+    monkeypatch.setattr(config, "CSV_BLOCK", 3)
+    rng = np.random.default_rng(0)
+    flags = rng.integers(0, 3, 8).astype(np.int8)
+    x = np.concatenate([[1 / 3, -0.1, 5e-324, 1e300], rng.normal(size=4)])
+    y = rng.exponential(size=8)
+    config.write_csv(tmp_path / "t.csv", ("t", "flag", "y"), (x, flags, y))
+    header, *rows = (tmp_path / "t.csv").read_text().splitlines()
+    assert header == "t,flag,y"
+    assert len(rows) == 8
+    for row, a, f, b in zip(rows, x, flags, y):
+        got_a, got_f, got_b = row.split(",")
+        assert float(got_a) == a and int(got_f) == f and float(got_b) == b
+
+
+# every command but the two examples, each on a small run
+_SMALL = {"check": {}, "simulate": {"y0": 1.0}, "bounded": {"n_obs": 3},
+          "recurrence": {"epsilon": 0.05, "scan_window": 10.0, "sup_horizon": 5.0,
+                         "tau_step": 0.1, "tau": 1.0, "t_grid_n": 2, "n_boot": 2},
+          "stability": {"y0a": 1.0, "y0b": 3.0, "horizon": 1.0}}
+
+
+@pytest.mark.parametrize("formats", [["csv"], ["json"], []])
+@pytest.mark.parametrize("kind", sorted(_SMALL))
+def test_output_formats_choose_the_files(tmp_path, kind, formats):
+    d = _base_cfg(kind, tmp_path, **_SMALL[kind])
+    d["run"].update(window=[0.0, 1.0], n_paths=8)
+    d["output"]["formats"] = formats
+    assert main([kind, "--config", _write_cfg(tmp_path, "c.json", d)]) == 0
+    out = tmp_path / "out"
+    written = {p.suffix[1:] for p in out.iterdir()} if out.exists() else set()
+    assert written == set(formats) - ({"csv"} if kind == "check" else set())
 
 
 def test_summaries_byte_identical_between_runs(tmp_path):

@@ -108,14 +108,30 @@ def test_almost_periods_rejects_bad_scan(epsilon, tau_step, name):
         L.almost_periods(L.periodic_profile(1.0, 1.0), epsilon, 10.0, tau_step, 5.0)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"scan_window": np.nan}, "scan_window"), ({"scan_window": np.inf}, "scan_window"),
+    ({"scan_window": -5.0}, "scan_window"), ({"scan_window": 0.0}, "scan_window"),
+    ({"sup_horizon": np.nan}, "sup_horizon"), ({"sup_horizon": np.inf}, "sup_horizon"),
+    ({"sup_horizon": -1.0}, "sup_horizon")])
+def test_almost_periods_rejects_bad_windows(kwargs, name):
+    # NaN or inf ended in a bare ValueError or OverflowError, sup_horizon = -1 in
+    # numpy's broadcast error, and scan_window = -5 gave a report with max_gap -5
+    scan = {"epsilon": 0.1, "scan_window": 10.0, "tau_step": 0.1, "sup_horizon": 5.0}
+    with pytest.raises(InputError, match=name):
+        L.almost_periods(L.periodic_profile(1.0, 1.0), **{**scan, **kwargs})
+
+
 @pytest.mark.parametrize("kwargs, name", [({"horizon": 0.0}, "horizon"),
                                           ({"horizon": np.nan}, "horizon"),
                                           ({"grid_step": 0.0}, "grid_step"),
-                                          ({"grid_step": -0.01}, "grid_step")])
+                                          ({"grid_step": -0.01}, "grid_step"),
+                                          ({"psi": lambda t: np.log(t)}, "phi - psi"),
+                                          ({"psi": lambda t: 1.0 / t}, "phi - psi")])
 def test_bebutov_rejects_bad_grid(kwargs, name):
-    # horizon = 0 ended in a ZeroDivisionError
-    with pytest.raises(InputError, match=name):
-        L.bebutov_distance(L.constant_profile(0.0), L.constant_profile(0.3), **kwargs)
+    # horizon = 0 ended in a ZeroDivisionError, a NaN difference in a bare ValueError
+    pair = {"phi": L.constant_profile(0.0), "psi": L.constant_profile(0.3)}
+    with np.errstate(all="ignore"), pytest.raises(InputError, match=name):
+        L.bebutov_distance(**{**pair, **kwargs})
 
 
 def test_every_accepted_tau_is_below_epsilon():
@@ -322,6 +338,18 @@ def test_bl_two_sample_needs_resamples(n_boot):
     # n_boot = 0 ended in a ZeroDivisionError
     with pytest.raises(InputError, match="n_boot"):
         L.bl_two_sample(np.zeros(5), np.ones(5), n_boot=n_boot)
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("run", [
+    lambda m, tau: L.coefficient_shift_bounds(m, tau, radius=1.0),
+    lambda m, tau: L.shift_coupling_gap(m, tau, (0.0, 1.0), n_paths=4, seed=0)],
+    ids=["shift_bounds", "shift_coupling_gap"])
+def test_non_finite_shift_is_rejected(run, tau):
+    # a NaN tau gave shift bounds i1 = nan beside finite i2, i4, and a
+    # coupling "blowup" naming path 0
+    with pytest.raises(InputError, match="tau"):
+        run(L.presets.example61_model(), tau)
 
 
 def test_shift_coupling_zero_shift():
