@@ -26,9 +26,10 @@ which applies each event to its path in every block and which
 on the kernel's own step to the jump time.  So a one-path ensemble on the
 grid of ``integrate`` reproduces its path bit for bit, and each block is
 its model's separate run bit for bit.
-The jump kernel sorts a chunk's events once into (step, round, kind)
-slices, so a step makes one coefficient call per slice, and none when it
-holds no jump.
+The jump kernel sorts a chunk's events once into (step, round) slices,
+split by kind only where the kinds' coefficients differ beyond their
+profiles or the model is Galerkin (whose transforms round by batch size),
+so a step makes one coefficient call per slice, and none without a jump.
 """
 
 from __future__ import annotations

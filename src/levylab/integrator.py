@@ -37,7 +37,7 @@ import numpy as np
 from .errors import InputError, NumericalBlowupError
 from .model import SdeModel, StateMaps
 from .noise import (JUMP_LARGE, JUMP_SMALL,   # jump flags of a SamplePath node; 0 is none
-                    jump_table, wiener_slabs)
+                    jump_table, wiener_slabs, window_ends)
 
 
 def _structure(model: SdeModel) -> SdeModel:
@@ -77,13 +77,20 @@ def step_kernel(models, grid: np.ndarray):
                               for name in ("drift", "diffusion", "small_jump"))
     f_slots, g_slots, s_slots = maps.slots
     rate, sampler = model.jumps.small_rate, model.jumps.small_sampler
-    mean = s.mark_factor(np.asarray(sampler.mean(), float), gal) if rate else None
+    mean = s.mark_factor(np.reshape(sampler.mean(), -1), gal) if rate else None
+    # skip the terms that are identically zero (no Wiener drift, a zero mark mean):
+    # their signed zeros leave f, which holds no -0.0 (evaluate adds +0.0), as it is
+    a = a if np.any(a) else None
+    rate = rate if mean is None or np.any(mean) else 0.0
 
     def step(i: int, y: np.ndarray, dw: np.ndarray):
         vals = maps(y)
         gdiag = g.evaluate(g_cols, i, vals, g_slots, gal)
-        drift = (f.evaluate(f_cols, i, vals, f_slots, gal) + gdiag * a
-                 + (-rate * s.evaluate(s_cols, i, vals, s_slots, gal, mean) if rate else 0.0))
+        drift = f.evaluate(f_cols, i, vals, f_slots, gal)
+        if a is not None:
+            drift += gdiag * a
+        if rate:
+            drift += -rate * s.evaluate(s_cols, i, vals, s_slots, gal, mean)
         d = decay[i]
         return d * y + phi1[i] * drift + d * (gdiag * dw), drift, gdiag
 
@@ -104,9 +111,12 @@ def jump_kernel(models, grid, events):
 
     Per event, in (step, path, time) order: its profile row, that ``lead``
     with ``exp(-Lam lead)``, ``phi1(lead)``, ``lead / (v-u)`` and ``exp(-Lam
-    (v-s))``; then the events are regrouped into (step, round, kind) slices,
-    round r holding each path's (r+1)-th jump, so the events of a slab are
-    one range, whose Wiener terms ``lead / (v-u) dW`` one expression fills."""
+    (v-s))``; then the events are regrouped into (step, round) slices, round
+    r holding each path's (r+1)-th jump, so the events of a slab are one
+    range, whose Wiener terms ``lead / (v-u) dW`` one expression fills.  A
+    slice holds both kinds if their coefficients differ only in profiles, but
+    one kind on a Galerkin model: its size is the batch of ``to_phys`` and
+    ``to_modes``, whose rounding depends on the batch size."""
     times, paths, kinds, marks = events
     interval = np.clip(np.searchsorted(grid, times, side="left") - 1, 0, grid.size - 2)
     order = np.lexsort((times, paths, interval))
@@ -123,31 +133,37 @@ def jump_kernel(models, grid, events):
     neg_ldt = -np.outer(lead, lam)   # the expressions of step_kernel
     dec_in, phi1 = np.exp(neg_ldt), -np.expm1(neg_ldt) / lam
     dec_out = np.exp(-np.outer(grid[interval + 1] - times, lam))
+    shape = _structure(model).coefficients   # Galerkin: split until ROADMAP 1's batch fix
+    merged = model.galerkin is None and shape.small_jump == shape.large_jump
+    split = kinds * (not merged)   # the kind of a slice, or 0 when both kinds share it
     # a round starts from the post-jump states of the previous one, kept in
     # ``post`` at the slot ``back`` of each path's previous event
-    regroup = np.lexsort((paths, kinds, rank, interval))
+    regroup = np.lexsort((paths, split, rank, interval))
     back = np.argsort(regroup)[regroup - 1]
-    paths, kinds, marks, interval, rank, frac, dec_in, phi1, dec_out = (
-        a[regroup] for a in (paths, kinds, marks, interval, rank, frac, dec_in, phi1,
+    paths, kinds, split, marks, interval, rank, frac, dec_in, phi1, dec_out = (
+        a[regroup] for a in (paths, kinds, split, marks, interval, rank, frac, dec_in, phi1,
                              dec_out))
 
     def per_block(rows):   # rows of each model, on the block axis if any
         return np.stack(rows) if blocks else rows[0]
 
-    kernels = {kind: coef.event_kernel(   # rows and scalar marks broadcast over coordinates
-        per_block([getattr(m.coefficients, name).profile_table(times)[regroup][:, None]
-                   for m in models]),
-        per_block([marks[:, :1] if coef.mark_mode == "scalar" else marks]), model.galerkin)
-        for kind, name, coef in ((JUMP_SMALL, "small_jump", c.small_jump),
-                                 (JUMP_LARGE, "large_jump", c.large_jump))}
-    starts = np.flatnonzero(np.r_[times.size > 0, np.any(np.diff([interval, rank, kinds]), 0)])
+    small, large = ([getattr(m.coefficients, name).profile_table(times)[regroup][:, None]
+                     for m in models] for name in ("small_jump", "large_jump"))
+    specs = ((JUMP_SMALL, small, c.small_jump), (JUMP_LARGE, large, c.large_jump))
+    if merged:   # one kernel, keyed 0; each event's profile row from its own kind's table
+        specs = ((0, [np.where((kinds == JUMP_SMALL)[:, None, None], *rows)
+                      for rows in zip(small, large)], c.small_jump),)
+    kernels = {key: coef.event_kernel(   # rows and scalar marks broadcast over coordinates
+        per_block(rows), per_block([marks[:, :1] if coef.mark_mode == "scalar" else marks]),
+        model.galerkin) for key, rows, coef in specs}
+    starts = np.flatnonzero(np.r_[times.size > 0, np.any(np.diff([interval, rank, split]), 0)])
     schedule = {}   # step -> its slices; most steps hold no jump
-    for a, b, i, kind, r in zip(*(x.tolist() for x in (
-            starts, np.append(starts[1:], times.size), interval[starts], kinds[starts],
+    for a, b, i, key, r in zip(*(x.tolist() for x in (
+            starts, np.append(starts[1:], times.size), interval[starts], split[starts],
             rank[starts]))):
         sl = slice(a, b)   # j: the slice's rows in every block (sl itself for one model)
         schedule.setdefault(i, []).append((sl, blocks + (sl,) if blocks else sl,
-                                           kernels[kind], r > 0))
+                                           kernels[key], r > 0))
     post = per_block([np.empty((times.size, model.dim))] * len(models))
     wiener = np.empty((times.size, model.wiener.dim))
 
@@ -199,8 +215,7 @@ class SamplePath:
 
 def refined_grid(t0: float, t1: float, max_step: float, nodes) -> np.ndarray:
     """Uniform grid on [t0, t1], steps at most ``max_step``, refined by ``nodes``."""
-    if not (math.isfinite(t0) and math.isfinite(t1) and t0 <= t1):
-        raise InputError(f"window must be finite and nonempty, got {(t0, t1)!r}")
+    t0, t1 = window_ends((t0, t1))
     if not 0.0 < max_step < math.inf:
         raise InputError(f"max_step must be positive and finite, got {max_step!r}")
     n = max(1, int(np.ceil((t1 - t0) / max_step - 1e-12)))

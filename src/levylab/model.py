@@ -243,6 +243,8 @@ class JumpCoefficient(Coefficient):
         y, mark = np.asarray(y, dtype=float), np.asarray(mark, dtype=float)
         if self.mark_mode == "scalar" and mark.ndim:   # one mark per leading state
             mark = mark.reshape(mark.shape + (1,) * (y.ndim - mark.ndim))
+        if galerkin is not None and galerkin.n_modes == 1 and mark.ndim < y.ndim:
+            mark = mark[..., None]   # one-mode vector marks come as scalars
         maps = StateMaps((self,), galerkin)
         return self.evaluate(_columns(self.profile_table(t), y), ..., maps(y), maps.slots[0],
                              galerkin, self.mark_factor(mark, galerkin))
@@ -269,9 +271,10 @@ class JumpCoefficient(Coefficient):
         if self.mark_mode != "pointwise_product":
             factor = 1.0 if self.mark_mode == "ignore" else sampler.abs_moment(2)
             return np.array([rate * factor * sq(i) for i in range(t.size)])
-        nodes, weights = sampler.quadrature()
+        nodes, weights = sampler.quadrature()   # one-mode marks come as scalars
+        nodes = np.reshape(np.asarray(nodes, dtype=float), (len(weights), sampler.dim))
         acc = np.zeros(t.shape)   # each time sums its nodes in quadrature order
-        for xn, w in zip(self.mark_factor(np.asarray(nodes, dtype=float), galerkin), weights):
+        for xn, w in zip(self.mark_factor(nodes, galerkin), weights):
             acc += w * np.array([sq(i, xn) for i in range(t.size)])
         return rate * acc
 

@@ -65,11 +65,20 @@ class MarkSampler:
     def __post_init__(self):
         if self.kind not in _MARK_KINDS:
             raise InputError(f"unknown mark sampler kind {self.kind!r}")
-        if self.kind == "uniform_shell" and not (0 <= self.lo < self.hi):
-            raise InputError("uniform_shell needs 0 <= lo < hi")
+        if self.kind == "uniform_shell" and not (0 <= self.lo < self.hi < math.inf):
+            raise InputError("uniform_shell needs 0 <= lo < hi < inf")
+        if self.kind == "exp_tail" and not (0 < self.scale < math.inf
+                                            and 0 <= self.cut < math.inf):
+            raise InputError(f"exp_tail needs a positive finite scale and a finite cut >= 0, "
+                             f"got scale {self.scale!r}, cut {self.cut!r}")
+        if self.kind in ("point_mass", "finite_rank") and not all(
+                np.isfinite(a).all() for a in self.atoms):
+            raise InputError(f"{self.kind} atoms must be finite")
         if self.kind == "finite_rank":
             if len(self.atoms) == 0 or len(self.atoms) != len(self.probs):
                 raise InputError("finite_rank needs matching atoms and probs")
+            if not all(p >= 0 for p in self.probs):   # false for NaN
+                raise InputError(f"finite_rank probs must be nonnegative, got {self.probs!r}")
             if abs(sum(self.probs) - 1.0) > 1e-12:
                 raise InputError("finite_rank probs must sum to 1")
 
@@ -186,10 +195,12 @@ class WienerSpec:
     drift_a: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if any(q < 0 for q in self.mode_variances):
-            raise InputError("mode variances must be nonnegative")
+        if not all(0 <= q < math.inf for q in self.mode_variances):   # false for NaN
+            raise InputError("mode variances must be finite and nonnegative")
         if self.drift_a is not None and len(self.drift_a) != len(self.mode_variances):
             raise InputError("drift dimension must match mode count")
+        if self.drift_a is not None and not all(map(math.isfinite, self.drift_a)):
+            raise InputError("drift_a must be finite")
 
     @property
     def dim(self) -> int:
@@ -229,10 +240,10 @@ class JumpMeasureSpec:
     moment_p: float = 2.5
 
     def __post_init__(self):
-        if self.small_rate < 0 or self.large_rate < 0:
-            raise InputError("jump rates must be nonnegative")
-        if not np.isfinite(self.large_rate):
-            raise InputError("large-jump rate must be finite")
+        for which in ("small", "large"):
+            rate = getattr(self, f"{which}_rate")
+            if not 0.0 <= rate < math.inf:   # false for NaN
+                raise InputError(f"{which}_rate must be finite and nonnegative, got {rate!r}")
         if not 0.0 < self.truncation_delta < 1.0:
             raise InputError("truncation_delta must lie in (0, 1)")
         for which in ("small", "large"):
@@ -332,6 +343,14 @@ def wiener_slabs(spec: WienerSpec, grid, seed, paths=None):
     return map(slab, range(0, dt.size, rows))
 
 
+def window_ends(window) -> tuple[float, float]:
+    """The ends of ``window`` as floats, which must be finite with t0 <= t1."""
+    t0, t1 = float(window[0]), float(window[1])
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 <= t1):
+        raise InputError(f"window must be finite and nonempty, got {window!r}")
+    return t0, t1
+
+
 def jump_table(spec: JumpMeasureSpec, window, seed, paths=None):
     """The jump events ``(times, paths, kinds, marks)`` inside the open
     ``window`` of the paths ``paths`` of ``seed`` (``None``: the one path
@@ -341,9 +360,7 @@ def jump_table(spec: JumpMeasureSpec, window, seed, paths=None):
     of 0 and kind, one stream draws a Poisson count with mean rate * span and
     as many i.i.d. uniform times, a second one any i.i.d. marks; the sort, the
     mirror of the negative side, the cut and the merge run once."""
-    t0, t1 = float(window[0]), float(window[1])
-    if not (math.isfinite(t0) and math.isfinite(t1) and t0 <= t1):
-        raise InputError(f"window must be finite and nonempty, got {window!r}")
+    t0, t1 = window_ends(window)
     kinds = ((spec.small_rate, spec.small_sampler), (spec.large_rate, spec.large_sampler))
     groups = [(side, a, b - a, j) for side, (a, b) in enumerate(
         ((max(t0, 0.0), max(t1, 0.0)), (max(-t1, 0.0), max(-t0, 0.0)))) if b > a

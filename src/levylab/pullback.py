@@ -33,6 +33,7 @@ from .ensemble import EnsembleResult, _run_ensembles, observation_times
 from .errors import InputError, ThresholdError
 from .integrator import SamplePath, integrate
 from .model import SdeModel, compute_radius, stability_margin
+from .noise import window_ends
 
 
 def pullback_horizon(K: float, rate: float, start_bound: float, tol: float) -> float:
@@ -79,14 +80,15 @@ def pullback_plan(model: SdeModel, tol: float, start_state=None) -> PullbackPlan
                         margin=margin, radius=radius, start_bound=start_bound, tol=tol)
 
 
-def _pullback_start(model: SdeModel, tol: float, start_state, t_pull):
-    """The horizon, the planned one unless ``t_pull`` is given (finite and
-    >= 0), and the start state (the origin by default)."""
+def _pullback_start(model: SdeModel, window, tol: float, start_state, t_pull):
+    """The window's ends, the horizon, the planned one unless ``t_pull`` is
+    given (finite and >= 0), and the start state (the origin by default)."""
+    t0, t1 = window_ends(window)
     plan = pullback_plan(model, tol, start_state)
     if t_pull is not None and not 0.0 <= t_pull < math.inf:
         raise InputError(f"t_pull must be finite and >= 0, got {t_pull!r}")
     t_pull = plan.t_pull if t_pull is None else float(t_pull)
-    return t_pull, 0.0 if start_state is None else start_state
+    return t0, t1, t_pull, 0.0 if start_state is None else start_state
 
 
 def bounded_solution(model: SdeModel, window, tol: float, seed: int,
@@ -102,8 +104,7 @@ def bounded_solution(model: SdeModel, window, tol: float, seed: int,
     window, step) are driven by the identical noise draw, which is
     how start-independence is tested.
     """
-    t0, t1 = float(window[0]), float(window[1])
-    t_pull, y0 = _pullback_start(model, tol, start_state, t_pull)
+    t0, t1, t_pull, y0 = _pullback_start(model, window, tol, start_state, t_pull)
     return integrate(model, (t0 - t_pull, t1), y0, max_step, seed).restrict(t0, t1)
 
 
@@ -122,8 +123,7 @@ def bounded_ensemble(model: SdeModel, window, tol: float, n_paths: int,
     independent draw in each cluster.  With one cluster this is
     :func:`levylab.ensemble.simulate_ensemble` on ``[t0 - t_pull, t1]``.
     """
-    t0, t1 = float(window[0]), float(window[1])
-    t_pull, y0 = _pullback_start(model, tol, start_state, t_pull)
+    t0, t1, t_pull, y0 = _pullback_start(model, window, tol, start_state, t_pull)
     obs = observation_times(obs_times)
     clusters = np.split(obs, np.flatnonzero(np.diff(obs) > t_pull) + 1)
     ends = [times[-1] for times in clusters[:-1]] + [t1]

@@ -131,6 +131,8 @@ def almost_periods(profile, epsilon: float, scan_window: float,
         if not 0.0 < value < math.inf:
             raise InputError(f"{name} must be positive and finite, got {value!r}")
     profs = list(profile) if isinstance(profile, (list, tuple)) else [profile]
+    if not profs:
+        raise InputError("profile must hold at least one profile")
     if t_step is None:
         lips = []
         for p in profs:

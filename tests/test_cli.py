@@ -257,6 +257,19 @@ def test_example62_bundle(tmp_path):
     assert out["bounded"]["within_ball"] is True
 
 
+def test_example62_runs_one_mode(tmp_path):
+    # one-mode finite-rank marks come as scalars; the checker's quadrature met
+    # the (1, 2) basis with (2,) nodes and exited 1 with a traceback
+    d = {"run": {"window": [0.0, 1.0], "step": 0.01, "n_paths": 20, "seed": 2,
+                 "tolerance": 0.1},
+         "experiment": {"kind": "example62", "n_modes": 1},
+         "output": {"directory": str(tmp_path / "out1")}}
+    assert main(["example62", "--config", _write_cfg(tmp_path, "c1.json", d)]) == 0
+    out = json.loads((tmp_path / "out1" / "example62_summary.json").read_text())
+    assert out["spectrum"]["eigenvalues"] == [pytest.approx(np.pi**2)]
+    assert out["bounded"]["within_ball"] is True
+
+
 def test_command_config_kind_mismatch(tmp_path):
     cfg = _write_cfg(tmp_path, "c.json", _base_cfg("check", tmp_path))
     assert main(["simulate", "--config", cfg]) == 2

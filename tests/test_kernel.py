@@ -2,6 +2,7 @@
 outputs, profiles tabulated once per grid, and the one coefficient
 evaluation body against the generic body it replaced."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -221,6 +222,43 @@ def test_every_state_map_kind_is_pinned():
         window, _, *rest = ENSEMBLE_CASES[case]
         res = simulate_ensemble(m, window, -0.0, *rest)
         assert np.array_equal(res.states[-1].ravel(), _golden(case, "every_map")), case
+
+
+def _jump_slices(m, window, n_paths, max_step, seed, obs):
+    """The (step, round) and the (step, round, kind) groups of the jumps of an
+    ensemble run, round r holding each path's (r+1)-th jump in the step."""
+    grid = refined_grid(window[0], window[1], max_step, obs)
+    times, paths, kinds, _ = jump_table(m.jumps, window, seed, range(n_paths))
+    steps = np.clip(np.searchsorted(grid, times) - 1, 0, grid.size - 2)
+    order = np.lexsort((times, steps, paths))
+    ranks, groups = Counter(), set()
+    for p, i, k in zip(*(a[order].tolist() for a in (paths, steps, kinds))):
+        groups.add((i, ranks[p, i], k))
+        ranks[p, i] += 1
+    return len({g[:2] for g in groups}), len(groups)
+
+
+@pytest.mark.parametrize("name, merged", [("example61", True), ("periodic", True),
+                                          ("every_map", False), ("heat8", False)])
+def test_kinds_that_share_a_kernel_make_one_jump_call_per_step_and_round(
+        name, merged, monkeypatch):
+    # small and large jumps of example61 and periodic differ only in their
+    # profiles; every_map's do not, and heat8 is a Galerkin model, whose
+    # transforms keep the batch sizes of one slice per kind
+    calls = []
+    direct = L.JumpCoefficient.event_kernel
+
+    def counted(self, *args):
+        jump = direct(self, *args)
+        return lambda j, y: calls.append(j) or jump(j, y)
+
+    monkeypatch.setattr(L.JumpCoefficient, "event_kernel", counted)
+    m = _model(name)
+    window, _, *rest = args = ENSEMBLE_CASES["stressed"]
+    per_round, per_kind = _jump_slices(m, window, *rest)
+    assert per_round < per_kind   # some round holds jumps of both kinds
+    simulate_ensemble(m, *args)
+    assert len(calls) == (per_round if merged else per_kind)
 
 
 @pytest.mark.parametrize("name", ["example61", "heat8"])
@@ -450,10 +488,20 @@ def test_evaluation_body_matches_the_generic_oracle_bit_for_bit(case):
                 == _sq_moment_oracle(coef, 0.3, y, 1.5, sampler, gal))
 
 
-@pytest.mark.parametrize("name", ["every_map", "heat8", "ou_jump"])
+def _step_model(name):
+    if name == "ou_jump":
+        return L.presets.ou_jump_model()
+    if name == "drift_a":
+        return replace(every_map_model(), wiener=L.WienerSpec((0.5,), drift_a=(-0.7,)))
+    return _model(name)
+
+
+@pytest.mark.parametrize("name", ["every_map", "heat8", "ou_jump", "periodic", "drift_a"])
 def test_compiled_step_matches_the_generic_oracle_bit_for_bit(name):
-    # ou_jump has no small jumps and an empty drift
-    m = L.presets.ou_jump_model() if name == "ou_jump" else _model(name)
+    # ou_jump has no small jumps and an empty drift; the step skips the zero
+    # Wiener drift term of all but drift_a and the compensator of periodic,
+    # whose signed small marks have mean zero
+    m = _step_model(name)
     c, gal, a = m.coefficients, m.galerkin, m.wiener.drift
     grid = np.linspace(-1.0, 1.0, 9)
     step = step_kernel((m,), grid)

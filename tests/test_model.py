@@ -483,3 +483,17 @@ def test_check_conditions_rejects_a_grid_without_finite_times(t_span, n_t_grid):
 def test_check_conditions_accepts_small_grids():
     for n in (1, 21):
         assert L.check_conditions(L.presets.example61_model(), n_t_grid=n).e1.passed
+
+
+def test_one_mode_heat_model_takes_its_squeezed_marks():
+    # one-mode finite-rank marks are scalars; the checker's quadrature and
+    # value() with the sampler's mean ended in numpy's matmul ValueError
+    m = L.presets.example62_model(n_modes=1)
+    assert L.check_conditions(m).all_passed
+    c, gal, sampler = m.coefficients.small_jump, m.galerkin, m.jumps.small_sampler
+    y = np.array([[0.3], [-0.2]])
+    marks = sampler.sample(np.random.default_rng(0), 2)   # one scalar per state
+    want = np.stack([c.value(0.0, y[k], marks[k:k + 1], gal) for k in range(2)])
+    assert np.array_equal(c.value(0.0, y, marks, gal), want)
+    assert np.array_equal(c.value(0.0, y[0], sampler.mean(), gal),
+                          c.value(0.0, y[0], [sampler.mean()], gal))

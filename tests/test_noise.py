@@ -439,6 +439,28 @@ def test_invalid_specs_rejected():
         L.WienerSpec(mode_variances=(-1.0,))
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: L.JumpMeasureSpec(small_rate=np.nan), "small_rate"),
+    (lambda: L.JumpMeasureSpec(large_rate=np.nan), "large_rate"),
+    (lambda: L.JumpMeasureSpec(small_rate=np.inf), "small_rate"),
+    (lambda: L.finite_rank_marks([[1.0], [2.0]], [np.nan, 1.0]), "probs"),
+    (lambda: L.finite_rank_marks([[1.0], [2.0]], [-0.5, 1.5]), "probs"),
+    (lambda: L.finite_rank_marks([[1.0], [np.nan]], [0.5, 0.5]), "atoms"),
+    (lambda: L.point_mass_marks(np.inf), "atoms"),
+    (lambda: L.exp_tail_marks(-1.0), "scale"),
+    (lambda: L.exp_tail_marks(np.nan), "scale"),
+    (lambda: L.exp_tail_marks(1.0, cut=np.nan), "cut"),
+    (lambda: L.uniform_shell_marks(1.0, np.inf), "hi"),
+    (lambda: L.WienerSpec(mode_variances=(np.nan,)), "mode variances"),
+    (lambda: L.WienerSpec(mode_variances=(1.0,), drift_a=(np.nan,)), "drift_a")])
+def test_nan_and_invalid_noise_parameters_are_rejected_at_construction(make, name):
+    # each constructed and failed at the first step or draw: an AttributeError
+    # on the missing sampler, numpy's "Probabilities contain NaN", "scale < 0";
+    # a NaN variance passed check_conditions and blew up at the first step
+    with pytest.raises(InputError, match=name):
+        make()
+
+
 def test_mark_moments_match_sampler_moments():
     spec = _jump_spec()
     assert spec.mark_moment("small", 2) == spec.small_sampler.abs_moment(2)

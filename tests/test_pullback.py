@@ -63,6 +63,18 @@ def test_t_pull_must_be_finite_and_nonnegative(t_pull):
             run()
 
 
+@pytest.mark.parametrize("run, name", [
+    (lambda m: L.bounded_solution(m, (1.0, 0.0), 0.02, 0), "window"),
+    (lambda m: L.bounded_solution(m, (0.0, np.nan), 0.02, 0), "window"),
+    (lambda m: L.bounded_ensemble(m, (1.0, 0.0), 0.02, 4, 0, [0.5]), "window"),
+    (lambda m: L.almost_periods([], 0.1, 10.0, 0.1, 5.0), "profile")])
+def test_library_calls_name_their_bad_argument(run, name):
+    # a reversed window returned an empty path, and no profiles ended in the
+    # bare ValueError of max() on an empty sequence
+    with pytest.raises(InputError, match=name):
+        run(L.presets.example61_model())
+
+
 @pytest.mark.parametrize("K, rate, name", [(np.nan, 1.0, "K"), (np.inf, 1.0, "K"),
                                            (0.0, 1.0, "K"), (1.0, np.nan, "rate"),
                                            (1.0, np.inf, "rate"), (1.0, -np.inf, "rate")])
