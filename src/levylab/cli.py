@@ -30,7 +30,7 @@ from .model import (CONDITION_DEFS, TheoremConstants, check_conditions,
 from .integrator import integrate
 from .presets import example61_model, example62_model
 from .pullback import bounded_ensemble, bounded_solution, pullback_plan
-from .recurrence import almost_periods, distributional_almost_period_test
+from .recurrence import almost_periods, distributional_almost_period_test, distributional_report
 from .stability import (fit_decay_rate, fit_rate_stderr, gap_experiment,
                         ultimate_bound_check)
 
@@ -65,13 +65,10 @@ def _bounded_moment(model, run: RunSection, n_obs: int):
     return plan, res.times, msq, se
 
 
-def _law_test(model, run: RunSection, tau: float, n_times: int, n_boot: int):
-    """Law test of t against t + tau at n_times times in the first min(4, window) units."""
+def _law_grid(run: RunSection, n_times: int):
+    """The law test's n_times times in the first min(4, window) units."""
     t0, t1 = run.window
-    t_grid = np.linspace(t0, t0 + min(4.0, t1 - t0), n_times)
-    return distributional_almost_period_test(model, tau, t_grid, run.n_paths, run.seed,
-                                             tol=run.tolerance, max_step=run.step,
-                                             n_boot=n_boot)
+    return np.linspace(t0, t0 + min(4.0, t1 - t0), n_times)
 
 
 def _ball_summary(plan, msq, se) -> dict:
@@ -142,7 +139,9 @@ def run_recurrence(cfg: ExperimentConfig) -> int:
     if tau is None and len(report.taus) > 1:
         tau = max(report.taus)
     if tau:
-        dist = _law_test(model, run, tau, ex["t_grid_n"], ex["n_boot"])
+        dist = distributional_almost_period_test(
+            model, tau, _law_grid(run, ex["t_grid_n"]), run.n_paths, run.seed,
+            tol=run.tolerance, max_step=run.step, n_boot=ex["n_boot"])
         _write(cfg, "distributional.csv", dist.to_csv)
         payload["distributional"] = {"tau": dist.tau, "max_beta": dist.max_beta,
                                      "passed": dist.passed, "positive": dist.positive}
@@ -176,6 +175,8 @@ def run_stability(cfg: ExperimentConfig) -> int:
 
 
 def run_example61(cfg: ExperimentConfig) -> int:
+    """Checker; one bounded ensemble on the union of E|Y|^2's 21 times and the law
+    test's t, t + tau (tau from the scan), of which each stage reads its rows; gap."""
     ex, run = cfg.experiment, cfg.run
     model = example61_model(b=ex["b"], small_rate=ex["small_rate"], A0=ex["A0"],
                             forcing=ex["forcing"])
@@ -184,14 +185,18 @@ def run_example61(cfg: ExperimentConfig) -> int:
         _write(cfg, "example61_summary.json", payload)
         return 3
 
-    plan, _, msq, se = _bounded_moment(model, run, 21)
-    payload["bounded"] = _ball_summary(plan, msq, se)
-
     scan = almost_periods([p for p, _ in model.coefficients.drift.terms], ex["epsilon"],
                           ex["scan_window"], ex["tau_step"], ex["sup_horizon"])
-    payload["almost_periods"] = scan
     tau = max(scan.taus) if len(scan.taus) > 1 else 2 * np.pi
-    dist = _law_test(model, run, tau, 5, ex["n_boot"])
+    t_mom, t_law = np.linspace(*run.window, 21), _law_grid(run, 5)
+    res = bounded_ensemble(model, (run.window[0], max(run.window[1], t_law[-1] + tau)),
+                           run.tolerance, run.n_paths, run.seed,
+                           np.unique(np.concatenate([t_mom, t_law, t_law + tau])), run.step)
+    msq, se = (a[np.searchsorted(res.times, t_mom)] for a in res.mean_sq_norm())
+    plan = pullback_plan(model, run.tolerance)
+    payload["bounded"] = _ball_summary(plan, msq, se)
+    payload["almost_periods"] = scan
+    dist = distributional_report(res, tau, t_law, run.seed, ex["n_boot"])
     payload["distributional"] = {"tau": dist.tau, "max_beta": dist.max_beta,
                                  "passed": dist.passed}
 

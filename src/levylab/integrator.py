@@ -77,7 +77,7 @@ def step_kernel(models, grid: np.ndarray):
                               for name in ("drift", "diffusion", "small_jump"))
     f_slots, g_slots, s_slots = maps.slots
     rate, sampler = model.jumps.small_rate, model.jumps.small_sampler
-    mean = s.mark_factor(np.reshape(sampler.mean(), -1), gal) if rate else None
+    mean = s.mark_factor(sampler.mean(), gal) if rate else None
     # skip the terms that are identically zero (no Wiener drift, a zero mark mean):
     # their signed zeros leave f, which holds no -0.0 (evaluate adds +0.0), as it is
     a = a if np.any(a) else None

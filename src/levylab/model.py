@@ -243,8 +243,8 @@ class JumpCoefficient(Coefficient):
         y, mark = np.asarray(y, dtype=float), np.asarray(mark, dtype=float)
         if self.mark_mode == "scalar" and mark.ndim:   # one mark per leading state
             mark = mark.reshape(mark.shape + (1,) * (y.ndim - mark.ndim))
-        if galerkin is not None and galerkin.n_modes == 1 and mark.ndim < y.ndim:
-            mark = mark[..., None]   # one-mode vector marks come as scalars
+        elif mark.ndim > 1:   # one vector mark per leading state
+            mark = mark.reshape(y.shape[:-1] + mark.shape[-1:])
         maps = StateMaps((self,), galerkin)
         return self.evaluate(_columns(self.profile_table(t), y), ..., maps(y), maps.slots[0],
                              galerkin, self.mark_factor(mark, galerkin))
@@ -271,8 +271,7 @@ class JumpCoefficient(Coefficient):
         if self.mark_mode != "pointwise_product":
             factor = 1.0 if self.mark_mode == "ignore" else sampler.abs_moment(2)
             return np.array([rate * factor * sq(i) for i in range(t.size)])
-        nodes, weights = sampler.quadrature()   # one-mode marks come as scalars
-        nodes = np.reshape(np.asarray(nodes, dtype=float), (len(weights), sampler.dim))
+        nodes, weights = sampler.quadrature()
         acc = np.zeros(t.shape)   # each time sums its nodes in quadrature order
         for xn, w in zip(self.mark_factor(nodes, galerkin), weights):
             acc += w * np.array([sq(i, xn) for i in range(t.size)])
@@ -342,10 +341,12 @@ class CoefficientSet:
     moment_p: float = 2.5
 
     def __post_init__(self):
-        if self.A0 < 0 or self.lipschitz_L < 0:
-            raise InputError("A0 and lipschitz_L must be nonnegative")
-        if self.moment_p <= 2:
-            raise InputError("moment_p must exceed 2")
+        for name in ("A0", "lipschitz_L"):
+            if not 0.0 <= getattr(self, name) < math.inf:   # false for NaN
+                raise InputError(f"{name} must be finite and nonnegative, "
+                                 f"got {getattr(self, name)!r}")
+        if not 2.0 < self.moment_p < math.inf:
+            raise InputError(f"moment_p must be finite and exceed 2, got {self.moment_p!r}")
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ class MarkSampler:
     scale: float = 1.0
     cut: float = 1.0
     signed: bool = False
-    atoms: tuple = ()       # tuples (vectors) for point_mass / finite_rank
+    atoms: tuple = ()       # numbers (scalar marks) or tuples (vector marks, d = 1 too)
     probs: tuple = ()
 
     def __post_init__(self):
@@ -88,23 +88,29 @@ class MarkSampler:
             return len(self.atoms[0]) if np.ndim(self.atoms[0]) else 1
         return 1
 
+    @property
+    def _scalar_atoms(self) -> bool:
+        """True when the atoms are numbers, whose marks come as (n,) arrays."""
+        return self.kind in ("point_mass", "finite_rank") and np.ndim(self.atoms[0]) == 0
+
     def _atom_array(self) -> np.ndarray:
-        return np.atleast_2d(np.asarray(self.atoms, dtype=float))
+        """The atoms as rows, (n_atoms, d), with d = 1 for scalar atoms."""
+        return np.asarray(self.atoms, dtype=float).reshape(len(self.atoms), -1)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` marks; shape (n,) for scalar laws, (n, d) otherwise."""
+        """Draw ``n`` marks; shape (n,) for scalar laws, (n, d) for vector
+        laws, d = 1 included."""
         if self.kind == "uniform_shell":
             x = rng.uniform(self.lo, self.hi, size=n)
         elif self.kind == "exp_tail":
             x = self.cut + rng.exponential(self.scale, size=n)
         elif self.kind == "point_mass":
-            a = self._atom_array()[0]
-            out = np.tile(a, (n, 1))
-            return out[:, 0] if a.size == 1 else out
+            a = np.tile(self._atom_array()[0], (n, 1))
+            return a[:, 0] if self._scalar_atoms else a
         else:  # finite_rank
             idx = rng.choice(len(self.probs), size=n, p=np.asarray(self.probs))
             a = self._atom_array()[idx]
-            return a[:, 0] if a.shape[1] == 1 else a
+            return a[:, 0] if self._scalar_atoms else a
         if self.signed:   # the draw of rng.choice([-1.0, 1.0], size=n)
             x = x * _SIGNS[rng.integers(0, 2, size=n)]
         return x
@@ -125,7 +131,7 @@ class MarkSampler:
         return float(np.sum(np.asarray(self.probs) * norms ** k))
 
     def mean(self):
-        """E[x]; zero for signed scalar laws, a vector for vector laws."""
+        """E[x]; zero for signed scalar laws, a (d,) vector for vector laws."""
         if self.kind in ("uniform_shell", "exp_tail"):
             return 0.0 if self.signed else self.abs_moment(1)
         a = self._atom_array()
@@ -133,7 +139,7 @@ class MarkSampler:
             m = a[0]
         else:
             m = np.asarray(self.probs) @ a
-        return float(m[0]) if m.size == 1 else m
+        return float(m[0]) if self._scalar_atoms else m
 
     def support_range(self) -> tuple[float, float]:
         """(min, max) of |x| over the support."""
@@ -159,7 +165,7 @@ class MarkSampler:
             nodes, weights = self.cut + self.scale * u, w
         else:
             a = self._atom_array()
-            nodes = a[:, 0] if a.shape[1] == 1 else a
+            nodes = a[:, 0] if self._scalar_atoms else a
             if self.kind == "point_mass":
                 return nodes[:1], np.array([1.0])
             return nodes, np.asarray(self.probs, dtype=float)
@@ -173,9 +179,14 @@ def uniform_shell_marks(lo, hi, signed=False) -> MarkSampler:
     return MarkSampler(kind="uniform_shell", lo=float(lo), hi=float(hi), signed=signed)
 
 
+def _atom(value):
+    """A number stays a scalar atom; a sequence is a vector atom (a tuple)."""
+    a = np.asarray(value, dtype=float)
+    return float(a) if a.ndim == 0 else tuple(a)
+
+
 def point_mass_marks(value) -> MarkSampler:
-    atom = tuple(np.atleast_1d(np.asarray(value, dtype=float)))
-    return MarkSampler(kind="point_mass", atoms=(atom,), probs=(1.0,))
+    return MarkSampler(kind="point_mass", atoms=(_atom(value),), probs=(1.0,))
 
 
 def exp_tail_marks(scale, cut=1.0, signed=False) -> MarkSampler:
@@ -183,8 +194,8 @@ def exp_tail_marks(scale, cut=1.0, signed=False) -> MarkSampler:
 
 
 def finite_rank_marks(atoms, probs) -> MarkSampler:
-    atoms = tuple(tuple(np.atleast_1d(np.asarray(a, dtype=float))) for a in atoms)
-    return MarkSampler(kind="finite_rank", atoms=atoms, probs=tuple(float(p) for p in probs))
+    return MarkSampler(kind="finite_rank", atoms=tuple(_atom(a) for a in atoms),
+                       probs=tuple(float(p) for p in probs))
 
 
 @dataclass(frozen=True)
@@ -244,6 +255,8 @@ class JumpMeasureSpec:
             rate = getattr(self, f"{which}_rate")
             if not 0.0 <= rate < math.inf:   # false for NaN
                 raise InputError(f"{which}_rate must be finite and nonnegative, got {rate!r}")
+        if not 2.0 < self.moment_p < math.inf:
+            raise InputError(f"moment_p must be finite and exceed 2, got {self.moment_p!r}")
         if not 0.0 < self.truncation_delta < 1.0:
             raise InputError("truncation_delta must lie in (0, 1)")
         for which in ("small", "large"):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import coupled_gap
+from .ensemble import EnsembleResult, coupled_gap
 from .errors import HorizonError, InputError
 from .model import SdeModel, compat_gap_bound, compat_c
 from .profiles import TimeProfile
@@ -338,6 +338,13 @@ def distributional_almost_period_test(model: SdeModel, tau: float, t_grid,
     obs = np.unique(np.concatenate([t_grid, t_grid + tau]))
     res = bounded_ensemble(model, (t_grid[0], t_grid[-1] + tau), tol, n_paths,
                            seed, obs, max_step)
+    return distributional_report(res, tau, t_grid, seed, n_boot)
+
+
+def distributional_report(res: EnsembleResult, tau: float, t_grid, seed: int,
+                          n_boot: int) -> DistributionalReport:
+    """The statistic of :func:`distributional_almost_period_test` on a bounded
+    ensemble ``res`` that observes the sorted ``t_grid`` and ``t_grid + tau``."""
 
     def states_at(t):
         i = int(np.argmin(np.abs(res.times - t)))

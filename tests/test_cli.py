@@ -236,6 +236,53 @@ def test_example61_bundle(tmp_path):
     assert (tmp_path / "out61" / "example61_gap.csv").exists()
 
 
+def test_example61_runs_one_bounded_ensemble(tmp_path, monkeypatch):
+    # the scalar-pipeline op: the moment shares its run with law cluster 0
+    import levylab.ensemble as ens
+    import levylab.pullback as pb
+    calls, run = [], ens._run_ensembles
+
+    def spy(models, window, *args, **kw):
+        calls.append((len(models), window))
+        return run(models, window, *args, **kw)
+
+    monkeypatch.setattr(ens, "_run_ensembles", spy)
+    monkeypatch.setattr(pb, "_run_ensembles", spy)
+    d = {"run": {"window": [0.0, 4.0], "step": 0.01, "n_paths": 100, "seed": 1,
+                 "tolerance": 0.05},
+         "experiment": {"kind": "example61", "scan_window": 50.0},
+         "output": {"directory": str(tmp_path / "o")}}
+    assert main(["example61", "--config", _write_cfg(tmp_path, "c.json", d), "--seed", "5"]) == 0
+    assert [k for k, _ in calls] == [1, 1, 2]   # cluster 0, cluster 1, the coupled gap
+    assert calls[0][1][1] == 4.0 and calls[1][1][0] > 4.0
+
+
+def test_example61_stages_read_one_ensemble(tmp_path):
+    # forced, the law is not a point mass; both stages equal their statistic
+    # on one bounded ensemble observed at the union of their times (one
+    # cluster here: the scan finds no tau, and 2 pi leaves a gap below t_pull)
+    d = {"run": {"window": [0.0, 3.0], "step": 0.02, "n_paths": 40, "seed": 3,
+                 "tolerance": 0.05},
+         "experiment": {"kind": "example61", "forcing": 1.0, "n_boot": 4,
+                        "scan_window": 50.0},
+         "output": {"directory": str(tmp_path / "o")}}
+    main(["example61", "--config", _write_cfg(tmp_path, "c.json", d)])
+    out = json.loads((tmp_path / "o" / "example61_summary.json").read_text())
+    from levylab import recurrence
+    from levylab.presets import example61_model
+    from levylab.pullback import bounded_ensemble
+    tau = out["distributional"]["tau"]
+    assert tau == 2 * np.pi
+    t_mom, t_law = np.linspace(0.0, 3.0, 21), np.linspace(0.0, 3.0, 5)
+    res = bounded_ensemble(example61_model(forcing=1.0), (0.0, 3.0 + tau), 0.05, 40, 3,
+                           np.concatenate([t_mom, t_law + tau]), 0.02)
+    msq, _ = res.mean_sq_norm()
+    assert res.times.size == 26 and out["bounded"]["max_second_moment"] > 0.0
+    assert out["bounded"]["max_second_moment"] == msq[:21].max()
+    assert out["distributional"]["max_beta"] == recurrence.distributional_report(
+        res, tau, t_law, 3, 4).max_beta > 0.0
+
+
 def test_example61_rejects_large_jump_rate(tmp_path, capsys):
     d = {"run": {"window": [0.0, 2.0], "step": 0.05, "n_paths": 10, "seed": 1},
          "experiment": {"kind": "example61", "b": 2.0},

@@ -497,3 +497,23 @@ def test_one_mode_heat_model_takes_its_squeezed_marks():
     assert np.array_equal(c.value(0.0, y, marks, gal), want)
     assert np.array_equal(c.value(0.0, y[0], sampler.mean(), gal),
                           c.value(0.0, y[0], [sampler.mean()], gal))
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda m: replace(m.coefficients, A0=np.nan), "A0"),
+    (lambda m: replace(m.coefficients, A0=-1.0), "A0"),
+    (lambda m: replace(m.coefficients, lipschitz_L=np.nan), "lipschitz_L"),
+    (lambda m: replace(m.coefficients, lipschitz_L=np.inf), "lipschitz_L"),
+    (lambda m: replace(m.coefficients, moment_p=np.nan), "moment_p"),
+    (lambda m: replace(m.coefficients, moment_p=2.0), "moment_p"),
+    (lambda m: replace(m.jumps, moment_p=np.nan), "moment_p"),
+    (lambda m: replace(m.jumps, moment_p=1.5), "moment_p"),
+    (lambda m: replace(m.jumps, moment_p=np.inf), "moment_p")])
+def test_nan_and_invalid_constants_are_rejected(make, name):
+    # each comparison is false for NaN, so a `< 0` test let NaN through
+    m = L.presets.example61_model()
+    with pytest.raises(InputError, match=name):
+        make(m)
+    # the config default of both moment_p fields passes
+    assert replace(m.jumps, moment_p=2.05).moment_p == replace(m.coefficients,
+                                                              moment_p=2.05).moment_p

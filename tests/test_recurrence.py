@@ -9,7 +9,7 @@ import pytest
 
 import levylab as L
 from levylab.errors import HorizonError, InputError
-from levylab.recurrence import _stratified_subsample
+from levylab.recurrence import _stratified_subsample, distributional_report
 
 
 # -- compact-open path metric -------------------------------------------------
@@ -320,6 +320,23 @@ def test_periodic_model_distribution_periodic_and_power():
     rep_5 = L.distributional_almost_period_test(m, 10 * np.pi, t_grid, n_paths=400,
                                                 seed=3, n_boot=10, max_step=0.01)
     assert rep_5.passed
+
+
+def test_law_test_is_its_ensemble_then_its_statistic():
+    # on a law that is not a point mass, the test is bounded_ensemble on its
+    # times followed by distributional_report, bit for bit
+    m, tau = L.presets.periodic_model(), np.pi
+    t_grid = np.linspace(0.0, 2.0, 3)
+    rep = L.distributional_almost_period_test(m, tau, t_grid, n_paths=60, seed=4, tol=0.05,
+                                              max_step=0.02, n_boot=5)
+    res = L.bounded_ensemble(m, (0.0, 2.0 + tau), 0.05, 60, 4,
+                             np.concatenate([t_grid, t_grid + tau]), 0.02)
+    again = distributional_report(res, tau, t_grid, 4, 5)
+    assert np.all(rep.beta > 0.0)
+    for field in ("times", "beta", "err"):
+        assert np.array_equal(getattr(rep, field), getattr(again, field))
+    assert (rep.max_beta, rep.passed, rep.positive) == (again.max_beta, again.passed,
+                                                        again.positive)
 
 
 @pytest.mark.parametrize("tau, t_grid, name", [

@@ -11,8 +11,11 @@ benchmark passes them (``workloads.op_seed``).  No workload runs
 seeds, on the ``model`` section of each workload that has one.
 
 Each run prints one line per output file, one for its stdout (the output
-directory written as ``<out>``) and one for its exit code; the last line
-hashes all the others.  Two checkouts write the same bytes when they
+directory written as ``<out>``) and one for its exit code; an ``all`` line
+hashes the lines before it.  Then come ops 0 and 1 of a forced example61
+(scalar-pipeline with ``forcing: 1.0``, whose law is not a point mass) at
+each seed and a last ``all`` line; lists printed before these runs existed
+still compare line by line.  Two checkouts write the same bytes when they
 print the same lines.
 """
 
@@ -37,6 +40,8 @@ from levylab.cli import main as cli_main   # noqa: E402
 EXTRA_RUN = {"window": [0.0, 2.0], "step": 0.01, "n_paths": 50, "seed": 1,
              "tolerance": 0.05}
 EXTRA_EXPERIMENTS = {"check": {}, "bounded": {}, "stability": {"y0a": 1.0, "y0b": 3.0}}
+_SCALAR = workloads.WORKLOADS["scalar-pipeline"].config
+FORCED = {**_SCALAR, "experiment": {**_SCALAR["experiment"], "forcing": 1.0}}
 
 
 def _sha(data: bytes) -> str:
@@ -57,6 +62,12 @@ def runs(seed: int):
             for op in (0, 1):
                 yield (f"{command}@{w.name}/{seed}/{op}", command, config,
                        workloads.op_seed(seed, op))
+
+
+def forced_runs(seed: int):
+    """(label, command, config) of the forced example61 runs at one workload seed."""
+    for op in (0, 1):
+        yield f"forced-example61/{seed}/{op}", "example61", FORCED, workloads.op_seed(seed, op)
 
 
 def hash_run(command: str, config: dict, seed: int) -> list[tuple[str, str]]:
@@ -85,12 +96,13 @@ def main(argv=None) -> int:
                         help="workload seeds (default: 5 77)")
     args = parser.parse_args(argv)
     lines = []
-    for seed in args.seeds:
-        for label, command, config, op_seed in runs(seed):
-            for name, digest in hash_run(command, config, op_seed):
-                lines.append(f"{label} {name} {digest}")
-                print(lines[-1], flush=True)
-    print(f"all {_sha(chr(10).join(lines).encode())}")
+    for group in (runs, forced_runs):
+        for seed in args.seeds:
+            for label, command, config, op_seed in group(seed):
+                for name, digest in hash_run(command, config, op_seed):
+                    lines.append(f"{label} {name} {digest}")
+                    print(lines[-1], flush=True)
+        print(f"all {_sha(chr(10).join(lines).encode())}")
     return 0
 
 
