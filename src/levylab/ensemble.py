@@ -30,6 +30,10 @@ The jump kernel sorts a chunk's events once into (step, round) slices,
 split by kind only where the kinds' coefficients differ beyond their
 profiles or the model is Galerkin (whose transforms round by batch size),
 so a step makes one coefficient call per slice, and none without a jump.
+A chunk whose jumps are state-free (every jump map ``ones``, no Galerkin
+spec: the ``periodic``, ``stationary`` and ``ou_jump`` presets) evaluates
+each kernel once on all its events instead, and its steps only add the
+stored increments.
 """
 
 from __future__ import annotations

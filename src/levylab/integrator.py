@@ -116,7 +116,13 @@ def jump_kernel(models, grid, events):
     range, whose Wiener terms ``lead / (v-u) dW`` one expression fills.  A
     slice holds both kinds if their coefficients differ only in profiles, but
     one kind on a Galerkin model: its size is the batch of ``to_phys`` and
-    ``to_modes``, whose rounding depends on the batch size."""
+    ``to_modes``, whose rounding depends on the batch size.
+
+    State-free jumps (every term of every kernel maps by ``ones``, or a kernel
+    has no terms, and no Galerkin spec) take their increments ``exp(-Lam
+    (v-s)) J`` from one kernel call per kind on all its events, here; then
+    ``read_slab`` reads nothing and ``add_jumps`` only adds them, slice by
+    slice in round order, bit for bit as the per-slice route would."""
     times, paths, kinds, marks = events
     interval = np.clip(np.searchsorted(grid, times, side="left") - 1, 0, grid.size - 2)
     order = np.lexsort((times, paths, interval))
@@ -164,6 +170,20 @@ def jump_kernel(models, grid, events):
         sl = slice(a, b)   # j: the slice's rows in every block (sl itself for one model)
         schedule.setdefault(i, []).append((sl, blocks + (sl,) if blocks else sl,
                                            kernels[key], r > 0))
+    if model.galerkin is None and all(m.kind == "ones" for *_, coef in specs
+                                      for _, m in coef.terms):
+        # state-free jumps: each event's increment, once, at any state of its shape
+        inc = per_block([np.zeros((times.size, model.dim))] * len(models))
+        for key, jump in kernels.items():
+            at = blocks + (np.flatnonzero(split == key),)
+            inc[at] = dec_out[at[-1]] * jump(at, inc[at])
+
+        def add_state_free_jumps(i, y, y_new, drift, gdiag):
+            for sl, j, _, _ in schedule.get(i, ()):
+                y_new[blocks + (paths[sl],)] += inc[j]
+            return y_new
+
+        return (lambda lo, dw: None), add_state_free_jumps
     post = per_block([np.empty((times.size, model.dim))] * len(models))
     wiener = np.empty((times.size, model.wiener.dim))
 

@@ -74,6 +74,10 @@ class MarkSampler:
         if self.kind in ("point_mass", "finite_rank") and not all(
                 np.isfinite(a).all() for a in self.atoms):
             raise InputError(f"{self.kind} atoms must be finite")
+        shapes = [np.shape(a) for a in self.atoms]
+        if len(set(shapes)) > 1 or any(len(s) > 1 for s in shapes):
+            raise InputError(f"{self.kind} atoms must be numbers or vectors of one shape, "
+                             f"got shapes {shapes}")
         if self.kind == "finite_rank":
             if len(self.atoms) == 0 or len(self.atoms) != len(self.probs):
                 raise InputError("finite_rank needs matching atoms and probs")

@@ -405,6 +405,9 @@ def _valid_cfg(kind, tmp_path):
     # marks the jump coefficient cannot take: a traceback (simulate) or exit 3 (check)
     ("simulate", "model", _TWO_D_SCALAR_MARKS, None),
     ("check", "model.coefficients.small_jump.mark_mode", "pointwise_product", "model"),
+    # atoms of two shapes: numpy's "inhomogeneous shape" message under model.jumps
+    ("check", "model.jumps.large_marks",
+     {"kind": "finite_rank", "atoms": [[1.0, 0.0], [2.0]], "probs": [0.5, 0.5]}, None),
 ])
 def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, kind, key, value, named):
     d = _valid_cfg(kind, tmp_path)

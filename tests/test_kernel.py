@@ -126,6 +126,29 @@ GOLDEN = {
     ("coupled", "example61"): [
         "0x1.3199ddd00d600p-7", "0x1.db379cfa6c449p-12", "0x1.19e03680e1974p-7",
         "0x1.428fdf9841b5bp-8", "0x1.296c51b431879p-16"],
+    # Recorded while every jump still ran through a per-slice evaluation at
+    # its pre-jump state.  periodic and ou_jump have state-free jumps (every
+    # jump map is ``ones``, or the coefficient has no terms; ou_jump has no
+    # small jumps); mixed keeps periodic's small jump but makes the large
+    # one linear in the state.
+    ("integrate", "periodic"): ["0x1.7a7b518b2f334p-1"],
+    ("stressed", "ou_jump"): [
+        "0x1.4d90c46d99328p+1", "0x1.4bac77279e5e0p+1", "0x1.82482d4c87736p-1",
+        "0x1.7d2c5efc72e82p+0", "0x1.a1300c11113a6p+0", "0x1.b6d87c639d6e2p-2",
+        "0x1.17ddbee33e9c0p+1", "-0x1.a71de8965c770p-1", "0x1.a2f11bded6790p-1",
+        "0x1.17e6e65774d6ap+1", "0x1.5453fdb5c1f18p-1", "-0x1.1bebdabdaba5fp+0",
+        "-0x1.147a322131202p-2", "-0x1.6053efc82a1b2p-3", "0x1.32ba56de962b8p+0",
+        "-0x1.38613c3a067e8p-2"],
+    ("stressed", "mixed"): [
+        "0x1.02d1b6eb0b8dep-1", "0x1.7836db6971a97p-1", "0x1.3bc74b58b9070p-1",
+        "0x1.1e124cbecfad8p-1", "0x1.82e9c66e57a21p-1", "0x1.217fd17aafc47p-1",
+        "0x1.209942bbc2501p-1", "0x1.1392e9b13644ap-1", "0x1.581c81391edd0p-1",
+        "0x1.d38578d74bf9cp-1", "0x1.7f15a869e6ef0p-1", "0x1.a521d84ef14b9p-2",
+        "0x1.ba2e41fb4af6dp-2", "0x1.2864e68455303p-1", "0x1.2e38c0bc1a638p-1",
+        "0x1.07eb6406a09ddp-1"],
+    ("coupled", "periodic"): [
+        "0x1.40c9da72a4340p-2", "0x1.3ed0d5ddbd536p-2", "0x1.a7af3f50763a6p-3",
+        "0x1.6ec71cdf289d0p-4", "0x1.5520d2d22bfa4p-7"],
 }
 
 # simulate_ensemble arguments after the model: window, y0, n_paths,
@@ -135,6 +158,9 @@ ENSEMBLE_CASES = {"ensemble": ((0.0, 2.0), 0.5, 4, 0.01, 3, [2.0]),
 # coupled_gap arguments after the two models, on the stressed grid: y0a,
 # y0b, window, n_paths, max_step, seed, obs_times
 COUPLED_CASE = (0.5, 1.5, (-2.0, 2.0), 16, 0.25, 3, np.linspace(0.0, 2.0, 5))
+# integrate arguments after the model on the stressed grid: window, y0,
+# max_step, seed; the path crosses t = 0 and jumps five times, both kinds
+INTEGRATE_STRESSED = ((-2.0, 2.0), 0.5, 0.25, 5)
 
 
 def every_map_model():
@@ -159,9 +185,22 @@ def every_map_model():
                       jumps=jumps)
 
 
+def mixed_model():
+    """periodic with a large jump linear in the state: one state-free jump
+    kind and one state-dependent kind."""
+    m = L.presets.periodic_model()
+    large = L.jump_coefficient((L.periodic_profile(0.2, 1.0, np.pi / 2.0), L.linear_map(1.0)),
+                               mark_mode="scalar")
+    return replace(m, coefficients=replace(m.coefficients, large_jump=large))
+
+
 def _model(name):
     if name == "every_map":
         return every_map_model()
+    if name == "mixed":
+        return mixed_model()
+    if name == "ou_jump":
+        return L.presets.ou_jump_model()             # no small jumps
     if name == "example61":
         return L.presets.example61_model(forcing=1.0)   # two drift terms
     if name == "periodic":
@@ -178,8 +217,12 @@ def _golden(driver, name):
 
 
 def _most_jumps_of_one_path_in_one_step(m, window, y0, n_paths, max_step, seed, obs):
+    """The most jumps of one path in one step of the uniform grid; ``n_paths``
+    None reads the one path of ``integrate``, whose grid then splits the step
+    at each jump time."""
     grid = refined_grid(window[0], window[1], max_step, obs)
-    times, paths, _, _ = jump_table(m.jumps, window, seed, range(n_paths))
+    times, paths, _, _ = jump_table(m.jumps, window, seed,
+                                    None if n_paths is None else range(n_paths))
     return np.bincount(paths * grid.size + np.searchsorted(grid, times), minlength=1).max()
 
 
@@ -190,10 +233,21 @@ def test_integrate_terminal_state_is_pinned(name):
     assert np.array_equal(path.values[-1], _golden("integrate", name))
 
 
+def test_integrate_with_state_free_jumps_is_pinned():
+    m = _model("periodic")
+    window, y0, max_step, seed = INTEGRATE_STRESSED
+    assert _most_jumps_of_one_path_in_one_step(m, window, y0, None, max_step, seed, []) >= 2
+    path = L.integrate(m, *INTEGRATE_STRESSED)
+    assert set(path.jump_flags.tolist()) == {0, 1, 2}
+    assert np.array_equal(path.values[-1], _golden("integrate", "periodic"))
+
+
 @pytest.mark.parametrize("case, name", [
     ("ensemble", "example61"), ("ensemble", "heat8"), ("stressed", "example61"),
-    ("stressed", "heat8"), ("stressed", "periodic")],
-    ids=["example61", "heat8", "stressed-example61", "stressed-heat8", "stressed-periodic"])
+    ("stressed", "heat8"), ("stressed", "periodic"), ("stressed", "ou_jump"),
+    ("stressed", "mixed")],
+    ids=["example61", "heat8", "stressed-example61", "stressed-heat8", "stressed-periodic",
+         "stressed-ou_jump", "stressed-mixed"])
 def test_ensemble_terminal_states_are_pinned(case, name):
     m = _model(name)
     args = ENSEMBLE_CASES[case]
@@ -203,14 +257,22 @@ def test_ensemble_terminal_states_are_pinned(case, name):
     assert np.array_equal(res.states[-1].ravel(), _golden(case, name))
 
 
-def test_coupled_gap_is_pinned():
+def _assert_coupled_gap_is_pinned(name):
     # the shifted model reads other profile values on the same noise; steps
     # hold several jumps of one path
-    m = _model("example61")
+    m = _model(name)
     y0a, _, window, *rest = COUPLED_CASE
     assert _most_jumps_of_one_path_in_one_step(m, window, y0a, *rest) >= 2
     curve = L.coupled_gap(m, m.shifted(0.7), *COUPLED_CASE)
-    assert np.array_equal(curve.gap, _golden("coupled", "example61"))
+    assert np.array_equal(curve.gap, _golden("coupled", name))
+
+
+def test_coupled_gap_is_pinned():
+    _assert_coupled_gap_is_pinned("example61")
+
+
+def test_coupled_gap_of_state_free_jumps_is_pinned():
+    _assert_coupled_gap_is_pinned("periodic")   # stacked blocks of stored increments
 
 
 def test_every_state_map_kind_is_pinned():
@@ -239,12 +301,15 @@ def _jump_slices(m, window, n_paths, max_step, seed, obs):
 
 
 @pytest.mark.parametrize("name, merged", [("example61", True), ("periodic", True),
-                                          ("every_map", False), ("heat8", False)])
+                                          ("every_map", False), ("heat8", False),
+                                          ("mixed", False)])
 def test_kinds_that_share_a_kernel_make_one_jump_call_per_step_and_round(
         name, merged, monkeypatch):
     # small and large jumps of example61 and periodic differ only in their
-    # profiles; every_map's do not, and heat8 is a Galerkin model, whose
-    # transforms keep the batch sizes of one slice per kind
+    # profiles; every_map's and mixed's do not, and heat8 is a Galerkin model,
+    # whose transforms keep the batch sizes of one slice per kind.  periodic's
+    # jumps are state-free, so its one kernel runs once per chunk on all its
+    # events; mixed has one state-dependent kind, so both kinds run per slice
     calls = []
     direct = L.JumpCoefficient.event_kernel
 
@@ -258,7 +323,13 @@ def test_kinds_that_share_a_kernel_make_one_jump_call_per_step_and_round(
     per_round, per_kind = _jump_slices(m, window, *rest)
     assert per_round < per_kind   # some round holds jumps of both kinds
     simulate_ensemble(m, *args)
-    assert len(calls) == (per_round if merged else per_kind)
+    if name == "periodic":   # the stressed case is one chunk
+        (j,) = calls
+        n_paths, _, seed, _ = rest
+        events = jump_table(m.jumps, window, seed, range(n_paths))[0].size
+        assert np.array_equal(np.arange(events)[j], np.arange(events))
+    else:
+        assert len(calls) == (per_round if merged else per_kind)
 
 
 @pytest.mark.parametrize("name", ["example61", "heat8"])
@@ -489,8 +560,6 @@ def test_evaluation_body_matches_the_generic_oracle_bit_for_bit(case):
 
 
 def _step_model(name):
-    if name == "ou_jump":
-        return L.presets.ou_jump_model()
     if name == "drift_a":
         return replace(every_map_model(), wiener=L.WienerSpec((0.5,), drift_a=(-0.7,)))
     return _model(name)

@@ -446,6 +446,11 @@ def test_invalid_specs_rejected():
     (lambda: L.finite_rank_marks([[1.0], [2.0]], [np.nan, 1.0]), "probs"),
     (lambda: L.finite_rank_marks([[1.0], [2.0]], [-0.5, 1.5]), "probs"),
     (lambda: L.finite_rank_marks([[1.0], [np.nan]], [0.5, 0.5]), "atoms"),
+    (lambda: L.finite_rank_marks([[1.0, 0.0], [2.0]], [0.5, 0.5]), "finite_rank atoms"),
+    (lambda: L.finite_rank_marks([1.0, [2.0]], [0.5, 0.5]), "finite_rank atoms"),
+    (lambda: L.finite_rank_marks([[[1.0, 0.0]], [[2.0, 0.0]]], [0.5, 0.5]),
+     "finite_rank atoms"),
+    (lambda: L.point_mass_marks([[1.0, 0.0]]), "point_mass atoms"),
     (lambda: L.point_mass_marks(np.inf), "atoms"),
     (lambda: L.exp_tail_marks(-1.0), "scale"),
     (lambda: L.exp_tail_marks(np.nan), "scale"),
@@ -455,8 +460,10 @@ def test_invalid_specs_rejected():
     (lambda: L.WienerSpec(mode_variances=(1.0,), drift_a=(np.nan,)), "drift_a")])
 def test_nan_and_invalid_noise_parameters_are_rejected_at_construction(make, name):
     # each constructed and failed at the first step or draw: an AttributeError
-    # on the missing sampler, numpy's "Probabilities contain NaN", "scale < 0";
-    # a NaN variance passed check_conditions and blew up at the first step
+    # on the missing sampler, numpy's "Probabilities contain NaN", "scale < 0"
+    # or "inhomogeneous shape" (atoms of two shapes); matrix atoms gave a dim
+    # of 1 and marks of 2 columns; a NaN variance passed check_conditions and
+    # blew up at the first step
     with pytest.raises(InputError, match=name):
         make()
 

@@ -1,0 +1,17 @@
+"""Smoke tests of the scripts under ``tools/``, run as a user runs them."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_ab_time_compares_a_checkout_with_itself():
+    # one pair of the cheapest workload, both sides loaded from this checkout
+    run = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_time.py"), "--parent", ROOT,
+         "--workload", "single-path", "--ops", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "same output bytes in 1 of 1 pairs" in run.stdout.splitlines()[-1]
