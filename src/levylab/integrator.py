@@ -3,8 +3,9 @@ exponential-Euler step kernel that both path drivers run.
 
 :func:`step_kernel` tabulates once per grid the semigroup factors of every
 step and the drift, diffusion and small-jump profile columns at every step
-start, collects the distinct state maps of those coefficients, and returns
-the step (Hochbruck & Ostermann, Acta Numerica 2010)
+start, those of ``ones`` terms as their values, collects the distinct state
+maps of the other terms, and returns the step (Hochbruck & Ostermann, Acta
+Numerica 2010)
 
     Y(t+dt) = e^(-Lam dt) Y + Lam^-1 (1 - e^(-Lam dt)) D(t, Y)
               + e^(-Lam dt) g(t, Y) dW
@@ -58,12 +59,25 @@ def _profile_columns(models, name: str, times) -> tuple:
     return tuple(np.moveaxis(table, 1, 0))
 
 
+def _fold_ones(coef, cols, slots) -> tuple:
+    """The columns and slots of ``coef``, each tabulated ``ones`` term (slot None)
+    as its column times its scale, and a leading run of them folded into one
+    base column with the +0.0 that :meth:`Coefficient.evaluate` adds, or None."""
+    cols = [col * m.scale if slot is None else col
+            for col, slot, (_, m) in zip(cols, slots, coef.terms)]
+    lead = next((k for k, slot in enumerate(slots) if slot is not None), len(slots))
+    return (tuple(cols[lead:]), slots[lead:],   # sum adds left to right, as evaluate
+            sum(cols[1:lead], cols[0] + 0.0) if lead else None)
+
+
 def step_kernel(models, grid: np.ndarray):
     """Tabulate the steps of ``grid`` once and return ``step(i, y, dw) ->
     (y_new, drift, gdiag)`` over step ``i`` of k ``models`` that differ only in
     their coefficient profiles, for ``y`` (k, n_paths, dim) and ``dw`` (n_paths,
     dim), read by every block; one model takes (dim,) or (n_paths, dim) arrays.
-    ``drift`` is ``D`` and ``gdiag`` the diffusion at the step start."""
+    ``drift`` is ``D`` and ``gdiag`` the diffusion at the step start.  A
+    ``ones`` term on coordinates is tabulated too, as its column times its
+    scale, so a step maps and multiplies only the state-dependent terms."""
     model = models[0]
     if any(_structure(m) != _structure(model) for m in models[1:]):
         raise InputError("stacked models need one noise law and one structure: "
@@ -72,10 +86,10 @@ def step_kernel(models, grid: np.ndarray):
     decay, phi1 = np.exp(neg_ldt), -np.expm1(neg_ldt) / model.semigroup.rates
     c, gal, a = model.coefficients, model.galerkin, model.wiener.drift
     coefs = f, g, s = c.drift, c.diffusion, c.small_jump
-    maps = StateMaps(coefs, gal)
-    f_cols, g_cols, s_cols = (_profile_columns(models, name, grid[:-1])
-                              for name in ("drift", "diffusion", "small_jump"))
-    f_slots, g_slots, s_slots = maps.slots
+    maps = StateMaps(coefs, gal, tabulated=True)
+    (f_cols, f_slots, f_base), (g_cols, g_slots, g_base), (s_cols, s_slots, s_base) = (
+        _fold_ones(coef, _profile_columns(models, name, grid[:-1]), slots)
+        for coef, name, slots in zip(coefs, ("drift", "diffusion", "small_jump"), maps.slots))
     rate, sampler = model.jumps.small_rate, model.jumps.small_sampler
     mean = s.mark_factor(sampler.mean(), gal) if rate else None
     # skip the terms that are identically zero (no Wiener drift, a zero mark mean):
@@ -85,12 +99,12 @@ def step_kernel(models, grid: np.ndarray):
 
     def step(i: int, y: np.ndarray, dw: np.ndarray):
         vals = maps(y)
-        gdiag = g.evaluate(g_cols, i, vals, g_slots, gal)
-        drift = f.evaluate(f_cols, i, vals, f_slots, gal)
+        gdiag = g.evaluate(g_cols, i, vals, g_slots, gal, base=g_base)
+        drift = f.evaluate(f_cols, i, vals, f_slots, gal, base=f_base)
         if a is not None:
             drift += gdiag * a
         if rate:
-            drift += -rate * s.evaluate(s_cols, i, vals, s_slots, gal, mean)
+            drift += -rate * s.evaluate(s_cols, i, vals, s_slots, gal, mean, base=s_base)
         d = decay[i]
         return d * y + phi1[i] * drift + d * (gdiag * dw), drift, gdiag
 

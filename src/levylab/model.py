@@ -119,11 +119,15 @@ class StateMaps:
     """The distinct state maps of ``coefs`` (jumps marked if ``marked``).
     Called on y, it returns ``[y, u, S_0, ...]``, u = to_phys(y) or None and
     each map once (``linear_map(1.0)`` is y or u itself, bit for bit);
-    ``slots[c][k]`` indexes the value of term k of coefficient c."""
+    ``slots[c][k]`` indexes the value of term k of coefficient c.  With
+    ``tabulated``, a ``ones`` term on coordinates gets the slot None and no
+    map: the caller holds its values (see :func:`levylab.integrator.step_kernel`)."""
 
-    def __init__(self, coefs, galerkin: GalerkinSpec | None = None, marked: bool = True):
+    def __init__(self, coefs, galerkin: GalerkinSpec | None = None, marked: bool = True,
+                 tabulated: bool = False):
         spaces, index = [c.on_nodes(galerkin, marked) for c in coefs], {}
-        self.slots = [tuple(index.setdefault((s, m), len(index) + 2) for _, m in c.terms)
+        self.slots = [tuple(None if tabulated and not s and m.kind == "ones"
+                            else index.setdefault((s, m), len(index) + 2) for _, m in c.terms)
                       for c, s in zip(coefs, spaces)]
         self._maps = [(int(s), None if (m.kind, m.scale) == ("linear", 1.0)
                        else _MAP_KINDS[m.kind], m) for s, m in index]
@@ -175,17 +179,21 @@ class Coefficient:
             self.pointwise or marked and self.mark_mode == "pointwise_product")
 
     def evaluate(self, cols, i, vals: list, slots, galerkin: GalerkinSpec | None = None,
-                 factor=None) -> np.ndarray:
+                 factor=None, base=None) -> np.ndarray:
         """Sum of ``cols[k][i] * vals[slots[k]]`` over the terms in order, its
-        first product added to +0.0 as by a zeros accumulator; ``factor`` is a
+        first product added to +0.0 as by a zeros accumulator, or to ``base[i]``,
+        the sum of leading terms held by the caller; a term of slot None adds
+        ``cols[k][i]`` itself.  ``factor`` is a
         :meth:`~JumpCoefficient.mark_factor`, or None for the state part."""
         if slots:   # in place: out of place would allocate a node-sized array per term
             acc = cols[0][i] * vals[slots[0]]
-            acc += _ZERO
+            acc += _ZERO if base is None else base[i]
             for k in range(1, len(slots)):
-                acc += cols[k][i] * vals[slots[k]]
+                acc += cols[k][i] if slots[k] is None else cols[k][i] * vals[slots[k]]
         else:
             acc = np.zeros(vals[self.on_nodes(galerkin, factor is not None)].shape)
+            if base is not None:
+                acc += base[i]
         if galerkin is not None:
             if factor is not None and self.mark_mode == "pointwise_product":
                 return galerkin.to_modes(acc * factor)

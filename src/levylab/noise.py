@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -101,19 +102,26 @@ class MarkSampler:
         """The atoms as rows, (n_atoms, d), with d = 1 for scalar atoms."""
         return np.asarray(self.atoms, dtype=float).reshape(len(self.atoms), -1)
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """The cdf of ``probs`` as ``Generator.choice`` builds it; __post_init__
+        makes the checks on ``probs`` that ``choice`` would."""
+        cdf = np.cumsum(self.probs)
+        cdf /= cdf[-1]
+        return cdf
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` marks; shape (n,) for scalar laws, (n, d) for vector
         laws, d = 1 included."""
-        if self.kind == "uniform_shell":
-            x = rng.uniform(self.lo, self.hi, size=n)
+        if self.kind == "uniform_shell":   # the draw of rng.uniform(lo, hi, n)
+            x = self.lo + (self.hi - self.lo) * rng.random(n)
         elif self.kind == "exp_tail":
             x = self.cut + rng.exponential(self.scale, size=n)
         elif self.kind == "point_mass":
             a = np.tile(self._atom_array()[0], (n, 1))
             return a[:, 0] if self._scalar_atoms else a
-        else:  # finite_rank
-            idx = rng.choice(len(self.probs), size=n, p=np.asarray(self.probs))
-            a = self._atom_array()[idx]
+        else:  # finite_rank: the draw of rng.choice(n_atoms, n, p=probs)
+            a = self._atom_array()[self._cdf.searchsorted(rng.random(n), side="right")]
             return a[:, 0] if self._scalar_atoms else a
         if self.signed:   # the draw of rng.choice([-1.0, 1.0], size=n)
             x = x * _SIGNS[rng.integers(0, 2, size=n)]
@@ -387,7 +395,8 @@ def jump_table(spec: JumpMeasureSpec, window, seed, paths=None):
     draws, marks = [], ([], [])
     for (_, _, _, span, j), w, mark_w in zip(rows, words[::2], words[1::2]):
         rng = _generator(w)
-        draws.append(rng.uniform(0.0, span, size=rng.poisson(kinds[j][0] * span)))
+        # the draw of rng.uniform(0, span, n), n Poisson
+        draws.append(span * rng.random(rng.poisson(kinds[j][0] * span)))
         if draws[-1].size:
             marks[j].append(kinds[j][1].sample(_generator(mark_w), draws[-1].size))
     counts = [d.size for d in draws]

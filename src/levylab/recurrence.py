@@ -36,6 +36,7 @@ from .pullback import bounded_ensemble, pullback_plan
 MAX_SUPPORT = 400
 # the law tests compare the first MAX_OBSERVED coordinates of the state
 MAX_OBSERVED = 3
+_SUBGRID = 32   # grid points between the sub-grid points of the scan's first pass
 
 # ---------------------------------------------------------------------------
 # path metric
@@ -150,9 +151,16 @@ def almost_periods(profile, epsilon: float, scan_window: float,
     t = np.arange(-n_half, n_half + 1 + n_tau * m) * t_step
     vals = np.stack([np.asarray(p(t), dtype=float) for p in profs])
     base = vals[:, : 2 * n_half + 1]
+    # reject a shift whose max on about every _SUBGRID-th grid point, a lower bound,
+    # reaches epsilon; in passes of shifts whose temporaries are no larger than vals
+    coarse, k, n_sub = vals[:, ::m], max(1, _SUBGRID // m), 2 * n_half // m + 1
+    windows = np.lib.stride_tricks.sliding_window_view(coarse, n_sub, axis=-1)[..., ::k]
+    rows = max(1, t.size // windows.shape[-1])
+    lower = np.concatenate([np.max(np.abs(windows[:, a:a + rows] - coarse[:, None, :n_sub:k]),
+                                   axis=(0, 2)) for a in range(0, n_tau + 1, rows)])
 
     taus, dists = [], []
-    for j in range(n_tau + 1):
+    for j in np.flatnonzero(lower < epsilon).tolist():   # a NaN rejects
         shift = j * m
         d = float(np.max(np.abs(vals[:, shift: shift + 2 * n_half + 1] - base)))
         if d < epsilon:

@@ -11,6 +11,7 @@ import pytest
 import levylab as L
 from levylab.ensemble import simulate_ensemble
 from levylab.integrator import refined_grid, step_kernel
+from levylab.model import _MAP_KINDS
 from levylab.noise import jump_table
 from levylab.profiles import TimeProfile
 
@@ -149,6 +150,17 @@ GOLDEN = {
     ("coupled", "periodic"): [
         "0x1.40c9da72a4340p-2", "0x1.3ed0d5ddbd536p-2", "0x1.a7af3f50763a6p-3",
         "0x1.6ec71cdf289d0p-4", "0x1.5520d2d22bfa4p-7"],
+    # Recorded while every step still built each ``ones`` term's array and
+    # multiplied it by its profile value.  stationary's drift and diffusion
+    # hold ``ones`` terms only.
+    ("integrate", "stationary"): ["0x1.4a1a76fb7469fp-1"],
+    ("stressed", "stationary"): [
+        "0x1.adbb74e0c01fbp-2", "0x1.63b6b41a6cbd0p-3", "0x1.675d8daac0d7ap-1",
+        "0x1.1b7ced1ef5260p-1", "0x1.59b561b965871p-1", "0x1.e114557c663c6p-4",
+        "0x1.c2c7dfc72e7f5p-3", "0x1.7ebcf2f467c96p-2", "0x1.37aee7a748f14p-2",
+        "0x1.7927e0f5ec5f9p-1", "0x1.64b118e2514a4p-1", "0x1.e864223af1a93p-3",
+        "0x1.47049e352784fp-2", "0x1.9f5da1f3cd31ep-2", "0x1.cbdf0385ff366p-2",
+        "0x1.ad9a502827a3fp-2"],
 }
 
 # simulate_ensemble arguments after the model: window, y0, n_paths,
@@ -205,6 +217,8 @@ def _model(name):
         return L.presets.example61_model(forcing=1.0)   # two drift terms
     if name == "periodic":
         return L.presets.periodic_model()               # scalar marks
+    if name == "stationary":
+        return L.presets.stationary_model()             # all-ones drift and diffusion
     return L.presets.example62_model(n_modes=8)         # pointwise (collocated) maps
 
 
@@ -286,6 +300,15 @@ def test_every_state_map_kind_is_pinned():
         assert np.array_equal(res.states[-1].ravel(), _golden(case, "every_map")), case
 
 
+def test_all_ones_coefficients_are_pinned():
+    m = _model("stationary")
+    path = L.integrate(m, *INTEGRATE_STRESSED)
+    assert np.count_nonzero(path.jump_flags) >= 2
+    assert np.array_equal(path.values[-1], _golden("integrate", "stationary"))
+    res = simulate_ensemble(m, *ENSEMBLE_CASES["stressed"])
+    assert np.array_equal(res.states[-1].ravel(), _golden("stressed", "stationary"))
+
+
 def _jump_slices(m, window, n_paths, max_step, seed, obs):
     """The (step, round) and the (step, round, kind) groups of the jumps of an
     ensemble run, round r holding each path's (r+1)-th jump in the step."""
@@ -353,6 +376,28 @@ def test_profiles_are_evaluated_per_grid_not_per_step(name, monkeypatch):
         counts.append(len(calls))
     # ten times the steps, the same number of (vectorized) profile calls
     assert counts[:2] == counts[2:]
+
+
+def test_ones_maps_are_tabulated_per_grid_not_per_step(monkeypatch):
+    calls = []
+    direct = _MAP_KINDS["ones"]
+    monkeypatch.setitem(_MAP_KINDS, "ones", lambda m, y: calls.append(m) or direct(m, y))
+    m = _model("periodic")   # ones terms in every coefficient
+    counts = []
+    for max_step in (0.01, 0.001):
+        calls.clear()
+        _integrate(m, max_step)
+        counts.append(len(calls))
+        calls.clear()
+        simulate_ensemble(m, (0.0, 2.0), 0.5, 4, max_step, 3, [2.0])
+        counts.append(len(calls))
+    # ten times the steps, the same number of ones arrays: none from the step
+    assert counts[:2] == counts[2:]
+    calls.clear()
+    step = step_kernel((m,), np.linspace(0.0, 1.0, 11))
+    for i in range(10):
+        step(i, np.full((4, 1), 0.5), np.ones((4, 1)))
+    assert calls == []
 
 
 def test_to_phys_of_the_state_runs_once_per_step(monkeypatch):
@@ -559,35 +604,64 @@ def test_evaluation_body_matches_the_generic_oracle_bit_for_bit(case):
                 == _sq_moment_oracle(coef, 0.3, y, 1.5, sampler, gal))
 
 
-def _step_model(name):
+def _step_models(name):
     if name == "drift_a":
-        return replace(every_map_model(), wiener=L.WienerSpec((0.5,), drift_a=(-0.7,)))
-    return _model(name)
+        return (replace(every_map_model(), wiener=L.WienerSpec((0.5,), drift_a=(-0.7,))),)
+    if name == "periodic_pair":   # stacked blocks, with other profile values each
+        m = _model("periodic")
+        return m, m.shifted(0.7)
+    if name == "ones_runs":   # a leading run of scaled ones terms that sums to -0.0 at t = 0
+        m = _model("stationary")
+        drift = L.coefficient((L.constant_profile(-0.0), L.ones_map(1.0)),
+                              (L.periodic_profile(0.4, 1.0), L.ones_map(-1.5)),
+                              (L.constant_profile(-0.1), L.linear_map(1.0)))
+        diffusion = L.coefficient((L.constant_profile(0.3), L.ones_map(2.0)))
+        return (replace(m, coefficients=replace(m.coefficients, drift=drift,
+                                                diffusion=diffusion)),)
+    return (_model(name),)
 
 
-@pytest.mark.parametrize("name", ["every_map", "heat8", "ou_jump", "periodic", "drift_a"])
+def _step_oracle(m, i, grid, y, dw):
+    """The drift D and the end state of step ``i`` of one model, from its
+    generic evaluations."""
+    c, gal, a, t = m.coefficients, m.galerkin, m.wiener.drift, grid[i]
+    gdiag = _apply_oracle(c.diffusion, c.diffusion.profile_table(t), y, gal)
+    # the compensator as SdeModel.compensator_apply formed it
+    comp = (-m.jumps.small_rate * _apply_mean_oracle(
+        c.small_jump, c.small_jump.profile_table(t), y, m.jumps.small_sampler, gal)
+        if m.jumps.small_rate else np.zeros_like(y))
+    drift = _apply_oracle(c.drift, c.drift.profile_table(t), y, gal) + gdiag * a + comp
+    lam_dt = -(grid[i + 1] - t) * m.semigroup.rates
+    d, phi1 = np.exp(lam_dt), -np.expm1(lam_dt) / m.semigroup.rates
+    return drift, d * y + phi1 * drift + d * (gdiag * dw)
+
+
+@pytest.mark.parametrize("name", ["every_map", "heat8", "ou_jump", "periodic", "drift_a",
+                                  "stationary", "periodic_pair", "ones_runs"])
 def test_compiled_step_matches_the_generic_oracle_bit_for_bit(name):
     # ou_jump has no small jumps and an empty drift; the step skips the zero
     # Wiener drift term of all but drift_a and the compensator of periodic,
-    # whose signed small marks have mean zero
-    m = _step_model(name)
-    c, gal, a = m.coefficients, m.galerkin, m.wiener.drift
+    # whose signed small marks have mean zero.  stationary's drift and
+    # diffusion hold ``ones`` terms only; periodic_pair steps two blocks
+    # whose ``ones`` terms read different profile values; ones_runs holds
+    # scales other than 1 and the signed zeros of a tabulated sum
+    models = _step_models(name)
+    m = models[0]
     grid = np.linspace(-1.0, 1.0, 9)
-    step = step_kernel((m,), grid)
+    step = step_kernel(models, grid)
     rng = np.random.default_rng(3)
-    for y in (_signed_zero_states(rng, m.dim, 1)[0], _signed_zero_states(rng, m.dim, 1),
-              _signed_zero_states(rng, m.dim, 6)):
-        dw = rng.normal(size=y.shape)
+    if len(models) == 1:
+        states = (_signed_zero_states(rng, m.dim, 1)[0], _signed_zero_states(rng, m.dim, 1),
+                  _signed_zero_states(rng, m.dim, 6))
+    else:   # (k, n_paths, dim) states; each block reads the one (n_paths, dim) dw
+        states = [np.stack([_signed_zero_states(rng, m.dim, n) for _ in models])
+                  for n in (1, 6)]
+    for y in states:
+        dw = rng.normal(size=y.shape[len(models) > 1:])
         for i in range(grid.size - 1):
-            t = grid[i]
-            gdiag = _apply_oracle(c.diffusion, c.diffusion.profile_table(t), y, gal)
-            # the compensator as SdeModel.compensator_apply formed it
-            comp = (-m.jumps.small_rate * _apply_mean_oracle(
-                c.small_jump, c.small_jump.profile_table(t), y, m.jumps.small_sampler, gal)
-                if m.jumps.small_rate else np.zeros_like(y))
-            drift = _apply_oracle(c.drift, c.drift.profile_table(t), y, gal) + gdiag * a + comp
-            lam_dt = -(grid[i + 1] - t) * m.semigroup.rates
-            d, phi1 = np.exp(lam_dt), -np.expm1(lam_dt) / m.semigroup.rates
+            want = [_step_oracle(mb, i, grid, yb, dw)
+                    for mb, yb in (zip(models, y) if len(models) > 1 else [(m, y)])]
+            drift, y_new = (np.stack(w) if len(models) > 1 else w[0] for w in zip(*want))
             got_y, got_drift, _ = step(i, y, dw)
             assert _same_bits(got_drift, drift)
-            assert _same_bits(got_y, d * y + phi1 * drift + d * (gdiag * dw))
+            assert _same_bits(got_y, y_new)

@@ -359,6 +359,29 @@ def test_signed_marks_draw_their_signs_as_generator_choice(n):
     assert rng.random() == oracle.random()
 
 
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_draws_are_numpys_own_calls_bit_for_bit():
+    # the sampler and the jump times use the expressions inside numpy's
+    # uniform and choice; over 306 seeds, every size 0-50 six times, the draws
+    # and a following integers draw must match numpy's own calls
+    atoms, probs = [[1.0, 0.0], [0.5, -0.5], [-0.0, 2.0]], [0.2, 0.3, 0.5]
+    rank, shell = L.finite_rank_marks(atoms, probs), L.uniform_shell_marks(0.1, 1.0)
+    for seed in range(306):
+        n, span = seed % 51, 10.0 ** (seed % 7 - 3) * (1.0 + seed / 7.0)
+        for got, want in (
+                (lambda r: rank.sample(r, n),
+                 lambda r: np.asarray(atoms)[r.choice(3, size=n, p=probs)]),
+                (lambda r: shell.sample(r, n), lambda r: r.uniform(0.1, 1.0, size=n)),
+                (lambda r: span * r.random(n), lambda r: r.uniform(0.0, span, size=n))):
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _same_bits(got(rng), want(oracle)), (seed, n)
+            assert np.array_equal(rng.integers(0, 2**62, 4), oracle.integers(0, 2**62, 4))
+
+
 def test_point_mass_sampler():
     s = L.point_mass_marks(1.5)
     x = s.sample(np.random.default_rng(1), 5)

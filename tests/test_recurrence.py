@@ -141,6 +141,51 @@ def test_every_accepted_tau_is_below_epsilon():
     assert all(d < 0.05 for d in rep.distances)
 
 
+def _scan_oracle(profs, epsilon, scan_window, tau_step, sup_horizon, t_step):
+    """The accepted shifts and their distances from one full-window max per
+    shift, on the scan grid of step ``t_step``."""
+    m = int(round(tau_step / t_step))
+    n_half, n_tau = int(round(sup_horizon / t_step)), int(round(scan_window / tau_step))
+    t = np.arange(-n_half, n_half + 1 + n_tau * m) * t_step
+    vals = np.stack([np.asarray(p(t), dtype=float) for p in profs])
+    base = vals[:, : 2 * n_half + 1]
+    taus, dists = [], []
+    for j in range(n_tau + 1):
+        d = float(np.max(np.abs(vals[:, j * m: j * m + 2 * n_half + 1] - base)))
+        if d < epsilon:
+            taus.append(j * tau_step)
+            dists.append(d)
+    return tuple(taus), tuple(dists)
+
+
+def _nan_after_three(t):
+    return np.where(t > 3.0, np.nan, np.sin(t))
+
+
+def _nan_off_the_subgrid(t):   # at one grid point that no sub-grid of the scan below holds
+    return np.where(np.abs(t - 0.55) < 1e-9, np.nan, np.sin(t))
+
+
+@pytest.mark.parametrize("profs, scan", [
+    ([p for p, _ in L.presets.periodic_model().coefficients.drift.terms],
+     (0.05, 50.0, 0.05, 30.0, None)),
+    ([p for p, _ in L.presets.example61_model(forcing=1.0).coefficients.drift.terms],
+     (0.05, 120.0, 0.05, 25.0, None)),                        # joint almost periods
+    ([L.clipped_ramp_profile(bound=50.0)], (0.04, 20.0, 0.05, 10.0, None)),
+    ([L.periodic_profile(1.0, 1.0)], (0.1, 20.0, 0.5, 0.2, 0.01)),   # window < stride
+    ([L.periodic_profile(1.0, 1.0)], (0.1, 20.0, 0.4, 5.0, 0.1)),    # 4 points a shift
+    ([L.periodic_profile(1.0, 1.0)], (0.1, 0.01, 0.05, 5.0, None)),  # n_tau = 0
+    ([_nan_after_three], (0.5, 20.0, 0.1, 1.0, 0.01)),
+    ([_nan_off_the_subgrid], (0.5, 20.0, 0.1, 1.0, 0.01))],
+    ids=["periodic", "example61", "ramp", "short_window", "coarse", "no_shift", "nan",
+         "nan_off_the_subgrid"])
+def test_subgrid_scan_keeps_every_full_window_verdict(profs, scan):
+    epsilon, scan_window, tau_step, sup_horizon, t_step = scan
+    rep = L.almost_periods(profs, epsilon, scan_window, tau_step, sup_horizon, t_step)
+    want = _scan_oracle(profs, epsilon, scan_window, tau_step, sup_horizon, rep.t_step)
+    assert (rep.taus, rep.distances) == want
+
+
 # -- bounded-Lipschitz metric ----------------------------------------------------
 
 def test_bl_identical_laws():
