@@ -25,15 +25,9 @@ which applies each event to its path in every block and which
 :func:`levylab.integrator.integrate` runs too: a jump inside a step acts
 on the kernel's own step to the jump time.  So a one-path ensemble on the
 grid of ``integrate`` reproduces its path bit for bit, and each block is
-its model's separate run bit for bit.
-The jump kernel sorts a chunk's events once into (step, round) slices,
-split by kind only where the kinds' coefficients differ beyond their
-profiles or the model is Galerkin (whose transforms round by batch size),
-so a step makes one coefficient call per slice, and none without a jump.
-A chunk whose jumps are state-free (every jump map ``ones``, no Galerkin
-spec: the ``periodic``, ``stationary`` and ``ou_jump`` presets) evaluates
-each kernel once on all its events instead, and its steps only add the
-stored increments.
+its model's separate run bit for bit.  Only a step that holds a jump calls
+the jump kernel, and the states are checked once per slab
+(:func:`levylab.integrator.run_checked`).
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ import numpy as np
 
 from .errors import InputError
 from .integrator import (check_finite, initial_states, jump_kernel, refined_grid,
-                         step_kernel)
+                         run_checked, step_kernel)
 from .model import SdeModel
 from .noise import jump_table, wiener_slabs
 
@@ -82,19 +76,25 @@ def _draw_chunk(model: SdeModel, grid, window, seed, paths):
 def _run_chunk(models, step, grid, obs_idx, y, events, out):
     """``advance(lo, dw)``: steps the states ``y`` of ``models`` through the Wiener
     slab ``dw`` from step ``lo``, writing them to ``out`` at observation steps."""
-    read_slab, add_jumps = jump_kernel(models, grid, events)
+    read_slab, add_jumps, jump_steps = jump_kernel(models, grid, events)
     out[obs_idx == 0] = y
     obs_lookup = {int(g): k for k, g in enumerate(obs_idx)}
 
     def advance(lo, dw):
         nonlocal y
         read_slab(lo, dw)
-        for i in range(lo, lo + dw.shape[1]):
-            y = add_jumps(i, y, *step(i, y, dw[:, i - lo]))
-            check_finite(y, grid[i + 1])
-            k = obs_lookup.get(i + 1)
-            if k is not None:
-                out[k] = y
+
+        def run(y, check):
+            for i in range(lo, lo + dw.shape[1]):
+                y_new, drift, gdiag = step(i, y, dw[:, i - lo])
+                y = add_jumps(i, y, y_new, drift, gdiag) if i in jump_steps else y_new
+                if check:
+                    check_finite(y, grid[i + 1])
+                if i + 1 in obs_lookup:
+                    out[obs_lookup[i + 1]] = y
+            return y
+
+        y = run_checked(run, y, grid[lo + dw.shape[1]])
 
     return advance
 

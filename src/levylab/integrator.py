@@ -2,24 +2,23 @@
 exponential-Euler step kernel that both path drivers run.
 
 :func:`step_kernel` tabulates once per grid the semigroup factors of every
-step and the drift, diffusion and small-jump profile columns at every step
-start, those of ``ones`` terms as their values, collects the distinct state
-maps of the other terms, and returns the step (Hochbruck & Ostermann, Acta
-Numerica 2010)
+step and, per state slot, the profile columns of the terms on it, and
+returns the step (Hochbruck & Ostermann, Acta Numerica 2010)
 
     Y(t+dt) = e^(-Lam dt) Y + Lam^-1 (1 - e^(-Lam dt)) D(t, Y)
               + e^(-Lam dt) g(t, Y) dW
 
 for one state (dim,), a batch (n_paths, dim) or the k stacked batches (k,
 n_paths, dim) of models that differ only in their profiles; it evaluates
-each map and ``to_phys`` once.  ``Lam`` is the diagonal decay matrix and ``D``
-collects the drift coefficient, the Wiener drift vector routed through the
-diffusion, and the small-jump compensator.  :func:`integrate` runs it for
-one path on the uniform ``max_step`` grid refined by every jump time of
-its seed's noise draw (Bruti-Liberati & Platen, J. Comput. Appl.
-Math. 2007).  Weak order one; the deterministic drift part is
-O(step)-accurate with constant ``sup|f'|/(2 lambda_min)`` thanks to the
-integrating factor.
+each map and ``to_phys`` once and makes one product per slot.  ``Lam`` is
+the diagonal decay matrix and ``D`` collects the drift coefficient, the
+Wiener drift vector routed through the diffusion, and the small-jump
+compensator.  :func:`integrate` runs it for one path on the uniform
+``max_step`` grid refined by every jump time of its seed's noise draw
+(Bruti-Liberati & Platen, J. Comput. Appl. Math. 2007).  Weak order one;
+the deterministic drift part is O(step)-accurate with constant
+``sup|f'|/(2 lambda_min)`` thanks to the integrating factor.  Both drivers
+check the states once per Wiener slab (:func:`run_checked`).
 
 :func:`jump_kernel` is the one jump rule of both drivers: a jump at ``s``
 inside a step ``[u, v]`` acts on the kernel's own step from ``u`` to ``s``
@@ -36,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, NumericalBlowupError
-from .model import SdeModel, StateMaps
+from .model import _ZERO, SdeModel, StateMaps
 from .noise import (JUMP_LARGE, JUMP_SMALL,   # jump flags of a SamplePath node; 0 is none
                     jump_table, wiener_slabs, window_ends)
 
@@ -50,24 +49,30 @@ def _structure(model: SdeModel) -> SdeModel:
 
 
 def _profile_columns(models, name: str, times) -> tuple:
-    """Per-term columns of the coefficient ``name`` at ``times``: scalars if all
-    models share it (as one model does), else (k, 1, 1) blocks, a value per model."""
-    coefs = [getattr(m.coefficients, name) for m in models]
-    if all(coef == coefs[0] for coef in coefs):
-        return tuple(coefs[0].profile_table(times).T)
-    table = np.stack([coef.profile_table(times) for coef in coefs], -1)[..., None, None]
-    return tuple(np.moveaxis(table, 1, 0))
+    """Per-term columns of the coefficient ``name`` at ``times``: scalars per
+    step for one model, (k, 1, 1) blocks, a value per model, for k models."""
+    table = np.stack([getattr(m.coefficients, name).profile_table(times) for m in models], -1)
+    return tuple(np.moveaxis(table[..., None, None] if len(models) > 1 else table[..., 0], 1, 0))
 
 
-def _fold_ones(coef, cols, slots) -> tuple:
-    """The columns and slots of ``coef``, each tabulated ``ones`` term (slot None)
-    as its column times its scale, and a leading run of them folded into one
-    base column with the +0.0 that :meth:`Coefficient.evaluate` adds, or None."""
+def _program(coef, cols, slots, tables: dict, gal, zero) -> list:
+    """The rows of ``coef`` for :meth:`Coefficient.combine`: (slot, r), column r
+    of the products of ``tables[slot]``, where the profile column goes, or (None,
+    values), a ``ones`` term on coordinates (slot None), read 0-d (numpy's scalar
+    path).  A leading run of them folds into a base, added after the first product;
+    with no product, a ``zero`` column, if given, makes one on the coefficient's space."""
     cols = [col * m.scale if slot is None else col
             for col, slot, (_, m) in zip(cols, slots, coef.terms)]
     lead = next((k for k, slot in enumerate(slots) if slot is not None), len(slots))
-    return (tuple(cols[lead:]), slots[lead:],   # sum adds left to right, as evaluate
-            sum(cols[1:lead], cols[0] + 0.0) if lead else None)
+    rows, space = [], int(coef.on_nodes(gal, True))
+    for col, slot in list(zip(cols[lead:], slots[lead:])) or [(zero, space)] * (zero is not None):
+        if slot is not None:
+            tables.setdefault(slot, []).append(col)
+            col = len(tables[slot]) - 1
+        rows.append((slot, col))
+    if lead:   # sum adds left to right, as combine
+        rows.insert(1, (None, sum(cols[1:lead], cols[0] + 0.0)))
+    return rows
 
 
 def step_kernel(models, grid: np.ndarray):
@@ -75,9 +80,11 @@ def step_kernel(models, grid: np.ndarray):
     (y_new, drift, gdiag)`` over step ``i`` of k ``models`` that differ only in
     their coefficient profiles, for ``y`` (k, n_paths, dim) and ``dw`` (n_paths,
     dim), read by every block; one model takes (dim,) or (n_paths, dim) arrays.
-    ``drift`` is ``D`` and ``gdiag`` the diffusion at the step start.  A
-    ``ones`` term on coordinates is tabulated too, as its column times its
-    scale, so a step maps and multiplies only the state-dependent terms."""
+    ``drift`` is ``D`` at the step start and ``gdiag`` the diffusion, its
+    tabulated value if no term depends on the state.  A step makes one product
+    per state slot, whose table holds the profile columns of its terms, adds
+    +0.0 to it for a first row without base (no other row changes: a sum that
+    holds +0.0 is never -0.0), and sums them in :meth:`Coefficient.combine`."""
     model = models[0]
     if any(_structure(m) != _structure(model) for m in models[1:]):
         raise InputError("stacked models need one noise law and one structure: "
@@ -85,26 +92,39 @@ def step_kernel(models, grid: np.ndarray):
     neg_ldt = -np.outer(np.diff(grid), model.semigroup.rates)
     decay, phi1 = np.exp(neg_ldt), -np.expm1(neg_ldt) / model.semigroup.rates
     c, gal, a = model.coefficients, model.galerkin, model.wiener.drift
-    coefs = f, g, s = c.drift, c.diffusion, c.small_jump
-    maps = StateMaps(coefs, gal, tabulated=True)
-    (f_cols, f_slots, f_base), (g_cols, g_slots, g_base), (s_cols, s_slots, s_base) = (
-        _fold_ones(coef, _profile_columns(models, name, grid[:-1]), slots)
-        for coef, name, slots in zip(coefs, ("drift", "diffusion", "small_jump"), maps.slots))
+    f, g, s = c.drift, c.diffusion, c.small_jump
     rate, sampler = model.jumps.small_rate, model.jumps.small_sampler
     mean = s.mark_factor(sampler.mean(), gal) if rate else None
     # skip the terms that are identically zero (no Wiener drift, a zero mark mean):
     # their signed zeros leave f, which holds no -0.0 (evaluate adds +0.0), as it is
     a = a if np.any(a) else None
     rate = rate if mean is None or np.any(mean) else 0.0
+    maps, tables = StateMaps((f, g, s)[:3 if rate else 2], gal, tabulated=True), {}
+    zero = np.zeros((grid.size - 1, len(models), 1, 1)[:4 if len(models) > 1 else 1])
+    named = zip(("drift", "diffusion", "small_jump"), (f, g, s), maps.slots)
+    programs = [_program(coef, _profile_columns(models, name, grid[:-1]), slots, tables, gal,
+                         zero if name == "drift" or not slots else None)   # state-shaped
+                for name, coef, slots in named]
+    zeroed = {rows[0][0] for rows, slots in zip(programs, maps.slots) if slots[:1] != (None,)}
+    tabs = [(slot, np.stack(cols, 1)) for slot, cols in tables.items()]   # (steps, columns, ...)
+    shaped = {nd: [(slot, tab.reshape(tab.shape[:2] + (1,) * (nd + 2 - tab.ndim) + tab.shape[2:]))
+                   for slot, tab in tabs] for nd in (1, 2, 3)}   # row i * value: (column, *y)
+    gather, sizes = [row for rows in programs for row in rows], [len(r) for r in programs]
+    f_at, g_at, s_at = (slice(sum(sizes[:k]), sum(sizes[:k + 1])) for k in range(3))
 
     def step(i: int, y: np.ndarray, dw: np.ndarray):
         vals = maps(y)
-        gdiag = g.evaluate(g_cols, i, vals, g_slots, gal, base=g_base)
-        drift = f.evaluate(f_cols, i, vals, f_slots, gal, base=f_base)
+        prods = {slot: tab[i] * vals[slot] for slot, tab in shaped[y.ndim]}
+        del vals   # spent: the sums may reuse its memory (node arrays on Galerkin models)
+        for slot in zeroed:
+            prods[slot] += _ZERO
+        rows = [x[i, ...] if slot is None else prods[slot][x] for slot, x in gather]
+        gdiag = g.combine(rows[g_at], gal)
+        drift = f.combine(rows[f_at], gal)
         if a is not None:
             drift += gdiag * a
         if rate:
-            drift += -rate * s.evaluate(s_cols, i, vals, s_slots, gal, mean, base=s_base)
+            drift += -rate * s.combine(rows[s_at], gal, mean)
         d = decay[i]
         return d * y + phi1[i] * drift + d * (gdiag * dw), drift, gdiag
 
@@ -114,7 +134,7 @@ def step_kernel(models, grid: np.ndarray):
 def jump_kernel(models, grid, events):
     """Tabulate the jump table ``events`` (see :func:`levylab.noise.jump_table`)
     of the paths once for the k ``models`` of :func:`step_kernel` and return
-    ``read_slab(lo, dw)`` and ``add_jumps(i, y, y_new, drift, gdiag)``.
+    ``read_slab(lo, dw)``, ``add_jumps(i, y, y_new, drift, gdiag)`` and the steps it acts on.
     ``read_slab`` takes the Wiener terms of the events in the steps of a slab
     ``dw`` (n_paths, rows, dim) from step ``lo`` (see
     :func:`levylab.noise.wiener_slabs`); ``add_jumps`` adds to ``y_new``, the
@@ -197,7 +217,7 @@ def jump_kernel(models, grid, events):
                 y_new[blocks + (paths[sl],)] += inc[j]
             return y_new
 
-        return (lambda lo, dw: None), add_state_free_jumps
+        return (lambda lo, dw: None), add_state_free_jumps, frozenset(schedule)
     post = per_block([np.empty((times.size, model.dim))] * len(models))
     wiener = np.empty((times.size, model.wiener.dim))
 
@@ -206,6 +226,7 @@ def jump_kernel(models, grid, events):
         wiener[a:b] = frac[a:b, None] * dw[paths[a:b], interval[a:b] - lo]
 
     def add_jumps(i, y, y_new, drift, gdiag):
+        gdiag = gdiag if gdiag.shape == y.shape else np.broadcast_to(gdiag, y.shape)
         for sl, j, jump, later in schedule.get(i, ()):
             p, d = blocks + (paths[sl],), dec_in[sl]
             pre = (d * (post[blocks + (back[sl],)] if later else y[p]) + phi1[sl] * drift[p]
@@ -215,7 +236,7 @@ def jump_kernel(models, grid, events):
             post[j] = pre + raw
         return y_new
 
-    return read_slab, add_jumps
+    return read_slab, add_jumps, frozenset(schedule)
 
 
 @dataclass
@@ -265,6 +286,18 @@ def check_finite(y: np.ndarray, t: float):
                                    + f" non-finite at t = {t:g}")
 
 
+def run_checked(run, y: np.ndarray, t: float) -> np.ndarray:
+    """``run(y, check)``, a slab of steps from ``y`` to ``t``, run without checks or
+    overflow and invalid warnings, then again with a check after every step if its
+    end is not finite: exact, as ``y`` steps to ``exp(-Lam dt) y + ...``, jumps add."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        end = run(y, False)
+    if not np.logical_and.reduce(np.isfinite(end), axis=None):
+        run(y, True)   # raises where the first non-finite state is
+    check_finite(end, t)
+    return end
+
+
 def initial_states(y0, n_paths: int, dim: int) -> np.ndarray:
     """``y0`` as a scalar, a state vector or an (n_paths, dim) array,
     broadcast to (n_paths, dim); every entry must be finite."""
@@ -289,7 +322,7 @@ def integrate(model: SdeModel, window, y0, max_step: float, seed) -> SamplePath:
     events = jump_table(model.jumps, window, seed)
     grid = refined_grid(float(window[0]), float(window[1]), max_step, events[0])
     step = step_kernel((model,), grid)
-    read_slab, add_jumps = jump_kernel((model,), grid, events)
+    read_slab, add_jumps, _ = jump_kernel((model,), grid, events)
 
     n = grid.size
     values = np.empty((n, model.dim))
@@ -301,13 +334,20 @@ def integrate(model: SdeModel, window, y0, max_step: float, seed) -> SamplePath:
     jumped = flags[1:].tolist()
     for lo, dw in wiener_slabs(model.wiener, grid, seed):
         read_slab(lo, dw)
-        for i in range(lo, lo + dw.shape[1]):
-            y_new, drift, gdiag = step(i, y, dw[0, i - lo])
-            left[i + 1] = y_new
-            check_finite(y_new, grid[i + 1])
-            if jumped[i]:   # the jump acts on the left limit: lead v - u, decay out 1
-                add_jumps(i, y[None], y_new[None], drift[None], gdiag[None])
-                check_finite(y_new, grid[i + 1])
-            values[i + 1] = y = y_new
+
+        def run(y, check):
+            for i in range(lo, lo + dw.shape[1]):
+                y_new, drift, gdiag = step(i, y, dw[0, i - lo])
+                left[i + 1] = y_new
+                if check:
+                    check_finite(y_new, grid[i + 1])
+                if jumped[i]:   # the jump acts on the left limit: lead v - u, decay out 1
+                    add_jumps(i, y[None], y_new[None], drift[None], gdiag[None])
+                    if check:
+                        check_finite(y_new, grid[i + 1])
+                values[i + 1] = y = y_new
+            return y
+
+        y = run_checked(run, y, grid[lo + dw.shape[1]])
 
     return SamplePath(times=grid, values=values, left_limits=left, jump_flags=flags)

@@ -118,24 +118,24 @@ def ones_map(scale=1.0) -> StateMap:
 class StateMaps:
     """The distinct state maps of ``coefs`` (jumps marked if ``marked``).
     Called on y, it returns ``[y, u, S_0, ...]``, u = to_phys(y) or None and
-    each map once (``linear_map(1.0)`` is y or u itself, bit for bit);
-    ``slots[c][k]`` indexes the value of term k of coefficient c.  With
-    ``tabulated``, a ``ones`` term on coordinates gets the slot None and no
-    map: the caller holds its values (see :func:`levylab.integrator.step_kernel`)."""
+    each map once; ``slots[c][k]`` indexes the value of term k of coefficient
+    c, y or u itself for ``linear_map(1.0)``.  With ``tabulated``, a ``ones``
+    term on coordinates gets the slot None and no map: the caller holds its
+    values (see :func:`levylab.integrator.step_kernel`)."""
 
     def __init__(self, coefs, galerkin: GalerkinSpec | None = None, marked: bool = True,
                  tabulated: bool = False):
         spaces, index = [c.on_nodes(galerkin, marked) for c in coefs], {}
         self.slots = [tuple(None if tabulated and not s and m.kind == "ones"
+                            else int(s) if (m.kind, m.scale) == ("linear", 1.0)
                             else index.setdefault((s, m), len(index) + 2) for _, m in c.terms)
                       for c, s in zip(coefs, spaces)]
-        self._maps = [(int(s), None if (m.kind, m.scale) == ("linear", 1.0)
-                       else _MAP_KINDS[m.kind], m) for s, m in index]
+        self._maps = [(int(s), _MAP_KINDS[m.kind], m) for s, m in index]
         self._galerkin = galerkin if any(spaces) else None
 
     def __call__(self, y: np.ndarray) -> list:
         vals = [y, None if self._galerkin is None else self._galerkin.to_phys(y)]
-        vals += [fn(m, vals[s]) if fn else vals[s] for s, fn, m in self._maps]
+        vals += [fn(m, vals[s]) for s, fn, m in self._maps]
         return vals
 
 
@@ -154,7 +154,7 @@ class Coefficient:
 
     With ``pointwise=True`` and a Galerkin spec present, state maps act on
     node values (collocate, apply, project back); otherwise they act on
-    coordinates directly.  Every evaluation runs :meth:`evaluate`.
+    coordinates directly.  Every evaluation sums its terms in :meth:`combine`.
     """
 
     terms: tuple[tuple[TimeProfile, StateMap], ...]
@@ -179,21 +179,21 @@ class Coefficient:
             self.pointwise or marked and self.mark_mode == "pointwise_product")
 
     def evaluate(self, cols, i, vals: list, slots, galerkin: GalerkinSpec | None = None,
-                 factor=None, base=None) -> np.ndarray:
-        """Sum of ``cols[k][i] * vals[slots[k]]`` over the terms in order, its
-        first product added to +0.0 as by a zeros accumulator, or to ``base[i]``,
-        the sum of leading terms held by the caller; a term of slot None adds
-        ``cols[k][i]`` itself.  ``factor`` is a
-        :meth:`~JumpCoefficient.mark_factor`, or None for the state part."""
-        if slots:   # in place: out of place would allocate a node-sized array per term
-            acc = cols[0][i] * vals[slots[0]]
-            acc += _ZERO if base is None else base[i]
-            for k in range(1, len(slots)):
-                acc += cols[k][i] if slots[k] is None else cols[k][i] * vals[slots[k]]
-        else:
-            acc = np.zeros(vals[self.on_nodes(galerkin, factor is not None)].shape)
-            if base is not None:
-                acc += base[i]
+                 factor=None) -> np.ndarray:
+        """The products ``cols[k][i] * vals[slots[k]]`` of the terms, the first
+        added to +0.0 as by a zeros accumulator, summed by :meth:`combine`."""
+        rows = ([col[i] * vals[s] for col, s in zip(cols, slots)]
+                or [np.zeros(vals[self.on_nodes(galerkin, factor is not None)].shape)])
+        rows[0] += _ZERO
+        return self.combine(rows, galerkin, factor)
+
+    def combine(self, rows: list, galerkin: GalerkinSpec | None = None,
+                factor=None) -> np.ndarray:
+        """The sum of ``rows``, the terms in order, into the first, which holds its
+        +0.0; to modes if pointwise, then times a :meth:`~JumpCoefficient.mark_factor`."""
+        acc = rows[0]
+        for row in rows[1:]:   # in place: out of place would allocate an array per term
+            acc += row
         if galerkin is not None:
             if factor is not None and self.mark_mode == "pointwise_product":
                 return galerkin.to_modes(acc * factor)

@@ -5,7 +5,7 @@ import pytest
 
 import levylab as L
 from levylab.errors import InputError, NumericalBlowupError
-from levylab.integrator import check_finite
+from levylab.integrator import check_finite, refined_grid
 from levylab.noise import JUMP_LARGE, JUMP_SMALL, jump_table
 
 
@@ -122,6 +122,80 @@ def test_blowup_reports_time():
         L.integrate(m, (0.0, 3.0), [0.0], 0.1, 0)
     assert 0.0 < err.value.time <= 3.0
     assert str(err.value) == f"component 0 non-finite at t = {err.value.time:g}"
+
+
+def _growing_model(rate=400.0):
+    """A scalar model whose linear drift outgrows its decay: from y0 = 1 at
+    step 0.01 the state overflows near t = 4.  Its jumps act on the state."""
+    coeffs = L.CoefficientSet(
+        drift=L.coefficient((L.constant_profile(rate), L.linear_map(1.0))),
+        diffusion=L.coefficient((L.constant_profile(0.5), L.linear_map(1.0))),
+        small_jump=L.jump_coefficient((L.constant_profile(0.2), L.linear_map(1.0))),
+        large_jump=L.jump_coefficient((L.constant_profile(0.3), L.linear_map(1.0))),
+        A0=1.0, lipschitz_L=0.25)
+    jumps = L.JumpMeasureSpec(small_rate=2.0,
+                              small_sampler=L.uniform_shell_marks(0.1, 1.0, signed=True),
+                              truncation_delta=0.1, large_rate=2.0,
+                              large_sampler=L.uniform_shell_marks(1.0, 2.0, signed=True))
+    return L.SdeModel(semigroup=L.SemigroupSpec(eigenvalues=(1.0,), K=1.0, omega=1.0),
+                      coefficients=coeffs, wiener=L.WienerSpec(mode_variances=(1.0,)),
+                      jumps=jumps)
+
+
+_Y0 = np.array([[1.0], [1.0], [1e6], [1.0]])   # path 2 overflows first
+# driver -> (run, its grid, paths per slab): slabs of 100 steps
+_BLOWUP_RUNS = {
+    "integrate": (lambda: L.integrate(_growing_model(), (0.0, 10.0), [1.0], 0.01, 3),
+                  lambda: refined_grid(0.0, 10.0, 0.01, jump_table(
+                      _growing_model().jumps, (0.0, 10.0), 3)[0]), 1),
+    "ensemble": (lambda: L.simulate_ensemble(_growing_model(), (0.0, 10.0), _Y0, 4, 0.01, 3,
+                                             [10.0]),
+                 lambda: refined_grid(0.0, 10.0, 0.01, [10.0]), 4),
+    "coupled": (lambda: L.coupled_gap(_growing_model(), _growing_model(500.0), _Y0, _Y0,
+                                      (0.0, 10.0), 4, 0.01, 3, [10.0]),
+                lambda: refined_grid(0.0, 10.0, 0.01, [10.0]), 4),
+}
+# recorded while every step still ran check_finite; (message, float.hex of the time)
+BLOWUPS = {
+    "integrate": ("component 0 non-finite at t = 4.35", "0x1.1666666666667p+2"),
+    "ensemble": ("path 2, component 0 non-finite at t = 4.31", "0x1.13d70a3d70a3ep+2"),
+    "coupled": ("model 1, path 2, component 0 non-finite at t = 3.87", "0x1.ef5c28f5c28f6p+1"),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(BLOWUPS))
+def test_blowup_inside_a_slab_names_the_step_and_warns_as_each_step_checked(
+        driver, monkeypatch, recwarn):
+    run, grid, n_paths = _BLOWUP_RUNS[driver]
+    monkeypatch.setattr(L.noise, "SLAB_BYTES", 8 * 100 * n_paths)
+    with pytest.raises(NumericalBlowupError) as err:
+        run()
+    message, time = BLOWUPS[driver]
+    assert str(err.value) == message and err.value.time == float.fromhex(time)
+    step = np.searchsorted(grid(), err.value.time) - 1
+    assert step >= 100 and 0 < step % 100 < 99   # inside a later slab
+    assert [(w.category, str(w.message)) for w in recwarn] == [
+        (RuntimeWarning, "overflow encountered in multiply")]
+
+
+@pytest.mark.parametrize("driver", ["integrate", "ensemble", "coupled"])
+def test_a_finite_run_checks_its_states_once_per_slab(driver, monkeypatch):
+    calls = []
+    direct = check_finite
+    monkeypatch.setattr(L.integrator, "check_finite",
+                        lambda y, t: calls.append(t) or direct(y, t))
+    monkeypatch.setattr(L.ensemble, "check_finite", L.integrator.check_finite)
+    monkeypatch.setattr(L.noise, "SLAB_BYTES", 8 * 100 * 4)   # 100 steps of 4 paths, 400 of 1
+    m = L.presets.example61_model()
+    if driver == "integrate":
+        steps = L.integrate(m, (0.0, 10.0), [1.0], 0.01, 3).times.size - 1
+        assert len(calls) == -(-steps // 400) >= 3
+    else:
+        if driver == "coupled":
+            L.coupled_gap(m, m.shifted(0.7), 0.5, 1.5, (0.0, 10.0), 4, 0.01, 3, [10.0])
+        else:
+            L.simulate_ensemble(m, (0.0, 10.0), 0.5, 4, 0.01, 3, [10.0])
+        assert len(calls) == 10   # 1000 steps
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])

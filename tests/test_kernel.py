@@ -618,6 +618,20 @@ def _step_models(name):
         diffusion = L.coefficient((L.constant_profile(0.3), L.ones_map(2.0)))
         return (replace(m, coefficients=replace(m.coefficients, drift=drift,
                                                 diffusion=diffusion)),)
+    if name == "shared_y":   # drift, diffusion and compensator all read the slot of y
+        zero, y = L.constant_profile(-0.0), L.linear_map(1.0)
+        coeffs = L.CoefficientSet(
+            drift=L.coefficient((zero, y), (L.periodic_profile(0.4, 1.0), y)),
+            diffusion=L.coefficient((zero, y)),
+            small_jump=L.jump_coefficient(   # a ones term first: a base after one product
+                (L.constant_profile(0.7), L.ones_map(-1.5)), (L.constant_profile(0.2), y),
+                (L.periodic_profile(0.3, 2.0), y), mark_mode="scalar"),
+            large_jump=L.jump_coefficient(), A0=1.0, lipschitz_L=0.6)
+        jumps = L.JumpMeasureSpec(small_rate=2.0, small_sampler=L.uniform_shell_marks(0.1, 1.0),
+                                  truncation_delta=0.1)
+        wiener = L.WienerSpec((0.5, 0.2), drift_a=(0.3, -0.2))
+        return (L.SdeModel(semigroup=L.SemigroupSpec(eigenvalues=(2.0, 3.0), K=1.0, omega=2.0),
+                           coefficients=coeffs, wiener=wiener, jumps=jumps),)
     return (_model(name),)
 
 
@@ -637,14 +651,15 @@ def _step_oracle(m, i, grid, y, dw):
 
 
 @pytest.mark.parametrize("name", ["every_map", "heat8", "ou_jump", "periodic", "drift_a",
-                                  "stationary", "periodic_pair", "ones_runs"])
+                                  "stationary", "periodic_pair", "ones_runs", "shared_y"])
 def test_compiled_step_matches_the_generic_oracle_bit_for_bit(name):
     # ou_jump has no small jumps and an empty drift; the step skips the zero
     # Wiener drift term of all but drift_a and the compensator of periodic,
     # whose signed small marks have mean zero.  stationary's drift and
     # diffusion hold ``ones`` terms only; periodic_pair steps two blocks
     # whose ``ones`` terms read different profile values; ones_runs holds
-    # scales other than 1 and the signed zeros of a tabulated sum
+    # scales other than 1 and the signed zeros of a tabulated sum; shared_y
+    # makes its four products with one multiply, rows of -0.0 profiles among them
     models = _step_models(name)
     m = models[0]
     grid = np.linspace(-1.0, 1.0, 9)

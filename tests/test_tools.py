@@ -15,3 +15,14 @@ def test_ab_time_compares_a_checkout_with_itself():
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert "same output bytes in 1 of 1 pairs" in run.stdout.splitlines()[-1]
+
+
+def test_ab_time_step_layer_compares_a_checkout_with_itself():
+    # one pair of five steps per case, both sides loaded from this checkout
+    run = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_time.py"), "--parent", ROOT,
+         "--layer", "step", "--ops", "1", "--steps", "5"],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 5 and all("same states in 1 of 1" in line for line in lines[1:])

@@ -1,7 +1,8 @@
 """Time the ops of one benchmark workload on this checkout and on another,
-alternating in one process.
+alternating in one process, or the step loop of the path drivers alone.
 
     python3 tools/ab_time.py --parent PATH --workload NAME --ops N [--seed S]
+    python3 tools/ab_time.py --parent PATH --layer step --ops N [--seed S] [--steps K]
 
 Run from anywhere.  The ``src/levylab`` of the checkout this file sits in
 is loaded as the package ``levylab`` and that of the checkout at PATH as
@@ -18,6 +19,19 @@ change used less time, and the number in which both sides wrote the same
 bytes.  CPU time is not the benchmark's ``op_p50_rel``, but on a shared
 machine it moves less with other tenants than wall time does, and the
 alternation puts any drift on both sides alike.
+
+``--layer step`` times the step loop instead, in CPU microseconds per
+path-step: the ``advance`` of ``levylab.ensemble._run_chunk`` (steps, jumps
+and finiteness checks) over all Wiener slabs of one chunk of paths, whose
+noise is drawn and whose kernels are built before the clock starts.  The
+cases are the models of the benchmark's workloads: the README scalar model
+(``presets.example61_model``) on one path over the single-path workload's
+window and step, the same model on 100 paths, the ``periodic`` preset on 200
+paths and the 32-mode heat model on 256 paths.  The one-path case runs the
+ensemble's loop, which steps a path as ``integrate`` does.  Each of N pairs
+runs every case on both sides, alternating which side goes first; the
+states the loop writes are compared byte for byte.  ``--steps K`` cuts
+each case to its first K steps.
 """
 
 from __future__ import annotations
@@ -38,6 +52,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads   # noqa: E402
+
+# --layer step cases: (preset and its arguments, paths, window, max_step)
+STEP_CASES = {
+    "single-path": (("example61_model", {}), 1, (0.0, 40.0), 0.005),
+    "example61": (("example61_model", {}), 100, (0.0, 10.0), 0.01),
+    "periodic": (("periodic_model", {}), 200, (0.0, 10.0), 0.01),
+    "heat32": (("example62_model", {"n_modes": 32}), 256, (0.0, 1.0), 0.005),
+}
 
 
 def load_cli(name: str, checkout: str):
@@ -65,19 +87,85 @@ def run_op(cli, workload, seed: int) -> tuple[float, str]:
     return cpu, digest.hexdigest()
 
 
+def step_case(package, case, seed: int, steps):
+    """A runner of the step loop of ``case`` on the ``levylab`` ``package``:
+    it returns the CPU microseconds per path-step and the bytes of the end
+    states.  The noise is drawn and the step kernel built once, here."""
+    import numpy as np   # loaded with the packages, after the BLAS pins
+    (preset, kwargs), n_paths, (t0, t1), max_step = STEP_CASES[case]
+    if steps is not None:
+        t1 = min(t1, t0 + steps * max_step)
+    model = getattr(package.presets, preset)(**kwargs)
+    ens = package.ensemble
+    grid = package.integrator.refined_grid(t0, t1, max_step, [t1])
+    obs_idx = np.array([grid.size - 1])
+    step = package.integrator.step_kernel((model,), grid)
+    events, slabs = ens._draw_chunk(model, grid, (t0, t1), seed, range(n_paths))
+    slabs = [(lo, dw.copy()) for lo, dw in slabs]   # the slabs share one buffer
+    y0 = package.integrator.initial_states(1.0, n_paths, model.dim)
+
+    def run():
+        out = np.empty((1, 1, n_paths, model.dim))
+        advance = ens._run_chunk((model,), step, grid, obs_idx, y0, events, out)
+        start = time.process_time()
+        for slab in slabs:
+            advance(*slab)
+        cpu = time.process_time() - start
+        return cpu / (n_paths * (grid.size - 1)) * 1e6, out.tobytes()
+
+    return run
+
+
+def main_step_layer(args) -> int:
+    load_cli("levylab_parent", args.parent), load_cli("levylab", ROOT)
+    packages = {"parent": sys.modules["levylab_parent"], "change": sys.modules["levylab"]}
+    print(f"step loop, CPU us per path-step: {args.ops} pairs, noise seed {args.seed}")
+    for case in STEP_CASES:
+        runs = {side: step_case(package, case, args.seed, args.steps)
+                for side, package in packages.items()}
+        for run in runs.values():   # warm-up
+            run()
+        times = {side: [] for side in runs}
+        same = 0
+        for k in range(args.ops):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            outs = set()
+            for side in order:
+                us, out = runs[side]()
+                times[side].append(us)
+                outs.add(out)
+            same += len(outs) == 1
+        ratios = [c / p for c, p in zip(times["change"], times["parent"])]
+        print(f"  {case}: parent {statistics.median(times['parent']):.3f}, "
+              f"change {statistics.median(times['change']):.3f}, "
+              f"change / parent median {statistics.median(ratios):.4f}, "
+              f"faster in {sum(r < 1.0 for r in ratios)} of {args.ops}, "
+              f"same states in {same} of {args.ops}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="root of the checkout to compare with")
-    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS),
+                        help="the workload whose ops to time (--layer op)")
+    parser.add_argument("--layer", choices=("op", "step"), default="op",
+                        help="time whole ops (default) or the step loop")
     parser.add_argument("--ops", type=int, required=True, help="number of pairs")
-    parser.add_argument("--seed", type=int, default=1, help="workload seed (default: 1)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="workload seed, or noise seed of --layer step (default: 1)")
+    parser.add_argument("--steps", type=int, help="--layer step: steps per case (default: all)")
     args = parser.parse_args(argv)
-    if args.ops < 1 or args.seed < 0:
-        parser.error("--ops must be >= 1 and --seed >= 0")
+    if args.ops < 1 or args.seed < 0 or (args.steps is not None and args.steps < 1):
+        parser.error("--ops and --steps must be >= 1 and --seed >= 0")
+    if args.layer == "op" and args.workload is None:
+        parser.error("--workload is required unless --layer step")
     if not os.path.isfile(os.path.join(args.parent, "src", "levylab", "cli.py")):
         parser.error(f"no levylab sources under {os.path.join(args.parent, 'src')}")
     for var in workloads.BLAS_PINS:   # before numpy loads with the first package
         os.environ[var] = "1"
+    if args.layer == "step":
+        return main_step_layer(args)
     sides = {"parent": load_cli("levylab_parent", args.parent),
              "change": load_cli("levylab", ROOT)}
     workload = workloads.WORKLOADS[args.workload]
