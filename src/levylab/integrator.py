@@ -10,15 +10,14 @@ returns the step (Hochbruck & Ostermann, Acta Numerica 2010)
 
 for one state (dim,), a batch (n_paths, dim) or the k stacked batches (k,
 n_paths, dim) of models that differ only in their profiles; it evaluates
-each map and ``to_phys`` once and makes one product per slot.  ``Lam`` is
-the diagonal decay matrix and ``D`` collects the drift coefficient, the
-Wiener drift vector routed through the diffusion, and the small-jump
-compensator.  :func:`integrate` runs it for one path on the uniform
-``max_step`` grid refined by every jump time of its seed's noise draw
-(Bruti-Liberati & Platen, J. Comput. Appl. Math. 2007).  Weak order one;
-the deterministic drift part is O(step)-accurate with constant
-``sup|f'|/(2 lambda_min)`` thanks to the integrating factor.  Both drivers
-check the states once per Wiener slab (:func:`run_checked`).
+each map and ``to_phys`` once.  ``Lam`` is the diagonal decay matrix and
+``D`` collects the drift coefficient, the Wiener drift vector routed through
+the diffusion, and the small-jump compensator.  :func:`integrate` runs it
+for one path on the uniform ``max_step`` grid refined by every jump time of
+its seed's noise draw (Bruti-Liberati & Platen, J. Comput. Appl. Math. 2007).
+Weak order one; the deterministic drift part is O(step)-accurate with
+constant ``sup|f'|/(2 lambda_min)`` thanks to the integrating factor.  Both
+drivers check the states once per Wiener slab (:func:`run_checked`).
 
 :func:`jump_kernel` is the one jump rule of both drivers: a jump at ``s``
 inside a step ``[u, v]`` acts on the kernel's own step from ``u`` to ``s``
@@ -39,6 +38,8 @@ from .model import _ZERO, SdeModel, StateMaps
 from .noise import (JUMP_LARGE, JUMP_SMALL,   # jump flags of a SamplePath node; 0 is none
                     jump_table, wiener_slabs, window_ends)
 
+BROADCAST_MAX = 512   # state entries up to which a step makes one product per slot
+
 
 def _structure(model: SdeModel) -> SdeModel:
     """``model`` without its coefficient profiles: all that stacked models share."""
@@ -49,27 +50,23 @@ def _structure(model: SdeModel) -> SdeModel:
 
 
 def _profile_columns(models, name: str, times) -> tuple:
-    """Per-term columns of the coefficient ``name`` at ``times``: scalars per
-    step for one model, (k, 1, 1) blocks, a value per model, for k models."""
+    """Per-term columns of ``name`` at ``times``: scalars, or (k, 1, 1) blocks for k models."""
     table = np.stack([getattr(m.coefficients, name).profile_table(times) for m in models], -1)
     return tuple(np.moveaxis(table[..., None, None] if len(models) > 1 else table[..., 0], 1, 0))
 
 
 def _program(coef, cols, slots, tables: dict, gal, zero) -> list:
-    """The rows of ``coef`` for :meth:`Coefficient.combine`: (slot, r), column r
-    of the products of ``tables[slot]``, where the profile column goes, or (None,
-    values), a ``ones`` term on coordinates (slot None), read 0-d (numpy's scalar
-    path).  A leading run of them folds into a base, added after the first product;
-    with no product, a ``zero`` column, if given, makes one on the coefficient's space."""
+    """The rows of ``coef`` for :meth:`Coefficient.combine`: (slot, r), column r of
+    ``tables[slot]``, or (None, values) for ``ones`` terms on coordinates, read 0-d
+    (numpy's scalar path), whose leading run folds into a base after the first
+    product; with no product, a ``zero`` column, if given, makes one."""
     cols = [col * m.scale if slot is None else col
             for col, slot, (_, m) in zip(cols, slots, coef.terms)]
     lead = next((k for k, slot in enumerate(slots) if slot is not None), len(slots))
     rows, space = [], int(coef.on_nodes(gal, True))
     for col, slot in list(zip(cols[lead:], slots[lead:])) or [(zero, space)] * (zero is not None):
-        if slot is not None:
-            tables.setdefault(slot, []).append(col)
-            col = len(tables[slot]) - 1
-        rows.append((slot, col))
+        tables.setdefault(slot, []).append(col)
+        rows.append((slot, col if slot is None else len(tables[slot]) - 1))
     if lead:   # sum adds left to right, as combine
         rows.insert(1, (None, sum(cols[1:lead], cols[0] + 0.0)))
     return rows
@@ -80,11 +77,11 @@ def step_kernel(models, grid: np.ndarray):
     (y_new, drift, gdiag)`` over step ``i`` of k ``models`` that differ only in
     their coefficient profiles, for ``y`` (k, n_paths, dim) and ``dw`` (n_paths,
     dim), read by every block; one model takes (dim,) or (n_paths, dim) arrays.
-    ``drift`` is ``D`` at the step start and ``gdiag`` the diffusion, its
-    tabulated value if no term depends on the state.  A step makes one product
-    per state slot, whose table holds the profile columns of its terms, adds
-    +0.0 to it for a first row without base (no other row changes: a sum that
-    holds +0.0 is never -0.0), and sums them in :meth:`Coefficient.combine`."""
+    ``drift`` is ``D`` at the step start and ``gdiag`` the diffusion (tabulated if
+    no term reads the state).  Up to ``BROADCAST_MAX`` entries, or stacked, a step
+    multiplies a slot's value by its table row once, adding +0.0 if the slot holds a
+    first row without base (a sum that holds +0.0 is never -0.0); a wider one, by
+    each scalar column (numpy scales faster than it broadcasts), adds +0.0 to first rows."""
     model = models[0]
     if any(_structure(m) != _structure(model) for m in models[1:]):
         raise InputError("stacked models need one noise law and one structure: "
@@ -105,20 +102,26 @@ def step_kernel(models, grid: np.ndarray):
     programs = [_program(coef, _profile_columns(models, name, grid[:-1]), slots, tables, gal,
                          zero if name == "drift" or not slots else None)   # state-shaped
                 for name, coef, slots in named]
-    zeroed = {rows[0][0] for rows, slots in zip(programs, maps.slots) if slots[:1] != (None,)}
-    tabs = [(slot, np.stack(cols, 1)) for slot, cols in tables.items()]   # (steps, columns, ...)
+    tabs = {slot: np.stack(cols, 1) for slot, cols in tables.items() if slot is not None}
     shaped = {nd: [(slot, tab.reshape(tab.shape[:2] + (1,) * (nd + 2 - tab.ndim) + tab.shape[2:]))
-                   for slot, tab in tabs] for nd in (1, 2, 3)}   # row i * value: (column, *y)
+                   for slot, tab in tabs.items()] for nd in (1, 2, 3)}   # row i * value: (col, *y)
     gather, sizes = [row for rows in programs for row in rows], [len(r) for r in programs]
     f_at, g_at, s_at = (slice(sum(sizes[:k]), sum(sizes[:k + 1])) for k in range(3))
+    firsts = [at.start for at, sl in zip((f_at, g_at, s_at), maps.slots) if sl[:1] != (None,)]
+    zeroed = {gather[k][0] for k in firsts}   # the slots of first rows without base
 
     def step(i: int, y: np.ndarray, dw: np.ndarray):
         vals = maps(y)
-        prods = {slot: tab[i] * vals[slot] for slot, tab in shaped[y.ndim]}
+        if y.size <= BROADCAST_MAX or y.ndim == 3:   # stacked: no scalar column to scale by
+            prods = {slot: tab[i] * vals[slot] for slot, tab in shaped[y.ndim]}
+            for slot in zeroed:
+                prods[slot] += _ZERO
+            rows = [x[i, ...] if slot is None else prods[slot][x] for slot, x in gather]
+        else:
+            rows = [x[i, ...] if sl is None else tabs[sl][i, x] * vals[sl] for sl, x in gather]
+            for k in firsts:
+                rows[k] += _ZERO
         del vals   # spent: the sums may reuse its memory (node arrays on Galerkin models)
-        for slot in zeroed:
-            prods[slot] += _ZERO
-        rows = [x[i, ...] if slot is None else prods[slot][x] for slot, x in gather]
         gdiag = g.combine(rows[g_at], gal)
         drift = f.combine(rows[f_at], gal)
         if a is not None:
@@ -324,13 +327,10 @@ def integrate(model: SdeModel, window, y0, max_step: float, seed) -> SamplePath:
     step = step_kernel((model,), grid)
     read_slab, add_jumps, _ = jump_kernel((model,), grid, events)
 
-    n = grid.size
-    values = np.empty((n, model.dim))
-    left = np.empty_like(values)
-    flags = np.zeros(n, dtype=np.int8)
+    values, left = np.empty((grid.size, model.dim)), np.empty((grid.size, model.dim))
+    flags = np.zeros(grid.size, dtype=np.int8)
     flags[np.searchsorted(grid, events[0])] = events[2]
     values[0] = left[0] = y
-
     jumped = flags[1:].tolist()
     for lo, dw in wiener_slabs(model.wiener, grid, seed):
         read_slab(lo, dw)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import levylab as L
+from levylab import integrator
 from levylab.ensemble import simulate_ensemble
 from levylab.integrator import refined_grid, step_kernel
 from levylab.model import _MAP_KINDS
@@ -636,8 +637,8 @@ def _step_models(name):
 
 
 def _step_oracle(m, i, grid, y, dw):
-    """The drift D and the end state of step ``i`` of one model, from its
-    generic evaluations."""
+    """The drift D, the end state and the diffusion of step ``i`` of one
+    model, from its generic evaluations."""
     c, gal, a, t = m.coefficients, m.galerkin, m.wiener.drift, grid[i]
     gdiag = _apply_oracle(c.diffusion, c.diffusion.profile_table(t), y, gal)
     # the compensator as SdeModel.compensator_apply formed it
@@ -647,19 +648,20 @@ def _step_oracle(m, i, grid, y, dw):
     drift = _apply_oracle(c.drift, c.drift.profile_table(t), y, gal) + gdiag * a + comp
     lam_dt = -(grid[i + 1] - t) * m.semigroup.rates
     d, phi1 = np.exp(lam_dt), -np.expm1(lam_dt) / m.semigroup.rates
-    return drift, d * y + phi1 * drift + d * (gdiag * dw)
+    return drift, d * y + phi1 * drift + d * (gdiag * dw), gdiag
 
 
 @pytest.mark.parametrize("name", ["every_map", "heat8", "ou_jump", "periodic", "drift_a",
                                   "stationary", "periodic_pair", "ones_runs", "shared_y"])
-def test_compiled_step_matches_the_generic_oracle_bit_for_bit(name):
+def test_compiled_step_matches_the_generic_oracle_bit_for_bit(name, monkeypatch):
     # ou_jump has no small jumps and an empty drift; the step skips the zero
     # Wiener drift term of all but drift_a and the compensator of periodic,
     # whose signed small marks have mean zero.  stationary's drift and
     # diffusion hold ``ones`` terms only; periodic_pair steps two blocks
     # whose ``ones`` terms read different profile values; ones_runs holds
     # scales other than 1 and the signed zeros of a tabulated sum; shared_y
-    # makes its four products with one multiply, rows of -0.0 profiles among them
+    # makes its four products with one multiply, rows of -0.0 profiles among
+    # them.  Every state takes both product forms: per slot, then per row.
     models = _step_models(name)
     m = models[0]
     grid = np.linspace(-1.0, 1.0, 9)
@@ -676,7 +678,12 @@ def test_compiled_step_matches_the_generic_oracle_bit_for_bit(name):
         for i in range(grid.size - 1):
             want = [_step_oracle(mb, i, grid, yb, dw)
                     for mb, yb in (zip(models, y) if len(models) > 1 else [(m, y)])]
-            drift, y_new = (np.stack(w) if len(models) > 1 else w[0] for w in zip(*want))
-            got_y, got_drift, _ = step(i, y, dw)
-            assert _same_bits(got_drift, drift)
-            assert _same_bits(got_y, y_new)
+            drift, y_new, gdiag = (np.stack(w) if len(models) > 1 else w[0]
+                                   for w in zip(*want))
+            for broadcast_max in (y.size, y.size - 1):
+                monkeypatch.setattr(integrator, "BROADCAST_MAX", broadcast_max)
+                got_y, got_drift, got_gdiag = step(i, y, dw)
+                assert _same_bits(got_drift, drift)
+                assert _same_bits(got_y, y_new)
+                # a tabulated diffusion is its base, 0-d or (k, 1, 1)
+                assert _same_bits(np.broadcast_to(got_gdiag, gdiag.shape), gdiag)

@@ -18,11 +18,11 @@ def test_ab_time_compares_a_checkout_with_itself():
 
 
 def test_ab_time_step_layer_compares_a_checkout_with_itself():
-    # one pair of five steps per case, both sides loaded from this checkout
+    # one pair of every case, both sides loaded from this checkout
     run = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "ab_time.py"), "--parent", ROOT,
-         "--layer", "step", "--ops", "1", "--steps", "5"],
+         "--layer", "step", "--ops", "1"],
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 5 and all("same states in 1 of 1" in line for line in lines[1:])
+    assert len(lines) == 7 and all("same states in 1 of 1" in line for line in lines[1:])

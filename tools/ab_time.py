@@ -2,7 +2,7 @@
 alternating in one process, or the step loop of the path drivers alone.
 
     python3 tools/ab_time.py --parent PATH --workload NAME --ops N [--seed S]
-    python3 tools/ab_time.py --parent PATH --layer step --ops N [--seed S] [--steps K]
+    python3 tools/ab_time.py --parent PATH --layer step --ops N [--seed S]
 
 Run from anywhere.  The ``src/levylab`` of the checkout this file sits in
 is loaded as the package ``levylab`` and that of the checkout at PATH as
@@ -26,12 +26,14 @@ and finiteness checks) over all Wiener slabs of one chunk of paths, whose
 noise is drawn and whose kernels are built before the clock starts.  The
 cases are the models of the benchmark's workloads: the README scalar model
 (``presets.example61_model``) on one path over the single-path workload's
-window and step, the same model on 100 paths, the ``periodic`` preset on 200
-paths and the 32-mode heat model on 256 paths.  The one-path case runs the
-ensemble's loop, which steps a path as ``integrate`` does.  Each of N pairs
-runs every case on both sides, alternating which side goes first; the
-states the loop writes are compared byte for byte.  ``--steps K`` cuts
-each case to its first K steps.
+window and step, the same model on 100 paths and on a full chunk of
+``ensemble.CHUNK`` paths, the model stacked with its shift by 0.7 on a
+full chunk (the two blocks of ``coupled_gap``, as the recurrence gap runs
+them), the ``periodic`` preset on 200 paths and the 32-mode heat model on
+256 paths.  The one-path case runs the ensemble's loop, which steps a path
+as ``integrate`` does.  Each of N pairs runs every case on both sides,
+alternating which side goes first; the states the loop writes are compared
+byte for byte.
 """
 
 from __future__ import annotations
@@ -53,12 +55,15 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads   # noqa: E402
 
-# --layer step cases: (preset and its arguments, paths, window, max_step)
+# --layer step cases: (preset and its arguments, models, paths, window, max_step);
+# a second model is the first shifted by 0.7, the pair stacked as in coupled_gap
 STEP_CASES = {
-    "single-path": (("example61_model", {}), 1, (0.0, 40.0), 0.005),
-    "example61": (("example61_model", {}), 100, (0.0, 10.0), 0.01),
-    "periodic": (("periodic_model", {}), 200, (0.0, 10.0), 0.01),
-    "heat32": (("example62_model", {"n_modes": 32}), 256, (0.0, 1.0), 0.005),
+    "single-path": (("example61_model", {}), 1, 1, (0.0, 40.0), 0.005),
+    "example61": (("example61_model", {}), 1, 100, (0.0, 10.0), 0.01),
+    "example61-chunk": (("example61_model", {}), 1, "CHUNK", (0.0, 10.0), 0.01),
+    "coupled-chunk": (("example61_model", {}), 2, "CHUNK", (0.0, 10.0), 0.01),
+    "periodic": (("periodic_model", {}), 1, 200, (0.0, 10.0), 0.01),
+    "heat32": (("example62_model", {"n_modes": 32}), 1, 256, (0.0, 1.0), 0.005),
 }
 
 
@@ -87,26 +92,27 @@ def run_op(cli, workload, seed: int) -> tuple[float, str]:
     return cpu, digest.hexdigest()
 
 
-def step_case(package, case, seed: int, steps):
+def step_case(package, case, seed: int):
     """A runner of the step loop of ``case`` on the ``levylab`` ``package``:
-    it returns the CPU microseconds per path-step and the bytes of the end
-    states.  The noise is drawn and the step kernel built once, here."""
+    it returns the CPU microseconds per path-step (of each block) and the
+    bytes of the end states.  The noise is drawn and the kernel built once, here."""
     import numpy as np   # loaded with the packages, after the BLAS pins
-    (preset, kwargs), n_paths, (t0, t1), max_step = STEP_CASES[case]
-    if steps is not None:
-        t1 = min(t1, t0 + steps * max_step)
-    model = getattr(package.presets, preset)(**kwargs)
+    (preset, kwargs), n_models, n_paths, (t0, t1), max_step = STEP_CASES[case]
     ens = package.ensemble
+    n_paths = ens.CHUNK if n_paths == "CHUNK" else n_paths
+    model = getattr(package.presets, preset)(**kwargs)
+    models = (model, model.shifted(0.7))[:n_models]
     grid = package.integrator.refined_grid(t0, t1, max_step, [t1])
     obs_idx = np.array([grid.size - 1])
-    step = package.integrator.step_kernel((model,), grid)
+    step = package.integrator.step_kernel(models, grid)
     events, slabs = ens._draw_chunk(model, grid, (t0, t1), seed, range(n_paths))
     slabs = [(lo, dw.copy()) for lo, dw in slabs]   # the slabs share one buffer
     y0 = package.integrator.initial_states(1.0, n_paths, model.dim)
+    y0 = np.stack([y0] * n_models) if n_models > 1 else y0
 
     def run():
-        out = np.empty((1, 1, n_paths, model.dim))
-        advance = ens._run_chunk((model,), step, grid, obs_idx, y0, events, out)
+        out = np.empty((1, n_models, n_paths, model.dim))
+        advance = ens._run_chunk(models, step, grid, obs_idx, y0, events, out)
         start = time.process_time()
         for slab in slabs:
             advance(*slab)
@@ -121,7 +127,7 @@ def main_step_layer(args) -> int:
     packages = {"parent": sys.modules["levylab_parent"], "change": sys.modules["levylab"]}
     print(f"step loop, CPU us per path-step: {args.ops} pairs, noise seed {args.seed}")
     for case in STEP_CASES:
-        runs = {side: step_case(package, case, args.seed, args.steps)
+        runs = {side: step_case(package, case, args.seed)
                 for side, package in packages.items()}
         for run in runs.values():   # warm-up
             run()
@@ -154,10 +160,9 @@ def main(argv=None) -> int:
     parser.add_argument("--ops", type=int, required=True, help="number of pairs")
     parser.add_argument("--seed", type=int, default=1,
                         help="workload seed, or noise seed of --layer step (default: 1)")
-    parser.add_argument("--steps", type=int, help="--layer step: steps per case (default: all)")
     args = parser.parse_args(argv)
-    if args.ops < 1 or args.seed < 0 or (args.steps is not None and args.steps < 1):
-        parser.error("--ops and --steps must be >= 1 and --seed >= 0")
+    if args.ops < 1 or args.seed < 0:
+        parser.error("--ops must be >= 1 and --seed >= 0")
     if args.layer == "op" and args.workload is None:
         parser.error("--workload is required unless --layer step")
     if not os.path.isfile(os.path.join(args.parent, "src", "levylab", "cli.py")):
