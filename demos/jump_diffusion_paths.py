@@ -32,5 +32,5 @@ for frac in (0.0, 0.1, 0.25, 0.5, 1.0):
     print(f"  t = {path_a.times[i]:6.2f}   gap = {gap[i]:.3e}")
 
 n_jumps = int(np.sum(path_a.jump_flags > 0))
-print(f"\njump bookkeeping: {n_jumps} jumps applied; at each jump index the "
-      "stored value equals left limit + coefficient increment exactly")
+print(f"\njump bookkeeping: {n_jumps} jumps applied, each at its own grid node, "
+      "to the state stepped to the jump time")

@@ -27,8 +27,8 @@ from .model import (Coefficient, CoefficientSet, Condition, ConditionReport,
                     lip_threshold_stability, lip_threshold_uniform, ones_map,
                     sine_map, stability_margin, theorem_constants,
                     theta_limit_from_above, theta_two)
-from .integrator import SamplePath, integrate
-from .ensemble import EnsembleResult, GapCurve, coupled_gap, simulate_ensemble
+from .integrator import SamplePath
+from .ensemble import EnsembleResult, GapCurve, coupled_gap, integrate, simulate_ensemble
 from .pullback import (PullbackPlan, bounded_ensemble, bounded_solution,
                        pullback_horizon, pullback_plan)
 from .recurrence import (DistributionalReport, EmpiricalLaw, RecurrenceReport,

@@ -23,11 +23,11 @@ import numpy as np
 
 from .config import (ExperimentConfig, RunSection, canonical_json, load_config,
                      parse_config, write_csv)
+from .ensemble import integrate
 from .errors import (ConfigError, HorizonError, InfeasibleError, InputError,
                      NumericalBlowupError, ThresholdError)
 from .model import (CONDITION_DEFS, TheoremConstants, check_conditions,
                     stability_margin, theorem_constants)
-from .integrator import integrate
 from .presets import example61_model, example62_model
 from .pullback import bounded_ensemble, bounded_solution, pullback_plan
 from .recurrence import almost_periods, distributional_almost_period_test, distributional_report

@@ -1,4 +1,4 @@
-"""Vectorized path ensembles with per-path seeded noise.
+"""Vectorized path ensembles with per-path seeded noise, and the one path of integrate.
 
 Paths are advanced together on a shared grid (uniform ``max_step`` nodes
 plus any requested observation times); each path owns independent noise
@@ -21,13 +21,15 @@ one model, through :func:`levylab.integrator.step_kernel`, built once per
 run: its profile columns hold one value per model, broadcast over its
 block, and each slab, drawn once, is read by all blocks without a copy.
 Each chunk's jumps go through :func:`levylab.integrator.jump_kernel`,
-which applies each event to its path in every block and which
-:func:`levylab.integrator.integrate` runs too: a jump inside a step acts
-on the kernel's own step to the jump time.  So a one-path ensemble on the
-grid of ``integrate`` reproduces its path bit for bit, and each block is
-its model's separate run bit for bit.  Only a step that holds a jump calls
-the jump kernel, and the states are checked once per slab
+which applies each event to its path in every block: a jump inside a
+step acts on the kernel's own step to the jump time.  So each block is
+its model's separate run bit for bit.  Only a step that holds a jump
+calls the jump kernel, and the states are checked once per slab
 (:func:`levylab.integrator.run_checked`).
+
+:func:`integrate` runs the same chunk loop, :func:`_run_chunk`, on the one
+path ``seed`` on the grid refined by its jump times, observed at every node,
+with a (dim,) state, which steps faster than a one-row batch.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .integrator import (check_finite, initial_states, jump_kernel, refined_grid,
-                         run_checked, step_kernel)
+from .integrator import (SamplePath, check_finite, initial_states, jump_kernel,
+                         refined_grid, run_checked, step_kernel)
 from .model import SdeModel
 from .noise import jump_table, wiener_slabs
 
@@ -74,29 +76,55 @@ def _draw_chunk(model: SdeModel, grid, window, seed, paths):
 
 
 def _run_chunk(models, step, grid, obs_idx, y, events, out):
-    """``advance(lo, dw)``: steps the states ``y`` of ``models`` through the Wiener
-    slab ``dw`` from step ``lo``, writing them to ``out`` at observation steps."""
+    """``advance(lo, dw)``: steps the states ``y`` of ``models``, (dim,) or a batch, through
+    the Wiener slab ``dw`` from step ``lo``, writing them to ``out`` at observation steps."""
     read_slab, add_jumps, jump_steps = jump_kernel(models, grid, events)
     out[obs_idx == 0] = y
-    obs_lookup = {int(g): k for k, g in enumerate(obs_idx)}
+    observed = (np.bincount(obs_idx, minlength=grid.size) > 0).tolist()   # obs_idx ascends
 
     def advance(lo, dw):
         nonlocal y
         read_slab(lo, dw)
+        rows = dw[0] if y.ndim == 1 else dw.swapaxes(0, 1)   # rows[j]: step lo + j
+        first = int(np.searchsorted(obs_idx, lo + 1))   # the row in out of the next observation
 
         def run(y, check):
+            k = first
             for i in range(lo, lo + dw.shape[1]):
-                y_new, drift, gdiag = step(i, y, dw[:, i - lo])
+                y_new, drift, gdiag = step(i, y, rows[i - lo])
                 y = add_jumps(i, y, y_new, drift, gdiag) if i in jump_steps else y_new
                 if check:
                     check_finite(y, grid[i + 1])
-                if i + 1 in obs_lookup:
-                    out[obs_lookup[i + 1]] = y
+                if observed[i + 1]:
+                    out[k] = y
+                    k += 1
             return y
 
         y = run_checked(run, y, grid[lo + dw.shape[1]])
 
     return advance
+
+
+def integrate(model: SdeModel, window, y0, max_step: float, seed) -> SamplePath:
+    """Simulate one cadlag mild-solution path of the model on ``window``.
+
+    The noise is the one path ``seed`` of :mod:`levylab.noise`: its jump
+    table on the window, then its Wiener slabs on the grid refined by the
+    jump times, so identical arguments reproduce the path bit for bit.
+    ``y0`` is a scalar or a state vector.  A non-finite state raises
+    :class:`NumericalBlowupError` naming its component.
+    """
+    y = initial_states(y0, 1, model.dim)[0]
+    events = jump_table(model.jumps, window, seed)
+    grid = refined_grid(float(window[0]), float(window[1]), max_step, events[0])
+    values = np.empty((grid.size, model.dim))
+    advance = _run_chunk((model,), step_kernel((model,), grid), grid, np.arange(grid.size), y,
+                         events, values)
+    for slab in wiener_slabs(model.wiener, grid, seed):
+        advance(*slab)
+    flags = np.zeros(grid.size, dtype=np.int8)
+    flags[np.searchsorted(grid, events[0])] = events[2]
+    return SamplePath(times=grid, values=values, jump_flags=flags)
 
 
 def observation_times(obs_times) -> np.ndarray:

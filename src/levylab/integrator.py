@@ -1,5 +1,5 @@
-"""Cadlag path simulation on a jump-adapted grid, and the one
-exponential-Euler step kernel that both path drivers run.
+"""The one exponential-Euler step kernel and the one jump rule of the path
+drivers, and the cadlag path that :func:`levylab.ensemble.integrate` returns.
 
 :func:`step_kernel` tabulates once per grid the semigroup factors of every
 step and, per state slot, the profile columns of the terms on it, and
@@ -12,18 +12,18 @@ for one state (dim,), a batch (n_paths, dim) or the k stacked batches (k,
 n_paths, dim) of models that differ only in their profiles; it evaluates
 each map and ``to_phys`` once.  ``Lam`` is the diagonal decay matrix and
 ``D`` collects the drift coefficient, the Wiener drift vector routed through
-the diffusion, and the small-jump compensator.  :func:`integrate` runs it
-for one path on the uniform ``max_step`` grid refined by every jump time of
-its seed's noise draw (Bruti-Liberati & Platen, J. Comput. Appl. Math. 2007).
-Weak order one; the deterministic drift part is O(step)-accurate with
-constant ``sup|f'|/(2 lambda_min)`` thanks to the integrating factor.  Both
-drivers check the states once per Wiener slab (:func:`run_checked`).
+the diffusion, and the small-jump compensator.  Weak order one; the
+deterministic drift part is O(step)-accurate with constant
+``sup|f'|/(2 lambda_min)`` thanks to the integrating factor.  The one
+driver loop, :func:`levylab.ensemble._run_chunk`, runs it and checks the
+states once per Wiener slab (:func:`run_checked`).
 
-:func:`jump_kernel` is the one jump rule of both drivers: a jump at ``s``
-inside a step ``[u, v]`` acts on the kernel's own step from ``u`` to ``s``
-with the Wiener increment ``(s-u)/(v-u) dW``, and is added to the step's
-end with the decay ``exp(-Lam (v-s))``.  At ``s = v`` that pre-jump state
-is the stepped left limit of :func:`integrate`, bit for bit.
+:func:`jump_kernel` is the one jump rule: a jump at ``s`` inside a step
+``[u, v]`` acts on the kernel's own step from ``u`` to ``s`` with the Wiener
+increment ``(s-u)/(v-u) dW``, and is added to the step's end with the decay
+``exp(-Lam (v-s))``.  On a grid refined by every jump time (Bruti-Liberati
+& Platen, J. Comput. Appl. Math. 2007), ``s = v``: the jump acts on the
+stepped left limit.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ import numpy as np
 
 from .errors import InputError, NumericalBlowupError
 from .model import _ZERO, SdeModel, StateMaps
-from .noise import (JUMP_LARGE, JUMP_SMALL,   # jump flags of a SamplePath node; 0 is none
-                    jump_table, wiener_slabs, window_ends)
+from .noise import JUMP_LARGE, JUMP_SMALL, window_ends   # jump flags of a node; 0 is none
 
 BROADCAST_MAX = 512   # state entries up to which a step makes one product per slot
 
@@ -142,9 +141,9 @@ def jump_kernel(models, grid, events):
     ``dw`` (n_paths, rows, dim) from step ``lo`` (see
     :func:`levylab.noise.wiener_slabs`); ``add_jumps`` adds to ``y_new``, the
     end states of step ``i`` of that slab from the states ``y``, the jumps
-    inside the step, in place, each event on its path in every block.  A
-    later jump of a path in the step flows on from its previous post-jump
-    state over ``s_k - s_(k-1)``.
+    inside the step, in place, each event on its path in every block (one
+    path's (dim,) state is a one-row batch).  A later jump of a path in the
+    step flows on from its previous post-jump state over ``s_k - s_(k-1)``.
 
     Per event, in (step, path, time) order: its profile row, that ``lead``
     with ``exp(-Lam lead)``, ``phi1(lead)``, ``lead / (v-u)`` and ``exp(-Lam
@@ -216,8 +215,9 @@ def jump_kernel(models, grid, events):
             inc[at] = dec_out[at[-1]] * jump(at, inc[at])
 
         def add_state_free_jumps(i, y, y_new, drift, gdiag):
+            new = y_new[None] if y_new.ndim == 1 else y_new   # (dim,): a one-row batch
             for sl, j, _, _ in schedule.get(i, ()):
-                y_new[blocks + (paths[sl],)] += inc[j]
+                new[blocks + (paths[sl],)] += inc[j]
             return y_new
 
         return (lambda lo, dw: None), add_state_free_jumps, frozenset(schedule)
@@ -229,13 +229,16 @@ def jump_kernel(models, grid, events):
         wiener[a:b] = frac[a:b, None] * dw[paths[a:b], interval[a:b] - lo]
 
     def add_jumps(i, y, y_new, drift, gdiag):
+        new = y_new
+        if y.ndim == 1:   # one path's (dim,) state: a one-row batch
+            y, new, drift, gdiag = y[None], y_new[None], drift[None], gdiag[None]
         gdiag = gdiag if gdiag.shape == y.shape else np.broadcast_to(gdiag, y.shape)
         for sl, j, jump, later in schedule.get(i, ()):
             p, d = blocks + (paths[sl],), dec_in[sl]
             pre = (d * (post[blocks + (back[sl],)] if later else y[p]) + phi1[sl] * drift[p]
                    + d * (gdiag[p] * wiener[sl]))
             raw = jump(j, pre)
-            y_new[p] += dec_out[sl] * raw
+            new[p] += dec_out[sl] * raw
             post[j] = pre + raw
         return y_new
 
@@ -246,14 +249,12 @@ def jump_kernel(models, grid, events):
 class SamplePath:
     """Trajectory on a grid containing every jump time.
 
-    ``values`` holds the cadlag states (post-jump at jump indices),
-    ``left_limits`` the pre-jump states, equal to ``values`` elsewhere;
+    ``values`` holds the cadlag states, post-jump at jump indices;
     ``jump_flags`` is 0 / 1 / 2 for none / small / large.
     """
 
     times: np.ndarray
     values: np.ndarray
-    left_limits: np.ndarray
     jump_flags: np.ndarray
 
     @property
@@ -262,8 +263,7 @@ class SamplePath:
 
     def restrict(self, t0: float, t1: float) -> "SamplePath":
         keep = (self.times >= t0 - 1e-12) & (self.times <= t1 + 1e-12)
-        return SamplePath(self.times[keep], self.values[keep],
-                          self.left_limits[keep], self.jump_flags[keep])
+        return SamplePath(self.times[keep], self.values[keep], self.jump_flags[keep])
 
     def to_csv(self, path):
         from .config import write_csv   # loaded on the first write, not with the package
@@ -310,44 +310,3 @@ def initial_states(y0, n_paths: int, dim: int) -> np.ndarray:
     if not np.logical_and.reduce(np.isfinite(y0), axis=None):
         raise InputError("y0 must be finite")
     return np.broadcast_to(y0, (n_paths, dim))
-
-
-def integrate(model: SdeModel, window, y0, max_step: float, seed) -> SamplePath:
-    """Simulate one cadlag mild-solution path of the model on ``window``.
-
-    The noise is the one path ``seed`` of :mod:`levylab.noise`: its jump
-    table on the window, then its Wiener slabs on the grid refined by the
-    jump times, so identical arguments reproduce the path bit for bit.
-    ``y0`` is a scalar or a state vector.  A non-finite state raises
-    :class:`NumericalBlowupError` naming its component.
-    """
-    y = initial_states(y0, 1, model.dim)[0]
-    events = jump_table(model.jumps, window, seed)
-    grid = refined_grid(float(window[0]), float(window[1]), max_step, events[0])
-    step = step_kernel((model,), grid)
-    read_slab, add_jumps, _ = jump_kernel((model,), grid, events)
-
-    values, left = np.empty((grid.size, model.dim)), np.empty((grid.size, model.dim))
-    flags = np.zeros(grid.size, dtype=np.int8)
-    flags[np.searchsorted(grid, events[0])] = events[2]
-    values[0] = left[0] = y
-    jumped = flags[1:].tolist()
-    for lo, dw in wiener_slabs(model.wiener, grid, seed):
-        read_slab(lo, dw)
-
-        def run(y, check):
-            for i in range(lo, lo + dw.shape[1]):
-                y_new, drift, gdiag = step(i, y, dw[0, i - lo])
-                left[i + 1] = y_new
-                if check:
-                    check_finite(y_new, grid[i + 1])
-                if jumped[i]:   # the jump acts on the left limit: lead v - u, decay out 1
-                    add_jumps(i, y[None], y_new[None], drift[None], gdiag[None])
-                    if check:
-                        check_finite(y_new, grid[i + 1])
-                values[i + 1] = y = y_new
-            return y
-
-        y = run_checked(run, y, grid[lo + dw.shape[1]])
-
-    return SamplePath(times=grid, values=values, left_limits=left, jump_flags=flags)

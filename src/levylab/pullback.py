@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleResult, _run_ensembles, observation_times
+from .ensemble import EnsembleResult, _run_ensembles, integrate, observation_times
 from .errors import InputError, ThresholdError
-from .integrator import SamplePath, integrate
+from .integrator import SamplePath
 from .model import SdeModel, compute_radius, stability_margin
 from .noise import window_ends
 

@@ -100,14 +100,37 @@ def test_same_seed_couples_noise_across_runs():
     assert np.allclose(gap, want[:, None], rtol=1e-9)
 
 
+def _plane_model(jump_map):
+    """A 2-D model without a Galerkin spec whose small and large jumps both
+    map the state by ``jump_map``: a one-path state is (2,), not a batch row."""
+    smap = jump_map(1.0)
+    coeffs = L.CoefficientSet(
+        drift=L.coefficient((L.periodic_profile(0.4, 1.0), L.sine_map(0.5))),
+        diffusion=L.coefficient((L.constant_profile(0.3), L.linear_map(0.5))),
+        small_jump=L.jump_coefficient((L.constant_profile(0.2), smap), mark_mode="scalar"),
+        large_jump=L.jump_coefficient((L.periodic_profile(0.3, 1.0), smap), mark_mode="scalar"),
+        A0=1.0, lipschitz_L=0.4, moment_p=2.05)
+    jumps = L.JumpMeasureSpec(small_rate=2.0, small_sampler=L.uniform_shell_marks(0.1, 1.0),
+                              truncation_delta=0.1, large_rate=2.0,
+                              large_sampler=L.uniform_shell_marks(1.0, 2.0, signed=True),
+                              moment_p=2.05)
+    return L.SdeModel(semigroup=L.SemigroupSpec(eigenvalues=(1.0, 2.0), K=1.0, omega=1.0),
+                      coefficients=coeffs, wiener=L.WienerSpec(mode_variances=(0.5, 0.5)),
+                      jumps=jumps)
+
+
 @pytest.mark.parametrize("name, y0", [("example61", 0.5), ("heat8", 0.5), ("every_map", -0.0),
-                                     ("periodic", 0.5), ("no_jumps", 0.7)],
-                         ids=["example61", "heat8", "every_map", "periodic", "no_jumps"])
+                                     ("periodic", 0.5), ("no_jumps", 0.7), ("plane-ones", 0.5),
+                                     ("plane-linear", 0.5)],
+                         ids=["example61", "heat8", "every_map", "periodic", "no_jumps",
+                              "plane-ones", "plane-linear"])
 def test_one_path_ensemble_is_integrate_bit_for_bit(name, y0):
     # one jump rule: on the grid of integrate and driven by the same noise, a
-    # one-path ensemble reproduces integrate's path at every node
+    # one-path ensemble reproduces integrate's path at every node; the 2-D
+    # planes take the state-free (ones) and the per-slice (linear) jump route
     from test_kernel import _model
     m = (L.presets.example61_model(b=0.0, small_rate=0.0) if name == "no_jumps"
+         else _plane_model(getattr(L, name[6:] + "_map")) if name.startswith("plane")
          else _model(name))
     window, seed = (-1.0, 1.5), 31
     # path 0 of an ensemble draws from the streams of SeedSequence(seed, (0,))

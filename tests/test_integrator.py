@@ -5,8 +5,8 @@ import pytest
 
 import levylab as L
 from levylab.errors import InputError, NumericalBlowupError
-from levylab.integrator import check_finite, refined_grid
-from levylab.noise import JUMP_LARGE, JUMP_SMALL, jump_table
+from levylab.integrator import check_finite, refined_grid, step_kernel
+from levylab.noise import JUMP_LARGE, JUMP_SMALL, jump_table, wiener_slabs
 
 
 def test_pure_decay_is_exact():
@@ -39,22 +39,17 @@ def test_jump_bookkeeping_exact():
     assert {JUMP_SMALL, JUMP_LARGE} <= {kind for kind, _ in marks.values()}
     jump_idx = np.where(path.jump_flags > 0)[0]
     assert jump_idx.size == times.size == len(marks)
+    step = step_kernel((m,), path.times)
+    dw = np.concatenate([dw[0].copy() for _, dw in wiener_slabs(m.wiener, path.times, 5)])
     for i in jump_idx:
         t = float(path.times[i])
         kind, x = marks[t]
-        left = path.left_limits[i]
+        left = step(i - 1, path.values[i - 1], dw[i - 1])[0]   # the step to the jump time
         coef = m.coefficients.small_jump if kind == JUMP_SMALL else m.coefficients.large_jump
         incr = coef.value(t, left, x, m.galerkin)
         # applying the recomputed increment to the left limit reproduces the
         # stored cadlag value bit for bit
         assert np.array_equal(path.values[i], left + incr)
-
-
-def test_left_limits_equal_values_off_jumps():
-    m = L.presets.example61_model()
-    path = L.integrate(m, (0.0, 5.0), [1.0], 0.01, 3)
-    off = path.jump_flags == 0
-    assert np.array_equal(path.values[off], path.left_limits[off])
 
 
 def test_step_refinement_first_order():

@@ -21,19 +21,21 @@ machine it moves less with other tenants than wall time does, and the
 alternation puts any drift on both sides alike.
 
 ``--layer step`` times the step loop instead, in CPU microseconds per
-path-step: the ``advance`` of ``levylab.ensemble._run_chunk`` (steps, jumps
-and finiteness checks) over all Wiener slabs of one chunk of paths, whose
-noise is drawn and whose kernels are built before the clock starts.  The
-cases are the models of the benchmark's workloads: the README scalar model
+path-step: the ``advance`` of ``levylab.ensemble._run_chunk``, the one
+loop of both path drivers (steps, jumps and finiteness checks), over all
+Wiener slabs of one chunk of paths, whose noise is drawn and whose kernels
+are built before the clock starts.  The cases are the models of the
+benchmark's workloads: the README scalar model
 (``presets.example61_model``) on one path over the single-path workload's
 window and step, the same model on 100 paths and on a full chunk of
 ``ensemble.CHUNK`` paths, the model stacked with its shift by 0.7 on a
 full chunk (the two blocks of ``coupled_gap``, as the recurrence gap runs
 them), the ``periodic`` preset on 200 paths and the 32-mode heat model on
-256 paths.  The one-path case runs the ensemble's loop, which steps a path
-as ``integrate`` does.  Each of N pairs runs every case on both sides,
-alternating which side goes first; the states the loop writes are compared
-byte for byte.
+256 paths.  The one-path case steps a (1, dim) batch on the uniform grid;
+``integrate`` runs the same loop with a (dim,) state on the grid refined
+by its jump times, and ``--workload single-path`` times it.  Each of N
+pairs runs every case on both sides, alternating which side goes first;
+the states the loop writes are compared byte for byte.
 """
 
 from __future__ import annotations
