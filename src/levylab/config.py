@@ -293,7 +293,8 @@ def parse_config(d: dict) -> ExperimentConfig:
         "output": (_object(_OUTPUT), {})})
     ex, model = c["experiment"], c["model"]
     if kind == "simulate" and len(ex["y0"]) not in (1, model.dim):
-        _fail("experiment.y0", f"a number or a list of 1 or {model.dim} numbers", ex["y0"])
+        lengths = "1 number" if model.dim == 1 else f"1 or {model.dim} numbers"
+        _fail("experiment.y0", f"a number or a list of {lengths}", ex["y0"])
     return ExperimentConfig(model=model, run=c["run"], experiment=ex,
                             out_dir=c["output"]["directory"], formats=c["output"]["formats"])
 
@@ -344,9 +345,10 @@ def _canon(obj: Any, indent: int) -> str:
 
 def write_csv(path, header, columns) -> None:
     """Write the equal-length 1-D arrays ``columns`` under ``header``, each value
-    as its ``repr`` (floats read back exactly), ``CSV_BLOCK`` rows at a time."""
+    as its ``repr`` (floats read back exactly), ``CSV_BLOCK`` rows at a time, each
+    block formatted column by column."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0]), CSV_BLOCK):
-            rows = zip(*(c[lo:lo + CSV_BLOCK].tolist() for c in columns))
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+            rows = zip(*(map(repr, c[lo:lo + CSV_BLOCK].tolist()) for c in columns))
+            fh.write("".join(",".join(row) + "\n" for row in rows))

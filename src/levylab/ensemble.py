@@ -29,7 +29,8 @@ calls the jump kernel, and the states are checked once per slab
 
 :func:`integrate` runs the same chunk loop, :func:`_run_chunk`, on the one
 path ``seed`` on the grid refined by its jump times, observed at every node,
-with a (dim,) state, which steps faster than a one-row batch.
+with a (dim,) state, which steps faster than a one-row batch, or a 0-d one
+for one component (:func:`path_state`), which steps faster still.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ def _draw_chunk(model: SdeModel, grid, window, seed, paths):
 
 
 def _run_chunk(models, step, grid, obs_idx, y, events, out):
-    """``advance(lo, dw)``: steps the states ``y`` of ``models``, (dim,) or a batch, through
-    the Wiener slab ``dw`` from step ``lo``, writing them to ``out`` at observation steps."""
+    """``advance(lo, dw)``: steps the states ``y`` of ``models``, 0-d, (dim,) or a batch,
+    through the Wiener slab ``dw`` from step ``lo``, writing them to ``out`` at observation
+    steps."""
     read_slab, add_jumps, jump_steps = jump_kernel(models, grid, events)
     out[obs_idx == 0] = y
     observed = (np.bincount(obs_idx, minlength=grid.size) > 0).tolist()   # obs_idx ascends
@@ -85,7 +87,8 @@ def _run_chunk(models, step, grid, obs_idx, y, events, out):
     def advance(lo, dw):
         nonlocal y
         read_slab(lo, dw)
-        rows = dw[0] if y.ndim == 1 else dw.swapaxes(0, 1)   # rows[j]: step lo + j
+        # rows[j]: step lo + j
+        rows = dw[0, :, 0] if y.ndim == 0 else dw[0] if y.ndim == 1 else dw.swapaxes(0, 1)
         first = int(np.searchsorted(obs_idx, lo + 1))   # the row in out of the next observation
 
         def run(y, check):
@@ -105,6 +108,14 @@ def _run_chunk(models, step, grid, obs_idx, y, events, out):
     return advance
 
 
+def path_state(model: SdeModel, y0):
+    """The state :func:`integrate` steps from ``y0``: a (dim,) vector, or a 0-d scalar
+    for one component without Galerkin spec (``to_phys`` takes arrays), whose numpy
+    scalar arithmetic gives the bits of the array's at a fraction of the call cost."""
+    y = initial_states(y0, 1, model.dim)[0]
+    return y[0] if model.dim == 1 and model.galerkin is None else y
+
+
 def integrate(model: SdeModel, window, y0, max_step: float, seed) -> SamplePath:
     """Simulate one cadlag mild-solution path of the model on ``window``.
 
@@ -114,7 +125,7 @@ def integrate(model: SdeModel, window, y0, max_step: float, seed) -> SamplePath:
     ``y0`` is a scalar or a state vector.  A non-finite state raises
     :class:`NumericalBlowupError` naming its component.
     """
-    y = initial_states(y0, 1, model.dim)[0]
+    y = path_state(model, y0)
     events = jump_table(model.jumps, window, seed)
     grid = refined_grid(float(window[0]), float(window[1]), max_step, events[0])
     values = np.empty((grid.size, model.dim))

@@ -8,12 +8,13 @@ returns the step (Hochbruck & Ostermann, Acta Numerica 2010)
     Y(t+dt) = e^(-Lam dt) Y + Lam^-1 (1 - e^(-Lam dt)) D(t, Y)
               + e^(-Lam dt) g(t, Y) dW
 
-for one state (dim,), a batch (n_paths, dim) or the k stacked batches (k,
-n_paths, dim) of models that differ only in their profiles; it evaluates
-each map and ``to_phys`` once.  ``Lam`` is the diagonal decay matrix and
-``D`` collects the drift coefficient, the Wiener drift vector routed through
-the diffusion, and the small-jump compensator.  Weak order one; the
-deterministic drift part is O(step)-accurate with constant
+for one state (dim,), the 0-d state of one component (numpy's scalar path,
+bit for bit the array's), a batch (n_paths, dim) or the k stacked batches
+(k, n_paths, dim) of models that differ only in their profiles; it
+evaluates each map and ``to_phys`` once.  ``Lam`` is the diagonal decay
+matrix and ``D`` collects the drift coefficient, the Wiener drift vector
+routed through the diffusion, and the small-jump compensator.  Weak order
+one; the deterministic drift part is O(step)-accurate with constant
 ``sup|f'|/(2 lambda_min)`` thanks to the integrating factor.  The one
 driver loop, :func:`levylab.ensemble._run_chunk`, runs it and checks the
 states once per Wiener slab (:func:`run_checked`).
@@ -75,7 +76,8 @@ def step_kernel(models, grid: np.ndarray):
     """Tabulate the steps of ``grid`` once and return ``step(i, y, dw) ->
     (y_new, drift, gdiag)`` over step ``i`` of k ``models`` that differ only in
     their coefficient profiles, for ``y`` (k, n_paths, dim) and ``dw`` (n_paths,
-    dim), read by every block; one model takes (dim,) or (n_paths, dim) arrays.
+    dim), read by every block; one model takes (dim,) or (n_paths, dim) arrays, or
+    a 0-d state and a scalar ``dw`` if it has one component.
     ``drift`` is ``D`` at the step start and ``gdiag`` the diffusion (tabulated if
     no term reads the state).  Up to ``BROADCAST_MAX`` entries, or stacked, a step
     multiplies a slot's value by its table row once, adding +0.0 if the slot holds a
@@ -103,21 +105,25 @@ def step_kernel(models, grid: np.ndarray):
                 for name, coef, slots in named]
     tabs = {slot: np.stack(cols, 1) for slot, cols in tables.items() if slot is not None}
     shaped = {nd: [(slot, tab.reshape(tab.shape[:2] + (1,) * (nd + 2 - tab.ndim) + tab.shape[2:]))
-                   for slot, tab in tabs.items()] for nd in (1, 2, 3)}   # row i * value: (col, *y)
+                   for slot, tab in tabs.items()] for nd in range(4)}   # row i * value: (col, *y)
     gather, sizes = [row for rows in programs for row in rows], [len(r) for r in programs]
     f_at, g_at, s_at = (slice(sum(sizes[:k]), sum(sizes[:k + 1])) for k in range(3))
     firsts = [at.start for at, sl in zip((f_at, g_at, s_at), maps.slots) if sl[:1] != (None,)]
     zeroed = {gather[k][0] for k in firsts}   # the slots of first rows without base
+    factors = dict.fromkeys((1, 2, 3), (decay, phi1, a, mean))
+    if model.dim == 1:   # a 0-d state reads scalars: numpy's scalar path, its array bits
+        factors[0] = tuple(x if np.ndim(x) == 0 else x[..., 0] for x in factors[1])
 
     def step(i: int, y: np.ndarray, dw: np.ndarray):
-        vals = maps(y)
+        decay, phi1, a, mean = factors[y.ndim]
+        vals, at = maps(y), (i, ...) if y.ndim else i   # ones columns: 0-d, or scalars
         if y.size <= BROADCAST_MAX or y.ndim == 3:   # stacked: no scalar column to scale by
             prods = {slot: tab[i] * vals[slot] for slot, tab in shaped[y.ndim]}
             for slot in zeroed:
                 prods[slot] += _ZERO
-            rows = [x[i, ...] if slot is None else prods[slot][x] for slot, x in gather]
+            rows = [x[at] if slot is None else prods[slot][x] for slot, x in gather]
         else:
-            rows = [x[i, ...] if sl is None else tabs[sl][i, x] * vals[sl] for sl, x in gather]
+            rows = [x[at] if sl is None else tabs[sl][i, x] * vals[sl] for sl, x in gather]
             for k in firsts:
                 rows[k] += _ZERO
         del vals   # spent: the sums may reuse its memory (node arrays on Galerkin models)
@@ -142,8 +148,9 @@ def jump_kernel(models, grid, events):
     :func:`levylab.noise.wiener_slabs`); ``add_jumps`` adds to ``y_new``, the
     end states of step ``i`` of that slab from the states ``y``, the jumps
     inside the step, in place, each event on its path in every block (one
-    path's (dim,) state is a one-row batch).  A later jump of a path in the
-    step flows on from its previous post-jump state over ``s_k - s_(k-1)``.
+    path's (dim,) or 0-d state is a one-row batch; a 0-d one, a scalar, is
+    returned, not updated).  A later jump of a path in the step flows on
+    from its previous post-jump state over ``s_k - s_(k-1)``.
 
     Per event, in (step, path, time) order: its profile row, that ``lead``
     with ``exp(-Lam lead)``, ``phi1(lead)``, ``lead / (v-u)`` and ``exp(-Lam
@@ -215,10 +222,10 @@ def jump_kernel(models, grid, events):
             inc[at] = dec_out[at[-1]] * jump(at, inc[at])
 
         def add_state_free_jumps(i, y, y_new, drift, gdiag):
-            new = y_new[None] if y_new.ndim == 1 else y_new   # (dim,): a one-row batch
+            new = np.reshape(y_new, (1, -1)) if y_new.ndim < 2 else y_new   # a one-row batch
             for sl, j, _, _ in schedule.get(i, ()):
                 new[blocks + (paths[sl],)] += inc[j]
-            return y_new
+            return y_new if y_new.ndim else new[0, 0]   # a scalar is not updated in place
 
         return (lambda lo, dw: None), add_state_free_jumps, frozenset(schedule)
     post = per_block([np.empty((times.size, model.dim))] * len(models))
@@ -230,8 +237,8 @@ def jump_kernel(models, grid, events):
 
     def add_jumps(i, y, y_new, drift, gdiag):
         new = y_new
-        if y.ndim == 1:   # one path's (dim,) state: a one-row batch
-            y, new, drift, gdiag = y[None], y_new[None], drift[None], gdiag[None]
+        if y.ndim < 2:   # one path's (dim,) or 0-d state: a one-row batch
+            y, new, drift, gdiag = (np.reshape(x, (1, -1)) for x in (y, y_new, drift, gdiag))
         gdiag = gdiag if gdiag.shape == y.shape else np.broadcast_to(gdiag, y.shape)
         for sl, j, jump, later in schedule.get(i, ()):
             p, d = blocks + (paths[sl],), dec_in[sl]
@@ -240,7 +247,7 @@ def jump_kernel(models, grid, events):
             raw = jump(j, pre)
             new[p] += dec_out[sl] * raw
             post[j] = pre + raw
-        return y_new
+        return y_new if y_new.ndim else new[0, 0]
 
     return read_slab, add_jumps, frozenset(schedule)
 
@@ -284,6 +291,7 @@ def check_finite(y: np.ndarray, t: float):
     """Raise :class:`NumericalBlowupError` naming the first non-finite entry
     of a state (its component) or of a batch (its [model,] path and component)."""
     if not np.logical_and.reduce(np.isfinite(y), axis=None):
+        y = np.atleast_1d(y)   # a 0-d state names its component 0
         at = zip(("model", "path", "component")[-y.ndim:], np.argwhere(~np.isfinite(y))[0])
         raise NumericalBlowupError(t, ", ".join(f"{n} {k}" for n, k in at)
                                    + f" non-finite at t = {t:g}")

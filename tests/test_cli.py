@@ -168,6 +168,19 @@ def test_seed_and_out_overrides(tmp_path):
     assert out["seed"] == 9
 
 
+@pytest.mark.parametrize("dim, y0, lengths", [(1, [1.0, 2.0], "1 number"),
+                                              (2, [1.0, 2.0, 3.0], "1 or 2 numbers")],
+                         ids=["one-component", "two-component"])
+def test_simulate_y0_of_a_wrong_length_names_each_allowed_length_once(
+        tmp_path, capsys, dim, y0, lengths):
+    d = _base_cfg("simulate", tmp_path, y0=y0)
+    d["model"]["semigroup"]["eigenvalues"] = [4.0, 5.0][:dim]
+    d["model"]["wiener"]["mode_variances"] = [1.0] * dim
+    assert main(["simulate", "--config", _write_cfg(tmp_path, "c.json", d)]) == 2
+    assert capsys.readouterr().err == (f"config error: experiment.y0: expected a number or "
+                                       f"a list of {lengths}, got {tuple(y0)!r}\n")
+
+
 def test_write_csv_blocks_round_trip(tmp_path, monkeypatch):
     monkeypatch.setattr(config, "CSV_BLOCK", 3)
     rng = np.random.default_rng(0)

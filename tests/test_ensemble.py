@@ -120,18 +120,20 @@ def _plane_model(jump_map):
 
 
 @pytest.mark.parametrize("name, y0", [("example61", 0.5), ("heat8", 0.5), ("every_map", -0.0),
-                                     ("periodic", 0.5), ("no_jumps", 0.7), ("plane-ones", 0.5),
-                                     ("plane-linear", 0.5)],
+                                     ("periodic", 0.5), ("no_jumps", 0.7), ("drift_a", 0.5),
+                                     ("plane-ones", 0.5), ("plane-linear", 0.5)],
                          ids=["example61", "heat8", "every_map", "periodic", "no_jumps",
-                              "plane-ones", "plane-linear"])
+                              "drift_a", "plane-ones", "plane-linear"])
 def test_one_path_ensemble_is_integrate_bit_for_bit(name, y0):
     # one jump rule: on the grid of integrate and driven by the same noise, a
     # one-path ensemble reproduces integrate's path at every node; the 2-D
-    # planes take the state-free (ones) and the per-slice (linear) jump route
-    from test_kernel import _model
+    # planes take the state-free (ones) and the per-slice (linear) jump route,
+    # and drift_a adds the Wiener drift to a one-component path's drift
+    from test_kernel import _model, every_map_model
     m = (L.presets.example61_model(b=0.0, small_rate=0.0) if name == "no_jumps"
          else _plane_model(getattr(L, name[6:] + "_map")) if name.startswith("plane")
-         else _model(name))
+         else replace(every_map_model(), wiener=L.WienerSpec((0.5,), drift_a=(-0.7,)))
+         if name == "drift_a" else _model(name))
     window, seed = (-1.0, 1.5), 31
     # path 0 of an ensemble draws from the streams of SeedSequence(seed, (0,))
     path = L.integrate(m, window, np.full(m.dim, y0), 0.01,

@@ -193,6 +193,13 @@ def test_a_finite_run_checks_its_states_once_per_slab(driver, monkeypatch):
         assert len(calls) == 10   # 1000 steps
 
 
+def test_check_finite_names_component_0_of_a_0d_state():
+    check_finite(np.float64(1.0), 1.0)
+    with pytest.raises(NumericalBlowupError) as err:
+        check_finite(np.float64("inf"), 1.0)
+    assert str(err.value) == "component 0 non-finite at t = 1" and err.value.time == 1.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("shape", [(5,), (3, 4)], ids=["state", "batch"])
 def test_check_finite_flags_first_middle_and_last_entry(shape, bad):

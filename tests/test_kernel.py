@@ -661,7 +661,9 @@ def test_compiled_step_matches_the_generic_oracle_bit_for_bit(name, monkeypatch)
     # whose ``ones`` terms read different profile values; ones_runs holds
     # scales other than 1 and the signed zeros of a tabulated sum; shared_y
     # makes its four products with one multiply, rows of -0.0 profiles among
-    # them.  Every state takes both product forms: per slot, then per row.
+    # them.  Every state takes both product forms: per slot, then per row.  A
+    # one-component model without Galerkin spec also steps the 0-d states of
+    # integrate's one path, which stay numpy scalars.
     models = _step_models(name)
     m = models[0]
     grid = np.linspace(-1.0, 1.0, 9)
@@ -670,19 +672,22 @@ def test_compiled_step_matches_the_generic_oracle_bit_for_bit(name, monkeypatch)
     if len(models) == 1:
         states = (_signed_zero_states(rng, m.dim, 1)[0], _signed_zero_states(rng, m.dim, 1),
                   _signed_zero_states(rng, m.dim, 6))
+        if m.dim == 1 and m.galerkin is None:
+            states += (np.float64(-0.0), np.float64(rng.normal()))
     else:   # (k, n_paths, dim) states; each block reads the one (n_paths, dim) dw
         states = [np.stack([_signed_zero_states(rng, m.dim, n) for _ in models])
                   for n in (1, 6)]
     for y in states:
-        dw = rng.normal(size=y.shape[len(models) > 1:])
+        dw = rng.normal(size=y.shape[len(models) > 1:])[()]   # a 0-d state reads a scalar
         for i in range(grid.size - 1):
-            want = [_step_oracle(mb, i, grid, yb, dw)
+            want = [_step_oracle(mb, i, grid, np.atleast_1d(yb), dw)
                     for mb, yb in (zip(models, y) if len(models) > 1 else [(m, y)])]
-            drift, y_new, gdiag = (np.stack(w) if len(models) > 1 else w[0]
+            drift, y_new, gdiag = (np.stack(w) if len(models) > 1 else np.reshape(w[0], y.shape)
                                    for w in zip(*want))
             for broadcast_max in (y.size, y.size - 1):
                 monkeypatch.setattr(integrator, "BROADCAST_MAX", broadcast_max)
                 got_y, got_drift, got_gdiag = step(i, y, dw)
+                assert type(got_y) is type(y)
                 assert _same_bits(got_drift, drift)
                 assert _same_bits(got_y, y_new)
                 # a tabulated diffusion is its base, 0-d or (k, 1, 1)

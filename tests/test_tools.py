@@ -26,3 +26,14 @@ def test_ab_time_step_layer_compares_a_checkout_with_itself():
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert len(lines) == 7 and all("same states in 1 of 1" in line for line in lines[1:])
+
+
+def test_ab_time_setup_layer_compares_a_checkout_with_itself():
+    # one pair of fresh processes, both importing this checkout
+    run = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_time.py"), "--parent", ROOT,
+         "--layer", "setup", "--ops", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 4 and lines[-1].endswith(" of 1")

@@ -1,8 +1,10 @@
 """Time the ops of one benchmark workload on this checkout and on another,
-alternating in one process, or the step loop of the path drivers alone.
+alternating in one process, the step loop of the path drivers alone, or the
+set-up of fresh processes.
 
     python3 tools/ab_time.py --parent PATH --workload NAME --ops N [--seed S]
     python3 tools/ab_time.py --parent PATH --layer step --ops N [--seed S]
+    python3 tools/ab_time.py --parent PATH --layer setup --ops N
 
 Run from anywhere.  The ``src/levylab`` of the checkout this file sits in
 is loaded as the package ``levylab`` and that of the checkout at PATH as
@@ -31,11 +33,23 @@ window and step, the same model on 100 paths and on a full chunk of
 ``ensemble.CHUNK`` paths, the model stacked with its shift by 0.7 on a
 full chunk (the two blocks of ``coupled_gap``, as the recurrence gap runs
 them), the ``periodic`` preset on 200 paths and the 32-mode heat model on
-256 paths.  The one-path case steps a (1, dim) batch on the uniform grid;
-``integrate`` runs the same loop with a (dim,) state on the grid refined
-by its jump times, and ``--workload single-path`` times it.  Each of N
-pairs runs every case on both sides, alternating which side goes first;
-the states the loop writes are compared byte for byte.
+256 paths.  The one-path case steps the state that ``integrate`` steps,
+``ensemble.path_state`` (a 0-d scalar for this one-component model; the
+(dim,) state on a checkout without that function), on the uniform grid;
+``integrate`` runs the same loop on the grid refined by its jump times, and
+``--workload single-path`` times it.  Each of N pairs runs every case on
+both sides, alternating which side goes first; the states the loop writes
+are compared byte for byte.
+
+``--layer setup`` times what the benchmark's ``setup_s`` mostly is: N pairs
+of fresh processes per checkout, alternating which goes first, each running
+``import levylab.cli, scipy`` from a copy of the checkout's ``src`` without
+``__pycache__`` and with ``PYTHONDONTWRITEBYTECODE=1`` (every process
+compiles the same sources, as the benchmark's fresh checkouts do), timed
+in wall time from spawn to exit.  It prints
+each side's median, the median per-pair ratio and the number of pairs in
+which the change was faster.  Process start-up moves with the machine's
+load, so read it over 20 pairs or more before trusting a few per cent.
 """
 
 from __future__ import annotations
@@ -47,7 +61,9 @@ import importlib
 import importlib.util
 import io
 import os
+import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -111,6 +127,8 @@ def step_case(package, case, seed: int):
     slabs = [(lo, dw.copy()) for lo, dw in slabs]   # the slabs share one buffer
     y0 = package.integrator.initial_states(1.0, n_paths, model.dim)
     y0 = np.stack([y0] * n_models) if n_models > 1 else y0
+    if case == "single-path":   # the state integrate steps
+        y0 = ens.path_state(model, 1.0) if hasattr(ens, "path_state") else y0[0]
 
     def run():
         out = np.empty((1, n_models, n_paths, model.dim))
@@ -152,13 +170,39 @@ def main_step_layer(args) -> int:
     return 0
 
 
+def setup_seconds(src: str) -> float:
+    """Wall seconds of one fresh process importing ``levylab.cli`` and scipy from ``src``."""
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
+    start = time.monotonic()
+    subprocess.run([sys.executable, "-c", "import levylab.cli, scipy"], env=env, check=True)
+    return time.monotonic() - start
+
+
+def main_setup_layer(args) -> int:
+    times = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as work:
+        srcs = {side: shutil.copytree(os.path.join(checkout, "src"), os.path.join(work, side),
+                                      ignore=shutil.ignore_patterns("__pycache__"))
+                for side, checkout in (("parent", args.parent), ("change", ROOT))}
+        for k in range(args.ops):
+            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                times[side].append(setup_seconds(srcs[side]))
+    ratios = [c / p for c, p in zip(times["change"], times["parent"])]
+    print(f"setup: {args.ops} pairs of fresh processes importing levylab.cli and scipy")
+    for side, values in times.items():
+        print(f"  {side}: median wall time {statistics.median(values):.4f} s")
+    print(f"  change / parent per pair: median {statistics.median(ratios):.4f}; "
+          f"change faster in {sum(r < 1.0 for r in ratios)} of {args.ops}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="root of the checkout to compare with")
     parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS),
                         help="the workload whose ops to time (--layer op)")
-    parser.add_argument("--layer", choices=("op", "step"), default="op",
-                        help="time whole ops (default) or the step loop")
+    parser.add_argument("--layer", choices=("op", "step", "setup"), default="op",
+                        help="time whole ops (default), the step loop or process set-up")
     parser.add_argument("--ops", type=int, required=True, help="number of pairs")
     parser.add_argument("--seed", type=int, default=1,
                         help="workload seed, or noise seed of --layer step (default: 1)")
@@ -166,13 +210,15 @@ def main(argv=None) -> int:
     if args.ops < 1 or args.seed < 0:
         parser.error("--ops must be >= 1 and --seed >= 0")
     if args.layer == "op" and args.workload is None:
-        parser.error("--workload is required unless --layer step")
+        parser.error("--workload is required with --layer op")
     if not os.path.isfile(os.path.join(args.parent, "src", "levylab", "cli.py")):
         parser.error(f"no levylab sources under {os.path.join(args.parent, 'src')}")
     for var in workloads.BLAS_PINS:   # before numpy loads with the first package
         os.environ[var] = "1"
     if args.layer == "step":
         return main_step_layer(args)
+    if args.layer == "setup":
+        return main_setup_layer(args)
     sides = {"parent": load_cli("levylab_parent", args.parent),
              "change": load_cli("levylab", ROOT)}
     workload = workloads.WORKLOADS[args.workload]
