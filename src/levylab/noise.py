@@ -112,7 +112,13 @@ class MarkSampler:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` marks; shape (n,) for scalar laws, (n, d) for vector
-        laws, d = 1 included."""
+        laws, d = 1 included.
+
+        Signs are read from raw words: the generator's 64-bit state advances
+        as under ``rng.choice([-1.0, 1.0], size=n)``, but the spare 32-bit
+        half that numpy would buffer after an odd ``n`` is dropped, so a
+        signed draw is the last one of its stream (each mark stream is
+        discarded after its draw)."""
         if self.kind == "uniform_shell":   # the draw of rng.uniform(lo, hi, n)
             x = self.lo + (self.hi - self.lo) * rng.random(n)
         elif self.kind == "exp_tail":
@@ -123,8 +129,10 @@ class MarkSampler:
         else:  # finite_rank: the draw of rng.choice(n_atoms, n, p=probs)
             a = self._atom_array()[self._cdf.searchsorted(rng.random(n), side="right")]
             return a[:, 0] if self._scalar_atoms else a
-        if self.signed:   # the draw of rng.choice([-1.0, 1.0], size=n)
-            x = x * _SIGNS[rng.integers(0, 2, size=n)]
+        if self.signed:   # the draw of rng.choice([-1.0, 1.0], size=n), whose
+            # integers(0, 2) is the top bit of each 32-bit half word, low half first
+            words = rng.bit_generator.random_raw(-(-n // 2)).astype("<u8", copy=False)
+            x = x * _SIGNS[words.view("<u4")[:n] >> 31]
         return x
 
     # -- moments (exact; exp_tail uses Gauss-Laguerre, exact to quad order) --

@@ -8,10 +8,10 @@ Three layers:
   relative-density statistic of the accepted shift set
   (``almost_periods``);
 * the bounded-Lipschitz (Dudley) metric between empirical laws, computed
-  exactly by peeling back the optimal transport between them
-  (``bl_distance``), plus the two headline experiments built on it: the
-  distributional almost-period test and the same-noise shift-coupling
-  gap with its explicit bound.
+  exactly by peeling back the optimal transport between them, many pairs
+  as one batch (``bl_distance``), plus the two headline experiments built
+  on it: the distributional almost-period test and the same-noise
+  shift-coupling gap with its explicit bound.
 
 Almost-period acceptance uses a finite ``sup_horizon`` proxy for the sup
 over all times (the global sup is not computable); reports record the
@@ -34,6 +34,8 @@ from .pullback import bounded_ensemble, pullback_plan
 # largest support per law handed to the BL transport peel; larger clouds
 # are thinned
 MAX_SUPPORT = 400
+# most rows (one per coordinate of a pair of laws) in one batch of the peel
+BL_ROWS = 64
 # the law tests compare the first MAX_OBSERVED coordinates of the state
 MAX_OBSERVED = 3
 _SUBGRID = 32   # grid points between the sub-grid points of the scan's first pass
@@ -206,18 +208,19 @@ class EmpiricalLaw:
 
 
 def _stratified_subsample(x: np.ndarray) -> np.ndarray:
-    """Rank-stratified deterministic thinning to ``MAX_SUPPORT`` points: the
-    empirical quantile function sampled at uniform mid-levels, so every kept
-    point carries equal mass and the law's shape is preserved to
-    O(1/MAX_SUPPORT)."""
-    if x.size <= MAX_SUPPORT:
-        return np.sort(x)
+    """Rank-stratified deterministic thinning of each row (the last axis) to
+    ``MAX_SUPPORT`` points: the empirical quantile function sampled at uniform
+    mid-levels, so every kept point carries equal mass and the law's shape is
+    preserved to O(1/MAX_SUPPORT).  Smaller rows are returned as they are."""
+    if x.shape[-1] <= MAX_SUPPORT:
+        return x
     levels = (np.arange(MAX_SUPPORT) + 0.5) / MAX_SUPPORT
-    return np.quantile(x, levels, method="linear")
+    return np.moveaxis(np.quantile(x, levels, axis=-1, method="linear"), 0, -1)
 
 
-def _bl_distance_1d(x_mu: np.ndarray, x_nu: np.ndarray) -> float:
-    """Exact bounded-Lipschitz distance between two 1-D empirical laws.
+def _bl_peel(x_mu: np.ndarray, x_nu: np.ndarray) -> np.ndarray:
+    """Exact bounded-Lipschitz distance between the 1-D empirical laws of
+    each row of ``x_mu`` (rows, n_mu) and the same row of ``x_nu`` (rows, n_nu).
 
     With Lipschitz weight s, sup weight 1 - s and L = 2(1 - s)/s, duality
     turns the distance into the max over L of 2 V(L)/(L + 2), where
@@ -228,38 +231,72 @@ def _bl_distance_1d(x_mu: np.ndarray, x_nu: np.ndarray) -> float:
     (slopes fall), evaluating the ratio at each slope; the ratio is
     quasi-concave in L, so the first real drop ends the peel.  Masses are
     integers in units of 1/(n_mu n_nu), so cancellations are exact.
+
+    The rows are peeled together as padded (rows, atoms) arrays, whose
+    padding adds exact zeros and never ends a path; a row leaves when its
+    peel ends, and its cost is a dot product over its own edges, so its
+    result does not depend on the batch.
     """
-    xs, inv = np.unique(np.concatenate([x_mu, x_nu]), return_inverse=True)
-    net = np.zeros(xs.size, dtype=np.int64)
-    np.add.at(net, inv[:x_mu.size], x_nu.size)
-    np.add.at(net, inv[x_mu.size:], -x_mu.size)
-    if not net.any():
-        return 0.0
-    d = np.diff(xs)
-    k_max = k = int(net[net > 0].sum())
-    best = 0.0
-    while k:
-        flow = np.cumsum(net)[:-1]        # mass crossing each edge rightwards
-        step = (-np.inf,)
-        for sgn in (1, -1):               # mu-atom left of a nu-atom, then right
-            prefix = np.concatenate([[0.0], np.cumsum(np.where(sgn * flow > 0, d, -d))])
-            src, dst = (net > 0, net < 0) if sgn == 1 else (net < 0, net > 0)
-            left = np.where(src, -prefix, -np.inf)
-            total = np.where(dst, prefix + np.maximum.accumulate(left), -np.inf)
-            hi = int(np.argmax(total))
-            if total[hi] > step[0]:
-                step = (total[hi], sgn, int(np.argmax(left[:hi])), hi)
-        slope, sgn, lo, hi = step
-        ratio = 2.0 * ((k_max - k) * slope + float(d @ np.abs(flow))) / (slope + 2.0)
-        if ratio < best * (1.0 - 1e-9):   # equal slopes may differ by rounding
-            break
-        best = max(best, ratio)
-        path = sgn * flow[lo:hi]          # the move shrinks the positive ones
-        moved = min(abs(int(net[lo])), abs(int(net[hi])), int(path[path > 0].min(initial=k)))
-        net[lo] -= sgn * moved
-        net[hi] += sgn * moved
-        k -= moved
-    return best / (x_mu.size * x_nu.size)
+    n_mu, x = x_mu.shape[1], np.concatenate([x_mu, x_nu], axis=1)
+    order = np.argsort(x, axis=1)
+    xs = np.take_along_axis(x, order, axis=1)
+    atom = np.zeros(x.shape, dtype=np.intp)          # the atom of each sorted point
+    np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, out=atom[:, 1:])
+    rows = np.arange(x.shape[0])[:, None]
+    net = np.zeros(x.shape, dtype=np.int64)
+    np.add.at(net, (rows, atom), np.where(order < n_mu, x_nu.shape[1], -n_mu))
+    xu = np.repeat(xs[:, -1:], x.shape[1], axis=1)   # the atoms, padded with the last
+    xu[rows, atom] = xs
+    k, out = np.where(net > 0, net, 0).sum(axis=1), np.zeros(x.shape[0])
+    ids = np.flatnonzero(k)                          # a row without net mass is at 0
+    edges, k = atom[ids, -1], k[ids]
+    width = edges.max(initial=0) + 1
+    net, d = net[ids, :width], np.diff(xu[ids, :width], axis=1)
+    k_max, best, sgns = k, np.zeros(ids.size), np.array([1, -1])[:, None, None]
+    while ids.size:
+        (a, width), r = net.shape, np.arange(ids.size)
+        flow = np.add.accumulate(net[:, :-1], axis=1)   # mass crossing each edge rightwards
+        sflow, snet = sgns * flow, sgns * net           # mu-atom left of a nu-atom, then right
+        prefix = np.zeros((2, a, width))
+        np.add.accumulate(np.where(sflow > 0, d, -d), axis=-1, out=prefix[..., 1:])
+        left = np.where(snet > 0, -prefix, -np.inf).reshape(2 * a, width)
+        reach = np.maximum.accumulate(left, axis=1)
+        total = np.where(snet.reshape(2 * a, width) < 0, prefix.reshape(2 * a, width) + reach,
+                         -np.inf)
+        peak, his = np.maximum.reduce(total, axis=1), total.argmax(axis=1)
+        pick = r + a * (peak[a:] > peak[:a])            # the row of the cheaper direction
+        slope, hi = peak[pick], his[pick]
+        lo = (left[pick] == reach[pick, hi][:, None]).argmax(axis=1)   # first best source
+        cost = np.abs(flow)
+        dots = np.array([d[i, :n] @ cost[i, :n] for i, n in enumerate(edges.tolist())])
+        ratio = 2.0 * ((k_max - k) * slope + dots) / (slope + 2.0)
+        stop = ratio < best * (1.0 - 1e-9)              # equal slopes may differ by rounding
+        best = np.where(ratio > best, ratio, best)
+        path = sflow.reshape(2 * a, -1)[pick]           # the move shrinks the positive ones
+        cols = np.arange(width - 1)
+        on = (cols >= lo[:, None]) & (cols < hi[:, None]) & (path > 0)
+        moved = np.minimum(np.minimum(np.abs(net[r, lo]), np.abs(net[r, hi])),
+                           np.minimum.reduce(np.where(on, path, k[:, None]), axis=1))
+        k = k - moved
+        moved[pick >= a] *= -1
+        net[r, lo] -= moved
+        net[r, hi] += moved
+        done = stop | (k == 0)
+        if done.any():
+            out[ids[done]], keep = best[done], ~done
+            ids, edges, k, k_max, best = ids[keep], edges[keep], k[keep], k_max[keep], best[keep]
+            width = edges.max(initial=0) + 1
+            net, d = net[keep, :width], d[keep, :width - 1]
+    return out / (n_mu * x_nu.shape[1])
+
+
+def _bl_laws(pairs) -> list:
+    """:func:`bl_distance` of each ``(mu, nu)`` pair of laws, the pairs of one
+    shape, with every coordinate of every pair a row of one peel."""
+    if any(mu.dim != nu.dim for mu, nu in pairs):
+        raise InputError("laws must share the observation dimension")
+    rows = (_stratified_subsample(np.concatenate([p[j].samples.T for p in pairs])) for j in (0, 1))
+    return [max(0.0, *row) for row in _bl_peel(*rows).reshape(len(pairs), -1)]
 
 
 def bl_distance(mu: EmpiricalLaw, nu: EmpiricalLaw) -> float:
@@ -267,16 +304,11 @@ def bl_distance(mu: EmpiricalLaw, nu: EmpiricalLaw) -> float:
 
     1-D observations are solved exactly by the transport peel;
     multi-dimensional clouds are handled coordinate-wise with max
-    aggregation.  Supports larger than ``MAX_SUPPORT`` per law are thinned
-    to the empirical quantiles at ``MAX_SUPPORT`` uniform mid-levels.
+    aggregation, the coordinates peeled as one batch.  Supports larger than
+    ``MAX_SUPPORT`` per law are thinned to the empirical quantiles at
+    ``MAX_SUPPORT`` uniform mid-levels.
     """
-    if mu.dim != nu.dim:
-        raise InputError("laws must share the observation dimension")
-    best = 0.0
-    for k in range(mu.dim):
-        best = max(best, _bl_distance_1d(
-            _stratified_subsample(mu.samples[:, k]), _stratified_subsample(nu.samples[:, k])))
-    return best
+    return _bl_laws([(mu, nu)])[0]
 
 
 def bl_two_sample(a: np.ndarray, b: np.ndarray, n_boot: int = 30, seed: int = 0):
@@ -286,21 +318,29 @@ def bl_two_sample(a: np.ndarray, b: np.ndarray, n_boot: int = 30, seed: int = 0)
     n^(-1/2), so a bare bootstrap standard deviation would understate the
     null scale and make equality tests unfalsifiable.  Instead the error
     bar is the root mean square of the distance between two resamples of
-    the pooled cloud, i.e. the typical distance under equality.
+    the pooled cloud, i.e. the typical distance under equality.  The
+    observed pair and the resampled pairs are peeled in batches of at most
+    ``BL_ROWS`` coordinate rows, so memory does not grow with ``n_boot``.
     """
     if isinstance(n_boot, bool) or not isinstance(n_boot, (int, np.integer)) or n_boot < 1:
         raise InputError(f"n_boot must be a positive integer, got {n_boot!r}")
     a = np.atleast_2d(a.T).T
     b = np.atleast_2d(b.T).T
-    beta = bl_distance(EmpiricalLaw(a), EmpiricalLaw(b))
+    pairs, dists = [(EmpiricalLaw(a), EmpiricalLaw(b))], []
+    if a.shape[1] != b.shape[1]:
+        raise InputError("laws must share the observation dimension")
     pooled = np.concatenate([a, b], axis=0)
     rng = np.random.default_rng(seed)
-    null_sq = 0.0
-    for _ in range(n_boot):
+    for i in range(n_boot):
         ra = pooled[rng.integers(0, pooled.shape[0], a.shape[0])]
         rb = pooled[rng.integers(0, pooled.shape[0], b.shape[0])]
-        null_sq += bl_distance(EmpiricalLaw(ra), EmpiricalLaw(rb)) ** 2
-    return beta, math.sqrt(null_sq / n_boot)
+        pairs.append((EmpiricalLaw(ra), EmpiricalLaw(rb)))
+        if len(pairs) == max(1, BL_ROWS // a.shape[1]) or i == n_boot - 1:
+            dists, pairs = dists + _bl_laws(pairs), []
+    null_sq = 0.0
+    for v in dists[1:]:
+        null_sq += v ** 2
+    return dists[0], math.sqrt(null_sq / n_boot)
 
 
 # ---------------------------------------------------------------------------

@@ -347,16 +347,18 @@ def test_exp_tail_moments_vs_quadrature_closed_forms():
     assert s.abs_moment(2) == pytest.approx(1 + 1 + 0.5, abs=1e-10)
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+@pytest.mark.parametrize("n", [*range(51), 1000])
 def test_signed_marks_draw_their_signs_as_generator_choice(n):
-    # the sampler draws each sign as integers(0, 2), which is the draw that
-    # Generator.choice([-1.0, 1.0]) makes; the marks and the stream state
-    # after them must match that oracle bit for bit
-    oracle, rng = np.random.default_rng(21), np.random.default_rng(21)
-    want = oracle.uniform(0.1, 1.0, n) * oracle.choice([-1.0, 1.0], size=n)
-    got = L.uniform_shell_marks(0.1, 1.0, signed=True).sample(rng, n)
-    assert np.array_equal(got, want)
-    assert rng.random() == oracle.random()
+    # the sampler reads each sign from raw words as the draw that
+    # Generator.choice([-1.0, 1.0]) makes, integers(0, 2); the marks and the
+    # stream's 64-bit state after them must match that oracle bit for bit,
+    # at odd and even sizes and over several seeds
+    for seed in (21, 22, 23, 2**40 + 5, 987654321):
+        oracle, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = oracle.uniform(0.1, 1.0, n) * oracle.choice([-1.0, 1.0], size=n)
+        got = L.uniform_shell_marks(0.1, 1.0, signed=True).sample(rng, n)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (seed, n)
+        assert rng.random() == oracle.random()
 
 
 def _same_bits(got, want):

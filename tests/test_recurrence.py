@@ -9,7 +9,8 @@ import pytest
 
 import levylab as L
 from levylab.errors import HorizonError, InputError
-from levylab.recurrence import _stratified_subsample, distributional_report
+from levylab import recurrence
+from levylab.recurrence import _bl_peel, _stratified_subsample, distributional_report
 
 
 # -- compact-open path metric -------------------------------------------------
@@ -322,6 +323,97 @@ def test_bl_matches_lp_oracle_on_random_pairs():
         assert abs(got - want) <= 1e-12, (a.size, b.size, got, want)
 
 
+def _bl_distance_1d(x_mu, x_nu):
+    """Oracle: the transport peel of one pair of 1-D laws, as the package ran
+    it before it peeled many pairs at once.  Every row of the batch must give
+    this function's bits."""
+    xs, inv = np.unique(np.concatenate([x_mu, x_nu]), return_inverse=True)
+    net = np.zeros(xs.size, dtype=np.int64)
+    np.add.at(net, inv[:x_mu.size], x_nu.size)
+    np.add.at(net, inv[x_mu.size:], -x_mu.size)
+    if not net.any():
+        return 0.0
+    d = np.diff(xs)
+    k_max = k = int(net[net > 0].sum())
+    best = 0.0
+    while k:
+        flow = np.cumsum(net)[:-1]        # mass crossing each edge rightwards
+        step = (-np.inf,)
+        for sgn in (1, -1):               # mu-atom left of a nu-atom, then right
+            prefix = np.concatenate([[0.0], np.cumsum(np.where(sgn * flow > 0, d, -d))])
+            src, dst = (net > 0, net < 0) if sgn == 1 else (net < 0, net > 0)
+            left = np.where(src, -prefix, -np.inf)
+            total = np.where(dst, prefix + np.maximum.accumulate(left), -np.inf)
+            hi = int(np.argmax(total))
+            if total[hi] > step[0]:
+                step = (total[hi], sgn, int(np.argmax(left[:hi])), hi)
+        slope, sgn, lo, hi = step
+        ratio = 2.0 * ((k_max - k) * slope + float(d @ np.abs(flow))) / (slope + 2.0)
+        if ratio < best * (1.0 - 1e-9):   # equal slopes may differ by rounding
+            break
+        best = max(best, ratio)
+        path = sgn * flow[lo:hi]          # the move shrinks the positive ones
+        moved = min(abs(int(net[lo])), abs(int(net[hi])), int(path[path > 0].min(initial=k)))
+        net[lo] -= sgn * moved
+        net[hi] += sgn * moved
+        k -= moved
+    return best / (x_mu.size * x_nu.size)
+
+
+def _bl_oracle(a, b):
+    """bl_distance through the one-pair peel: each coordinate thinned to the
+    quantiles at MAX_SUPPORT mid-levels, the max taken in coordinate order."""
+    def thin(x):
+        if x.size <= recurrence.MAX_SUPPORT:
+            return np.sort(x)
+        levels = (np.arange(recurrence.MAX_SUPPORT) + 0.5) / recurrence.MAX_SUPPORT
+        return np.quantile(x, levels, method="linear")
+
+    a, b = np.atleast_2d(a.T).T, np.atleast_2d(b.T).T
+    best = 0.0
+    for k in range(a.shape[1]):
+        best = max(best, _bl_distance_1d(thin(a[:, k]), thin(b[:, k])))
+    return best
+
+
+def _bl_batch_pairs():
+    """The LP pairs plus the shapes a batch of the peel has to keep apart."""
+    yield from _bl_pairs()
+    rng = np.random.default_rng(77)
+    x = rng.normal(size=150)
+    yield x, x.copy()                                             # identical laws
+    yield np.round(rng.normal(size=120), 1), np.round(rng.normal(0.2, size=90), 1)   # ties
+    yield np.array([0.3]), rng.normal(size=60)                    # a one-point law
+    yield rng.normal(size=37), rng.normal(size=211)               # unequal sizes
+    yield rng.normal(size=200), rng.normal(3.0, size=200)         # clouds 3 sigma apart
+    yield rng.choice([-0.0, 0.0, 1.0], 50), rng.choice([0.0, -0.0, 2.0], 70)   # signed zeros
+    yield rng.normal(size=(80, 3)), rng.normal([0.0, 0.5, -1.0], size=(95, 3))  # 3 coordinates
+    yield rng.normal(size=(60, 3)), np.round(rng.normal(size=(60, 3)), 1)
+    yield rng.normal(size=(500, 2)), rng.normal(0.1, size=(450, 2))   # thinned, 2 coordinates
+
+
+def test_bl_distance_matches_the_one_pair_peel_bit_for_bit():
+    for a, b in _bl_batch_pairs():
+        got = L.bl_distance(L.EmpiricalLaw(a), L.EmpiricalLaw(b))
+        assert float(got).hex() == float(_bl_oracle(a, b)).hex(), (a.shape, b.shape)
+
+
+def test_bl_peel_rows_do_not_depend_on_their_batch():
+    # resampled rows of one batch, with one row far apart, one of identical
+    # laws and one that holds a single value: each row keeps its own bits
+    rng = np.random.default_rng(5)
+    pooled = rng.normal(size=300)
+    x_mu = pooled[rng.integers(0, 300, (30, 120))]
+    x_nu = pooled[rng.integers(0, 300, (30, 120))]
+    x_nu[3] += 3.0
+    x_nu[7] = x_mu[7, ::-1]
+    x_mu[11] = x_nu[11] = 0.5
+    got = _bl_peel(x_mu, x_nu)
+    want = [_bl_distance_1d(np.sort(m), np.sort(n)) for m, n in zip(x_mu, x_nu)]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+    assert got[7] == got[11] == 0.0 and got[3] == max(got)
+
+
 def test_import_leaves_scipy_optimize_and_sparse_unloaded():
     code = ("import sys, levylab.cli; "
             "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
@@ -452,6 +544,39 @@ def test_bl_two_sample_deterministic():
     r1 = L.bl_two_sample(a, b, n_boot=8, seed=5)
     r2 = L.bl_two_sample(a, b, n_boot=8, seed=5)
     assert r1 == r2
+
+
+def _bl_two_sample_inputs():
+    rng = np.random.default_rng(9)
+    yield "deterministic", rng.normal(size=300), rng.normal(loc=0.3, size=300), 8, 5
+    rng = np.random.default_rng(31)   # 41 pairs of 3 rows: two batches of the peel
+    yield ("three_coordinates", rng.normal(size=(120, 3)),
+           rng.normal(loc=[0.0, 0.4, -0.2], scale=[1.0, 1.5, 0.7], size=(90, 3)), 40, 3)
+    rng = np.random.default_rng(17)   # 71 pairs of 1 row: two batches of the peel
+    yield "many_resamples", rng.normal(size=150), rng.standard_t(5, size=170), 70, 11
+
+
+# float.hex of (beta, err) of bl_two_sample on _bl_two_sample_inputs(), as
+# the one-pair peel computed them; the batches must keep every bit
+GOLDEN_BL_TWO_SAMPLE = {
+    "deterministic": ("0x1.aba8f9825f23cp-4", "0x1.aefea2e786606p-5"),
+    "three_coordinates": ("0x1.0cbec85e9ce9fp-2", "0x1.cf32c082daf39p-4"),
+    "many_resamples": ("0x1.01d9fd55d8a5bp-4", "0x1.4ce1d0ec115f5p-4"),
+}
+
+
+@pytest.mark.parametrize("rows", [None, 1, 5])
+def test_bl_two_sample_keeps_the_one_pair_bits_in_any_batch(rows, monkeypatch):
+    if rows is not None:   # smaller batches than BL_ROWS, down to one pair each
+        monkeypatch.setattr(recurrence, "BL_ROWS", rows)
+    for name, a, b, n_boot, seed in _bl_two_sample_inputs():
+        got = L.bl_two_sample(a, b, n_boot=n_boot, seed=seed)
+        assert tuple(float(v).hex() for v in got) == GOLDEN_BL_TWO_SAMPLE[name], name
+
+
+def test_bl_two_sample_rejects_mismatched_dimensions():
+    with pytest.raises(InputError, match="observation dimension"):
+        L.bl_two_sample(np.zeros((5, 1)), np.zeros((5, 2)))
 
 
 def test_distributional_test_on_multimode_model():

@@ -37,3 +37,14 @@ def test_ab_time_setup_layer_compares_a_checkout_with_itself():
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert len(lines) == 4 and lines[-1].endswith(" of 1")
+
+
+def test_ab_time_bl_layer_compares_a_checkout_with_itself():
+    # one pair of the law test's statistic, both sides loaded from this checkout
+    run = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_time.py"), "--parent", ROOT,
+         "--layer", "bl", "--ops", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 5 and lines[-1].endswith("same beta and err bits in 1 of 1 pairs")

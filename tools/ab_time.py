@@ -1,9 +1,11 @@
 """Time the ops of one benchmark workload on this checkout and on another,
-alternating in one process, the step loop of the path drivers alone, or the
-set-up of fresh processes.
+alternating in one process, the step loop of the path drivers alone, the
+law test's bounded-Lipschitz distances alone, or the set-up of fresh
+processes.
 
     python3 tools/ab_time.py --parent PATH --workload NAME --ops N [--seed S]
     python3 tools/ab_time.py --parent PATH --layer step --ops N [--seed S]
+    python3 tools/ab_time.py --parent PATH --layer bl --ops N [--seed S]
     python3 tools/ab_time.py --parent PATH --layer setup --ops N
 
 Run from anywhere.  The ``src/levylab`` of the checkout this file sits in
@@ -40,6 +42,17 @@ them), the ``periodic`` preset on 200 paths and the 32-mode heat model on
 ``--workload single-path`` times it.  Each of N pairs runs every case on
 both sides, alternating which side goes first; the states the loop writes
 are compared byte for byte.
+
+``--layer bl`` times the law test's statistic alone: each side's
+``recurrence.distributional_report``, in CPU time, on one bounded ensemble
+of the law-recurrence workload (built by this checkout, before the clock
+starts, as ``distributional_almost_period_test`` builds it at the seed of
+op 0 of workload seed S).  That is the workload's bounded-Lipschitz
+distances: the observed pair and the pooled resamples at every law-test
+time.  Each of N pairs runs it on both sides, alternating which side goes
+first.  It prints each side's median, the median per-pair ratio, the
+number of pairs in which the change was faster and the number in which
+both sides gave the same ``float.hex`` of every beta and error bar.
 
 ``--layer setup`` times what the benchmark's ``setup_s`` mostly is: N pairs
 of fresh processes per checkout, alternating which goes first, each running
@@ -170,6 +183,47 @@ def main_step_layer(args) -> int:
     return 0
 
 
+def main_bl_layer(args) -> int:
+    import numpy as np   # loaded with the packages, after the BLAS pins
+    load_cli("levylab_parent", args.parent), load_cli("levylab", ROOT)
+    packages = {"parent": sys.modules["levylab_parent"], "change": sys.modules["levylab"]}
+    change = packages["change"]
+    cfg = change.config.parse_config(workloads.WORKLOADS["law-recurrence"].config)
+    run, tau, n_boot = cfg.run, cfg.experiment["tau"], cfg.experiment["n_boot"]
+    t_grid = change.cli._law_grid(run, cfg.experiment["t_grid_n"])
+    seed = workloads.op_seed(args.seed, 0)
+    res = change.pullback.bounded_ensemble(
+        cfg.model, (t_grid[0], t_grid[-1] + tau), run.tolerance, run.n_paths, seed,
+        np.unique(np.concatenate([t_grid, t_grid + tau])), run.step)
+
+    def report(side):
+        start = time.process_time()
+        rep = packages[side].recurrence.distributional_report(res, tau, t_grid, seed, n_boot)
+        cpu = time.process_time() - start
+        return cpu, [float(v).hex() for v in (*rep.beta, *rep.err)]
+
+    for side in packages:   # warm-up
+        report(side)
+    times = {side: [] for side in packages}
+    same = 0
+    for k in range(args.ops):
+        outs = set()
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            cpu, out = report(side)
+            times[side].append(cpu)
+            outs.add(tuple(out))
+        same += len(outs) == 1
+    ratios = [c / p for c, p in zip(times["change"], times["parent"])]
+    print(f"bl: {args.ops} pairs of distributional_report on one law-recurrence ensemble "
+          f"({run.n_paths} paths, {t_grid.size} times, n_boot {n_boot})")
+    for side, values in times.items():
+        print(f"  {side}: median CPU time {statistics.median(values) * 1e3:.2f} ms")
+    print(f"  change / parent per pair: median {statistics.median(ratios):.4f}; "
+          f"change faster in {sum(r < 1.0 for r in ratios)} of {args.ops}")
+    print(f"  same beta and err bits in {same} of {args.ops} pairs")
+    return 0
+
+
 def setup_seconds(src: str) -> float:
     """Wall seconds of one fresh process importing ``levylab.cli`` and scipy from ``src``."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
@@ -201,8 +255,9 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="root of the checkout to compare with")
     parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS),
                         help="the workload whose ops to time (--layer op)")
-    parser.add_argument("--layer", choices=("op", "step", "setup"), default="op",
-                        help="time whole ops (default), the step loop or process set-up")
+    parser.add_argument("--layer", choices=("op", "step", "bl", "setup"), default="op",
+                        help="time whole ops (default), the step loop, the law test's "
+                             "BL distances or process set-up")
     parser.add_argument("--ops", type=int, required=True, help="number of pairs")
     parser.add_argument("--seed", type=int, default=1,
                         help="workload seed, or noise seed of --layer step (default: 1)")
@@ -217,6 +272,8 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     if args.layer == "step":
         return main_step_layer(args)
+    if args.layer == "bl":
+        return main_bl_layer(args)
     if args.layer == "setup":
         return main_setup_layer(args)
     sides = {"parent": load_cli("levylab_parent", args.parent),
