@@ -24,7 +24,8 @@ states once per Wiener slab (:func:`run_checked`).
 increment ``(s-u)/(v-u) dW``, and is added to the step's end with the decay
 ``exp(-Lam (v-s))``.  On a grid refined by every jump time (Bruti-Liberati
 & Platen, J. Comput. Appl. Math. 2007), ``s = v``: the jump acts on the
-stepped left limit.
+stepped left limit.  A model without Galerkin spec takes its jumps one event
+at a time, on floats; a Galerkin model, in slices that batch its transforms.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import InputError, NumericalBlowupError
 from .model import _ZERO, SdeModel, StateMaps
-from .noise import JUMP_LARGE, JUMP_SMALL, window_ends   # jump flags of a node; 0 is none
+from .noise import JUMP_SMALL, window_ends   # a jump flag of a node; 0 is none
 
 BROADCAST_MAX = 512   # state entries up to which a step makes one product per slot
 
@@ -139,6 +140,30 @@ def step_kernel(models, grid: np.ndarray):
     return step
 
 
+def _event_jump(coef, times, marks):
+    """``jump(e, y)``: J of ``coef`` at event ``e`` of ``times``, ``marks`` and the float ``y``
+    (one coordinate, no Galerkin spec) by its state maps, :func:`_program` rows and
+    ``combine``, or tabulated once by its ``event_kernel`` if no term reads the state."""
+    maps, tables, table = StateMaps((coef,), tabulated=True), {}, coef.profile_table(times)
+    slots, marks = maps.slots[0], marks[:, 0]
+    if all(s is None for s in slots):
+        jumps = memoryview(coef.event_kernel(table, marks)(slice(None), np.zeros(times.size)))
+        return lambda e, y: jumps[e]
+    cols = [(s, memoryview(x if s is None else tables[s][x]))
+            for s, x in _program(coef, tuple(table.T), slots, tables, None, None)]
+    marks = memoryview(marks) if coef.mark_mode == "scalar" else None
+
+    def jump(e, y):
+        vals, rows = maps(y), []
+        for s, x in cols:   # a loop: no comprehension to call per event
+            rows.append(x[e] if s is None else x[e] * vals[s])
+        if slots[0] is not None:   # a first row without base, as in step_kernel
+            rows[0] += 0.0
+        return coef.combine(rows, None, marks if marks is None else marks[e])
+
+    return jump
+
+
 def jump_kernel(models, grid, events):
     """Tabulate the jump table ``events`` (see :func:`levylab.noise.jump_table`)
     of the paths once for the k ``models`` of :func:`step_kernel` and return
@@ -147,109 +172,104 @@ def jump_kernel(models, grid, events):
     ``dw`` (n_paths, rows, dim) from step ``lo`` (see
     :func:`levylab.noise.wiener_slabs`); ``add_jumps`` adds to ``y_new``, the
     end states of step ``i`` of that slab from the states ``y``, the jumps
-    inside the step, in place, each event on its path in every block (one
-    path's (dim,) or 0-d state is a one-row batch; a 0-d one, a scalar, is
-    returned, not updated).  A later jump of a path in the step flows on
-    from its previous post-jump state over ``s_k - s_(k-1)``.
+    inside the step, in place, each event on its path in every block (a 0-d
+    state, a scalar, is returned, not updated).  A later jump of a path in the
+    step flows on from its previous post-jump state over ``s_k - s_(k-1)``.
 
     Per event, in (step, path, time) order: its profile row, that ``lead``
     with ``exp(-Lam lead)``, ``phi1(lead)``, ``lead / (v-u)`` and ``exp(-Lam
-    (v-s))``; then the events are regrouped into (step, round) slices, round
-    r holding each path's (r+1)-th jump, so the events of a slab are one
-    range, whose Wiener terms ``lead / (v-u) dW`` one expression fills.  A
-    slice holds both kinds if their coefficients differ only in profiles, but
-    one kind on a Galerkin model: its size is the batch of ``to_phys`` and
-    ``to_modes``, whose rounding depends on the batch size.
-
-    State-free jumps (every term of every kernel maps by ``ones``, or a kernel
-    has no terms, and no Galerkin spec) take their increments ``exp(-Lam
-    (v-s)) J`` from one kernel call per kind on all its events, here; then
-    ``read_slab`` reads nothing and ``add_jumps`` only adds them, slice by
-    slice in round order, bit for bit as the per-slice route would."""
+    (v-s))``; a slab's events are one range, whose Wiener terms ``lead / (v-u) dW``
+    one expression fills.  Without a Galerkin spec ``add_jumps`` walks a step's
+    events in that order, one block and coordinate at a time, on floats
+    (:func:`_event_jump`); with one, it takes (step, round, kind) slices, round r
+    holding each path's (r+1)-th jump, each the batch of ``to_phys`` and
+    ``to_modes``, whose rounding depends on the batch size."""
     times, paths, kinds, marks = events
     interval = np.clip(np.searchsorted(grid, times, side="left") - 1, 0, grid.size - 2)
     order = np.lexsort((times, paths, interval))
     times, paths, kinds, marks, interval = (a[order] for a in
                                             (times, paths, kinds, marks, interval))
-    pos = np.arange(times.size)
     first = np.ones(times.size, dtype=bool)
     first[1:] = (paths[1:] != paths[:-1]) | (interval[1:] != interval[:-1])
-    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
     lead = times - np.where(first, grid[interval], np.roll(times, 1))
     frac = lead / (grid[interval + 1] - grid[interval])
-    model, blocks = models[0], (slice(None),) * (len(models) > 1)   # the block axis, if any
-    lam, c = model.semigroup.rates, model.coefficients
+    model, names = models[0], ("small_jump", "large_jump")   # kinds JUMP_SMALL, JUMP_LARGE
+    lam, wiener = model.semigroup.rates, np.empty((times.size, model.wiener.dim))
     neg_ldt = -np.outer(lead, lam)   # the expressions of step_kernel
     dec_in, phi1 = np.exp(neg_ldt), -np.expm1(neg_ldt) / lam
     dec_out = np.exp(-np.outer(grid[interval + 1] - times, lam))
-    shape = _structure(model).coefficients   # Galerkin: split until ROADMAP 1's batch fix
-    merged = model.galerkin is None and shape.small_jump == shape.large_jump
-    split = kinds * (not merged)   # the kind of a slice, or 0 when both kinds share it
-    # a round starts from the post-jump states of the previous one, kept in
-    # ``post`` at the slot ``back`` of each path's previous event
-    regroup = np.lexsort((paths, split, rank, interval))
-    back = np.argsort(regroup)[regroup - 1]
-    paths, kinds, split, marks, interval, rank, frac, dec_in, phi1, dec_out = (
-        a[regroup] for a in (paths, kinds, split, marks, interval, rank, frac, dec_in, phi1,
-                             dec_out))
+    if model.galerkin is None:
+        jumps = [(None, *(_event_jump(getattr(m.coefficients, name), times, marks)
+                          for name in names)) for m in models]   # each block's, by kind
+        d_in, ph, d_out, w = (memoryview(a.reshape(-1)) for a in (dec_in, phi1, dec_out, wiener))
+        path, kind, new_path, dim = *map(memoryview, (paths, kinds, first)), lam.size
+        reads = any(m.kind != "ones" for name in names   # else no jump reads x
+                    for _, m in getattr(model.coefficients, name).terms)
+        starts = np.flatnonzero(np.r_[times.size > 0, np.diff(interval) != 0]).tolist()
+        spans = dict(zip(interval[starts].tolist(), zip(starts, starts[1:] + [times.size])))
 
-    def per_block(rows):   # rows of each model, on the block axis if any
-        return np.stack(rows) if blocks else rows[0]
+        def add_jumps(i, y, y_new, drift, gdiag):
+            (a, b), n = spans[i], y.shape[-2] if y.ndim > 1 else 1
+            new, at_block = y_new.reshape(-1), gdiag.size != y.size   # a tabulated diffusion
+            for block, jump in enumerate(jumps):
+                for c in range(dim):
+                    for e in range(a, b):
+                        k, l = (block * n + path[e]) * dim + c, e * dim + c
+                        if new_path[e]:
+                            x, acc = y.item(k), new.item(k)
+                        if reads:   # x: the pre-jump state
+                            d = d_in[l]
+                            x = (d * x + ph[l] * drift.item(k)
+                                 + d * (gdiag.item(block if at_block else k) * w[l]))
+                        raw = jump[kind[e]](e, x)
+                        acc += d_out[l] * raw
+                        new[k], x = acc, x + raw
+            return y_new if y_new.ndim else new[0]
+    else:   # a round starts from the post-jump states of the previous one, at ``back``
+        pos = np.arange(times.size)
+        rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+        regroup = np.lexsort((paths, kinds, rank, interval))
+        back = np.argsort(regroup)[regroup - 1]
+        times, paths, kinds, marks, interval, rank, frac, dec_in, phi1, dec_out = (
+            a[regroup] for a in (times, paths, kinds, marks, interval, rank, frac, dec_in,
+                                 phi1, dec_out))
+        blocks = (slice(None),) * (len(models) > 1)   # the block axis, if any
+        per_block = np.stack if blocks else (lambda rows: rows[0])   # rows of each model
+        kernels = {kind: coef.event_kernel(   # rows and scalar marks broadcast over coordinates
+            per_block([getattr(m.coefficients, name).profile_table(times)[:, None]
+                       for m in models]),
+            per_block([marks[:, :1] if coef.mark_mode == "scalar" else marks]), model.galerkin)
+            for kind, name in enumerate(names, JUMP_SMALL)
+            for coef in [getattr(model.coefficients, name)]}
+        starts = np.flatnonzero(np.r_[times.size > 0, np.any(np.diff([interval, rank, kinds]), 0)])
+        spans = {}   # step -> its slices; most steps hold no jump
+        for a, b, i, kind, r in zip(*(x.tolist() for x in (
+                starts, np.append(starts[1:], times.size), interval[starts], kinds[starts],
+                rank[starts]))):
+            sl = slice(a, b)   # j: the slice's rows in every block (sl itself for one model)
+            spans.setdefault(i, []).append((sl, blocks + (sl,) if blocks else sl,
+                                            kernels[kind], r > 0))
+        post = per_block([np.empty((times.size, model.dim))] * len(models))
 
-    small, large = ([getattr(m.coefficients, name).profile_table(times)[regroup][:, None]
-                     for m in models] for name in ("small_jump", "large_jump"))
-    specs = ((JUMP_SMALL, small, c.small_jump), (JUMP_LARGE, large, c.large_jump))
-    if merged:   # one kernel, keyed 0; each event's profile row from its own kind's table
-        specs = ((0, [np.where((kinds == JUMP_SMALL)[:, None, None], *rows)
-                      for rows in zip(small, large)], c.small_jump),)
-    kernels = {key: coef.event_kernel(   # rows and scalar marks broadcast over coordinates
-        per_block(rows), per_block([marks[:, :1] if coef.mark_mode == "scalar" else marks]),
-        model.galerkin) for key, rows, coef in specs}
-    starts = np.flatnonzero(np.r_[times.size > 0, np.any(np.diff([interval, rank, split]), 0)])
-    schedule = {}   # step -> its slices; most steps hold no jump
-    for a, b, i, key, r in zip(*(x.tolist() for x in (
-            starts, np.append(starts[1:], times.size), interval[starts], split[starts],
-            rank[starts]))):
-        sl = slice(a, b)   # j: the slice's rows in every block (sl itself for one model)
-        schedule.setdefault(i, []).append((sl, blocks + (sl,) if blocks else sl,
-                                           kernels[key], r > 0))
-    if model.galerkin is None and all(m.kind == "ones" for *_, coef in specs
-                                      for _, m in coef.terms):
-        # state-free jumps: each event's increment, once, at any state of its shape
-        inc = per_block([np.zeros((times.size, model.dim))] * len(models))
-        for key, jump in kernels.items():
-            at = blocks + (np.flatnonzero(split == key),)
-            inc[at] = dec_out[at[-1]] * jump(at, inc[at])
-
-        def add_state_free_jumps(i, y, y_new, drift, gdiag):
-            new = np.reshape(y_new, (1, -1)) if y_new.ndim < 2 else y_new   # a one-row batch
-            for sl, j, _, _ in schedule.get(i, ()):
-                new[blocks + (paths[sl],)] += inc[j]
-            return y_new if y_new.ndim else new[0, 0]   # a scalar is not updated in place
-
-        return (lambda lo, dw: None), add_state_free_jumps, frozenset(schedule)
-    post = per_block([np.empty((times.size, model.dim))] * len(models))
-    wiener = np.empty((times.size, model.wiener.dim))
+        def add_jumps(i, y, y_new, drift, gdiag):
+            new = y_new
+            if y.ndim < 2:   # one path's (dim,) state: a one-row batch
+                y, new, drift, gdiag = (np.reshape(x, (1, -1)) for x in (y, y_new, drift, gdiag))
+            gdiag = gdiag if gdiag.shape == y.shape else np.broadcast_to(gdiag, y.shape)
+            for sl, j, jump, later in spans[i]:
+                p, d = blocks + (paths[sl],), dec_in[sl]
+                pre = (d * (post[blocks + (back[sl],)] if later else y[p]) + phi1[sl] * drift[p]
+                       + d * (gdiag[p] * wiener[sl]))
+                raw = jump(j, pre)
+                new[p] += dec_out[sl] * raw
+                post[j] = pre + raw
+            return y_new
 
     def read_slab(lo, dw):
         a, b = np.searchsorted(interval, (lo, lo + dw.shape[1])).tolist()
         wiener[a:b] = frac[a:b, None] * dw[paths[a:b], interval[a:b] - lo]
 
-    def add_jumps(i, y, y_new, drift, gdiag):
-        new = y_new
-        if y.ndim < 2:   # one path's (dim,) or 0-d state: a one-row batch
-            y, new, drift, gdiag = (np.reshape(x, (1, -1)) for x in (y, y_new, drift, gdiag))
-        gdiag = gdiag if gdiag.shape == y.shape else np.broadcast_to(gdiag, y.shape)
-        for sl, j, jump, later in schedule.get(i, ()):
-            p, d = blocks + (paths[sl],), dec_in[sl]
-            pre = (d * (post[blocks + (back[sl],)] if later else y[p]) + phi1[sl] * drift[p]
-                   + d * (gdiag[p] * wiener[sl]))
-            raw = jump(j, pre)
-            new[p] += dec_out[sl] * raw
-            post[j] = pre + raw
-        return y_new if y_new.ndim else new[0, 0]
-
-    return read_slab, add_jumps, frozenset(schedule)
+    return read_slab, add_jumps, frozenset(spans)
 
 
 @dataclass

@@ -135,7 +135,8 @@ class StateMaps:
 
     def __call__(self, y: np.ndarray) -> list:
         vals = [y, None if self._galerkin is None else self._galerkin.to_phys(y)]
-        vals += [fn(m, vals[s]) for s, fn, m in self._maps]
+        for s, fn, m in self._maps:   # a loop: no comprehension to call on a jump's float
+            vals.append(fn(m, vals[s]))
         return vals
 
 

@@ -112,28 +112,44 @@ class MarkSampler:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` marks; shape (n,) for scalar laws, (n, d) for vector
-        laws, d = 1 included.
+        laws, d = 1 included: :meth:`marks` of :meth:`variates`.
 
         Signs are read from raw words: the generator's 64-bit state advances
         as under ``rng.choice([-1.0, 1.0], size=n)``, but the spare 32-bit
         half that numpy would buffer after an odd ``n`` is dropped, so a
         signed draw is the last one of its stream (each mark stream is
         discarded after its draw)."""
-        if self.kind == "uniform_shell":   # the draw of rng.uniform(lo, hi, n)
-            x = self.lo + (self.hi - self.lo) * rng.random(n)
+        return self.marks(*self.variates(rng, n))
+
+    def variates(self, rng: np.random.Generator, n: int) -> tuple:
+        """The raw draws of ``n`` marks: ``n`` uniforms (standard exponentials
+        for ``exp_tail``; none, an empty array of ``n``, for ``point_mass``),
+        then, if ``signed``, ``n`` 32-bit sign words."""
+        if self.kind == "point_mass":
+            return (np.empty(n),)   # nothing drawn; its length is the count
+        # the draws of rng.uniform(lo, hi, n), rng.exponential(scale, n) and
+        # rng.choice(n_atoms, n, p=probs), before their transforms
+        x = rng.standard_exponential(n) if self.kind == "exp_tail" else rng.random(n)
+        if not self.signed or self.kind == "finite_rank":
+            return (x,)
+        # rng.choice([-1.0, 1.0], size=n) reads integers(0, 2): the top bit of
+        # each 32-bit half word, low half first
+        words = rng.bit_generator.random_raw(-(-n // 2)).astype("<u8", copy=False)
+        return x, words.view("<u4")[:n]
+
+    def marks(self, x: np.ndarray, words: np.ndarray | None = None) -> np.ndarray:
+        """The marks of the :meth:`variates` ``x`` and ``words`` (of one stream,
+        or of several streams concatenated)."""
+        if self.kind == "uniform_shell":
+            x = self.lo + (self.hi - self.lo) * x
         elif self.kind == "exp_tail":
-            x = self.cut + rng.exponential(self.scale, size=n)
-        elif self.kind == "point_mass":
-            a = np.tile(self._atom_array()[0], (n, 1))
+            x = self.cut + self.scale * x
+        else:
+            a = self._atom_array()
+            a = (np.tile(a[0], (x.size, 1)) if self.kind == "point_mass"
+                 else a[self._cdf.searchsorted(x, side="right")])
             return a[:, 0] if self._scalar_atoms else a
-        else:  # finite_rank: the draw of rng.choice(n_atoms, n, p=probs)
-            a = self._atom_array()[self._cdf.searchsorted(rng.random(n), side="right")]
-            return a[:, 0] if self._scalar_atoms else a
-        if self.signed:   # the draw of rng.choice([-1.0, 1.0], size=n), whose
-            # integers(0, 2) is the top bit of each 32-bit half word, low half first
-            words = rng.bit_generator.random_raw(-(-n // 2)).astype("<u8", copy=False)
-            x = x * _SIGNS[words.view("<u4")[:n] >> 31]
-        return x
+        return x if words is None else x * _SIGNS[words >> 31]
 
     # -- moments (exact; exp_tail uses Gauss-Laguerre, exact to quad order) --
 
@@ -406,7 +422,7 @@ def jump_table(spec: JumpMeasureSpec, window, seed, paths=None):
         # the draw of rng.uniform(0, span, n), n Poisson
         draws.append(span * rng.random(rng.poisson(kinds[j][0] * span)))
         if draws[-1].size:
-            marks[j].append(kinds[j][1].sample(_generator(mark_w), draws[-1].size))
+            marks[j].append(kinds[j][1].variates(_generator(mark_w), draws[-1].size))
     counts = [d.size for d in draws]
     columns = np.array([(r, 1 - 2 * side, a, 1 + j) for r, side, a, _, j in rows]).reshape(-1, 4)
     path, sign, start, kind = np.repeat(columns, counts, axis=0).T   # sign -1: the mirror
@@ -414,9 +430,10 @@ def jump_table(spec: JumpMeasureSpec, window, seed, paths=None):
     times = sign * (start + u[np.lexsort((u, np.repeat(np.arange(len(draws)), counts)))])
     dims = [s.dim if s is not None else 1 for _, s in kinds]
     table = np.zeros((times.size, max(dims)))
-    for j, m in enumerate(marks):
+    for j, m in enumerate(marks):   # each kind's transforms run once, on all its draws
         if m:
-            m, sel = np.concatenate(m).reshape(-1, dims[j]), kind == 1 + j
+            m = kinds[j][1].marks(*map(np.concatenate, zip(*m))).reshape(-1, dims[j])
+            sel = kind == 1 + j
             table[sel, :dims[j]] = sign[sel, None] * m
     # ties keep the per-path merge order: positive side, then negative mirrored
     pos = np.arange(times.size)

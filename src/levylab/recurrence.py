@@ -253,16 +253,18 @@ def _bl_peel(x_mu: np.ndarray, x_nu: np.ndarray) -> np.ndarray:
     width = edges.max(initial=0) + 1
     net, d = net[ids, :width], np.diff(xu[ids, :width], axis=1)
     k_max, best, sgns = k, np.zeros(ids.size), np.array([1, -1])[:, None, None]
+    gate = np.array([-np.inf, 0.0])   # added to what a mask drops (0) and keeps (1)
     while ids.size:
         (a, width), r = net.shape, np.arange(ids.size)
         flow = np.add.accumulate(net[:, :-1], axis=1)   # mass crossing each edge rightwards
         sflow, snet = sgns * flow, sgns * net           # mu-atom left of a nu-atom, then right
         prefix = np.zeros((2, a, width))
         np.add.accumulate(np.where(sflow > 0, d, -d), axis=-1, out=prefix[..., 1:])
-        left = np.where(snet > 0, -prefix, -np.inf).reshape(2 * a, width)
+        # the masks read from gate, not np.where: mu and nu atoms interleave, so
+        # a branch on the mask is mispredicted about every other entry
+        left = (gate.take(snet > 0) - prefix).reshape(2 * a, width)
         reach = np.maximum.accumulate(left, axis=1)
-        total = np.where(snet.reshape(2 * a, width) < 0, prefix.reshape(2 * a, width) + reach,
-                         -np.inf)
+        total = prefix.reshape(2 * a, width) + reach + gate.take(snet.reshape(2 * a, width) < 0)
         peak, his = np.maximum.reduce(total, axis=1), total.argmax(axis=1)
         pick = r + a * (peak[a:] > peak[:a])            # the row of the cheaper direction
         slope, hi = peak[pick], his[pick]
@@ -321,6 +323,7 @@ def bl_two_sample(a: np.ndarray, b: np.ndarray, n_boot: int = 30, seed: int = 0)
     the pooled cloud, i.e. the typical distance under equality.  The
     observed pair and the resampled pairs are peeled in batches of at most
     ``BL_ROWS`` coordinate rows, so memory does not grow with ``n_boot``.
+    If every pooled row is the same point, both are 0.0 and nothing is drawn.
     """
     if isinstance(n_boot, bool) or not isinstance(n_boot, (int, np.integer)) or n_boot < 1:
         raise InputError(f"n_boot must be a positive integer, got {n_boot!r}")
@@ -330,6 +333,8 @@ def bl_two_sample(a: np.ndarray, b: np.ndarray, n_boot: int = 30, seed: int = 0)
     if a.shape[1] != b.shape[1]:
         raise InputError("laws must share the observation dimension")
     pooled = np.concatenate([a, b], axis=0)
+    if np.logical_and.reduce(pooled == pooled[0], axis=None):   # a point mass: every
+        return 0.0, 0.0                                         # distance is 0.0
     rng = np.random.default_rng(seed)
     for i in range(n_boot):
         ra = pooled[rng.integers(0, pooled.shape[0], a.shape[0])]

@@ -127,8 +127,8 @@ def _plane_model(jump_map):
 def test_one_path_ensemble_is_integrate_bit_for_bit(name, y0):
     # one jump rule: on the grid of integrate and driven by the same noise, a
     # one-path ensemble reproduces integrate's path at every node; the 2-D
-    # planes take the state-free (ones) and the per-slice (linear) jump route,
-    # and drift_a adds the Wiener drift to a one-component path's drift
+    # planes' jumps are tabulated (ones) or evaluated per event and coordinate
+    # (linear), and drift_a adds the Wiener drift to a one-component path's drift
     from test_kernel import _model, every_map_model
     m = (L.presets.example61_model(b=0.0, small_rate=0.0) if name == "no_jumps"
          else _plane_model(getattr(L, name[6:] + "_map")) if name.startswith("plane")

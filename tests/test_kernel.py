@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import levylab as L
-from levylab import integrator
+from levylab import ensemble, integrator
 from levylab.ensemble import simulate_ensemble
-from levylab.integrator import refined_grid, step_kernel
+from levylab.integrator import initial_states, refined_grid, step_kernel
 from levylab.model import _MAP_KINDS
-from levylab.noise import jump_table
+from levylab.noise import jump_table, wiener_slabs
 from levylab.profiles import TimeProfile
 
 # Terminal states (float.hex).  The integrate values were recorded while
@@ -324,36 +324,236 @@ def _jump_slices(m, window, n_paths, max_step, seed, obs):
     return len({g[:2] for g in groups}), len(groups)
 
 
-@pytest.mark.parametrize("name, merged", [("example61", True), ("periodic", True),
+@pytest.mark.parametrize("name, shared", [("example61", True), ("periodic", True),
                                           ("every_map", False), ("heat8", False),
                                           ("mixed", False)])
 def test_kinds_that_share_a_kernel_make_one_jump_call_per_step_and_round(
-        name, merged, monkeypatch):
-    # small and large jumps of example61 and periodic differ only in their
-    # profiles; every_map's and mixed's do not, and heat8 is a Galerkin model,
-    # whose transforms keep the batch sizes of one slice per kind.  periodic's
-    # jumps are state-free, so its one kernel runs once per chunk on all its
-    # events; mixed has one state-dependent kind, so both kinds run per slice
-    calls = []
-    direct = L.JumpCoefficient.event_kernel
+        name, shared, monkeypatch):
+    # heat8 is a Galerkin model, whose transforms keep the batch sizes of one
+    # slice per (step, round, kind).  Without a Galerkin spec, small and large
+    # jumps of example61 and periodic differ only in their profiles (they
+    # shared one slice per step and round once), and every_map's and mixed's
+    # do not; now each event of a kind that reads the state evaluates its
+    # state maps once at its own float, and a kind of ``ones`` terms
+    # (periodic's, mixed's small one) is tabulated on all events, once per chunk
+    calls, floats = [], []
+    direct, maps = L.JumpCoefficient.event_kernel, L.model.StateMaps.__call__
 
     def counted(self, *args):
         jump = direct(self, *args)
         return lambda j, y: calls.append(j) or jump(j, y)
 
     monkeypatch.setattr(L.JumpCoefficient, "event_kernel", counted)
+    monkeypatch.setattr(L.model.StateMaps, "__call__",
+                        lambda self, y: floats.append(isinstance(y, float)) or maps(self, y))
     m = _model(name)
+    shape = integrator._structure(m).coefficients
+    assert shared == (m.galerkin is None and shape.small_jump == shape.large_jump)
     window, _, *rest = args = ENSEMBLE_CASES["stressed"]
     per_round, per_kind = _jump_slices(m, window, *rest)
     assert per_round < per_kind   # some round holds jumps of both kinds
     simulate_ensemble(m, *args)
-    if name == "periodic":   # the stressed case is one chunk
-        (j,) = calls
-        n_paths, _, seed, _ = rest
-        events = jump_table(m.jumps, window, seed, range(n_paths))[0].size
-        assert np.array_equal(np.arange(events)[j], np.arange(events))
+    if name == "heat8":
+        assert len(calls) == per_kind
+        return
+    n_paths, _, seed, _ = rest   # the stressed case is one chunk
+    _, _, kinds, _ = jump_table(m.jumps, window, seed, range(n_paths))
+    # (tabulated kinds, events evaluated one by one)
+    large = np.count_nonzero(kinds == L.noise.JUMP_LARGE)
+    tabulated, per_event = {"periodic": (2, 0), "mixed": (1, large)}.get(name, (0, kinds.size))
+    assert calls == [slice(None)] * tabulated
+    assert sum(floats) == per_event
+
+
+# -- the per-event jump route against the per-slice route it replaced ----------
+#
+# Until the per-event route, every model applied its jumps in (step, round,
+# kind) slices, as Galerkin models still do; the state-free and merged-kind
+# shortcuts of that time gave its bits too.  It stays here as the oracle of
+# the per-event route, which must give the same bits, signed zeros included.
+
+def _jump_kernel_oracle(models, grid, events):
+    times, paths, kinds, marks = events
+    interval = np.clip(np.searchsorted(grid, times, side="left") - 1, 0, grid.size - 2)
+    order = np.lexsort((times, paths, interval))
+    times, paths, kinds, marks, interval = (a[order] for a in
+                                            (times, paths, kinds, marks, interval))
+    pos = np.arange(times.size)
+    first = np.ones(times.size, dtype=bool)
+    first[1:] = (paths[1:] != paths[:-1]) | (interval[1:] != interval[:-1])
+    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    lead = times - np.where(first, grid[interval], np.roll(times, 1))
+    frac = lead / (grid[interval + 1] - grid[interval])
+    model, blocks = models[0], (slice(None),) * (len(models) > 1)
+    lam, c = model.semigroup.rates, model.coefficients
+    neg_ldt = -np.outer(lead, lam)
+    dec_in, phi1 = np.exp(neg_ldt), -np.expm1(neg_ldt) / lam
+    dec_out = np.exp(-np.outer(grid[interval + 1] - times, lam))
+    regroup = np.lexsort((paths, kinds, rank, interval))
+    back = np.argsort(regroup)[regroup - 1]
+    paths, kinds, marks, interval, rank, frac, dec_in, phi1, dec_out = (
+        a[regroup] for a in (paths, kinds, marks, interval, rank, frac, dec_in, phi1, dec_out))
+
+    def per_block(rows):
+        return np.stack(rows) if blocks else rows[0]
+
+    small, large = ([getattr(m.coefficients, name).profile_table(times)[regroup][:, None]
+                     for m in models] for name in ("small_jump", "large_jump"))
+    kernels = {key: coef.event_kernel(
+        per_block(rows), per_block([marks[:, :1] if coef.mark_mode == "scalar" else marks]),
+        model.galerkin) for key, rows, coef in ((1, small, c.small_jump),
+                                                (2, large, c.large_jump))}
+    starts = np.flatnonzero(np.r_[times.size > 0, np.any(np.diff([interval, rank, kinds]), 0)])
+    schedule = {}
+    for a, b, i, key, r in zip(*(x.tolist() for x in (
+            starts, np.append(starts[1:], times.size), interval[starts], kinds[starts],
+            rank[starts]))):
+        sl = slice(a, b)
+        schedule.setdefault(i, []).append((sl, blocks + (sl,) if blocks else sl,
+                                           kernels[key], r > 0))
+    post = per_block([np.empty((times.size, model.dim))] * len(models))
+    wiener = np.empty((times.size, model.wiener.dim))
+
+    def read_slab(lo, dw):
+        a, b = np.searchsorted(interval, (lo, lo + dw.shape[1])).tolist()
+        wiener[a:b] = frac[a:b, None] * dw[paths[a:b], interval[a:b] - lo]
+
+    def add_jumps(i, y, y_new, drift, gdiag):
+        new = y_new
+        if y.ndim < 2:
+            y, new, drift, gdiag = (np.reshape(x, (1, -1)) for x in (y, y_new, drift, gdiag))
+        gdiag = gdiag if gdiag.shape == y.shape else np.broadcast_to(gdiag, y.shape)
+        for sl, j, jump, later in schedule.get(i, ()):
+            p, d = blocks + (paths[sl],), dec_in[sl]
+            pre = (d * (post[blocks + (back[sl],)] if later else y[p]) + phi1[sl] * drift[p]
+                   + d * (gdiag[p] * wiener[sl]))
+            raw = jump(j, pre)
+            new[p] += dec_out[sl] * raw
+            post[j] = pre + raw
+        return y_new if y_new.ndim else new[0, 0]
+
+    return read_slab, add_jumps, frozenset(schedule)
+
+
+def plane_model(empty_large=False):
+    """Two coordinates, no Galerkin spec: a diffusion of one ``ones`` term,
+    which a step tabulates, whose profile a shift changes; a small jump of a
+    leading ``ones`` term, ``y`` itself and a -0.0 profile, on signed scalar
+    marks; a large jump of the other maps that ignores its vector marks or,
+    ``empty_large``, one without terms on signed scalar marks (each jump a
+    signed zero)."""
+    y = L.linear_map(1.0)
+    large = (L.jump_coefficient(mark_mode="scalar") if empty_large else L.jump_coefficient(
+        (L.constant_profile(0.3), L.clipped_map(1.0, 0.5)),
+        (L.periodic_profile(0.2, 1.0), L.cosine_map(0.5)),
+        (L.constant_profile(0.1), L.ones_map(2.0))))
+    coeffs = L.CoefficientSet(
+        drift=L.coefficient((L.periodic_profile(0.4, 1.0), L.sine_map(0.5)),
+                            (L.constant_profile(-0.2), y)),
+        diffusion=L.coefficient((L.periodic_profile(0.3, 1.0, 0.4), L.ones_map(0.5))),
+        small_jump=L.jump_coefficient((L.constant_profile(0.7), L.ones_map(-1.5)),
+                                      (L.periodic_profile(0.3, 2.0), y),
+                                      (L.constant_profile(-0.0), L.sine_map(1.0)),
+                                      mark_mode="scalar"),
+        large_jump=large, A0=1.0, lipschitz_L=0.6)
+    jumps = L.JumpMeasureSpec(
+        small_rate=3.0, small_sampler=L.uniform_shell_marks(0.1, 1.0, signed=True),
+        truncation_delta=0.1, large_rate=2.0,
+        large_sampler=(L.uniform_shell_marks(1.0, 2.0, signed=True) if empty_large
+                       else L.finite_rank_marks([[1.0, 0.0], [0.0, -2.0]], [0.5, 0.5])))
+    return L.SdeModel(semigroup=L.SemigroupSpec(eigenvalues=(2.0, 3.0), K=1.0, omega=2.0),
+                      coefficients=coeffs, wiener=L.WienerSpec((0.5, 0.2)), jumps=jumps)
+
+
+def _oracle_models(name):
+    # linear: example61 without forcing, every term linear, so a path from
+    # -0.0 stays a signed zero
+    m = (plane_model(name.startswith("plane-empty")) if name.startswith("plane")
+         else L.presets.example61_model() if name.startswith("linear")
+         else _model(name.split("-")[0]))
+    return (m, m.shifted(0.7)) if name.endswith("stacked") else (m,)
+
+
+# window, max_step and seed of the oracle's chunk loops: the steps hold
+# several jumps of a path, on both sides of t = 0
+ORACLE_CASE = ((-3.0, 2.0), 0.5, 2)
+
+
+def _chunk_states(models, y, kernel, monkeypatch, paths):
+    """Every state of the chunk loop of ``models`` from ``y`` on the uniform
+    grid of ``ORACLE_CASE``, with the jump rule ``kernel``."""
+    monkeypatch.setattr(L.ensemble, "jump_kernel", kernel)
+    window, max_step, seed = ORACLE_CASE
+    grid = refined_grid(*window, max_step, [])
+    out = np.empty((grid.size,) + np.shape(y))
+    advance = L.ensemble._run_chunk(models, step_kernel(models, grid), grid,
+                                    np.arange(grid.size), y,
+                                    jump_table(models[0].jumps, window, seed, paths), out)
+    for slab in wiener_slabs(models[0].wiener, grid, seed, paths):
+        advance(*slab)
+    return out
+
+
+@pytest.mark.parametrize("name, state", [
+    (name, state) for name in ("example61", "linear", "every_map", "mixed", "periodic",
+                               "stationary", "ou_jump", "plane", "plane-empty",
+                               "example61-stacked", "linear-stacked", "mixed-stacked",
+                               "periodic-stacked", "plane-stacked")
+    for state in ("batch", "broadcast", "one_path")[:2 if name.endswith("stacked") else 3]])
+def test_per_event_jumps_match_the_per_slice_oracle_bit_for_bit(name, state, monkeypatch):
+    # every state of the driver loop, with rounds of 2 and more jumps in a
+    # step, the mirror side, -0.0 states, each map kind, ignored, scalar and
+    # vector marks, stacked blocks and tabulated (ones) diffusions; a one-path
+    # state is integrate's 0-d or (dim,) one, and a broadcast batch is the
+    # view initial_states returns, which a first step reads
+    models = _oracle_models(name)
+    m, k = models[0], len(models)
+    paths = None if state == "one_path" else range(7)
+    window, max_step, seed = ORACLE_CASE
+    assert _most_jumps_of_one_path_in_one_step(m, window, 0.0, paths and 7, max_step, seed,
+                                               []) >= 2
+    if state == "one_path":   # stacked models step batches only
+        y = ensemble.path_state(m, np.array([-0.0, 0.4])[:m.dim])
+    elif state == "broadcast":
+        y = initial_states(np.array([-0.0, 0.4])[:m.dim], 7, m.dim)
+        y = np.broadcast_to(y, (k,) + y.shape) if k > 1 else y
     else:
-        assert len(calls) == (per_round if merged else per_kind)
+        y = np.random.default_rng(5).normal(size=(k, 7, m.dim))
+        y[:, 0] = -0.0
+        y = y if k > 1 else y[0]
+    got = _chunk_states(models, y, integrator.jump_kernel, monkeypatch, paths)
+    want = _chunk_states(models, y, _jump_kernel_oracle, monkeypatch, paths)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["linear", "every_map", "mixed", "periodic", "plane",
+                                  "plane-empty"])
+def test_each_event_jump_is_the_per_slice_kernel_of_that_event(name):
+    # the jump values themselves, whose signed zeros the states may not show
+    m = _oracle_models(name)[0]
+    window, _, seed = ORACLE_CASE
+    times, _, _, marks = jump_table(m.jumps, window, seed, range(7))
+    states = np.random.default_rng(1).normal(size=times.size) * np.tile([0.0, -0.0, 1.0], 99)[
+        :times.size]
+    for coef in (m.coefficients.small_jump, m.coefficients.large_jump):
+        jump = integrator._event_jump(coef, times, marks)
+        kernel = coef.event_kernel(coef.profile_table(times)[:, None],
+                                   marks[:, :1] if coef.mark_mode == "scalar" else marks)
+        for e, y in enumerate(states.tolist()):
+            want = kernel(slice(e, e + 1), np.full((1, 1), y))[0, 0]
+            assert float(jump(e, y)).hex() == want.hex()
+
+
+@pytest.mark.parametrize("name", ["example61", "linear", "every_map", "mixed", "periodic",
+                                  "plane", "plane-empty"])
+def test_integrate_per_event_jumps_match_the_per_slice_oracle_bit_for_bit(name, monkeypatch):
+    # integrate's path of a one-component model steps a 0-d state
+    (m,) = _oracle_models(name)
+    paths = [L.integrate(m, *INTEGRATE_STRESSED) for kernel in (integrator.jump_kernel,
+                                                               _jump_kernel_oracle)
+             if not monkeypatch.setattr(L.ensemble, "jump_kernel", kernel)]
+    assert np.count_nonzero(paths[0].jump_flags) >= 2
+    assert paths[0].values.tobytes() == paths[1].values.tobytes()
 
 
 @pytest.mark.parametrize("name", ["example61", "heat8"])

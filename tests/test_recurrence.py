@@ -554,14 +554,21 @@ def _bl_two_sample_inputs():
            rng.normal(loc=[0.0, 0.4, -0.2], scale=[1.0, 1.5, 0.7], size=(90, 3)), 40, 3)
     rng = np.random.default_rng(17)   # 71 pairs of 1 row: two batches of the peel
     yield "many_resamples", rng.normal(size=150), rng.standard_t(5, size=170), 70, 11
+    # a point mass at 0, as example61's laws are, with both signed zeros
+    yield "point_mass", np.zeros(100), np.full(80, -0.0), 20, 3
+    yield ("point_mass_two_coordinates", np.tile([0.0, 1.5], (60, 1)),
+           np.tile([-0.0, 1.5], (40, 1)), 7, 4)
 
 
 # float.hex of (beta, err) of bl_two_sample on _bl_two_sample_inputs(), as
-# the one-pair peel computed them; the batches must keep every bit
+# the one-pair peel computed them (the point masses as the peel of every
+# resample did); the batches must keep every bit
 GOLDEN_BL_TWO_SAMPLE = {
     "deterministic": ("0x1.aba8f9825f23cp-4", "0x1.aefea2e786606p-5"),
     "three_coordinates": ("0x1.0cbec85e9ce9fp-2", "0x1.cf32c082daf39p-4"),
     "many_resamples": ("0x1.01d9fd55d8a5bp-4", "0x1.4ce1d0ec115f5p-4"),
+    "point_mass": ("0x0.0p+0", "0x0.0p+0"),
+    "point_mass_two_coordinates": ("0x0.0p+0", "0x0.0p+0"),
 }
 
 
@@ -572,6 +579,19 @@ def test_bl_two_sample_keeps_the_one_pair_bits_in_any_batch(rows, monkeypatch):
     for name, a, b, n_boot, seed in _bl_two_sample_inputs():
         got = L.bl_two_sample(a, b, n_boot=n_boot, seed=seed)
         assert tuple(float(v).hex() for v in got) == GOLDEN_BL_TWO_SAMPLE[name], name
+
+
+def test_bl_two_sample_of_one_point_mass_draws_and_peels_nothing(monkeypatch):
+    monkeypatch.setattr(recurrence, "_bl_laws", None)   # a call would raise
+    monkeypatch.setattr(np.random, "default_rng", None)
+    assert L.bl_two_sample(np.full((30, 2), 0.5), np.full((20, 2), 0.5)) == (0.0, 0.0)
+    # the input checks come first
+    with pytest.raises(InputError, match="n_boot"):
+        L.bl_two_sample(np.zeros(5), np.zeros(5), n_boot=0)
+    with pytest.raises(InputError, match="finite"):
+        L.bl_two_sample(np.full(5, np.inf), np.full(5, np.inf))
+    with pytest.raises(InputError, match="observation dimension"):
+        L.bl_two_sample(np.zeros((5, 1)), np.zeros((5, 2)))
 
 
 def test_bl_two_sample_rejects_mismatched_dimensions():

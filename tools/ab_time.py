@@ -41,7 +41,11 @@ them), the ``periodic`` preset on 200 paths and the 32-mode heat model on
 ``integrate`` runs the same loop on the grid refined by its jump times, and
 ``--workload single-path`` times it.  Each of N pairs runs every case on
 both sides, alternating which side goes first; the states the loop writes
-are compared byte for byte.
+are compared byte for byte.  Each case's line names how many of its steps
+hold a jump, the steps on which the loop applies jumps.  The layer has a
+bias of a few per cent between identical checkouts: a copy of a checkout
+timed against it read 0.97-1.04 per case at 10 pairs, so a step-layer
+shift of under about 5% is not a result.
 
 ``--layer bl`` times the law test's statistic alone: each side's
 ``recurrence.distributional_report``, in CPU time, on one bounded ensemble
@@ -124,9 +128,10 @@ def run_op(cli, workload, seed: int) -> tuple[float, str]:
 
 
 def step_case(package, case, seed: int):
-    """A runner of the step loop of ``case`` on the ``levylab`` ``package``:
-    it returns the CPU microseconds per path-step (of each block) and the
-    bytes of the end states.  The noise is drawn and the kernel built once, here."""
+    """A runner of the step loop of ``case`` on the ``levylab`` ``package``, which
+    returns the CPU microseconds per path-step (of each block) and the bytes of
+    the end states, and the number of steps and of those that hold a jump.  The
+    noise is drawn and the kernel built once, here."""
     import numpy as np   # loaded with the packages, after the BLAS pins
     (preset, kwargs), n_models, n_paths, (t0, t1), max_step = STEP_CASES[case]
     ens = package.ensemble
@@ -152,7 +157,8 @@ def step_case(package, case, seed: int):
         cpu = time.process_time() - start
         return cpu / (n_paths * (grid.size - 1)) * 1e6, out.tobytes()
 
-    return run
+    step_of = np.clip(np.searchsorted(grid, events[0]) - 1, 0, grid.size - 2)
+    return run, grid.size - 1, np.unique(step_of).size
 
 
 def main_step_layer(args) -> int:
@@ -160,8 +166,10 @@ def main_step_layer(args) -> int:
     packages = {"parent": sys.modules["levylab_parent"], "change": sys.modules["levylab"]}
     print(f"step loop, CPU us per path-step: {args.ops} pairs, noise seed {args.seed}")
     for case in STEP_CASES:
-        runs = {side: step_case(package, case, args.seed)
-                for side, package in packages.items()}
+        cases = {side: step_case(package, case, args.seed)
+                 for side, package in packages.items()}
+        runs = {side: run for side, (run, _, _) in cases.items()}
+        _, steps, jump_steps = cases["change"]   # the same noise on both sides
         for run in runs.values():   # warm-up
             run()
         times = {side: [] for side in runs}
@@ -175,7 +183,8 @@ def main_step_layer(args) -> int:
                 outs.add(out)
             same += len(outs) == 1
         ratios = [c / p for c, p in zip(times["change"], times["parent"])]
-        print(f"  {case}: parent {statistics.median(times['parent']):.3f}, "
+        print(f"  {case} ({jump_steps} of {steps} steps hold a jump): "
+              f"parent {statistics.median(times['parent']):.3f}, "
               f"change {statistics.median(times['change']):.3f}, "
               f"change / parent median {statistics.median(ratios):.4f}, "
               f"faster in {sum(r < 1.0 for r in ratios)} of {args.ops}, "
