@@ -39,8 +39,6 @@ from .errors import InputError, NumericalBlowupError
 from .model import _ZERO, SdeModel, StateMaps
 from .noise import JUMP_SMALL, window_ends   # a jump flag of a node; 0 is none
 
-BROADCAST_MAX = 512   # state entries up to which a step makes one product per slot
-
 
 def _structure(model: SdeModel) -> SdeModel:
     """``model`` without its coefficient profiles: all that stacked models share."""
@@ -48,6 +46,12 @@ def _structure(model: SdeModel) -> SdeModel:
     return replace(model, coefficients=replace(c, **{
         name: replace(getattr(c, name), terms=tuple(m for _, m in getattr(c, name).terms))
         for name in ("drift", "diffusion", "small_jump", "large_jump")}))
+
+
+def _semigroup(rates: np.ndarray, dt) -> tuple:
+    """``exp(-Lam dt)`` and ``phi1(dt) = Lam^-1 (1 - exp(-Lam dt))``, a row per ``dt``."""
+    neg_ldt = -np.outer(dt, rates)
+    return np.exp(neg_ldt), -np.expm1(neg_ldt) / rates
 
 
 def _profile_columns(models, name: str, times) -> tuple:
@@ -80,16 +84,14 @@ def step_kernel(models, grid: np.ndarray):
     dim), read by every block; one model takes (dim,) or (n_paths, dim) arrays, or
     a 0-d state and a scalar ``dw`` if it has one component.
     ``drift`` is ``D`` at the step start and ``gdiag`` the diffusion (tabulated if
-    no term reads the state).  Up to ``BROADCAST_MAX`` entries, or stacked, a step
-    multiplies a slot's value by its table row once, adding +0.0 if the slot holds a
-    first row without base (a sum that holds +0.0 is never -0.0); a wider one, by
-    each scalar column (numpy scales faster than it broadcasts), adds +0.0 to first rows."""
+    no term reads the state).  A step multiplies each slot's value by its table row once:
+    its one column on an array state (a scalar or (k, 1, 1) block), else its (cols, *y) row,
+    as on a 0-d state (numpy's array overflow warning); +0.0 goes to first rows without base."""
     model = models[0]
     if any(_structure(m) != _structure(model) for m in models[1:]):
         raise InputError("stacked models need one noise law and one structure: "
                          "they may differ only in their coefficient profiles")
-    neg_ldt = -np.outer(np.diff(grid), model.semigroup.rates)
-    decay, phi1 = np.exp(neg_ldt), -np.expm1(neg_ldt) / model.semigroup.rates
+    decay, phi1 = _semigroup(model.semigroup.rates, np.diff(grid))
     c, gal, a = model.coefficients, model.galerkin, model.wiener.drift
     f, g, s = c.drift, c.diffusion, c.small_jump
     rate, sampler = model.jumps.small_rate, model.jumps.small_sampler
@@ -105,28 +107,27 @@ def step_kernel(models, grid: np.ndarray):
                          zero if name == "drift" or not slots else None)   # state-shaped
                 for name, coef, slots in named]
     tabs = {slot: np.stack(cols, 1) for slot, cols in tables.items() if slot is not None}
-    shaped = {nd: [(slot, tab.reshape(tab.shape[:2] + (1,) * (nd + 2 - tab.ndim) + tab.shape[2:]))
-                   for slot, tab in tabs.items()] for nd in range(4)}   # row i * value: (col, *y)
     gather, sizes = [row for rows in programs for row in rows], [len(r) for r in programs]
     f_at, g_at, s_at = (slice(sum(sizes[:k]), sum(sizes[:k + 1])) for k in range(3))
-    firsts = [at.start for at, sl in zip((f_at, g_at, s_at), maps.slots) if sl[:1] != (None,)]
-    zeroed = {gather[k][0] for k in firsts}   # the slots of first rows without base
+    zeroed = {rows[0][0] for rows, sl in zip(programs, maps.slots) if sl[:1] != (None,)}
+    one = {slot for slot, tab in tabs.items() if tab.shape[1] == 1}   # array states scale by it
     factors = dict.fromkeys((1, 2, 3), (decay, phi1, a, mean))
     if model.dim == 1:   # a 0-d state reads scalars: numpy's scalar path, its array bits
         factors[0] = tuple(x if np.ndim(x) == 0 else x[..., 0] for x in factors[1])
+    layouts = {nd: (factors[nd], [(slot, tab[:, 0] if nd and slot in one   # row i * value
+                                   else tab.reshape(tab.shape + (1,) * (nd + 2 - tab.ndim)),
+                                   slot in zeroed) for slot, tab in tabs.items()],
+                    [(slot, ... if nd and slot in one else x) for slot, x in gather])
+               for nd in factors}
 
     def step(i: int, y: np.ndarray, dw: np.ndarray):
-        decay, phi1, a, mean = factors[y.ndim]
-        vals, at = maps(y), (i, ...) if y.ndim else i   # ones columns: 0-d, or scalars
-        if y.size <= BROADCAST_MAX or y.ndim == 3:   # stacked: no scalar column to scale by
-            prods = {slot: tab[i] * vals[slot] for slot, tab in shaped[y.ndim]}
-            for slot in zeroed:
-                prods[slot] += _ZERO
-            rows = [x[at] if slot is None else prods[slot][x] for slot, x in gather]
-        else:
-            rows = [x[at] if sl is None else tabs[sl][i, x] * vals[sl] for sl, x in gather]
-            for k in firsts:
-                rows[k] += _ZERO
+        (decay, phi1, a, mean), products, gather = layouts[y.ndim]
+        vals, at, prods = maps(y), (i, ...) if y.ndim else i, {}   # ones columns: 0-d, scalars
+        for slot, tab, zero in products:   # a loop: no comprehension to call per step
+            prods[slot] = prod = tab[i] * vals[slot]
+            if zero:   # a first row without base: a zeros accumulator's +0.0
+                prod += _ZERO
+        rows = [x[at] if slot is None else prods[slot][x] for slot, x in gather]
         del vals   # spent: the sums may reuse its memory (node arrays on Galerkin models)
         gdiag = g.combine(rows[g_at], gal)
         drift = f.combine(rows[f_at], gal)
@@ -195,9 +196,8 @@ def jump_kernel(models, grid, events):
     frac = lead / (grid[interval + 1] - grid[interval])
     model, names = models[0], ("small_jump", "large_jump")   # kinds JUMP_SMALL, JUMP_LARGE
     lam, wiener = model.semigroup.rates, np.empty((times.size, model.wiener.dim))
-    neg_ldt = -np.outer(lead, lam)   # the expressions of step_kernel
-    dec_in, phi1 = np.exp(neg_ldt), -np.expm1(neg_ldt) / lam
-    dec_out = np.exp(-np.outer(grid[interval + 1] - times, lam))
+    rest = grid[interval + 1] - times   # from each event to its step's end
+    (dec_in, phi1), (dec_out, _) = _semigroup(lam, lead), _semigroup(lam, rest)
     if model.galerkin is None:
         jumps = [(None, *(_event_jump(getattr(m.coefficients, name), times, marks)
                           for name in names)) for m in models]   # each block's, by kind

@@ -304,10 +304,11 @@ def _bl_laws(pairs) -> list:
 def bl_distance(mu: EmpiricalLaw, nu: EmpiricalLaw) -> float:
     """Bounded-Lipschitz distance between two empirical laws.
 
-    1-D observations are solved exactly by the transport peel;
-    multi-dimensional clouds are handled coordinate-wise with max
-    aggregation, the coordinates peeled as one batch.  Supports larger than
-    ``MAX_SUPPORT`` per law are thinned to the empirical quantiles at
+    1-D observations are solved exactly by the transport peel.  For more
+    than one coordinate the value is the largest per-coordinate distance,
+    the coordinates peeled as one batch: a lower bound of the joint
+    distance.  Supports larger than ``MAX_SUPPORT`` per law are thinned,
+    one coordinate at a time, to the empirical quantiles at
     ``MAX_SUPPORT`` uniform mid-levels.
     """
     return _bl_laws([(mu, nu)])[0]

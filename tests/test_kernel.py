@@ -819,6 +819,9 @@ def _step_models(name):
         diffusion = L.coefficient((L.constant_profile(0.3), L.ones_map(2.0)))
         return (replace(m, coefficients=replace(m.coefficients, drift=drift,
                                                 diffusion=diffusion)),)
+    if name == "shared_y_pair":   # stacked blocks on a slot of several columns
+        m = _step_models("shared_y")[0]
+        return m, m.shifted(0.7)
     if name == "shared_y":   # drift, diffusion and compensator all read the slot of y
         zero, y = L.constant_profile(-0.0), L.linear_map(1.0)
         coeffs = L.CoefficientSet(
@@ -852,18 +855,23 @@ def _step_oracle(m, i, grid, y, dw):
 
 
 @pytest.mark.parametrize("name", ["every_map", "heat8", "ou_jump", "periodic", "drift_a",
-                                  "stationary", "periodic_pair", "ones_runs", "shared_y"])
-def test_compiled_step_matches_the_generic_oracle_bit_for_bit(name, monkeypatch):
+                                  "stationary", "periodic_pair", "ones_runs", "shared_y",
+                                  "shared_y_pair"])
+def test_compiled_step_matches_the_generic_oracle_bit_for_bit(name):
     # ou_jump has no small jumps and an empty drift; the step skips the zero
     # Wiener drift term of all but drift_a and the compensator of periodic,
     # whose signed small marks have mean zero.  stationary's drift and
     # diffusion hold ``ones`` terms only; periodic_pair steps two blocks
     # whose ``ones`` terms read different profile values; ones_runs holds
     # scales other than 1 and the signed zeros of a tabulated sum; shared_y
-    # makes its four products with one multiply, rows of -0.0 profiles among
-    # them.  Every state takes both product forms: per slot, then per row.  A
-    # one-component model without Galerkin spec also steps the 0-d states of
-    # integrate's one path, which stay numpy scalars.
+    # makes its five products with one multiply, rows of -0.0 profiles among
+    # them.  Each product shape has its cases: a slot of one column (the
+    # zero column of ou_jump and stationary, the y of periodic and
+    # ones_runs) on 0-d states and batches, stacked in periodic_pair; a slot
+    # of several columns (every_map, drift_a) on 0-d states and batches, and
+    # (shared_y) on batches, stacked in shared_y_pair; heat8's Galerkin node
+    # slots, one column each.  A one-component model without Galerkin spec
+    # steps the 0-d states of integrate's one path, which stay numpy scalars.
     models = _step_models(name)
     m = models[0]
     grid = np.linspace(-1.0, 1.0, 9)
@@ -884,11 +892,9 @@ def test_compiled_step_matches_the_generic_oracle_bit_for_bit(name, monkeypatch)
                     for mb, yb in (zip(models, y) if len(models) > 1 else [(m, y)])]
             drift, y_new, gdiag = (np.stack(w) if len(models) > 1 else np.reshape(w[0], y.shape)
                                    for w in zip(*want))
-            for broadcast_max in (y.size, y.size - 1):
-                monkeypatch.setattr(integrator, "BROADCAST_MAX", broadcast_max)
-                got_y, got_drift, got_gdiag = step(i, y, dw)
-                assert type(got_y) is type(y)
-                assert _same_bits(got_drift, drift)
-                assert _same_bits(got_y, y_new)
-                # a tabulated diffusion is its base, 0-d or (k, 1, 1)
-                assert _same_bits(np.broadcast_to(got_gdiag, gdiag.shape), gdiag)
+            got_y, got_drift, got_gdiag = step(i, y, dw)
+            assert type(got_y) is type(y)
+            assert _same_bits(got_drift, drift)
+            assert _same_bits(got_y, y_new)
+            # a tabulated diffusion is its base, 0-d or (k, 1, 1)
+            assert _same_bits(np.broadcast_to(got_gdiag, gdiag.shape), gdiag)

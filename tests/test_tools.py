@@ -25,7 +25,7 @@ def test_ab_time_step_layer_compares_a_checkout_with_itself():
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 7 and all("same states in 1 of 1" in line for line in lines[1:])
+    assert len(lines) == 8 and all("same states in 1 of 1" in line for line in lines[1:])
 
 
 def test_ab_time_setup_layer_compares_a_checkout_with_itself():

@@ -34,10 +34,12 @@ benchmark's workloads: the README scalar model
 window and step, the same model on 100 paths and on a full chunk of
 ``ensemble.CHUNK`` paths, the model stacked with its shift by 0.7 on a
 full chunk (the two blocks of ``coupled_gap``, as the recurrence gap runs
-them), the ``periodic`` preset on 200 paths and the 32-mode heat model on
-256 paths.  The one-path case steps the state that ``integrate`` steps,
-``ensemble.path_state`` (a 0-d scalar for this one-component model; the
-(dim,) state on a checkout without that function), on the uniform grid;
+them), the ``periodic`` preset on 200 paths, alone and stacked with its
+shift by pi (stacked states on a slot of one column, where the README model
+has three), and the 32-mode heat model on 256 paths.  The one-path case
+steps the state that ``integrate`` steps, ``ensemble.path_state`` (a 0-d
+scalar for this one-component model; the (dim,) state on a checkout without
+that function), on the uniform grid;
 ``integrate`` runs the same loop on the grid refined by its jump times, and
 ``--workload single-path`` times it.  Each of N pairs runs every case on
 both sides, alternating which side goes first; the states the loop writes
@@ -77,6 +79,7 @@ import hashlib
 import importlib
 import importlib.util
 import io
+import math
 import os
 import shutil
 import statistics
@@ -90,15 +93,16 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads   # noqa: E402
 
-# --layer step cases: (preset and its arguments, models, paths, window, max_step);
-# a second model is the first shifted by 0.7, the pair stacked as in coupled_gap
+# --layer step cases: (preset and its arguments, shift, paths, window, max_step);
+# with a shift, the model is stacked with its translate by it, as in coupled_gap
 STEP_CASES = {
-    "single-path": (("example61_model", {}), 1, 1, (0.0, 40.0), 0.005),
-    "example61": (("example61_model", {}), 1, 100, (0.0, 10.0), 0.01),
-    "example61-chunk": (("example61_model", {}), 1, "CHUNK", (0.0, 10.0), 0.01),
-    "coupled-chunk": (("example61_model", {}), 2, "CHUNK", (0.0, 10.0), 0.01),
-    "periodic": (("periodic_model", {}), 1, 200, (0.0, 10.0), 0.01),
-    "heat32": (("example62_model", {"n_modes": 32}), 1, 256, (0.0, 1.0), 0.005),
+    "single-path": (("example61_model", {}), None, 1, (0.0, 40.0), 0.005),
+    "example61": (("example61_model", {}), None, 100, (0.0, 10.0), 0.01),
+    "example61-chunk": (("example61_model", {}), None, "CHUNK", (0.0, 10.0), 0.01),
+    "coupled-chunk": (("example61_model", {}), 0.7, "CHUNK", (0.0, 10.0), 0.01),
+    "periodic": (("periodic_model", {}), None, 200, (0.0, 10.0), 0.01),
+    "periodic-stacked": (("periodic_model", {}), math.pi, 200, (0.0, 10.0), 0.01),
+    "heat32": (("example62_model", {"n_modes": 32}), None, 256, (0.0, 1.0), 0.005),
 }
 
 
@@ -133,11 +137,12 @@ def step_case(package, case, seed: int):
     the end states, and the number of steps and of those that hold a jump.  The
     noise is drawn and the kernel built once, here."""
     import numpy as np   # loaded with the packages, after the BLAS pins
-    (preset, kwargs), n_models, n_paths, (t0, t1), max_step = STEP_CASES[case]
+    (preset, kwargs), shift, n_paths, (t0, t1), max_step = STEP_CASES[case]
     ens = package.ensemble
     n_paths = ens.CHUNK if n_paths == "CHUNK" else n_paths
     model = getattr(package.presets, preset)(**kwargs)
-    models = (model, model.shifted(0.7))[:n_models]
+    models = (model,) if shift is None else (model, model.shifted(shift))
+    n_models = len(models)
     grid = package.integrator.refined_grid(t0, t1, max_step, [t1])
     obs_idx = np.array([grid.size - 1])
     step = package.integrator.step_kernel(models, grid)
