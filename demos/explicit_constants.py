@@ -27,7 +27,7 @@ for p in (2.5, 2.2, 2.05, 2.005, 2.0):
 print("\nJump-rate sweep against the two thresholds:")
 print("  b       cond_L11 (b < 7.5)   cond_lmin (b < 17.1)   margin")
 for b in (0.0, 1.0, 5.0, 7.4, 7.6, 17.0, 17.2):
-    rep = L.check_conditions(L.presets.example61_model(b=b, A0=1.0), n_t_grid=21)
+    rep = L.check_conditions(L.presets.example61_model(b=b, A0=1.0))
     margin = L.stability_margin(1.0, 4.0, 0.25, b)
     print(f"  {b:<7} {str(rep.cond_L11.passed):<20} "
           f"{str(rep.cond_lmin.passed):<22} {margin:+.4f}")

@@ -202,7 +202,7 @@ def run_example61(cfg: ExperimentConfig) -> int:
 
     curve = gap_experiment(model, 1.0, 3.0, min(10.0, run.window[1] - run.window[0]),
                            run.n_paths, run.seed, max_step=run.step)
-    bound_ok = bool(np.all(curve.gap <= 5.0 * curve.gap[0]
+    bound_ok = bool(np.all(curve.gap <= 5.0 * model.K**2 * curve.gap[0]
                            * np.exp(-plan.margin * curve.times) + 3.0 * curve.se))
     payload["stability"] = {"gap0": float(curve.gap[0]), "bound_satisfied": bound_ok}
     try:

@@ -42,9 +42,9 @@ MARK_MODES = ("ignore", "scalar", "pointwise_product")
 # each kind's map; a scale of 1 is skipped (1.0 * x is x, bit for bit)
 _MAP_KINDS = {
     "linear": lambda m, y: m.scale * y,
-    "sine": lambda m, y: _scaled(m.scale, np.sin(y)),
-    "cosine": lambda m, y: _scaled(m.scale, np.cos(y)),
-    "clipped": lambda m, y: _scaled(m.scale, np.clip(y, -m.bound, m.bound)),
+    "sine": lambda m, y: _scaled(m.scale, _floated(np.sin, y)),
+    "cosine": lambda m, y: _scaled(m.scale, _floated(np.cos, y)),
+    "clipped": lambda m, y: _scaled(m.scale, _floated(np.clip, y, -m.bound, m.bound)),
     "ones": lambda m, y: np.full_like(y, m.scale),
 }
 _ZERO = np.zeros(())   # +0.0, which numpy adds faster as a 0-d array
@@ -52,6 +52,10 @@ _ZERO = np.zeros(())   # +0.0, which numpy adds faster as a 0-d array
 
 def _scaled(scale: float, x: np.ndarray) -> np.ndarray:
     return x if scale == 1.0 else scale * x
+
+
+def _floated(fn, y, *args):   # a float for a float: a jump walked on floats stays one
+    return float(fn(y, *args)) if type(y) is float else fn(y, *args)
 
 
 @dataclass(frozen=True)
@@ -258,34 +262,6 @@ class JumpCoefficient(Coefficient):
         return self.evaluate(_columns(self.profile_table(t), y), ..., maps(y), maps.slots[0],
                              galerkin, self.mark_factor(mark, galerkin))
 
-    def sq_moment(self, t, y, rate: float, sampler: MarkSampler | None,
-                  galerkin: GalerkinSpec | None = None) -> np.ndarray:
-        """Exact intensity integrals of ||J(t,y,x)||^2 at the state ``y``,
-        one per time of ``t``.
-
-        The profiles are tabulated and the state maps evaluated once; every
-        time runs :meth:`evaluate`.  The mark factors out in closed form
-        except for vector marks, which use the exact finite-rank quadrature.
-        """
-        t = np.atleast_1d(t)
-        if rate == 0.0:
-            return np.zeros(t.shape)
-        maps = StateMaps((self,), galerkin)
-        cols, vals = tuple(self.profile_table(t).T), maps(np.asarray(y, dtype=float))
-
-        def sq(i, factor=None):
-            v = self.evaluate(cols, i, vals, maps.slots[0], galerkin, factor)
-            return float(np.sum(np.square(v)))
-
-        if self.mark_mode != "pointwise_product":
-            factor = 1.0 if self.mark_mode == "ignore" else sampler.abs_moment(2)
-            return np.array([rate * factor * sq(i) for i in range(t.size)])
-        nodes, weights = sampler.quadrature()
-        acc = np.zeros(t.shape)   # each time sums its nodes in quadrature order
-        for xn, w in zip(self.mark_factor(nodes, galerkin), weights):
-            acc += w * np.array([sq(i, xn) for i in range(t.size)])
-        return rate * acc
-
     def mark_abs_factor(self, sampler: MarkSampler | None, k: float,
                         galerkin: GalerkinSpec | None = None) -> float:
         """E |mark factor|^k multiplying the state part (k = 2 in the
@@ -451,33 +427,59 @@ class SdeModel:
     def zero_bounds(self, t_grid) -> tuple[dict[str, float], dict[str, float]]:
         """Maxima over the time grid of the at-zero norms entering the growth
         condition (norm of the drift ``f + g a`` with the Wiener drift vector
-        ``a``, weighted diffusion norm, jump intensity integrals at zero), and
-        of the jump state-part norms at every ``len(t_grid) // 41``-th time,
+        ``a``, weighted diffusion norm, exact jump intensity integrals at zero),
+        and of the jump state-part norms at every ``len(t_grid) // 41``-th time,
         which enter its p-th moment form.
 
-        Each coefficient is tabulated on the grid and its state maps are
-        evaluated at zero once; every row runs :meth:`Coefficient.evaluate`,
-        one row at a time as a single state would.
+        Per coefficient: one profile table, one evaluation of the state maps at
+        zero, and the term products and their in-order sum (the first row plus
+        +0.0) for all times at once, elementwise, so each row keeps its bits.
+        Transforms, mark factors, norms and sums of squares run one row at a
+        time, as in a batch they round by its size or sum in another order.
         """
         t_grid, gal, zero = np.atleast_1d(t_grid), self.galerkin, np.zeros(self.dim)
 
-        def at_zero(coef, times):
-            maps = StateMaps((coef,), gal, marked=False)
-            cols, vals = tuple(coef.profile_table(times).T), maps(zero)
-            return [coef.evaluate(cols, i, vals, maps.slots[0], gal) for i in range(times.size)]
+        def sums(coef, table, marked=False):   # one row per time of ``table``
+            maps = StateMaps((coef,), gal, marked)
+            vals = maps(zero)
+            rows = ([table[:, k, None] * vals[s] for k, s in enumerate(maps.slots[0])]
+                    or [np.zeros(table.shape[:1] + vals[coef.on_nodes(gal, marked)].shape)])
+            rows[0] += _ZERO
+            return coef.combine(rows)
 
-        def norms(coef, times):
-            return [float(np.linalg.norm(v)) for v in at_zero(coef, times)]
+        def at_zero(coef, rows, factor=None):
+            return [coef.combine([row], gal, factor) for row in rows]
+
+        def norm(v):   # np.linalg.norm's sqrt(v . v), without its dispatch
+            return math.sqrt(v.dot(v))
+
+        def sq(coef, rows, factor=None):   # np.sum's reduce, ditto
+            return np.array([np.add.reduce(v * v) for v in at_zero(coef, rows, factor)])
 
         c, states, a, qh = self.coefficients, {}, self.wiener.drift, np.sqrt(self.wiener.q)
-        fs, gs = at_zero(c.drift, t_grid), at_zero(c.diffusion, t_grid)
-        bounds = {"drift": max([0.0, *(float(np.linalg.norm(f + g * a)) for f, g in zip(fs, gs))]),
-                  "diffusion": max([0.0, *(float(np.linalg.norm(qh * g)) for g in gs)])}
+        fs, gs = (at_zero(coef, sums(coef, coef.profile_table(t_grid)))
+                  for coef in (c.drift, c.diffusion))
+        bounds = {"drift": max([0.0, *(norm(f + g * a) for f, g in zip(fs, gs))]),
+                  "diffusion": max([0.0, *(norm(qh * g) for g in gs)])}
         for which in ("small", "large"):
             coef, rate, sampler = self._jump(which)
-            sq = coef.sq_moment(t_grid, zero, rate, sampler, gal)
-            bounds[f"{which}_jump"] = max([0.0, *map(math.sqrt, sq)])
-            states[which] = max(norms(coef, t_grid[:: max(1, t_grid.size // 41)]), default=0.0)
+            table = coef.profile_table(t_grid)
+            rows = sums(coef, table, marked=True)
+            # a vector-mark jump declared without ``pointwise`` integrates over
+            # node maps but reads its state part from coordinate maps
+            plain = rows if coef.on_nodes(gal) == coef.on_nodes(gal, True) else sums(coef, table)
+            states[which] = max(map(norm, at_zero(coef, plain[:: max(1, t_grid.size // 41)])),
+                                default=0.0)
+            if not rate:
+                sqs = ()
+            elif coef.mark_mode != "pointwise_product":
+                sqs = rate * (1.0 if coef.mark_mode == "ignore" else sampler.abs_moment(2)) \
+                    * sq(coef, rows)
+            else:   # each time sums its nodes in quadrature order
+                nodes, weights = sampler.quadrature()
+                sqs = rate * sum((w * sq(coef, rows, xn) for xn, w in zip(
+                    coef.mark_factor(nodes, gal), weights)), np.zeros(t_grid.shape))
+            bounds[f"{which}_jump"] = max([0.0, *map(math.sqrt, sqs)])
         return bounds, states
 
 
@@ -766,29 +768,26 @@ class ConditionReport:
 # slack granted to registry constants, which may sit exactly on the
 # declared A0 or L
 REGISTRY_TOL = 1e-12
+# the growth conditions' grid: GROWTH_TIMES equally spaced times on [-GROWTH_SPAN, GROWTH_SPAN]
+GROWTH_SPAN, GROWTH_TIMES = 40.0, 401
 
 
-def check_conditions(model: SdeModel, t_span: float = 40.0,
-                     n_t_grid: int = 401) -> ConditionReport:
+def check_conditions(model: SdeModel) -> ConditionReport:
     """Evaluate every hypothesis with its numeric slack.
 
     The report is a deterministic function of the model.  Growth bounds
-    are checked on ``n_t_grid`` times in [-t_span, t_span] with exact
-    registry moments; Lipschitz bounds are the exact registry constants
-    of :meth:`SdeModel.effective_lipschitz`; the continuity hypothesis is
-    asserted analytically for registry profiles.  Threshold slacks are
-    reported as (threshold - L) so a zero-Lipschitz model shows slack
-    equal to the threshold itself.
+    are maxima over the ``GROWTH_TIMES`` times on [-GROWTH_SPAN, GROWTH_SPAN]
+    (jump state parts: 45 of them) with exact registry moments, which can
+    only under-state the sup over the line; Lipschitz bounds are the exact
+    registry constants of :meth:`SdeModel.effective_lipschitz`; the
+    continuity hypothesis is asserted analytically for registry profiles.
+    Threshold slacks are reported as (threshold - L) so a zero-Lipschitz
+    model shows slack equal to the threshold itself.
     """
     K, w, b = model.K, model.omega, model.b
     c = model.coefficients
     L, A0, p = c.lipschitz_L, c.A0, c.moment_p
-
-    if not (math.isfinite(t_span) and t_span > 0 and isinstance(n_t_grid, (int, np.integer))
-            and not isinstance(n_t_grid, bool) and n_t_grid >= 1):
-        raise InputError(f"need a finite t_span > 0 and an integer n_t_grid >= 1, "
-                         f"got {t_span!r}, {n_t_grid!r}")
-    zb, states = model.zero_bounds(np.linspace(-t_span, t_span, n_t_grid))
+    zb, states = model.zero_bounds(np.linspace(-GROWTH_SPAN, GROWTH_SPAN, GROWTH_TIMES))
     e1_slack = A0 - max(zb.values()) + REGISTRY_TOL
     # p-th moment growth at zero: jump state parts times their p-th intensities
     jump_p = [model.jump_intensity(which, p) ** (1 / p) * states[which]

@@ -544,6 +544,24 @@ def test_each_event_jump_is_the_per_slice_kernel_of_that_event(name):
             assert float(jump(e, y)).hex() == want.hex()
 
 
+def test_per_event_maps_of_a_float_state_return_floats(monkeypatch):
+    # a numpy scalar from one map would run the rest of the path's chain in
+    # the step as numpy scalar arithmetic
+    outs, call = [], L.model.StateMaps.__call__
+
+    def recorded(self, y):
+        vals = call(self, y)
+        if type(y) is float:
+            outs.extend(vals[2:])
+        return vals
+
+    monkeypatch.setattr(L.model.StateMaps, "__call__", recorded)
+    window, _, *rest = ENSEMBLE_CASES["stressed"]
+    simulate_ensemble(_model("every_map"), window, -0.0, *rest)
+    assert len(outs) > 100
+    assert {type(v) for v in outs} == {float}
+
+
 @pytest.mark.parametrize("name", ["example61", "linear", "every_map", "mixed", "periodic",
                                   "plane", "plane-empty"])
 def test_integrate_per_event_jumps_match_the_per_slice_oracle_bit_for_bit(name, monkeypatch):
@@ -677,16 +695,6 @@ def _apply_mean_oracle(coef, pvals, y, sampler, gal):
     return _apply_mark_oracle(coef, pvals, y, np.asarray(mean, dtype=float), gal)
 
 
-def _sq_moment_oracle(coef, t, y, rate, sampler, gal):
-    pvals = coef.profile_table(t)
-    nodes, weights = sampler.quadrature()
-    base = _combine_oracle(coef, pvals, gal.to_phys(np.asarray(y, dtype=float)))
-    acc = 0.0
-    for xn, w in zip(gal.to_phys(np.asarray(nodes, dtype=float)), weights):
-        acc += w * float(np.sum(np.square(gal.to_modes(base * xn))))
-    return rate * acc
-
-
 def _reading(coef, pvals):
     """``coef`` with profiles that read ``pvals``: one row at time 0, or the
     row of each leading state at the times 0, 1, ..., so that ``value``
@@ -799,10 +807,6 @@ def test_evaluation_body_matches_the_generic_oracle_bit_for_bit(case):
                                   _apply_mark_oracle(coef, table, yy, mark, gal))
                 assert _same_bits(L.Coefficient.value(coef, tt, yy, gal),
                                   _apply_oracle(coef, table, yy, gal))
-    if coef.mark_mode == "pointwise_product":
-        y = _signed_zero_states(rng, dim, 1)[0]
-        assert (coef.sq_moment(0.3, y, 1.5, sampler, gal)[0]
-                == _sq_moment_oracle(coef, 0.3, y, 1.5, sampler, gal))
 
 
 def _step_models(name):

@@ -14,9 +14,13 @@ Each run prints one line per output file, one for its stdout (the output
 directory written as ``<out>``) and one for its exit code; an ``all`` line
 hashes the lines before it.  Then come ops 0 and 1 of a forced example61
 (scalar-pipeline with ``forcing: 1.0``, whose law is not a point mass) at
-each seed and a last ``all`` line; lists printed before these runs existed
-still compare line by line.  Two checkouts write the same bytes when they
-print the same lines.
+each seed and an ``all`` line.  Last come two lines per preset of
+``CHECKED`` (example61 with and without forcing, example62 at 1, 8, 32 and
+128 modes, and the small benches), the hashes of the ``canonical_json`` of
+its ``check_conditions`` report and of its ``theorem_constants``, which no
+seed changes, and a last ``all`` line.  Each group is appended after the
+ones before it, so lists printed before a group existed still compare line
+by line.  Two checkouts write the same bytes when they print the same lines.
 """
 
 from __future__ import annotations
@@ -34,7 +38,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads                   # noqa: E402
+from levylab import presets         # noqa: E402
 from levylab.cli import main as cli_main   # noqa: E402
+from levylab.config import canonical_json   # noqa: E402
+from levylab.model import check_conditions, theorem_constants   # noqa: E402
 
 # the run and experiment sections of the commands that no workload runs
 EXTRA_RUN = {"window": [0.0, 2.0], "step": 0.01, "n_paths": 50, "seed": 1,
@@ -42,6 +49,20 @@ EXTRA_RUN = {"window": [0.0, 2.0], "step": 0.01, "n_paths": 50, "seed": 1,
 EXTRA_EXPERIMENTS = {"check": {}, "bounded": {}, "stability": {"y0a": 1.0, "y0b": 3.0}}
 _SCALAR = workloads.WORKLOADS["scalar-pipeline"].config
 FORCED = {**_SCALAR, "experiment": {**_SCALAR["experiment"], "forcing": 1.0}}
+
+
+# the presets whose checker outputs are hashed
+CHECKED = {
+    "example61": presets.example61_model,
+    "example61-forced": lambda: presets.example61_model(forcing=1.0),
+    **{f"example62-{n}": (lambda n=n: presets.example62_model(n_modes=n))
+       for n in (1, 8, 32, 128)},
+    "periodic": presets.periodic_model,
+    "stationary": presets.stationary_model,
+    "ou_jump": presets.ou_jump_model,
+    "linear_decay": presets.linear_decay_model,
+    "forced_linear": presets.forced_linear_model,
+}
 
 
 def _sha(data: bytes) -> str:
@@ -90,6 +111,17 @@ def hash_run(command: str, config: dict, seed: int) -> list[tuple[str, str]]:
     return rows
 
 
+def checker_lines() -> list[str]:
+    """The hash lines of the checker's report and constants on every ``CHECKED`` preset."""
+    lines = []
+    for name, build in CHECKED.items():
+        model = build()
+        for part, obj in (("report", check_conditions(model).to_dict()),
+                          ("constants", theorem_constants(model))):
+            lines.append(f"check-{name} {part} {_sha(canonical_json(obj).encode())}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[5, 77],
@@ -103,6 +135,10 @@ def main(argv=None) -> int:
                     lines.append(f"{label} {name} {digest}")
                     print(lines[-1], flush=True)
         print(f"all {_sha(chr(10).join(lines).encode())}")
+    for line in checker_lines():
+        lines.append(line)
+        print(line, flush=True)
+    print(f"all {_sha(chr(10).join(lines).encode())}")
     return 0
 
 
