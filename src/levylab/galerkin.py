@@ -9,6 +9,7 @@ orthogonality), so mode-space Euclidean norms equal discrete L2 norms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +41,11 @@ class GalerkinSpec:
     @property
     def weight(self) -> float:
         return 1.0 / (self.collocation_points + 1)
+
+    @property
+    def ones_norm(self) -> float:
+        """Quadrature norm sqrt(weight * M) of the constant one at the nodes (< 1)."""
+        return math.sqrt(self.weight * self.collocation_points)
 
     @cached_property
     def basis(self) -> np.ndarray:

@@ -68,7 +68,7 @@ def _program(coef, cols, slots, tables: dict, gal, zero) -> list:
     cols = [col * m.scale if slot is None else col
             for col, slot, (_, m) in zip(cols, slots, coef.terms)]
     lead = next((k for k, slot in enumerate(slots) if slot is not None), len(slots))
-    rows, space = [], int(coef.on_nodes(gal, True))
+    rows, space = [], int(coef.on_nodes(gal))
     for col, slot in list(zip(cols[lead:], slots[lead:])) or [(zero, space)] * (zero is not None):
         tables.setdefault(slot, []).append(col)
         rows.append((slot, col if slot is None else len(tables[slot]) - 1))

@@ -81,14 +81,12 @@ class StateMap:
     def lip(self) -> float:
         return 0.0 if self.kind == "ones" else abs(self.scale)
 
-    def l2_bound(self, radius: float, dim: int, ones_norm: float | None = None) -> float:
+    def l2_bound(self, radius: float, ones_norm: float) -> float:
         """sup of ||S(y)|| over the centered L2 ball of the given radius.
 
-        ``ones_norm`` is the norm of the constant-one state (sqrt(dim) in
-        plain coordinates, <= 1 in the collocation quadrature norm).
+        ``ones_norm`` is the norm of the constant one in the space the map acts
+        in: sqrt(dim) on coordinates, ``GalerkinSpec.ones_norm`` (< 1) on nodes.
         """
-        if ones_norm is None:
-            ones_norm = math.sqrt(dim)
         a = abs(self.scale)
         if self.kind == "linear":
             return a * radius
@@ -120,16 +118,15 @@ def ones_map(scale=1.0) -> StateMap:
 
 
 class StateMaps:
-    """The distinct state maps of ``coefs`` (jumps marked if ``marked``).
-    Called on y, it returns ``[y, u, S_0, ...]``, u = to_phys(y) or None and
+    """The distinct state maps of ``coefs``, each on its :meth:`Coefficient.on_nodes`
+    space.  Called on y, it returns ``[y, u, S_0, ...]``, u = to_phys(y) or None and
     each map once; ``slots[c][k]`` indexes the value of term k of coefficient
     c, y or u itself for ``linear_map(1.0)``.  With ``tabulated``, a ``ones``
     term on coordinates gets the slot None and no map: the caller holds its
     values (see :func:`levylab.integrator.step_kernel`)."""
 
-    def __init__(self, coefs, galerkin: GalerkinSpec | None = None, marked: bool = True,
-                 tabulated: bool = False):
-        spaces, index = [c.on_nodes(galerkin, marked) for c in coefs], {}
+    def __init__(self, coefs, galerkin: GalerkinSpec | None = None, tabulated: bool = False):
+        spaces, index = [c.on_nodes(galerkin) for c in coefs], {}
         self.slots = [tuple(None if tabulated and not s and m.kind == "ones"
                             else int(s) if (m.kind, m.scale) == ("linear", 1.0)
                             else index.setdefault((s, m), len(index) + 2) for _, m in c.terms)
@@ -157,9 +154,9 @@ def _columns(table: np.ndarray, y: np.ndarray) -> tuple:
 class Coefficient:
     """Sum of (profile in t) x (state map) products.
 
-    With ``pointwise=True`` and a Galerkin spec present, state maps act on
-    node values (collocate, apply, project back); otherwise they act on
-    coordinates directly.  Every evaluation sums its terms in :meth:`combine`.
+    Where :meth:`on_nodes` holds, the state maps act on node values
+    (collocate, apply, project back); otherwise they act on coordinates
+    directly.  Every evaluation sums its terms in :meth:`combine`.
     """
 
     terms: tuple[tuple[TimeProfile, StateMap], ...]
@@ -178,38 +175,39 @@ class Coefficient:
             table[..., k] = prof(t)
         return table
 
-    def on_nodes(self, galerkin: GalerkinSpec | None, marked: bool = False) -> bool:
-        """Whether the maps act on node values (pointwise, or a marked pointwise_product)."""
-        return galerkin is not None and (
-            self.pointwise or marked and self.mark_mode == "pointwise_product")
+    def on_nodes(self, galerkin: GalerkinSpec | None) -> bool:
+        """Whether the maps act on node values: on a Galerkin model, exactly when
+        ``pointwise`` is set or the mark mode is ``pointwise_product``; every route
+        reads this rule."""
+        return galerkin is not None and (self.pointwise or self.mark_mode == "pointwise_product")
 
     def evaluate(self, cols, i, vals: list, slots, galerkin: GalerkinSpec | None = None,
                  factor=None) -> np.ndarray:
         """The products ``cols[k][i] * vals[slots[k]]`` of the terms, the first
         added to +0.0 as by a zeros accumulator, summed by :meth:`combine`."""
         rows = ([col[i] * vals[s] for col, s in zip(cols, slots)]
-                or [np.zeros(vals[self.on_nodes(galerkin, factor is not None)].shape)])
+                or [np.zeros(vals[self.on_nodes(galerkin)].shape)])
         rows[0] += _ZERO
         return self.combine(rows, galerkin, factor)
 
     def combine(self, rows: list, galerkin: GalerkinSpec | None = None,
                 factor=None) -> np.ndarray:
         """The sum of ``rows``, the terms in order, into the first, which holds its
-        +0.0; to modes if pointwise, then times a :meth:`~JumpCoefficient.mark_factor`."""
+        +0.0; to modes if :meth:`on_nodes`, then times a
+        :meth:`~JumpCoefficient.mark_factor` (a pointwise_product's at the nodes)."""
         acc = rows[0]
         for row in rows[1:]:   # in place: out of place would allocate an array per term
             acc += row
-        if galerkin is not None:
+        if galerkin is not None and self.on_nodes(galerkin):   # no call per plain step
             if factor is not None and self.mark_mode == "pointwise_product":
                 return galerkin.to_modes(acc * factor)
-            if self.pointwise:
-                acc = galerkin.to_modes(acc)
+            acc = galerkin.to_modes(acc)
         return acc if factor is None else acc * factor
 
     def value(self, t, y: np.ndarray, galerkin: GalerkinSpec | None = None) -> np.ndarray:
         """The coefficient at state ``y`` and one time ``t``, or one time per
         leading state."""
-        y, maps = np.asarray(y, dtype=float), StateMaps((self,), galerkin, marked=False)
+        y, maps = np.asarray(y, dtype=float), StateMaps((self,), galerkin)
         return self.evaluate(_columns(self.profile_table(t), y), ..., maps(y), maps.slots[0],
                              galerkin)
 
@@ -226,8 +224,9 @@ class JumpCoefficient(Coefficient):
 
     ignore: J(t,y,x) = base(t,y) (mark drawn but not used)
     scalar: J(t,y,x) = base(t,y) * x for scalar marks x
-    pointwise_product: J(t,y,z) = base evaluated at the nodes times the
-        collocated mark, projected back (vector marks, Galerkin models)
+    pointwise_product: J(t,y,z) = base evaluated at the nodes, whatever
+        ``pointwise``, times the collocated mark, projected back (vector
+        marks, Galerkin models)
     """
 
     mark_mode: str = "ignore"
@@ -379,12 +378,6 @@ class SdeModel:
     def b(self) -> float:
         return self.jumps.large_rate
 
-    @property
-    def ones_norm(self) -> float:
-        if self.galerkin is not None:
-            return math.sqrt(self.galerkin.weight * self.galerkin.collocation_points)
-        return math.sqrt(self.dim)
-
     def shifted(self, tau: float) -> "SdeModel":
         """Model with every coefficient profile translated by ``tau``."""
         c = self.coefficients
@@ -439,11 +432,11 @@ class SdeModel:
         """
         t_grid, gal, zero = np.atleast_1d(t_grid), self.galerkin, np.zeros(self.dim)
 
-        def sums(coef, table, marked=False):   # one row per time of ``table``
-            maps = StateMaps((coef,), gal, marked)
+        def sums(coef):   # one row per time of ``t_grid``
+            maps, table = StateMaps((coef,), gal), coef.profile_table(t_grid)
             vals = maps(zero)
             rows = ([table[:, k, None] * vals[s] for k, s in enumerate(maps.slots[0])]
-                    or [np.zeros(table.shape[:1] + vals[coef.on_nodes(gal, marked)].shape)])
+                    or [np.zeros(table.shape[:1] + vals[coef.on_nodes(gal)].shape)])
             rows[0] += _ZERO
             return coef.combine(rows)
 
@@ -457,18 +450,13 @@ class SdeModel:
             return np.array([np.add.reduce(v * v) for v in at_zero(coef, rows, factor)])
 
         c, states, a, qh = self.coefficients, {}, self.wiener.drift, np.sqrt(self.wiener.q)
-        fs, gs = (at_zero(coef, sums(coef, coef.profile_table(t_grid)))
-                  for coef in (c.drift, c.diffusion))
+        fs, gs = (at_zero(coef, sums(coef)) for coef in (c.drift, c.diffusion))
         bounds = {"drift": max([0.0, *(norm(f + g * a) for f, g in zip(fs, gs))]),
                   "diffusion": max([0.0, *(norm(qh * g) for g in gs)])}
         for which in ("small", "large"):
             coef, rate, sampler = self._jump(which)
-            table = coef.profile_table(t_grid)
-            rows = sums(coef, table, marked=True)
-            # a vector-mark jump declared without ``pointwise`` integrates over
-            # node maps but reads its state part from coordinate maps
-            plain = rows if coef.on_nodes(gal) == coef.on_nodes(gal, True) else sums(coef, table)
-            states[which] = max(map(norm, at_zero(coef, plain[:: max(1, t_grid.size // 41)])),
+            rows = sums(coef)
+            states[which] = max(map(norm, at_zero(coef, rows[:: max(1, t_grid.size // 41)])),
                                 default=0.0)
             if not rate:
                 sqs = ()
@@ -503,20 +491,20 @@ def _kunita_parts(p: float, alpha: np.ndarray):
     return d1, d2, denom
 
 
-def compute_dp(p: float, n_grid: int = 4001, denom_floor: float = 1e-6):
+def compute_dp(p: float, n_grid: int = 4001):
     """Moment constant of the compensated Poisson maximal bound.
 
     The bound holds for every auxiliary ``alpha >= 1`` keeping its shared
     denominator positive; the theory fixes no choice, so we minimize
     max(D1, D2) over a log grid on [1, 1e6] restricted to denominators
-    >= ``denom_floor``.  Returns ``(d_p, alpha_min)``; the choice recovers
+    >= 1e-6.  Returns ``(d_p, alpha_min)``; the choice recovers
     d_2 = 2 at alpha = 1.
     """
     if p < 2:
         raise InputError("p must be >= 2")
     alpha = np.geomspace(1.0, 1e6, n_grid)
     d1, d2, denom = _kunita_parts(p, alpha)
-    ok = denom >= denom_floor
+    ok = denom >= 1e-6
     if not np.any(ok):
         raise InfeasibleError(f"no admissible alpha on the grid for p = {p}")
     worst = np.where(ok, np.maximum(d1, d2), np.inf)

@@ -186,18 +186,18 @@ class MarkSampler:
         norms = np.linalg.norm(self._atom_array(), axis=1)
         return float(norms.min()), float(norms.max())
 
-    def quadrature(self, n_nodes: int = 64):
+    def quadrature(self):
         """Nodes and probability weights approximating the mark law.
 
-        Exact for the discrete kinds; Gauss rules for the continuous ones
-        (exact for polynomial integrands up to the rule order).
+        Exact for the discrete kinds; 64-node Gauss rules for the continuous
+        ones (exact for polynomial integrands up to the rule order).
         """
         if self.kind == "uniform_shell":
-            z, w = leggauss(n_nodes)
+            z, w = leggauss(64)
             nodes = 0.5 * (self.hi - self.lo) * z + 0.5 * (self.hi + self.lo)
             weights = w / 2.0
         elif self.kind == "exp_tail":
-            u, w = laggauss(min(n_nodes, 96))
+            u, w = laggauss(64)
             nodes, weights = self.cut + self.scale * u, w
         else:
             a = self._atom_array()

@@ -24,8 +24,8 @@ from dataclasses import replace
 import numpy as np
 
 from .galerkin import GalerkinSpec
-from .model import (CoefficientSet, SdeModel, SemigroupSpec, StateMap, coefficient,
-                    cosine_map, jump_coefficient, linear_map, ones_map, sine_map)
+from .model import (CoefficientSet, SdeModel, SemigroupSpec, coefficient, cosine_map,
+                    jump_coefficient, linear_map, ones_map, sine_map)
 from .noise import (JumpMeasureSpec, WienerSpec, finite_rank_marks,
                     uniform_shell_marks)
 from .profiles import (constant_profile, harmonic_profile, periodic_profile,
@@ -101,7 +101,6 @@ def heat_lipschitz(q_op_norm: float, small_rate: float, large_rate: float,
 def build_heat_model(galerkin: GalerkinSpec, q_decay: float = 2.0,
                      jump_spec: JumpMeasureSpec | None = None, *,
                      q_base: float = 0.09, drift_scale: float = 0.2,
-                     diffusion_map: StateMap | None = None,
                      moment_p: float = 2.5) -> SdeModel:
     """Spectral truncation of the forced stochastic heat equation.
 
@@ -130,8 +129,7 @@ def build_heat_model(galerkin: GalerkinSpec, q_decay: float = 2.0,
         outer="sin", amp=1.0, offset=2.0,
         inner_amps=(1.0, 1.0), inner_freqs=(1.0, np.sqrt(2.0)),
         inner_phases=(np.pi / 2.0, np.pi / 2.0), recurrence_class="levitan")
-    diffusion = coefficient(
-        (diff_profile, diffusion_map if diffusion_map is not None else linear_map(1.0)))
+    diffusion = coefficient((diff_profile, linear_map(1.0)))
 
     jump_profile = reciprocal_profile(
         amp=1.0 / 3.0, offset=2.0, inner_amps=(1.0,), inner_freqs=(np.sqrt(2.0),),

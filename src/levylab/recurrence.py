@@ -293,11 +293,11 @@ def _bl_peel(x_mu: np.ndarray, x_nu: np.ndarray) -> np.ndarray:
 
 
 def _bl_laws(pairs) -> list:
-    """:func:`bl_distance` of each ``(mu, nu)`` pair of laws, the pairs of one
-    shape, with every coordinate of every pair a row of one peel."""
-    if any(mu.dim != nu.dim for mu, nu in pairs):
+    """:func:`bl_distance` of each ``(a, b)`` pair of finite (n, d) samples, the
+    pairs of one shape, with every coordinate of every pair a row of one peel."""
+    if any(a.shape[1] != b.shape[1] for a, b in pairs):
         raise InputError("laws must share the observation dimension")
-    rows = (_stratified_subsample(np.concatenate([p[j].samples.T for p in pairs])) for j in (0, 1))
+    rows = (_stratified_subsample(np.concatenate([p[j].T for p in pairs])) for j in (0, 1))
     return [max(0.0, *row) for row in _bl_peel(*rows).reshape(len(pairs), -1)]
 
 
@@ -311,7 +311,7 @@ def bl_distance(mu: EmpiricalLaw, nu: EmpiricalLaw) -> float:
     one coordinate at a time, to the empirical quantiles at
     ``MAX_SUPPORT`` uniform mid-levels.
     """
-    return _bl_laws([(mu, nu)])[0]
+    return _bl_laws([(mu.samples, nu.samples)])[0]
 
 
 def bl_two_sample(a: np.ndarray, b: np.ndarray, n_boot: int = 30, seed: int = 0):
@@ -328,9 +328,9 @@ def bl_two_sample(a: np.ndarray, b: np.ndarray, n_boot: int = 30, seed: int = 0)
     """
     if isinstance(n_boot, bool) or not isinstance(n_boot, (int, np.integer)) or n_boot < 1:
         raise InputError(f"n_boot must be a positive integer, got {n_boot!r}")
-    a = np.atleast_2d(a.T).T
-    b = np.atleast_2d(b.T).T
-    pairs, dists = [(EmpiricalLaw(a), EmpiricalLaw(b))], []
+    # checked once: each resample is rows of these
+    a, b = EmpiricalLaw(np.atleast_2d(a.T).T).samples, EmpiricalLaw(np.atleast_2d(b.T).T).samples
+    pairs, dists = [(a, b)], []
     if a.shape[1] != b.shape[1]:
         raise InputError("laws must share the observation dimension")
     pooled = np.concatenate([a, b], axis=0)
@@ -340,7 +340,7 @@ def bl_two_sample(a: np.ndarray, b: np.ndarray, n_boot: int = 30, seed: int = 0)
     for i in range(n_boot):
         ra = pooled[rng.integers(0, pooled.shape[0], a.shape[0])]
         rb = pooled[rng.integers(0, pooled.shape[0], b.shape[0])]
-        pairs.append((EmpiricalLaw(ra), EmpiricalLaw(rb)))
+        pairs.append((ra, rb))
         if len(pairs) == max(1, BL_ROWS // a.shape[1]) or i == n_boot - 1:
             dists, pairs = dists + _bl_laws(pairs), []
     null_sq = 0.0
@@ -423,7 +423,8 @@ def coefficient_shift_bounds(model: SdeModel, tau: float, radius: float,
     along any solution staying in the invariant ball: the profile shift
     difference is evaluated on a grid, the state factor by its exact ball
     bound, and jump coefficients pick up their intensity-times-mark-moment
-    factors.
+    factors.  Each map is bounded in the space where it acts (``on_nodes``):
+    its constant one has norm sqrt(dim) on coordinates, ``ones_norm`` on nodes.
     """
     if not math.isfinite(tau):
         raise InputError(f"tau must be finite, got {tau!r}")
@@ -433,8 +434,8 @@ def coefficient_shift_bounds(model: SdeModel, tau: float, radius: float,
         return float(np.max(np.abs(prof(t + tau) - prof(t))))
 
     def coef_bound(coef) -> float:
-        return sum(prof_shift_sup(p) * s.l2_bound(radius, model.dim, model.ones_norm)
-                   for p, s in coef.terms)
+        ones = model.galerkin.ones_norm if coef.on_nodes(model.galerkin) else math.sqrt(model.dim)
+        return sum(prof_shift_sup(p) * s.l2_bound(radius, ones) for p, s in coef.terms)
 
     c = model.coefficients
     i1 = coef_bound(c.drift) ** 2

@@ -3,14 +3,16 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from levylab import config
+from levylab import config, presets
 from levylab.cli import main
 from levylab.config import EXPERIMENTS, parse_config
 from levylab.errors import ConfigError
+from levylab.model import check_conditions
 
 
 def _scalar_model_dict(b=1.0, lipschitz=0.25):
@@ -328,6 +330,61 @@ def test_example62_runs_one_mode(tmp_path):
     out = json.loads((tmp_path / "out1" / "example62_summary.json").read_text())
     assert out["spectrum"]["eigenvalues"] == [pytest.approx(np.pi**2)]
     assert out["bounded"]["within_ball"] is True
+
+
+def _heat_model_dict(n_modes=8):
+    """example62's heat model written out as an explicit config, its jumps
+    left at the default ``pointwise``; A0 and L are the preset's."""
+    preset = presets.example62_model(n_modes=n_modes).coefficients
+    jump = {"terms": [{
+        "profile": {"kind": "reciprocal", "amp": 1.0 / 3.0, "offset": 2.0,
+                    "inner_amps": [1.0], "inner_freqs": [math.sqrt(2.0)],
+                    "recurrence_class": "periodic"},
+        "state_map": {"kind": "cosine"}}], "mark_mode": "pointwise_product"}
+
+    def modes(*scales):
+        return {"kind": "finite_rank", "probs": [1.0 / len(scales)] * len(scales),
+                "atoms": [[s if j == k else 0.0 for j in range(n_modes)]
+                          for k, s in enumerate(scales)]}
+
+    return {
+        "semigroup": {"eigenvalues": [(n * math.pi) ** 2 for n in range(1, n_modes + 1)],
+                      "K": 1.0, "omega": math.pi ** 2},
+        "wiener": {"mode_variances": [0.09 * k ** -2.0 for k in range(1, n_modes + 1)]},
+        "jumps": {"small_rate": 1.0, "small_marks": modes(0.5, 0.4), "truncation_delta": 0.1,
+                  "large_rate": 0.5, "large_marks": modes(1.0), "moment_p": 2.05},
+        "coefficients": {
+            "drift": {"terms": [{
+                "profile": {"kind": "harmonic", "amps": [0.2, 0.2],
+                            "freqs": [1.0, math.sqrt(2.0)], "phases": [math.pi / 2, 0.0]},
+                "state_map": {"kind": "sine"}}], "pointwise": True},
+            "diffusion": {"terms": [{
+                "profile": {"kind": "trig_reciprocal", "outer": "sin", "amp": 1.0,
+                            "offset": 2.0, "inner_amps": [1.0, 1.0],
+                            "inner_freqs": [1.0, math.sqrt(2.0)],
+                            "inner_phases": [math.pi / 2, math.pi / 2]},
+                "state_map": {"kind": "linear"}}]},
+            "small_jump": jump, "large_jump": jump,
+            "A0": preset.A0, "lipschitz_L": preset.lipschitz_L, "moment_p": 2.05},
+        "galerkin": {"n_modes": n_modes},
+    }
+
+
+def test_check_passes_the_heat_model_written_as_a_config(tmp_path):
+    # a pointwise_product jump acts at the nodes whatever its ``pointwise``
+    # value; the checker once read its state part from coordinate maps, so
+    # this config failed (e1p) with slack -0.623 where the preset passes
+    d = {**_base_cfg("check", tmp_path), "model": _heat_model_dict()}
+    preset = presets.example62_model(n_modes=8)
+    c = preset.coefficients
+    assert parse_config(d).model == replace(preset, coefficients=replace(
+        c, small_jump=replace(c.small_jump, pointwise=False),
+        large_jump=replace(c.large_jump, pointwise=False)))
+    assert main(["check", "--config", _write_cfg(tmp_path, "heat.json", d)]) == 0
+    out = json.loads((tmp_path / "out" / "check_summary.json").read_text())
+    want = json.loads(config.canonical_json(check_conditions(preset).to_dict()))
+    assert out["conditions"] == want
+    assert out["conditions"]["e1p_slack"] == 1.0379764168818575e-4
 
 
 def test_command_config_kind_mismatch(tmp_path):

@@ -670,7 +670,7 @@ def _combine_oracle(coef, pvals, u):
 
 def _apply_oracle(coef, pvals, y, gal):
     y = np.asarray(y, dtype=float)
-    if coef.pointwise and gal is not None:
+    if (coef.pointwise or coef.mark_mode == "pointwise_product") and gal is not None:
         return gal.to_modes(_combine_oracle(coef, pvals, gal.to_phys(y)))
     return _combine_oracle(coef, pvals, y)
 

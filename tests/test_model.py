@@ -443,12 +443,23 @@ def test_check_conditions_report_is_pinned(name):
     assert {k: v if isinstance(v, bool) else float.hex(v) for k, v in got.items()} == want
 
 
+def _heat8_coordinate_jumps():
+    """heat8 with its jumps declared without ``pointwise``: pointwise_product
+    jumps, whose maps act at the nodes all the same."""
+    m = _PINNED_MODELS["heat8"]()
+    c = m.coefficients
+    return replace(m, coefficients=replace(
+        c, small_jump=replace(c.small_jump, pointwise=False),
+        large_jump=replace(c.large_jump, pointwise=False)))
+
+
 @pytest.mark.parametrize("name", ["example61", "heat8", "example61_forced", "periodic",
-                                  "ou_jump"])
+                                  "ou_jump", "heat8_coordinate_jumps"])
 def test_check_conditions_tabulates_each_coefficient_once(monkeypatch, name):
     """Profile calls and StateMaps constructions grow with the number of
     terms, not with the checker's time grid."""
-    m, counts = _PINNED_MODELS[name](), {"profiles": 0, "maps": 0}
+    build = _PINNED_MODELS.get(name, _heat8_coordinate_jumps)
+    m, counts = build(), {"profiles": 0, "maps": 0}
     profile_call, maps_init = L.TimeProfile.__call__, L.model.StateMaps.__init__
 
     def counted_call(self, t):
@@ -465,7 +476,8 @@ def test_check_conditions_tabulates_each_coefficient_once(monkeypatch, name):
     c = m.coefficients
     n_terms = sum(len(coef.terms) for coef in (c.drift, c.diffusion, c.small_jump, c.large_jump))
     # each coefficient role once: a jump's intensity integrals and its state
-    # part on the subsampled grid read the same table and state maps
+    # part on the subsampled grid read the same table and state maps, on the
+    # space of ``on_nodes`` whatever the jump's ``pointwise``
     assert counts["profiles"] == n_terms > 0
     assert counts["maps"] == 4
 
@@ -478,7 +490,7 @@ def _zero_bounds_oracle(model, t_grid):
     t_grid, gal, zero = np.atleast_1d(t_grid), model.galerkin, np.zeros(model.dim)
 
     def at_zero(coef, times):
-        maps = StateMaps((coef,), gal, marked=False)
+        maps = StateMaps((coef,), gal)
         cols, vals = tuple(coef.profile_table(times).T), maps(zero)
         return [coef.evaluate(cols, i, vals, maps.slots[0], gal) for i in range(times.size)]
 
@@ -528,8 +540,7 @@ def _growth_models():
         periodic_drift_a=replace(L.presets.periodic_model(),
                                  wiener=L.WienerSpec((1.0,), drift_a=(2.0,))),
         # empty pointwise sums, and a vector-mark jump declared without
-        # pointwise: its intensity integrals read node maps, its state part
-        # coordinate maps
+        # pointwise: its intensity integrals and its state part read node maps
         heat_empty=replace(heat, coefficients=replace(
             c, drift=L.coefficient(pointwise=True),
             small_jump=L.jump_coefficient(mark_mode="pointwise_product", pointwise=True),

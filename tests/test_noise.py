@@ -393,15 +393,14 @@ def test_point_mass_sampler():
 
 # -- compensator -----------------------------------------------------------
 
-def small_jump_compensator(spec: L.JumpMeasureSpec, F, t: float, y: np.ndarray,
-                           n_nodes: int = 64) -> np.ndarray:
+def small_jump_compensator(spec: L.JumpMeasureSpec, F, t: float, y: np.ndarray) -> np.ndarray:
     """Oracle: ``-small_rate * E_mark[ F(t, y, mark) ]`` with the mark
     expectation taken by fixed-node quadrature over the registry law
     (exact nodes for discrete laws, Gauss rules otherwise)."""
     y = np.asarray(y, dtype=float)
     if spec.small_rate == 0.0:
         return np.zeros_like(y)
-    nodes, weights = spec.small_sampler.quadrature(n_nodes)
+    nodes, weights = spec.small_sampler.quadrature()
     acc = np.zeros_like(y)
     for x, w in zip(nodes, weights):
         acc = acc + w * np.asarray(F(t, y, x), dtype=float)

@@ -1,8 +1,10 @@
 """Path metric, almost-period scanning, law metric, and the experiments."""
 
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -506,6 +508,26 @@ def test_non_finite_shift_is_rejected(run, tau):
         run(L.presets.example61_model(), tau)
 
 
+@pytest.mark.parametrize("state_map, y_star", [
+    (L.cosine_map(1.0), 0.0), (L.sine_map(1.0), np.pi / 2)], ids=["cosine", "sine"])
+def test_shift_bounds_bound_a_coordinate_map_of_a_galerkin_model_by_its_own_norm(
+        state_map, y_star):
+    # a map on coordinates is 1 on each of the 4 coordinates at y_star (a state
+    # of norm at most pi), where the bound once took the Galerkin quadrature
+    # norm 0.943 of the constant one at the nodes in place of sqrt(dim) = 2
+    m = L.presets.example62_model(n_modes=4)
+    prof, tau, radius = L.periodic_profile(1.0, 1.0), 0.7, np.pi
+    m = replace(m, coefficients=replace(m.coefficients,
+                                        drift=L.coefficient((prof, state_map))))
+    bound = math.sqrt(L.coefficient_shift_bounds(m, tau, radius)["i1"])
+    t = np.linspace(-60.0, 60.0, 24001)
+    assert bound >= math.sqrt(m.dim) * np.max(np.abs(prof(t + tau) - prof(t)))
+    y = np.full((t.size, m.dim), y_star)
+    drift = m.coefficients.drift
+    gap = drift.value(t + tau, y, m.galerkin) - drift.value(t, y, m.galerkin)
+    assert bound >= np.max(np.linalg.norm(gap, axis=1))
+
+
 def test_shift_coupling_zero_shift():
     m = L.presets.example61_model(forcing=1.0)
     res = L.shift_coupling_gap(m, 0.0, (0.0, 4.0), n_paths=64, seed=5,
@@ -592,6 +614,20 @@ def test_bl_two_sample_of_one_point_mass_draws_and_peels_nothing(monkeypatch):
         L.bl_two_sample(np.full(5, np.inf), np.full(5, np.inf))
     with pytest.raises(InputError, match="observation dimension"):
         L.bl_two_sample(np.zeros((5, 1)), np.zeros((5, 2)))
+
+
+def test_bl_two_sample_checks_its_samples_once(monkeypatch):
+    # the resamples are rows of the checked samples: no law is built for them
+    built, post_init = [], recurrence.EmpiricalLaw.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(recurrence.EmpiricalLaw, "__post_init__", counted)
+    rng = np.random.default_rng(3)
+    L.bl_two_sample(rng.normal(size=(40, 2)), rng.normal(size=(30, 2)), n_boot=25, seed=1)
+    assert len(built) == 2
 
 
 def test_bl_two_sample_rejects_mismatched_dimensions():

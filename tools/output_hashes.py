@@ -18,9 +18,13 @@ each seed and an ``all`` line.  Last come two lines per preset of
 ``CHECKED`` (example61 with and without forcing, example62 at 1, 8, 32 and
 128 modes, and the small benches), the hashes of the ``canonical_json`` of
 its ``check_conditions`` report and of its ``theorem_constants``, which no
-seed changes, and a last ``all`` line.  Each group is appended after the
-ones before it, so lists printed before a group existed still compare line
-by line.  Two checkouts write the same bytes when they print the same lines.
+seed changes, and an ``all`` line.  Last of all come one line per
+``CHECKED`` preset, the hash of the ``canonical_json`` of its
+``coefficient_shift_bounds`` at a shift of 0.7 on its invariant-ball radius
+``theorem_constants(m).radius_r``, and a last ``all`` line.  Each group is
+appended after the ones before it, so lists printed before a group existed
+still compare line by line.  Two checkouts write the same bytes when they
+print the same lines.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from levylab import presets         # noqa: E402
 from levylab.cli import main as cli_main   # noqa: E402
 from levylab.config import canonical_json   # noqa: E402
 from levylab.model import check_conditions, theorem_constants   # noqa: E402
+from levylab.recurrence import coefficient_shift_bounds   # noqa: E402
 
 # the run and experiment sections of the commands that no workload runs
 EXTRA_RUN = {"window": [0.0, 2.0], "step": 0.01, "n_paths": 50, "seed": 1,
@@ -122,6 +127,16 @@ def checker_lines() -> list[str]:
     return lines
 
 
+def shift_bound_lines() -> list[str]:
+    """The hash lines of the shift bounds at tau = 0.7 on every ``CHECKED`` preset."""
+    lines = []
+    for name, build in CHECKED.items():
+        model = build()
+        bounds = coefficient_shift_bounds(model, 0.7, theorem_constants(model).radius_r)
+        lines.append(f"shift-{name} bounds {_sha(canonical_json(bounds).encode())}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[5, 77],
@@ -135,10 +150,11 @@ def main(argv=None) -> int:
                     lines.append(f"{label} {name} {digest}")
                     print(lines[-1], flush=True)
         print(f"all {_sha(chr(10).join(lines).encode())}")
-    for line in checker_lines():
-        lines.append(line)
-        print(line, flush=True)
-    print(f"all {_sha(chr(10).join(lines).encode())}")
+    for group in (checker_lines, shift_bound_lines):
+        for line in group():
+            lines.append(line)
+            print(line, flush=True)
+        print(f"all {_sha(chr(10).join(lines).encode())}")
     return 0
 
 
