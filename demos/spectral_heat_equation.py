@@ -27,8 +27,8 @@ gate = L.heat_lipschitz(np.sqrt(0.09), 1.0, 0.5, p)
 print(f"\nLipschitz gate max(2/5, ||Q^(1/2)||, rate^(1/p)/3 terms) = {gate:.4f}")
 rep = L.check_conditions(model)
 print(f"all hypotheses hold: {rep.all_passed} "
-      f"(compat slack {rep.cond_L11.slack:.4f}, "
-      f"stability slack {rep.cond_lmin.slack:.4f})")
+      f"(compat slack {rep.cond_L11:.4f}, "
+      f"stability slack {rep.cond_lmin:.4f})")
 
 # zero-noise control: a single mode decays exactly at rate pi^2
 m1 = L.presets.example62_model(n_modes=1, b=0.0, small_rate=0.0, q_base=0.0,

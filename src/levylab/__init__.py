@@ -17,7 +17,7 @@ from .profiles import (TimeProfile, clipped_ramp_profile, constant_profile,
                        trig_reciprocal_profile)
 from .noise import (JumpMeasureSpec, MarkSampler, WienerSpec, exp_tail_marks,
                     finite_rank_marks, point_mass_marks, uniform_shell_marks)
-from .model import (Coefficient, CoefficientSet, Condition, ConditionReport,
+from .model import (Coefficient, CoefficientSet, ConditionReport,
                     JumpCoefficient, SdeModel, SemigroupSpec, StateMap,
                     TheoremConstants, boundary_b_compact, boundary_b_stability,
                     check_conditions, clipped_map, coefficient, compat_alpha,

@@ -28,6 +28,7 @@ from .errors import (ConfigError, HorizonError, InfeasibleError, InputError,
                      NumericalBlowupError, ThresholdError)
 from .model import (CONDITION_DEFS, TheoremConstants, check_conditions,
                     stability_margin, theorem_constants)
+from .noise import JUMP_LARGE, JUMP_SMALL
 from .presets import example61_model, example62_model
 from .pullback import bounded_ensemble, bounded_solution, pullback_plan
 from .recurrence import almost_periods, distributional_almost_period_test, distributional_report
@@ -101,8 +102,8 @@ def run_simulate(cfg: ExperimentConfig) -> int:
     _write(cfg, "path.csv", path.to_csv)
     summary = {"window": list(cfg.run.window), "step": cfg.run.step,
                "seed": cfg.run.seed, "n_grid": int(path.times.size),
-               "n_small_jumps": int(np.sum(path.jump_flags == 1)),
-               "n_large_jumps": int(np.sum(path.jump_flags == 2)),
+               "n_small_jumps": int(np.sum(path.jump_flags == JUMP_SMALL)),
+               "n_large_jumps": int(np.sum(path.jump_flags == JUMP_LARGE)),
                "terminal_state": [float(v) for v in path.values[-1]]}
     _write(cfg, "simulate_summary.json", summary)
     return 0

@@ -181,14 +181,24 @@ _MARKS = {
 }
 
 
-def _jumps(small_marks, large_marks, **kw):
+def _jumps(small_marks, large_marks, moment_p, **kw):
+    """The jump measure, and the moment order the section names (None if none)."""
     samplers = {}
     for size, marks in (("small", small_marks), ("large", large_marks)):
         if kw[f"{size}_rate"] > 0:
             if marks is None:
                 raise ConfigError(f"{size}_marks: required when {size}_rate > 0")
             samplers[f"{size}_sampler"] = marks
-    return JumpMeasureSpec(**kw, **samplers)
+    return JumpMeasureSpec(**kw, **samplers), moment_p
+
+
+def _model(jumps, coefficients, **kw):
+    """The model; a ``jumps.moment_p`` must be the one order, ``coefficients.moment_p``."""
+    spec, p = jumps
+    if p not in (None, coefficients.moment_p):
+        raise ConfigError(f"jumps.moment_p: expected null or coefficients.moment_p "
+                          f"({coefficients.moment_p!r}), got {p!r}")
+    return SdeModel(jumps=spec, coefficients=coefficients, **kw)
 
 
 _TERMS = _list(_object({"profile": (_kinded(_PROFILES), REQUIRED),
@@ -213,7 +223,7 @@ _MODEL = {
                REQUIRED),
     "jumps": (_object({"small_rate": (_NONNEG, REQUIRED), "small_marks": (_kinded(_MARKS), None),
                        "large_rate": (_NONNEG, REQUIRED), "large_marks": (_kinded(_MARKS), None),
-                       "truncation_delta": (_REAL, 0.1), "moment_p": (_REAL, 2.05)},
+                       "truncation_delta": (_REAL, 0.1), "moment_p": (_REAL, None)},
                       _jumps), REQUIRED),
     "coefficients": (_object({"drift": (_COEFFICIENT, REQUIRED),
                               "diffusion": (_COEFFICIENT, REQUIRED),
@@ -288,7 +298,7 @@ def parse_config(d: dict) -> ExperimentConfig:
     c = _section(d, "", {
         "experiment": (_object({"kind": (_STRING, REQUIRED), **EXPERIMENTS[kind]}), REQUIRED),
         "run": (_object(_RUN[kind], RunSection), REQUIRED),
-        "model": (_object(_MODEL, SdeModel),
+        "model": (_object(_MODEL, _model),
                   None if kind in ("example61", "example62") else REQUIRED),
         "output": (_object(_OUTPUT), {})})
     ex, model = c["experiment"], c["model"]

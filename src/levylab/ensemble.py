@@ -54,8 +54,6 @@ class EnsembleResult:
 
     times: np.ndarray            # (n_obs,)
     states: np.ndarray           # (n_obs, n_paths, dim)
-    seed: int
-    max_step: float
 
     def mean_sq_norm(self):
         """(E |Y(t)|^2 estimate, standard error) per observation time."""
@@ -184,8 +182,7 @@ def simulate_ensemble(model: SdeModel, window, y0, n_paths: int, max_step: float
     """
     times, (states,) = _run_ensembles((model,), window, (y0,), n_paths, max_step,
                                       seed, obs_times)
-    return EnsembleResult(times=times, states=states,
-                          seed=int(seed), max_step=float(max_step))
+    return EnsembleResult(times=times, states=states)
 
 
 @dataclass

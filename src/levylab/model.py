@@ -21,8 +21,7 @@ bound and its constant ``c``, and the square-mean contraction margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -638,42 +637,39 @@ def compat_alpha(K: float, omega: float, L: float, b: float) -> float:
                     + 16.0 * K**2 * L**2 * b / omega)
 
 
+def _defined(text: str):
+    """A field that carries its entry of the summaries' ``definitions`` block."""
+    return field(metadata={"definition": text})
+
+
+def _definitions(cls) -> dict:
+    return {f.name: f.metadata["definition"] for f in fields(cls)}
+
+
 @dataclass(frozen=True)
 class TheoremConstants:
-    """Every explicit constant and threshold, evaluated for one model."""
+    """Every explicit constant and threshold, evaluated for one model; each
+    field carries its formula."""
 
-    c_p: float
-    d_p: float
-    alpha_kunita: float
-    theta_2: float
-    theta_p: float
-    theta_limit_2plus: float
-    radius_r: float
-    compat_c: float
-    compat_alpha: float
-    stability_margin: float
-
-    _FORMULAS = {
-        "c_p": "[p(p-1)/2 * (p/(p-1))^(p-2)]^(p/2)",
-        "d_p": "min over alpha>=1 of max(D1(p,alpha), D2(p,alpha))",
-        "alpha_kunita": "argmin of the d_p objective",
-        "theta_2": "4 K^2 L^2 (1+2w+2b) / w^2",
-        "theta_p": "4^(p-1) K^p L^p { [(1+(2b)^(p-1))(2(p-1)/(wp))^(p-1)"
-                   " + (c_p+(1+2^(p-1))d_p)((p-2)/(wp))^(p/2-1)] 2/(wp)"
-                   " + (1+2^(p-1)) d_p/(wp) }",
-        "theta_limit_2plus": "4 K^2 L^2 (1+10w+2b) / w^2",
-        "radius_r": "2 K A0 sqrt(1+2w+2b) / (w - 2 K L sqrt(1+2w+2b))",
-        "compat_c": "1 - 8 K^2 L^2 (1+2w+2b) / w^2",
-        "compat_alpha": "w - [8K^2L^2/w + 32K^2L^2 + 16K^2L^2 b/w]",
-        "stability_margin": "w - 5 (1/w + 4 + 2b/w) K^2 L^2",
-    }
+    c_p: float = _defined("[p(p-1)/2 * (p/(p-1))^(p-2)]^(p/2)")
+    d_p: float = _defined("min over alpha>=1 of max(D1(p,alpha), D2(p,alpha))")
+    alpha_kunita: float = _defined("argmin of the d_p objective")
+    theta_2: float = _defined("4 K^2 L^2 (1+2w+2b) / w^2")
+    theta_p: float = _defined("4^(p-1) K^p L^p { [(1+(2b)^(p-1))(2(p-1)/(wp))^(p-1)"
+                              " + (c_p+(1+2^(p-1))d_p)((p-2)/(wp))^(p/2-1)] 2/(wp)"
+                              " + (1+2^(p-1)) d_p/(wp) }")
+    theta_limit_2plus: float = _defined("4 K^2 L^2 (1+10w+2b) / w^2")
+    radius_r: float = _defined("2 K A0 sqrt(1+2w+2b) / (w - 2 K L sqrt(1+2w+2b))")
+    compat_c: float = _defined("1 - 8 K^2 L^2 (1+2w+2b) / w^2")
+    compat_alpha: float = _defined("w - [8K^2L^2/w + 32K^2L^2 + 16K^2L^2 b/w]")
+    stability_margin: float = _defined("w - 5 (1/w + 4 + 2b/w) K^2 L^2")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self._FORMULAS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def formulas(cls) -> dict:
-        return dict(cls._FORMULAS)
+        return _definitions(cls)
 
 
 def theorem_constants(model: SdeModel) -> TheoremConstants:
@@ -701,56 +697,43 @@ def theorem_constants(model: SdeModel) -> TheoremConstants:
 # hypothesis checks
 # ---------------------------------------------------------------------------
 
-class Condition(NamedTuple):
-    passed: bool
-    slack: float
-
-
-# every hypothesis the checker reports, with the statement written into
-# the ``definitions`` block of the summaries
-CONDITION_DEFS = {
-    "e1": "growth: coefficient norms at the origin bounded by A0",
-    "e1p": "growth in the p-th moment norms",
-    "e2": "Lipschitz: effective constants bounded by L",
-    "e2p": "Lipschitz in the p-th moment norms",
-    "e3": "continuity in t uniformly on bounded state sets",
-    "thm_existence": "L < w/(2K sqrt(1+2w+2b))",
-    "cond_L": "L < min(w/(2K sqrt(2+4w+4b)), w/(2K sqrt(1+10w+2b)))",
-    "cond_L11": "L < w/(2K sqrt(2+8w+4b))",
-    "cond_lmin": "L < w/(K sqrt(5(1+4w+2b)))",
-    "theta2_lt_1": "theta_2 < 1",
-    "thetap_lt_1": "theta_p < 1",
-}
-CONDITION_NAMES = tuple(CONDITION_DEFS)
-
-
 @dataclass(frozen=True)
 class ConditionReport:
-    """Signed slack for every hypothesis; each flag equals slack > 0."""
+    """Signed slack of every hypothesis, which holds when its slack is > 0.
 
-    e1: Condition
-    e1p: Condition
-    e2: Condition
-    e2p: Condition
-    e3: Condition
-    thm_existence: Condition
-    cond_L: Condition
-    cond_L11: Condition
-    cond_lmin: Condition
-    theta2_lt_1: Condition
-    thetap_lt_1: Condition
+    Each field carries the hypothesis' statement, which the summaries write
+    into their ``definitions`` block; ``to_dict`` writes each flag beside
+    its slack.
+    """
+
+    e1: float = _defined("growth: coefficient norms at the origin bounded by A0")
+    e1p: float = _defined("growth in the p-th moment norms")
+    e2: float = _defined("Lipschitz: effective constants bounded by L")
+    e2p: float = _defined("Lipschitz in the p-th moment norms")
+    e3: float = _defined("continuity in t uniformly on bounded state sets")
+    thm_existence: float = _defined("L < w/(2K sqrt(1+2w+2b))")
+    cond_L: float = _defined("L < min(w/(2K sqrt(2+4w+4b)), w/(2K sqrt(1+10w+2b)))")
+    cond_L11: float = _defined("L < w/(2K sqrt(2+8w+4b))")
+    cond_lmin: float = _defined("L < w/(K sqrt(5(1+4w+2b)))")
+    theta2_lt_1: float = _defined("theta_2 < 1")
+    thetap_lt_1: float = _defined("theta_p < 1")
 
     @property
     def all_passed(self) -> bool:
-        return all(getattr(self, n).passed for n in CONDITION_NAMES)
+        return all(getattr(self, n) > 0 for n in CONDITION_NAMES)
 
     def to_dict(self) -> dict:
         out = {}
         for n in CONDITION_NAMES:
-            cond = getattr(self, n)
-            out[n] = bool(cond.passed)
-            out[f"{n}_slack"] = float(cond.slack)
+            slack = getattr(self, n)
+            out[n] = bool(slack > 0)
+            out[f"{n}_slack"] = float(slack)
         return out
+
+
+# every hypothesis the checker reports, with its statement
+CONDITION_DEFS = _definitions(ConditionReport)
+CONDITION_NAMES = tuple(CONDITION_DEFS)
 
 
 # slack granted to registry constants, which may sit exactly on the
@@ -761,7 +744,8 @@ GROWTH_SPAN, GROWTH_TIMES = 40.0, 401
 
 
 def check_conditions(model: SdeModel) -> ConditionReport:
-    """Evaluate every hypothesis with its numeric slack.
+    """The signed slack of every hypothesis of :class:`ConditionReport`; a
+    hypothesis holds when its slack is > 0.
 
     The report is a deterministic function of the model.  Growth bounds
     are maxima over the ``GROWTH_TIMES`` times on [-GROWTH_SPAN, GROWTH_SPAN]
@@ -776,30 +760,19 @@ def check_conditions(model: SdeModel) -> ConditionReport:
     c = model.coefficients
     L, A0, p = c.lipschitz_L, c.A0, c.moment_p
     zb, states = model.zero_bounds(np.linspace(-GROWTH_SPAN, GROWTH_SPAN, GROWTH_TIMES))
-    e1_slack = A0 - max(zb.values()) + REGISTRY_TOL
     # p-th moment growth at zero: jump state parts times their p-th intensities
     jump_p = [model.jump_intensity(which, p) ** (1 / p) * states[which]
               for which in ("small", "large")]
-    e1p_slack = A0 - max(zb["drift"], zb["diffusion"], *jump_p) + REGISTRY_TOL
-
-    e2_slack = L - max(model.effective_lipschitz().values()) + REGISTRY_TOL
-    e2p_slack = L - max(model.effective_lipschitz(p).values()) + REGISTRY_TOL
-
-    report = ConditionReport(
-        e1=Condition(e1_slack > 0, e1_slack),
-        e1p=Condition(e1p_slack > 0, e1p_slack),
-        e2=Condition(e2_slack > 0, e2_slack),
-        e2p=Condition(e2p_slack > 0, e2p_slack),
-        e3=Condition(True, math.inf),
-        thm_existence=Condition(*_pos(lip_threshold_existence(K, w, b) - L)),
-        cond_L=Condition(*_pos(lip_threshold_uniform(K, w, b) - L)),
-        cond_L11=Condition(*_pos(lip_threshold_compact(K, w, b) - L)),
-        cond_lmin=Condition(*_pos(lip_threshold_stability(K, w, b) - L)),
-        theta2_lt_1=Condition(*_pos(1.0 - theta_two(K, w, L, b))),
-        thetap_lt_1=Condition(*_pos(1.0 - compute_theta(p, K, w, L, b))),
+    return ConditionReport(
+        e1=A0 - max(zb.values()) + REGISTRY_TOL,
+        e1p=A0 - max(zb["drift"], zb["diffusion"], *jump_p) + REGISTRY_TOL,
+        e2=L - max(model.effective_lipschitz().values()) + REGISTRY_TOL,
+        e2p=L - max(model.effective_lipschitz(p).values()) + REGISTRY_TOL,
+        e3=math.inf,
+        thm_existence=lip_threshold_existence(K, w, b) - L,
+        cond_L=lip_threshold_uniform(K, w, b) - L,
+        cond_L11=lip_threshold_compact(K, w, b) - L,
+        cond_lmin=lip_threshold_stability(K, w, b) - L,
+        theta2_lt_1=1.0 - theta_two(K, w, L, b),
+        thetap_lt_1=1.0 - compute_theta(p, K, w, L, b),
     )
-    return report
-
-
-def _pos(slack: float):
-    return slack > 0, slack

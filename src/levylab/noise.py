@@ -276,7 +276,8 @@ class JumpMeasureSpec:
     ``small_rate`` is the mass of the intensity measure on the truncated
     shell [delta, 1); ``large_rate`` its (finite) mass on [1, inf).
     Mark moments are exact registry values, never Monte Carlo estimates;
-    the hypothesis checker reads them through ``SdeModel.jump_intensity``.
+    the hypothesis checker reads them through ``SdeModel.jump_intensity``,
+    at the model's one moment order ``CoefficientSet.moment_p``.
     """
 
     small_rate: float = 0.0
@@ -284,15 +285,12 @@ class JumpMeasureSpec:
     truncation_delta: float = 0.1
     large_rate: float = 0.0
     large_sampler: MarkSampler | None = None
-    moment_p: float = 2.5
 
     def __post_init__(self):
         for which in ("small", "large"):
             rate = getattr(self, f"{which}_rate")
             if not 0.0 <= rate < math.inf:   # false for NaN
                 raise InputError(f"{which}_rate must be finite and nonnegative, got {rate!r}")
-        if not 2.0 < self.moment_p < math.inf:
-            raise InputError(f"moment_p must be finite and exceed 2, got {self.moment_p!r}")
         if not 0.0 < self.truncation_delta < 1.0:
             raise InputError("truncation_delta must lie in (0, 1)")
         for which in ("small", "large"):

@@ -82,8 +82,7 @@ def example61_model(b: float = 1.0, small_rate: float = 1.0, A0: float = 1.0,
         small_sampler=uniform_shell_marks(truncation_delta, 1.0, signed=True),
         truncation_delta=truncation_delta,
         large_rate=b,
-        large_sampler=uniform_shell_marks(1.0, 2.0, signed=True),
-        moment_p=moment_p)
+        large_sampler=uniform_shell_marks(1.0, 2.0, signed=True))
     return SdeModel(semigroup=SemigroupSpec(eigenvalues=(4.0,), K=1.0, omega=4.0),
                     coefficients=coeffs, wiener=WienerSpec(mode_variances=(1.0,)),
                     jumps=jumps)
@@ -114,7 +113,7 @@ def build_heat_model(galerkin: GalerkinSpec, q_decay: float = 2.0,
     ``q_base * n^(-q_decay)``.
     """
     if jump_spec is None:
-        jump_spec = JumpMeasureSpec(moment_p=moment_p)
+        jump_spec = JumpMeasureSpec()
     n = galerkin.n_modes
     mode_vars = tuple(q_base * k ** (-q_decay) for k in range(1, n + 1))
     semigroup = SemigroupSpec(eigenvalues=galerkin.eigenvalues, K=1.0, omega=np.pi**2)
@@ -189,7 +188,7 @@ def example62_model(n_modes: int = 8, b: float = 0.5, small_rate: float = 1.0,
     large = finite_rank_marks([mode_vec(0, 1.0)], [1.0])
     jumps = JumpMeasureSpec(small_rate=small_rate, small_sampler=small,
                             truncation_delta=0.1, large_rate=b,
-                            large_sampler=large, moment_p=moment_p)
+                            large_sampler=large)
     return build_heat_model(gal, q_decay, jumps, q_base=q_base,
                             drift_scale=drift_scale, moment_p=moment_p)
 
@@ -230,9 +229,9 @@ def ou_jump_model(decay: float = 1.0, sigma: float = 1.0, jump_rate: float = 1.0
     """
     jumps = JumpMeasureSpec(large_rate=jump_rate,
                             large_sampler=uniform_shell_marks(mark_lo, mark_hi))
+    p = CoefficientSet.moment_p   # the default order, which coeffs takes
     a0 = max(sigma, float(np.sqrt(jump_rate * jumps.mark_moment("large", 2))),
-             (jump_rate * jumps.mark_moment("large", jumps.moment_p))
-             ** (1.0 / jumps.moment_p))
+             (jump_rate * jumps.mark_moment("large", p)) ** (1.0 / p))
     coeffs = CoefficientSet(
         drift=coefficient(),
         diffusion=coefficient((constant_profile(sigma), ones_map(1.0))),
@@ -259,8 +258,7 @@ def periodic_model(b: float = 0.5, small_rate: float = 0.5,
         small_rate=small_rate,
         small_sampler=uniform_shell_marks(0.1, 1.0, signed=True),
         truncation_delta=0.1, large_rate=b,
-        large_sampler=uniform_shell_marks(1.0, 2.0, signed=True),
-        moment_p=moment_p)
+        large_sampler=uniform_shell_marks(1.0, 2.0, signed=True))
     coeffs = CoefficientSet(
         drift=coefficient((periodic_profile(1.0, 1.0), ones_map(1.0)),
                           (constant_profile(-0.1), linear_map(1.0))),

@@ -132,5 +132,4 @@ def bounded_ensemble(model: SdeModel, window, tol: float, n_paths: int,
                            seed, times, path0=k * n_paths)
             for k, (start, times, end) in enumerate(zip(starts, clusters, ends))]
     return EnsembleResult(times=np.concatenate([t for t, _ in runs]),
-                          states=np.concatenate([s for _, (s,) in runs]),
-                          seed=int(seed), max_step=float(max_step))
+                          states=np.concatenate([s for _, (s,) in runs]))

@@ -435,7 +435,7 @@ def coefficient_shift_bounds(model: SdeModel, tau: float, radius: float,
 
     def coef_bound(coef) -> float:
         ones = model.galerkin.ones_norm if coef.on_nodes(model.galerkin) else math.sqrt(model.dim)
-        return sum(prof_shift_sup(p) * s.l2_bound(radius, ones) for p, s in coef.terms)
+        return sum((prof_shift_sup(p) * s.l2_bound(radius, ones) for p, s in coef.terms), 0.0)
 
     c = model.coefficients
     i1 = coef_bound(c.drift) ** 2

@@ -58,15 +58,15 @@ def test_criterion_1_constant_reproduction():
 def test_criterion_2_threshold_reproduction():
     def l11_slack(b):
         rep = L.check_conditions(L.presets.example61_model(b=b, A0=1.0))
-        return rep.cond_L11.slack
+        return rep.cond_L11
 
     def lmin_slack(b):
         rep = L.check_conditions(L.presets.example61_model(b=b, A0=1.0))
-        return rep.cond_lmin.slack
+        return rep.cond_lmin
 
     def moment_slack(rate):
         rep = L.check_conditions(L.presets.example61_model(small_rate=rate))
-        return rep.e2.slack
+        return rep.e2
 
     b_l11 = _bisect_root(l11_slack, 1.0, 20.0)
     b_lmin = _bisect_root(lmin_slack, 1.0, 30.0)

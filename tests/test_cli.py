@@ -12,7 +12,7 @@ from levylab import config, presets
 from levylab.cli import main
 from levylab.config import EXPERIMENTS, parse_config
 from levylab.errors import ConfigError
-from levylab.model import check_conditions
+from levylab.model import CONDITION_NAMES, check_conditions
 
 
 def _scalar_model_dict(b=1.0, lipschitz=0.25):
@@ -94,6 +94,33 @@ def test_check_fails_beyond_threshold(tmp_path):
     assert out["conditions"]["cond_L11"] is False
 
 
+def test_check_require_decides_the_exit_code(tmp_path):
+    d = _base_cfg("check", tmp_path)
+    d["model"] = _scalar_model_dict(lipschitz=0.3)   # fails thetap_lt_1 alone
+    path = tmp_path / "out" / "check_summary.json"
+    assert main(["check", "--config", _write_cfg(tmp_path, "c.json", d)]) == 3
+    conditions = json.loads(path.read_text())["conditions"]
+    assert [n for n in CONDITION_NAMES if not conditions[n]] == ["thetap_lt_1"]
+    for require, code in (([n for n in CONDITION_NAMES if n != "thetap_lt_1"], 0),
+                          (["e1", "thetap_lt_1"], 3)):
+        d["experiment"]["require"] = require
+        assert main(["check", "--config", _write_cfg(tmp_path, "c.json", d)]) == code
+        assert json.loads(path.read_text())["conditions"] == conditions
+
+
+def test_jumps_moment_p_is_optional_and_must_equal_the_one_order(tmp_path, capsys):
+    d = _base_cfg("check", tmp_path)
+    model = parse_config(d).model
+    del d["model"]["jumps"]["moment_p"]
+    assert parse_config(d).model == model
+    d["model"]["jumps"]["moment_p"] = None
+    assert parse_config(d).model == model
+    # the checker reads coefficients.moment_p only, so this once ran at p = 2.05
+    d["model"]["jumps"]["moment_p"] = 3.0
+    assert main(["check", "--config", _write_cfg(tmp_path, "c.json", d)]) == 2
+    assert capsys.readouterr().err.startswith("config error: model.jumps.moment_p:")
+
+
 def test_unknown_key_rejected_with_path(tmp_path, capsys):
     d = _base_cfg("check", tmp_path)
     d["model"]["jumps"]["smol_rate"] = 1.0
@@ -136,6 +163,36 @@ def test_recurrence_scan_report(tmp_path):
     out = json.loads((tmp_path / "out" / "recurrence_report.json").read_text())
     assert out["scan"]["epsilon"] == pytest.approx(0.05)
     assert 0.0 in out["scan"]["taus"]
+
+
+def test_recurrence_scans_the_chosen_coefficient(tmp_path, capsys):
+    scan = {"epsilon": 0.05, "scan_window": 6.0, "tau_step": 0.5, "sup_horizon": 5.0,
+            "tau": 0.0}
+    d = _base_cfg("recurrence", tmp_path, coefficient="small_jump", **scan)
+    assert main(["recurrence", "--config", _write_cfg(tmp_path, "c.json", d)]) == 0
+    out = json.loads((tmp_path / "out" / "recurrence_report.json").read_text())
+    # the small jump's one profile is the constant 0.2: every shift is an almost period
+    assert out["scan"]["taus"] == pytest.approx([0.5 * k for k in range(13)])
+    assert out["scan"]["distances"] == [0.0] * 13
+    d["model"]["coefficients"]["diffusion"] = {"terms": []}
+    d["experiment"]["coefficient"] = "diffusion"
+    assert main(["recurrence", "--config", _write_cfg(tmp_path, "c.json", d)]) == 2
+    assert "diffusion has no profiles to scan" in capsys.readouterr().err
+
+
+def test_stability_ultimate_y0_sets_the_start_of_the_ultimate_bound(tmp_path):
+    def ultimate_bound(**extra):
+        d = _base_cfg("stability", tmp_path, y0a=1.0, y0b=3.0, horizon=3.0, **extra)
+        assert main(["stability", "--config", _write_cfg(tmp_path, "c.json", d)]) == 0
+        out = json.loads((tmp_path / "out" / "stability_summary.json").read_text())
+        return out["ultimate_bound"]
+
+    default = ultimate_bound()
+    assert ultimate_bound(ultimate_y0=1.0) == default
+    # every coefficient is linear in the state, so the tail moment scales as y0^2
+    tripled = ultimate_bound(ultimate_y0=3.0)
+    assert tripled["tail_second_moment"] == pytest.approx(
+        9.0 * default["tail_second_moment"], rel=1e-9)
 
 
 def test_stability_summary(tmp_path):
@@ -317,6 +374,22 @@ def test_example62_bundle(tmp_path):
     assert out["spectrum"]["omega"] == pytest.approx(np.pi**2)
     assert out["mode_decay"]["relative_error"] < 1e-6
     assert out["bounded"]["within_ball"] is True
+
+
+def test_example62_q_decay_sets_the_mode_variances(tmp_path):
+    def max_second_moment(**extra):
+        d = {"run": {"window": [0.0, 0.5], "step": 0.01, "n_paths": 20, "seed": 2,
+                     "tolerance": 0.1},
+             "experiment": {"kind": "example62", "n_modes": 4, **extra},
+             "output": {"directory": str(tmp_path / "out62")}}
+        assert main(["example62", "--config", _write_cfg(tmp_path, "c62.json", d)]) == 0
+        out = json.loads((tmp_path / "out62" / "example62_summary.json").read_text())
+        return out["bounded"]["max_second_moment"]
+
+    default = max_second_moment()
+    assert max_second_moment(q_decay=2.0) == default
+    # the diffusion is multiplicative, so it moves the moment only slightly
+    assert max_second_moment(q_decay=0.5) != default
 
 
 def test_example62_runs_one_mode(tmp_path):

@@ -1,15 +1,19 @@
 """The demos and the README's python blocks use only levylab names that
-exist, with keywords their callees take.
+exist, with keywords their callees take, and every demo runs.
 
-Each demo and block is parsed, not run: every ``L.<name>`` and
-``L.presets.<name>`` must resolve, and the arguments of every call to one
-of them must bind to the callee's parameters: no unknown keyword, and no
-more positional arguments than it takes.
+Each demo and block is parsed: every ``L.<name>`` and ``L.presets.<name>``
+must resolve, and the arguments of every call to one of them must bind to
+the callee's parameters: no unknown keyword, and no more positional
+arguments than it takes.  Each demo then runs as a script in a fresh
+working directory, where it may write its ``demo_output/``.
 """
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +65,14 @@ def _check_names_and_keywords(source: str, where: str):
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_names_and_keywords_exist(demo):
     _check_names_and_keywords(demo.read_text(), demo.name)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_every_readme_block_is_found():

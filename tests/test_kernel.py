@@ -191,8 +191,7 @@ def every_map_model():
         A0=1.0, lipschitz_L=0.4, moment_p=2.05)
     jumps = L.JumpMeasureSpec(small_rate=2.0, small_sampler=L.uniform_shell_marks(0.1, 1.0),
                               truncation_delta=0.1, large_rate=1.0,
-                              large_sampler=L.uniform_shell_marks(1.0, 2.0, signed=True),
-                              moment_p=2.05)
+                              large_sampler=L.uniform_shell_marks(1.0, 2.0, signed=True))
     return L.SdeModel(semigroup=L.SemigroupSpec(eigenvalues=(2.0,), K=1.0, omega=2.0),
                       coefficients=coeffs, wiener=L.WienerSpec(mode_variances=(0.5,)),
                       jumps=jumps)

@@ -175,7 +175,7 @@ def test_cond_L11_boundary_sweep():
     flags = []
     for b in (1.0, 7.4, 7.6):
         rep = L.check_conditions(L.presets.example61_model(b=b, A0=1.0))
-        flags.append(rep.cond_L11.passed)
+        flags.append(rep.cond_L11 > 0)
     assert flags == [True, True, False]
 
 
@@ -187,22 +187,21 @@ def test_boundary_closed_forms():
 def test_zero_lipschitz_slack_equals_threshold():
     m = L.presets.ou_jump_model(decay=4.0)   # L = 0, b = 1
     rep = L.check_conditions(m)
-    assert rep.cond_L11.slack == pytest.approx(
+    assert rep.cond_L11 == pytest.approx(
         L.lip_threshold_compact(1.0, 4.0, 1.0), rel=1e-12)
-    assert rep.cond_lmin.slack == pytest.approx(
+    assert rep.cond_lmin == pytest.approx(
         L.lip_threshold_stability(1.0, 4.0, 1.0), rel=1e-12)
-    assert rep.thm_existence.slack == pytest.approx(
+    assert rep.thm_existence == pytest.approx(
         L.lip_threshold_existence(1.0, 4.0, 1.0), rel=1e-12)
     assert rep.all_passed
 
 
 def test_report_booleans_match_slacks():
     for b in (1.0, 8.0):
-        rep = L.check_conditions(L.presets.example61_model(b=b))
-        for name, cond in ((n, getattr(rep, n)) for n in
-                           ("e1", "e2", "cond_L", "cond_L11", "cond_lmin",
-                            "theta2_lt_1", "thetap_lt_1")):
-            assert cond.passed == (cond.slack > 0), name
+        d = L.check_conditions(L.presets.example61_model(b=b)).to_dict()
+        for name in ("e1", "e2", "cond_L", "cond_L11", "cond_lmin",
+                     "theta2_lt_1", "thetap_lt_1"):
+            assert d[name] == (d[f"{name}_slack"] > 0), name
 
 
 def test_mark_dimension_must_fit_the_mark_mode():
@@ -233,7 +232,7 @@ def test_checker_sees_the_wiener_drift_vector():
     assert eff["drift"] == 0.25 and eff_a["drift"] == pytest.approx(0.25 + 0.2 * 50.0)
     assert {k: v for k, v in eff_a.items() if k != "drift"} == {
         k: v for k, v in eff.items() if k != "drift"}
-    assert not L.check_conditions(with_a).e2.passed
+    assert not L.check_conditions(with_a).e2 > 0
     per = L.presets.periodic_model()
     per_a = replace(per, wiener=L.WienerSpec(per.wiener.mode_variances, drift_a=(2.0,)))
     t = np.linspace(-40.0, 40.0, 401)
@@ -242,7 +241,7 @@ def test_checker_sees_the_wiener_drift_vector():
     assert c.diffusion.value(0.0, zero)[0] == pytest.approx(0.3)
     assert per_a.zero_bounds(t)[0]["drift"] == pytest.approx(want, rel=1e-14)
     assert per_a.zero_bounds(t)[0]["drift"] > per.zero_bounds(t)[0]["drift"] + 0.5
-    assert L.check_conditions(per_a).e1.slack < L.check_conditions(per).e1.slack - 0.5
+    assert L.check_conditions(per_a).e1 < L.check_conditions(per).e1 - 0.5
 
 
 def test_theorem_constants_bundle():
@@ -372,7 +371,7 @@ def test_lipschitz_probe_stays_below_exact_constant(name):
 def test_e2_slack_is_the_analytic_one():
     m = L.presets.periodic_model()
     assert max(m.effective_lipschitz().values()) == m.coefficients.lipschitz_L
-    assert L.check_conditions(m).e2.slack == REGISTRY_TOL
+    assert L.check_conditions(m).e2 == REGISTRY_TOL
 
 
 def test_check_conditions_draws_no_random_numbers(monkeypatch):
@@ -568,7 +567,7 @@ def test_growth_check_fails_a_forcing_above_A0(profile, A0):
     m = L.presets.linear_decay_model()
     m = replace(m, coefficients=replace(m.coefficients, A0=A0,
                                         drift=L.coefficient((profile, L.ones_map(1.0)))))
-    assert not L.check_conditions(m).e1.passed
+    assert not L.check_conditions(m).e1 > 0
 
 
 def test_one_mode_heat_model_takes_its_squeezed_marks():
@@ -591,15 +590,9 @@ def test_one_mode_heat_model_takes_its_squeezed_marks():
     (lambda m: replace(m.coefficients, lipschitz_L=np.nan), "lipschitz_L"),
     (lambda m: replace(m.coefficients, lipschitz_L=np.inf), "lipschitz_L"),
     (lambda m: replace(m.coefficients, moment_p=np.nan), "moment_p"),
-    (lambda m: replace(m.coefficients, moment_p=2.0), "moment_p"),
-    (lambda m: replace(m.jumps, moment_p=np.nan), "moment_p"),
-    (lambda m: replace(m.jumps, moment_p=1.5), "moment_p"),
-    (lambda m: replace(m.jumps, moment_p=np.inf), "moment_p")])
+    (lambda m: replace(m.coefficients, moment_p=2.0), "moment_p")])
 def test_nan_and_invalid_constants_are_rejected(make, name):
     # each comparison is false for NaN, so a `< 0` test let NaN through
     m = L.presets.example61_model()
     with pytest.raises(InputError, match=name):
         make(m)
-    # the config default of both moment_p fields passes
-    assert replace(m.jumps, moment_p=2.05).moment_p == replace(m.coefficients,
-                                                              moment_p=2.05).moment_p

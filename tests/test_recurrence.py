@@ -508,6 +508,18 @@ def test_non_finite_shift_is_rejected(run, tau):
         run(L.presets.example61_model(), tau)
 
 
+@pytest.mark.parametrize("build", [
+    L.presets.example61_model, lambda: L.presets.example62_model(n_modes=4),
+    L.presets.periodic_model, L.presets.stationary_model, L.presets.ou_jump_model,
+    L.presets.linear_decay_model, L.presets.forced_linear_model],
+    ids=["example61", "example62-4", "periodic", "stationary", "ou_jump", "linear_decay",
+         "forced_linear"])
+def test_shift_bounds_are_floats(build):
+    # a coefficient without terms summed to the int 0, so i1 was 0 for ou_jump
+    bounds = L.coefficient_shift_bounds(build(), 0.7, radius=1.0)
+    assert [type(v) for v in bounds.values()] == [float] * 4
+
+
 @pytest.mark.parametrize("state_map, y_star", [
     (L.cosine_map(1.0), 0.0), (L.sine_map(1.0), np.pi / 2)], ids=["cosine", "sine"])
 def test_shift_bounds_bound_a_coordinate_map_of_a_galerkin_model_by_its_own_norm(
