@@ -24,7 +24,7 @@ os.makedirs(OUT, exist_ok=True)
 model = L.presets.periodic_model()
 rep = L.check_conditions(model)
 print(f"hypotheses hold: {rep.all_passed} "
-      f"(margin {L.stability_margin(1.0, 1.0, 0.1, 0.5):.3f})")
+      f"(margin {L.theorem_constants(model).stability_margin:.3f})")
 
 t_grid = np.linspace(0.0, 2 * np.pi, 5)
 for tau, label in ((2 * np.pi, "full period"), (np.pi, "half period")):

@@ -19,7 +19,7 @@ OUT = "demo_output"
 os.makedirs(OUT, exist_ok=True)
 
 model = L.presets.example61_model(b=1.0)
-margin = L.stability_margin(1.0, 4.0, 0.25, 1.0)
+margin = L.theorem_constants(model).stability_margin
 print(f"explicit contraction margin: {margin:.6f}")
 
 curve = L.gap_experiment(model, 1.0, 3.0, horizon=8.0, n_paths=500, seed=3,
@@ -40,7 +40,7 @@ for b in (0.0, 0.5, 1.0):
     c = L.gap_experiment(m, 1.0, 3.0, horizon=5.0, n_paths=400,
                          seed=int(10 * b) + 1, max_step=0.005)
     r, _ = L.fit_decay_rate(c)
-    print(f"  b = {b}: margin {L.stability_margin(1, 4, 0.25, b):.4f}, "
+    print(f"  b = {b}: margin {L.theorem_constants(m).stability_margin:.4f}, "
           f"fitted {r:.3f}")
 
 print("\nultimate bound from a far start (global basin):")

@@ -9,8 +9,7 @@ epsilon-almost periods) and in distribution (bounded-Lipschitz metric
 on empirical laws).
 """
 
-from .errors import (ConfigError, HorizonError, InfeasibleError, InputError,
-                     NumericalBlowupError, ThresholdError)
+from .errors import ConfigError, InputError, NumericalBlowupError, ThresholdError
 from .galerkin import GalerkinSpec
 from .profiles import (TimeProfile, clipped_ramp_profile, constant_profile,
                        harmonic_profile, periodic_profile, reciprocal_profile,
@@ -19,9 +18,8 @@ from .noise import (JumpMeasureSpec, MarkSampler, WienerSpec, exp_tail_marks,
                     finite_rank_marks, point_mass_marks, uniform_shell_marks)
 from .model import (Coefficient, CoefficientSet, ConditionReport,
                     JumpCoefficient, SdeModel, SemigroupSpec, StateMap,
-                    TheoremConstants, boundary_b_compact, boundary_b_stability,
-                    check_conditions, clipped_map, coefficient, compat_alpha,
-                    compat_c, compat_gap_bound, compute_cp, compute_dp,
+                    TheoremConstants, check_conditions, clipped_map, coefficient,
+                    compat_alpha, compat_c, compat_gap_bound, compute_cp, compute_dp,
                     compute_radius, compute_theta, cosine_map, jump_coefficient,
                     linear_map, lip_threshold_compact, lip_threshold_existence,
                     lip_threshold_stability, lip_threshold_uniform, ones_map,

@@ -24,8 +24,7 @@ import numpy as np
 from .config import (ExperimentConfig, RunSection, canonical_json, load_config,
                      parse_config, write_csv)
 from .ensemble import integrate
-from .errors import (ConfigError, HorizonError, InfeasibleError, InputError,
-                     NumericalBlowupError, ThresholdError)
+from .errors import ConfigError, InputError, NumericalBlowupError, ThresholdError
 from .model import (CONDITION_DEFS, TheoremConstants, check_conditions,
                     stability_margin, theorem_constants)
 from .noise import JUMP_LARGE, JUMP_SMALL
@@ -290,7 +289,7 @@ def main(argv=None) -> int:
         if args.out:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
         return _RUNNERS[args.command](cfg)
-    except (ConfigError, InputError, InfeasibleError, HorizonError) as exc:
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ThresholdError as exc:

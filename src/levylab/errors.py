@@ -1,15 +1,22 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes (config 2, threshold 3,
-blowup 4); library code raises them directly.
+The CLI maps one class onto each process exit code; library code raises
+them directly:
+
+* ``InputError`` -> exit 2 (a malformed argument, spec or config);
+  ``ConfigError`` is the ``InputError`` whose message leads with the
+  config key path;
+* ``ThresholdError`` -> exit 3 (a smallness condition is violated);
+* ``NumericalBlowupError`` -> exit 4 (integration left the finite floats).
 """
 
 
 class InputError(ValueError):
-    """Malformed argument or spec (non-monotone grid, bad support, ...)."""
+    """Malformed argument or spec (non-monotone grid, bad support, too small a
+    horizon, an empty search grid, ...)."""
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Invalid experiment configuration; message carries the key path."""
 
 
@@ -23,11 +30,3 @@ class NumericalBlowupError(RuntimeError):
     def __init__(self, time: float, message: str = ""):
         self.time = time
         super().__init__(message or f"non-finite state at t = {time:g}")
-
-
-class HorizonError(ValueError):
-    """Evaluation horizon too small to bracket the metric fixed point."""
-
-
-class InfeasibleError(ValueError):
-    """No admissible point in a constrained search (empty grid)."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import InfeasibleError, InputError, ThresholdError
+from .errors import InputError, ThresholdError
 from .galerkin import GalerkinSpec
 from .noise import JumpMeasureSpec, MarkSampler, WienerSpec
 from .profiles import TimeProfile
@@ -460,8 +460,7 @@ class SdeModel:
             if not rate:
                 sqs = ()
             elif coef.mark_mode != "pointwise_product":
-                sqs = rate * (1.0 if coef.mark_mode == "ignore" else sampler.abs_moment(2)) \
-                    * sq(coef, rows)
+                sqs = self.jump_intensity(which, 2) * sq(coef, rows)
             else:   # each time sums its nodes in quadrature order
                 nodes, weights = sampler.quadrature()
                 sqs = rate * sum((w * sq(coef, rows, xn) for xn, w in zip(
@@ -505,7 +504,7 @@ def compute_dp(p: float, n_grid: int = 4001):
     d1, d2, denom = _kunita_parts(p, alpha)
     ok = denom >= 1e-6
     if not np.any(ok):
-        raise InfeasibleError(f"no admissible alpha on the grid for p = {p}")
+        raise InputError(f"no admissible alpha on the grid for p = {p}")
     worst = np.where(ok, np.maximum(d1, d2), np.inf)
     i = int(np.argmin(worst))
     return float(worst[i]), float(alpha[i])
@@ -565,16 +564,6 @@ def lip_threshold_compact(K: float, omega: float, b: float) -> float:
 def lip_threshold_stability(K: float, omega: float, b: float) -> float:
     """Threshold equivalent to a positive square-mean contraction margin."""
     return omega / (K * math.sqrt(5.0 * (1.0 + 4.0 * omega + 2.0 * b)))
-
-
-def boundary_b_compact(K: float, omega: float, L: float) -> float:
-    """Largest b keeping L below :func:`lip_threshold_compact`."""
-    return ((omega / (2.0 * K * L)) ** 2 - 2.0 - 8.0 * omega) / 4.0
-
-
-def boundary_b_stability(K: float, omega: float, L: float) -> float:
-    """Largest b keeping L below :func:`lip_threshold_stability`."""
-    return ((omega / (K * L)) ** 2 / 5.0 - 1.0 - 4.0 * omega) / 2.0
 
 
 def compute_radius(K: float, omega: float, L: float, A0: float, b: float) -> float:

@@ -54,9 +54,12 @@ def example61_profiles() -> dict:
 
 
 def example61_model(b: float = 1.0, small_rate: float = 1.0, A0: float = 1.0,
-                    moment_p: float = 2.05, forcing: float = 0.0,
-                    truncation_delta: float = 0.1) -> SdeModel:
+                    forcing: float = 0.0) -> SdeModel:
     """Scalar two-sided jump diffusion with recurrent coefficients.
+
+    Small marks are uniform on +-[1/10, 1) (truncation delta 1/10) at
+    ``small_rate``; large marks are uniform on +-[1, 2) at rate ``b``; the
+    moment order is p = 2.05.
 
     Valid threshold regime: ``small_rate < 25/16`` and ``b <= 1`` keep the
     declared Lipschitz constant 1/4; the compatibility and stability
@@ -76,11 +79,11 @@ def example61_model(b: float = 1.0, small_rate: float = 1.0, A0: float = 1.0,
                                     mark_mode="ignore"),
         large_jump=jump_coefficient((profs["large_jump"], linear_map(1.0)),
                                     mark_mode="ignore"),
-        A0=max(A0, abs(forcing)), lipschitz_L=0.25, moment_p=moment_p)
+        A0=max(A0, abs(forcing)), lipschitz_L=0.25, moment_p=2.05)
     jumps = JumpMeasureSpec(
         small_rate=small_rate,
-        small_sampler=uniform_shell_marks(truncation_delta, 1.0, signed=True),
-        truncation_delta=truncation_delta,
+        small_sampler=uniform_shell_marks(0.1, 1.0, signed=True),
+        truncation_delta=0.1,
         large_rate=b,
         large_sampler=uniform_shell_marks(1.0, 2.0, signed=True))
     return SdeModel(semigroup=SemigroupSpec(eigenvalues=(4.0,), K=1.0, omega=4.0),
@@ -168,15 +171,15 @@ def _heat_zero_bound(model: SdeModel, prof_sup: float) -> float:
 
 def example62_model(n_modes: int = 8, b: float = 0.5, small_rate: float = 1.0,
                     q_base: float = 0.09, q_decay: float = 2.0,
-                    moment_p: float = 2.05, collocation_points: int = 0,
-                    drift_scale: float = 0.2) -> SdeModel:
+                    moment_p: float = 2.05, drift_scale: float = 0.2) -> SdeModel:
     """Spectral heat model with finite-rank jump marks.
 
-    Small marks are sub-unit multiples of the first two modes; the large
-    mark is the first mode at unit norm.  The declared Lipschitz constant
-    is the max formula max(2/5, ||Q^(1/2)||, small_rate^(1/p)/3, b^(1/p)/3).
+    The transforms use 2 ``n_modes`` collocation nodes.  Small marks are
+    sub-unit multiples of the first two modes; the large mark is the first
+    mode at unit norm.  The declared Lipschitz constant is the max formula
+    max(2/5, ||Q^(1/2)||, small_rate^(1/p)/3, b^(1/p)/3).
     """
-    gal = GalerkinSpec(n_modes=n_modes, collocation_points=collocation_points)
+    gal = GalerkinSpec(n_modes=n_modes)
 
     def mode_vec(k: int, scale: float) -> np.ndarray:
         v = np.zeros(n_modes)
@@ -193,42 +196,39 @@ def example62_model(n_modes: int = 8, b: float = 0.5, small_rate: float = 1.0,
                             drift_scale=drift_scale, moment_p=moment_p)
 
 
-def linear_decay_model(decay: float = 1.0, dim: int = 1) -> SdeModel:
-    """Pure exponential decay; every coefficient is zero."""
+def linear_decay_model(decay: float = 1.0) -> SdeModel:
+    """Scalar pure exponential decay; every coefficient is zero."""
     coeffs = CoefficientSet(drift=coefficient(), diffusion=coefficient(),
                             small_jump=jump_coefficient(), large_jump=jump_coefficient(),
                             A0=0.0, lipschitz_L=0.0)
-    return SdeModel(semigroup=SemigroupSpec(eigenvalues=(decay,) * dim, K=1.0,
-                                            omega=decay),
-                    coefficients=coeffs,
-                    wiener=WienerSpec(mode_variances=(0.0,) * dim),
-                    jumps=JumpMeasureSpec())
-
-
-def forced_linear_model(decay: float = 10.0, amp: float = 1.0) -> SdeModel:
-    """Deterministic scalar dY = (-decay Y + amp sin t) dt; no noise.
-
-    Its bounded solution is the explicit convolution
-    amp (decay sin t - cos t) / (decay^2 + 1).
-    """
-    coeffs = CoefficientSet(
-        drift=coefficient((periodic_profile(amp, 1.0), ones_map(1.0))),
-        diffusion=coefficient(), small_jump=jump_coefficient(),
-        large_jump=jump_coefficient(), A0=abs(amp), lipschitz_L=0.0)
     return SdeModel(semigroup=SemigroupSpec(eigenvalues=(decay,), K=1.0, omega=decay),
                     coefficients=coeffs, wiener=WienerSpec(mode_variances=(0.0,)),
                     jumps=JumpMeasureSpec())
 
 
-def ou_jump_model(decay: float = 1.0, sigma: float = 1.0, jump_rate: float = 1.0,
-                  mark_lo: float = 1.0, mark_hi: float = 2.0) -> SdeModel:
+def forced_linear_model(decay: float = 10.0) -> SdeModel:
+    """Deterministic scalar dY = (-decay Y + sin t) dt; no noise.
+
+    Its bounded solution is the explicit convolution
+    (decay sin t - cos t) / (decay^2 + 1).
+    """
+    coeffs = CoefficientSet(
+        drift=coefficient((periodic_profile(1.0, 1.0), ones_map(1.0))),
+        diffusion=coefficient(), small_jump=jump_coefficient(),
+        large_jump=jump_coefficient(), A0=1.0, lipschitz_L=0.0)
+    return SdeModel(semigroup=SemigroupSpec(eigenvalues=(decay,), K=1.0, omega=decay),
+                    coefficients=coeffs, wiener=WienerSpec(mode_variances=(0.0,)),
+                    jumps=JumpMeasureSpec())
+
+
+def ou_jump_model(decay: float = 1.0, sigma: float = 1.0, jump_rate: float = 1.0) -> SdeModel:
     """Scalar dY = -decay Y dt + sigma dW + dJ with compound-Poisson J.
 
-    Large jumps arrive at ``jump_rate`` with marks uniform on
-    [mark_lo, mark_hi) added directly to the state.
+    Large jumps arrive at ``jump_rate`` with marks uniform on [1, 2) added
+    directly to the state.
     """
     jumps = JumpMeasureSpec(large_rate=jump_rate,
-                            large_sampler=uniform_shell_marks(mark_lo, mark_hi))
+                            large_sampler=uniform_shell_marks(1.0, 2.0))
     p = CoefficientSet.moment_p   # the default order, which coeffs takes
     a0 = max(sigma, float(np.sqrt(jump_rate * jumps.mark_moment("large", 2))),
              (jump_rate * jumps.mark_moment("large", p)) ** (1.0 / p))
@@ -244,20 +244,23 @@ def ou_jump_model(decay: float = 1.0, sigma: float = 1.0, jump_rate: float = 1.0
                     jumps=jumps)
 
 
-def periodic_model(b: float = 0.5, small_rate: float = 0.5,
-                   moment_p: float = 2.05) -> SdeModel:
+def periodic_model() -> SdeModel:
     """Scalar model whose four coefficients are all 2-pi-periodic in time.
 
     dY = (sin t - 0.1 Y) dt + 0.3 dW + 0.2 dJ_small(compensated)
          + 0.2 cos t dJ_large
 
+    Small jumps arrive at rate 1/2 with marks uniform on +-[1/10, 1), large
+    ones at rate 1/2 with marks uniform on +-[1, 2); the moment order is
+    p = 2.05.
+
     Asymmetric forcing makes the solution law genuinely time-dependent:
     the law at t equals the law at t + 2 pi but differs at t + pi.
     """
     jumps = JumpMeasureSpec(
-        small_rate=small_rate,
+        small_rate=0.5,
         small_sampler=uniform_shell_marks(0.1, 1.0, signed=True),
-        truncation_delta=0.1, large_rate=b,
+        truncation_delta=0.1, large_rate=0.5,
         large_sampler=uniform_shell_marks(1.0, 2.0, signed=True))
     coeffs = CoefficientSet(
         drift=coefficient((periodic_profile(1.0, 1.0), ones_map(1.0)),
@@ -267,15 +270,18 @@ def periodic_model(b: float = 0.5, small_rate: float = 0.5,
                                     mark_mode="scalar"),
         large_jump=jump_coefficient((periodic_profile(0.2, 1.0, np.pi / 2.0),
                                      ones_map(1.0)), mark_mode="scalar"),
-        A0=1.0, lipschitz_L=0.1, moment_p=moment_p)
+        A0=1.0, lipschitz_L=0.1, moment_p=2.05)
     return SdeModel(semigroup=SemigroupSpec(eigenvalues=(1.0,), K=1.0, omega=1.0),
                     coefficients=coeffs, wiener=WienerSpec(mode_variances=(1.0,)),
                     jumps=jumps)
 
 
-def stationary_model(b: float = 0.5) -> SdeModel:
-    """Time-constant coefficients: the bounded solution is stationary."""
-    jumps = JumpMeasureSpec(large_rate=b,
+def stationary_model() -> SdeModel:
+    """Time-constant coefficients: the bounded solution is stationary.
+
+    Large jumps only, at rate 1/2 with marks uniform on +-[1, 2).
+    """
+    jumps = JumpMeasureSpec(large_rate=0.5,
                             large_sampler=uniform_shell_marks(1.0, 2.0, signed=True))
     coeffs = CoefficientSet(
         drift=coefficient((constant_profile(0.5), ones_map(1.0))),

@@ -41,6 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import InputError
+
 _KINDS = ("constant", "harmonic", "reciprocal", "trig_reciprocal", "clipped_ramp")
 OUTERS = ("sin", "cos")
 
@@ -68,20 +70,20 @@ class TimeProfile:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown profile kind {self.kind!r}")
+            raise InputError(f"unknown profile kind {self.kind!r}")
         if not (len(self.amps) == len(self.freqs) == len(self.phases)):
-            raise ValueError("amps, freqs, phases must have equal length")
+            raise InputError("amps, freqs, phases must have equal length")
         if self.kind in ("reciprocal", "trig_reciprocal"):
             if self.outer not in OUTERS:
-                raise ValueError(f"outer must be one of {OUTERS}")
+                raise InputError(f"outer must be one of {OUTERS}")
             margin = self.offset - sum(abs(a) for a in self.amps)
             if self.kind == "reciprocal" and margin <= 0.0:
-                raise ValueError(
+                raise InputError(
                     "reciprocal profile needs denominator offset > sum |amps| "
                     f"(margin {margin:g})"
                 )
             if self.kind == "trig_reciprocal" and margin < 0.0:
-                raise ValueError("trig_reciprocal denominator may touch zero "
+                raise InputError("trig_reciprocal denominator may touch zero "
                                  "but not cross it (offset >= sum |amps|)")
 
     # -- evaluation -----------------------------------------------------
@@ -124,14 +126,14 @@ class TimeProfile:
             return abs(self.amp) / (self.offset - sum(abs(a) for a in self.amps))
         return abs(self.amp)  # |sin|, |cos| <= 1
 
-    def lipschitz_t(self, half_width: float | None = None, grid_step: float = 1e-3) -> float:
+    def lipschitz_t(self, half_width: float | None = None) -> float:
         """Lipschitz-in-``t`` constant.
 
         Exact and global for ``constant``/``harmonic``/``clipped_ramp``.
-        For the composite kinds the constant is a grid estimate of
-        ``sup |d/dt|`` over ``[-half_width, half_width]``; the Levitan-type
-        composites have no finite global constant, so ``half_width`` is
-        required for them.
+        For the composite kinds the constant is an estimate of ``sup |d/dt|``
+        on a grid of step 1e-3 over ``[-half_width, half_width]``; the
+        Levitan-type composites have no finite global constant, so
+        ``half_width`` is required for them.
         """
         if self.kind == "constant":
             return 0.0
@@ -145,9 +147,9 @@ class TimeProfile:
             # |d/dt amp*outer(1/u)| <= amp * |u'| / u^2 globally
             return abs(self.amp) * inner_lip / margin**2
         if half_width is None:
-            raise ValueError("profile has no global Lipschitz constant; "
+            raise InputError("profile has no global Lipschitz constant; "
                              "pass half_width for a window estimate")
-        t = np.arange(-half_width, half_width + grid_step, grid_step) + self.t_shift
+        t = np.arange(-half_width, half_width + 1e-3, 1e-3) + self.t_shift
         u = self.offset + self._inner(t)
         du = np.zeros_like(t)
         for a, nu, ph in zip(self.amps, self.freqs, self.phases):

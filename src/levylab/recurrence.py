@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import EnsembleResult, coupled_gap
-from .errors import HorizonError, InputError
+from .errors import InputError
 from .model import SdeModel, compat_gap_bound, compat_c
 from .profiles import TimeProfile
 from .pullback import bounded_ensemble, pullback_plan
@@ -71,7 +71,7 @@ def bebutov_distance(phi, psi, horizon: float = 50.0, grid_step: float = 0.01,
     if m_full <= atol:
         return 0.0
     if m_full < 1.0 / horizon:
-        raise HorizonError(
+        raise InputError(
             f"sup difference {m_full:.3g} is below 1/horizon = {1.0/horizon:.3g}; "
             "widen the horizon to bracket the fixed point")
 
@@ -197,14 +197,6 @@ class EmpiricalLaw:
         if not np.all(np.isfinite(s)):
             raise InputError("samples must be finite")
         object.__setattr__(self, "samples", s)
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
 
 
 def _stratified_subsample(x: np.ndarray) -> np.ndarray:
@@ -415,20 +407,20 @@ def distributional_report(res: EnsembleResult, tau: float, t_grid, seed: int,
                                 positive=bool(np.any(beta > 3.0 * err)))
 
 
-def coefficient_shift_bounds(model: SdeModel, tau: float, radius: float,
-                             horizon: float = 60.0, n_grid: int = 24001) -> dict:
+def coefficient_shift_bounds(model: SdeModel, tau: float, radius: float) -> dict:
     """Sup-in-time mean-square coefficient differences under a tau-shift.
 
     For each coefficient, bounds sup_t E |coef(t + tau, xi) - coef(t, xi)|^2
     along any solution staying in the invariant ball: the profile shift
-    difference is evaluated on a grid, the state factor by its exact ball
-    bound, and jump coefficients pick up their intensity-times-mark-moment
-    factors.  Each map is bounded in the space where it acts (``on_nodes``):
-    its constant one has norm sqrt(dim) on coordinates, ``ones_norm`` on nodes.
+    difference is evaluated at 24001 equally spaced times on [-60, 60], the
+    state factor by its exact ball bound, and jump coefficients pick up
+    their intensity-times-mark-moment factors.  Each map is bounded in the
+    space where it acts (``on_nodes``): its constant one has norm sqrt(dim)
+    on coordinates, ``ones_norm`` on nodes.
     """
     if not math.isfinite(tau):
         raise InputError(f"tau must be finite, got {tau!r}")
-    t = np.linspace(-horizon, horizon, n_grid)
+    t = np.linspace(-60.0, 60.0, 24001)
 
     def prof_shift_sup(prof: TimeProfile) -> float:
         return float(np.max(np.abs(prof(t + tau) - prof(t))))
@@ -466,7 +458,7 @@ class ShiftCouplingResult:
 
 def shift_coupling_gap(model: SdeModel, tau: float, window, n_paths: int,
                        seed: int, *, tol: float = 0.02, max_step: float = 5e-3,
-                       n_obs: int = 41, sup_horizon: float = 60.0) -> ShiftCouplingResult:
+                       n_obs: int = 41) -> ShiftCouplingResult:
     """Integrate, against the same noise, the bounded solutions of the
     tau-shifted and unshifted coefficient quadruples, and compare the
     measured sup mean-square gap with its explicit bound.
@@ -478,7 +470,7 @@ def shift_coupling_gap(model: SdeModel, tau: float, window, n_paths: int,
     """
     t0, t1 = float(window[0]), float(window[1])
     plan = pullback_plan(model, tol)   # the shifted model has the same plan
-    sup_i = coefficient_shift_bounds(model, tau, plan.radius, horizon=sup_horizon)
+    sup_i = coefficient_shift_bounds(model, tau, plan.radius)
     curve = coupled_gap(model, model.shifted(tau), 0.0, 0.0, (t0 - plan.t_pull, t1),
                         n_paths, max_step, seed, np.linspace(t0, t1, n_obs))
     i_sup = int(np.argmax(curve.gap))

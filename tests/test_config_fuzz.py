@@ -17,10 +17,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from levylab import config  # noqa: E402
 from levylab.cli import main  # noqa: E402
-from levylab.errors import ConfigError, HorizonError, InfeasibleError, InputError  # noqa: E402
+from levylab.errors import InputError  # noqa: E402
 from test_cli import _scalar_model_dict  # noqa: E402
 
-EXIT_2 = (ConfigError, InputError, InfeasibleError, HorizonError)
+EXIT_2 = (InputError,)
 FUZZ = settings(derandomize=True, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
 

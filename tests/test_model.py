@@ -180,8 +180,8 @@ def test_cond_L11_boundary_sweep():
 
 
 def test_boundary_closed_forms():
-    assert L.boundary_b_compact(1.0, 4.0, 0.25) == pytest.approx(7.5, abs=1e-12)
-    assert L.boundary_b_stability(1.0, 4.0, 0.25) == pytest.approx(17.1, abs=1e-12)
+    assert L.lip_threshold_compact(1.0, 4.0, 7.5) == pytest.approx(0.25, rel=1e-12)
+    assert L.lip_threshold_stability(1.0, 4.0, 17.1) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_zero_lipschitz_slack_equals_threshold():

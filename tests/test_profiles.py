@@ -67,6 +67,15 @@ def test_reciprocal_rejects_vanishing_denominator():
         L.reciprocal_profile(1.0, 2.0, (1.0, 1.0), (1.0, np.sqrt(2.0)))
 
 
+def test_library_input_errors_are_input_errors():
+    # the one class that the CLI maps to exit 2
+    with pytest.raises(L.InputError, match=r"offset > sum \|amps\|"):
+        L.reciprocal_profile(1.0, 2.0, (1.0, 1.0), (1.0, np.sqrt(2.0)))
+    with pytest.raises(L.InputError, match="unknown profile kind 'spline'"):
+        L.TimeProfile(kind="spline")
+    assert issubclass(L.ConfigError, L.InputError)
+
+
 def test_clipped_ramp():
     p = L.clipped_ramp_profile(bound=2.0, scale=0.5)
     assert p(np.array([10.0]))[0] == pytest.approx(1.0)

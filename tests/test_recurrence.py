@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import levylab as L
-from levylab.errors import HorizonError, InputError
+from levylab.errors import InputError
 from levylab import recurrence
 from levylab.recurrence import _bl_peel, _stratified_subsample, distributional_report
 
@@ -34,7 +34,7 @@ def test_bebutov_constants():
 
 
 def test_bebutov_needs_horizon_for_tiny_distances():
-    with pytest.raises(HorizonError):
+    with pytest.raises(InputError, match="widen the horizon"):
         L.bebutov_distance(L.constant_profile(0.0), L.constant_profile(1e-3),
                            horizon=50.0)
     d = L.bebutov_distance(L.constant_profile(0.0), L.constant_profile(1e-3),
